@@ -19,8 +19,12 @@ exact finite-dimensional statements (the truncated position operator is
 still Hermitian, so its phase exponentials are exactly unitary).  The only
 deliberately truncated relation is the CCR,
 [b, b*] = 1 - (n_max + 1) P_top, with P_top the projector onto the top
-rung.  Everything is a dense complex matrix; a hard dimension cap keeps
-sizes at desk scale.
+rung.  Operators on each factor are dense complex matrices, and the
+embeddings here form full-space operators as dense Kronecker products,
+which suits small spaces and checks.  H'' and its pairing terms are
+assembled in hhlab.model from the small factors directly (scattered into
+one dense matrix, or kept as scipy.sparse terms) rather than through these
+embeddings.  A hard dimension cap keeps sizes at desk scale.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize_scalar
 
 from .hilbert import adjoint, hermiticity_residual
@@ -204,14 +205,14 @@ def original_structures(basis):
 
 
 def _pairless_charge_terms(params, basis, u_coeff, v_coeff):
-    """u_coeff sum_x q_x^2 + v_coeff sum_bonds q_x q_y, on the fermion factor."""
+    """Diagonal of u_coeff sum_x q_x^2 + v_coeff sum_bonds q_x q_y on the fermion factor."""
     lat = basis.lattice
-    nf = basis.fermion_dim
-    out = np.zeros((nf, nf), dtype=complex)
-    for x in lat.sites:
-        out += u_coeff * basis.charge(x) @ basis.charge(x)
+    q = charge_diagonals(basis)
+    out = np.zeros(basis.fermion_dim)
+    for s in range(lat.n_sites):
+        out += u_coeff * q[s] * q[s]
     for b in lat.bonds():
-        out += v_coeff * basis.charge(lat.sites[b.i]) @ basis.charge(lat.sites[b.j])
+        out += v_coeff * q[b.i] * q[b.j]
     return out
 
 
@@ -225,52 +226,118 @@ def build_transformed(params, basis, parts_out=None):
         for spin in ("up", "down"):
             term = basis.kron_fb(basis.cdag(x, spin) @ basis.c(y, spin), phase)
             T1 += -params.t * (term + adjoint(term))
-    P1 = basis.embed_fermion(_pairless_charge_terms(params, basis, params.u_eff, params.V))
+    p1 = _pairless_charge_terms(params, basis, params.u_eff, params.V)
+    P1 = basis.embed_fermion(np.diag(p1.astype(complex)))
     K = build_parts_K(params, basis)
     if parts_out is not None:
         parts_out.update({"T1": T1, "P1": P1})
     return T1 + P1 + K
 
 
-def build_parts_K(params, basis):
-    K_b = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
+def _phonon_energy(params, basis):
+    """Diagonal of omega sum_x b*_x b_x on the boson factor."""
+    out = np.zeros(basis.boson_dim)
     for x in basis.sites:
-        K_b += params.omega * basis.boson(x, "number")
-    return basis.embed_boson(K_b)
+        out += params.omega * np.diag(basis.boson(x, "number")).real
+    return out
+
+
+def build_parts_K(params, basis):
+    """K = omega sum_x b*_x b_x as a full-space matrix."""
+    return basis.embed_boson(np.diag(_phonon_energy(params, basis).astype(complex)))
+
+
+def _pairing_instances(lat):
+    """(x, y, j, eps) for every even site x and partner y = x + eps delta_j."""
+    return [(x, lat.shift(x, j, eps), j, eps)
+            for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
+
+
+def _pairing_factors(params, basis, instances):
+    """The Kronecker factors of the pairing term of each (x, y, ...) instance.
+
+    Yields (instance, pairs, phase): ``pairs`` holds c*_{x s} c*_{y s} on the
+    fermion factor for s = up, down, and ``phase`` is exp(-i alpha (phi_x - phi_y))
+    on the boson factor.  The term is -t sum_s (pair_s (x) phase + h.c.).
+    Works on any basis holding both sites, half-space bases included.
+    """
+    for inst in instances:
+        x, y = inst[0], inst[1]
+        phase = _hop_phase(basis, params, x, y)
+        yield inst, [basis.cdag(x, s) @ basis.cdag(y, s) for s in ("up", "down")], phase
+
+
+def _pairing_entries(params, basis, pair, phase):
+    """The nonzero entries of -t pair (x) phase as (rows, cols, values).
+
+    ``values`` has shape (k, nb, nb) for the k nonzeros (r, c) of ``pair``:
+    the boson block -t pair[r, c] phase, placed at fermion block (r, c).  The
+    index arrays ``rows`` (k, nb, 1) and ``cols`` (k, 1, nb) broadcast against
+    it.  The adjoint has the entries conj(values) at (cols, rows).
+    """
+    nb = basis.boson_dim
+    r, c = np.nonzero(pair)
+    b = np.arange(nb)
+    values = -params.t * (pair[r, c][:, None, None] * phase)
+    return r[:, None, None] * nb + b[:, None], c[:, None, None] * nb + b, values
+
+
+def _pairing_matrix(params, basis, instances):
+    """Sum of the pairing terms of ``instances`` as a dense full-space matrix.
+
+    The entries of each term and of its adjoint are scattered straight into
+    the result, so no full-space Kronecker product is formed.  The result is
+    bit-identical to summing the dense terms -t (pair (x) phase + h.c.) in
+    instance order.
+    """
+    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for _, pairs, phase in _pairing_factors(params, basis, instances):
+        for pair in pairs:
+            rows, cols, values = _pairing_entries(params, basis, pair, phase)
+            out[rows, cols] += values
+            out[cols, rows] += values.conj()
+    return out
 
 
 def pairing_bond_terms(params, basis):
     """The pairing terms of T'': one matrix per (even site, direction, eps).
 
     Each entry is -t (c*_{x s} c*_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.)
-    summed over spin, with y = x + eps delta_j.  Their sum is T''.  For L = 1
-    the eps = +/- terms coincide pairwise (doubled wrap bonds, intended).
+    summed over spin, with y = x + eps delta_j, as a scipy.sparse CSR array.
+    Their sum is T''.  For L = 1 the eps = +/- terms coincide pairwise
+    (doubled wrap bonds, intended).
     """
     lat = _require_lattice(basis)
+    dim = basis.total_dim
     out = []
-    for x in lat.even_sites:
-        for j in range(1, lat.nu + 1):
-            for eps in (+1, -1):
-                y = lat.shift(x, j, eps)
-                phase = _hop_phase(basis, params, x, y)
-                term = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-                for spin in ("up", "down"):
-                    pair = basis.kron_fb(basis.cdag(x, spin) @ basis.cdag(y, spin), phase)
-                    term += -params.t * (pair + adjoint(pair))
-                out.append(((x, y, j, eps), term))
+    for inst, pairs, phase in _pairing_factors(params, basis, _pairing_instances(lat)):
+        rows, cols, vals = [], [], []
+        for pair in pairs:
+            r, c, v = (a.ravel() for a in
+                       np.broadcast_arrays(*_pairing_entries(params, basis, pair, phase)))
+            rows += [r, c]  # the pair, then its adjoint
+            cols += [c, r]
+            vals += [v, v.conj()]
+        term = sparse.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                shape=(dim, dim))
+        out.append((inst, term.tocsr()))
     return out
 
 
 def build_doubleprime(params, basis, parts_out=None):
-    """H'' = T'' + P'' + K from its defining formula."""
-    T2 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for _, term in pairing_bond_terms(params, basis):
-        T2 += term
-    P2 = basis.embed_fermion(_pairless_charge_terms(params, basis, params.u_eff, -params.V))
-    K = build_parts_K(params, basis)
+    """H'' = T'' + P'' + K from its defining formula.
+
+    T'' is scattered from the Kronecker factors of its pairing terms; P'' and
+    K are diagonal and added as vectors.
+    """
+    lat = _require_lattice(basis)
+    nf, nb = basis.fermion_dim, basis.boson_dim
+    H = _pairing_matrix(params, basis, _pairing_instances(lat))
+    p2 = _pairless_charge_terms(params, basis, params.u_eff, -params.V)
     if parts_out is not None:
-        parts_out.update({"T2": T2, "P2": P2})
-    return T2 + P2 + K
+        parts_out.update({"T2": H.copy(), "P2": basis.embed_fermion(np.diag(p2.astype(complex)))})
+    H[np.diag_indices_from(H)] += np.repeat(p2, nb) + np.tile(_phonon_energy(params, basis), nf)
+    return H
 
 
 def charge_diagonals(basis):
@@ -307,9 +374,10 @@ def field_diagonal_correction(params, basis, h):
 def build_field_hamiltonian(params, basis, h):
     """H''(h) = T'' + P''(h) + K; equals H'' entrywise at h = 0."""
     h = np.asarray(h, dtype=float)
-    H2 = build_doubleprime(params, basis)
-    corr = np.repeat(field_diagonal_correction(params, basis, h), basis.boson_dim)
-    return H2 + np.diag(corr.astype(complex))
+    H = build_doubleprime(params, basis)
+    H[np.diag_indices_from(H)] += np.repeat(field_diagonal_correction(params, basis, h),
+                                            basis.boson_dim)
+    return H
 
 
 def hamiltonian_set(params, basis):

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
@@ -286,27 +287,6 @@ def _bond_side(lat, x, y):
     return ("L" if x[0] < 0 else "R"), ("L" if y[0] < 0 else "R")
 
 
-def _half_pairing_terms(params, lat, half_basis, side):
-    """T'' restricted to bonds internal to one half, built on the half basis."""
-    insts = []
-    for x in lat.even_sites:
-        for j in range(1, lat.nu + 1):
-            for eps in (+1, -1):
-                y = lat.shift(x, j, eps)
-                sx, sy = _bond_side(lat, x, y)
-                if (sx, sy) == (side, side):
-                    insts.append((x, y))
-    out = np.zeros((half_basis.total_dim, half_basis.total_dim), dtype=complex)
-    for x, y in insts:
-        phi_x = half_basis.boson(x, "position", omega=params.omega)
-        phi_y = half_basis.boson(y, "position", omega=params.omega)
-        phase = _model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
-        for spin in ("up", "down"):
-            pair = half_basis.kron_fb(half_basis.cdag(x, spin) @ half_basis.cdag(y, spin), phase)
-            out += -params.t * (pair + pair.conj().T)
-    return out
-
-
 def _crossing_instances(params, lat):
     """Crossing pairing instances as (even site, partner, even side)."""
     out = []
@@ -355,13 +335,6 @@ def _half_charge_squares(params, lat, half_basis, h, side):
     return half_basis.embed_fermion(np.diag(diag.astype(complex)))
 
 
-def _half_K(params, half_basis):
-    K_b = np.zeros((half_basis.boson_dim, half_basis.boson_dim), dtype=complex)
-    for x in half_basis.sites:
-        K_b += params.omega * half_basis.boson(x, "number")
-    return half_basis.embed_boson(K_b)
-
-
 def verify_lr_split(params, basis, h=None, tol=1e-10):
     """Verify the T''/P''(h)/K tensor splits and their theta-covariance.
 
@@ -394,19 +367,23 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
                                        bl.boson(x_l, "momentum", omega=params.omega)))
     out.append(_matrix_eq("lr_boson_embed", f"pi_({x_l}) factorizes (L)", pi_full, expected, tol))
 
-    # T'' split
-    zero = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    t_parts = {"LL": zero.copy(), "RR": zero.copy(), "cross": zero.copy()}
-    for (x, y, j, eps), term in _model.pairing_bond_terms(params, basis):
-        sx, sy = _bond_side(lat, x, y)
+    # T'' split: the full-space bond terms by side, against the internal
+    # instances assembled on each half basis
+    t_parts = {key: sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
+               for key in ("LL", "RR", "cross")}
+    internal = {"L": [], "R": []}
+    for inst, term in _model.pairing_bond_terms(params, basis):
+        sx, sy = _bond_side(lat, inst[0], inst[1])
         key = "cross" if sx != sy else sx + sy
-        t_parts[key] += term
-    T_L = _half_pairing_terms(params, lat, bl, "L")
-    T_R = _half_pairing_terms(params, lat, br, "R")
+        t_parts[key] = t_parts[key] + term
+        if sx == sy:
+            internal[sx].append(inst)
+    T_L = _model._pairing_matrix(params, bl, internal["L"])
+    T_R = _model._pairing_matrix(params, br, internal["R"])
     out.append(_matrix_eq("lr_T_internal_L", "internal-left pairing = T''_L (x) 1",
-                          split.to_lr(t_parts["LL"]), split.kron_l(T_L), tol))
+                          split.to_lr(t_parts["LL"].toarray()), split.kron_l(T_L), tol))
     out.append(_matrix_eq("lr_T_internal_R", "internal-right pairing = 1 (x) T''_R",
-                          split.to_lr(t_parts["RR"]), split.kron_r(T_R), tol))
+                          split.to_lr(t_parts["RR"].toarray()), split.kron_r(T_R), tol))
     out.append(_matrix_eq("lr_T_reflect", "T''_R = theta T''_L theta^-1",
                           T_R, theta.conjugate(T_L), tol))
 
@@ -431,13 +408,12 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
             cross_expected += coeff * (block + block.conj().T)
     out.append(_matrix_eq(
         "lr_T_cross", "crossing pairing = sum_bonds +/- t (C (x) theta C theta^-1 + h.c.)",
-        split.to_lr(t_parts["cross"]), cross_expected, tol))
+        split.to_lr(t_parts["cross"].toarray()), cross_expected, tol))
 
     # P''(h) split
-    P_full = basis.embed_fermion(
-        _pair_charge_matrix(params, basis)) + np.diag(
-            np.repeat(_model.field_diagonal_correction(params, basis, h),
-                      basis.boson_dim).astype(complex))
+    p_diag = (_model._pairless_charge_terms(params, basis, params.u_eff, -params.V)
+              + _model.field_diagonal_correction(params, basis, h))
+    P_full = np.diag(np.repeat(p_diag, basis.boson_dim).astype(complex))
     P_L = _half_charge_squares(params, lat, bl, h, "L")
     P_R = _half_charge_squares(params, lat, br, h, "R")
     P_cross = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
@@ -463,24 +439,12 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
 
     # K split
     K_full = _model.build_parts_K(params, basis)
-    K_L, K_R = _half_K(params, bl), _half_K(params, br)
+    K_L, K_R = _model.build_parts_K(params, bl), _model.build_parts_K(params, br)
     out.append(_matrix_eq("lr_K_split", "K = K_L (x) 1 + 1 (x) K_R",
                           split.to_lr(K_full), split.kron_l(K_L) + split.kron_r(K_R), tol))
     out.append(_matrix_eq("lr_K_reflect", "K_R = theta K_L theta^-1",
                           K_R, theta.conjugate(K_L), tol))
     return out
-
-
-def _pair_charge_matrix(params, basis):
-    """P''(0) on the fermion factor (diagonal)."""
-    lat = basis.lattice
-    qd = _model.charge_diagonals(basis)
-    diag = np.zeros(basis.fermion_dim)
-    for s in range(lat.n_sites):
-        diag += params.u_eff * qd[s] ** 2
-    for b in lat.bonds():
-        diag += -params.V * qd[b.i] * qd[b.j]
-    return np.diag(diag.astype(complex))
 
 
 # -- the two-Hilbert-space partition function inequality ------------------------------

@@ -1,13 +1,15 @@
 """Spectral decomposition, thermal expectations and Duhamel two-point functions.
 
-Everything here is exact dense linear algebra.  The one performance device
-is that a Hamiltonian is first split into the connected components of its
-exact sparsity pattern (H[i, j] != 0.0); components are eigendecomposed
-independently and all thermal sums run blockwise.  This is a lossless
-reordering -- parity-type conservation laws show up as exact structural
-zeros of the matrix -- and cuts the eigensolver cost by the usual cubic
-factor.  Components are detected from exact zeros only, so a "dirty" matrix
-simply degrades to one big block, never to a wrong answer.
+A Hamiltonian (a dense matrix) is first split into the connected components
+of its exact sparsity pattern (H[i, j] != 0.0); each component is
+eigendecomposed exactly with dense LAPACK, and all thermal sums run
+blockwise.  This is a lossless reordering -- parity-type conservation laws
+show up as exact structural zeros of the matrix -- and cuts the eigensolver
+cost by the usual cubic factor.  Components are detected from exact zeros
+only, so a "dirty" matrix simply degrades to one big block, never to a wrong
+answer.  The Gibbs state is kept as its diagonal blocks only: it is exactly
+block-diagonal, so an observable (a dense matrix, a scipy.sparse matrix or a
+1-d diagonal) enters a thermal average only through its diagonal blocks.
 
 The Duhamel two-point function is evaluated spectrally:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 from . import model as _model
@@ -32,8 +34,6 @@ from .hilbert import build_basis
 __all__ = [
     "SpectralData",
     "spectral",
-    "thermal_expectation",
-    "duhamel",
     "charge_correlation",
     "quadratic_form_quantities",
     "pairing_bond_expectations",
@@ -84,8 +84,12 @@ class SpectralData:
         self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in self.blocks]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
+        self._block_of = np.empty(dim, dtype=np.intp)   # component of each basis index
+        self._position = np.empty(dim, dtype=np.intp)   # its index inside the component
+        for k, (idx, _, _) in enumerate(blocks):
+            self._block_of[idx] = k
+            self._position[idx] = np.arange(len(idx))
         self._rho_diag = None
-        self._rho = None
         self._rho_blocks = None
 
     @property
@@ -116,27 +120,42 @@ class SpectralData:
                                 for (_, _, q), wt in zip(self.blocks, self._weights)]
         return self._rho_blocks
 
-    def rho(self):
-        """Full Gibbs density matrix (cached; dim^2 memory)."""
-        if self._rho is None:
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for (idx, _, _), blk in zip(self.blocks, self.rho_blocks()):
-                out[np.ix_(idx, idx)] = blk
-            self._rho = out
-        return self._rho
-
     # -- thermal averages ----------------------------------------------------
 
     def expectation(self, A):
-        """<A> = Tr[A e^{-beta H}] / Z.  A may be a matrix or a diagonal
-        (1-d array).  Hermitian input gives a real result; the imaginary
-        part is checked to be < 1e-10 relative and discarded then."""
-        A = np.asarray(A)
-        if A.ndim == 1:
-            val = complex(np.dot(A, self.rho_diag()))
+        """<A> = Tr[A e^{-beta H}] / Z.  A may be a dense matrix, a
+        scipy.sparse matrix or a diagonal (1-d array).  Hermitian input gives
+        a real result; the imaginary part is checked to be < 1e-10 relative
+        and discarded then.
+
+        Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
+        diagonal blocks of rho only: its entries between components are
+        exact zeros, so the entries of A there contribute exactly 0.
+        """
+        if issparse(A):
+            val = self._sparse_trace(A)
         else:
-            val = complex(np.vdot(self.rho(), A))  # Tr(rho A), rho Hermitian
+            A = np.asarray(A)
+            if A.ndim == 1:
+                val = complex(np.dot(A, self.rho_diag()))
+            else:
+                val = complex(sum(np.vdot(rho_i, A[np.ix_(idx, idx)])
+                                  for (idx, _, _), rho_i in zip(self.blocks, self.rho_blocks())))
         return _realize_if_hermitian(val, A)
+
+    def _sparse_trace(self, A):
+        """Tr(rho A) from the stored entries of a sparse A inside one component."""
+        A = A.tocoo()
+        comp = self._block_of[A.row]
+        inside = comp == self._block_of[A.col]
+        rows, cols, data, comp = A.row[inside], A.col[inside], A.data[inside], comp[inside]
+        rho = self.rho_blocks()
+        total = 0.0 + 0.0j
+        for k in np.unique(comp):
+            sel = comp == k
+            total += np.vdot(rho[k][self._position[rows[sel]], self._position[cols[sel]]],
+                             data[sel])
+        return complex(total)
 
     def duhamel(self, A, B):
         """Duhamel two-point function (A, B) at this spectral data.
@@ -163,11 +182,17 @@ class SpectralData:
         return complex(total / self.z_shifted)
 
 
+def _max_abs(A):
+    if issparse(A):
+        return float(abs(A).max()) if A.nnz else 0.0
+    return float(np.max(np.abs(A)))
+
+
 def _realize_if_hermitian(val, A):
     if A.ndim == 1:
         herm = np.all(np.abs(A.imag) < 1e-14) if np.iscomplexobj(A) else True
     else:
-        herm = np.max(np.abs(A - A.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(A)))
+        herm = _max_abs(A - A.conj().T) < 1e-12 * max(1.0, _max_abs(A))
     if herm:
         scale = max(abs(val), 1.0)
         if abs(val.imag) > 1e-10 * scale:
@@ -214,16 +239,6 @@ def _component_labels(H):
 def spectral(H, beta, check=True):
     """Eigendecompose H (blockwise) and attach thermal weights at beta."""
     return SpectralData(H, beta, check=check)
-
-
-def thermal_expectation(A, spec):
-    """<A> under the spectral data's Gibbs state."""
-    return spec.expectation(A)
-
-
-def duhamel(A, B, spec):
-    """Duhamel two-point function (A, B)."""
-    return spec.duhamel(A, B)
 
 
 # -- charge correlations ------------------------------------------------------

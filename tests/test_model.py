@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from hhlab import model
 from hhlab.hilbert import HilbertBasis, build_basis, hermiticity_residual, is_hermitian
@@ -249,6 +251,77 @@ def test_doubleprime_is_zigzag_image_and_isospectral():
     assert np.max(np.abs(H2 - Vfull @ H1 @ Vfull.conj().T)) < 1e-10
     w1, w2 = np.linalg.eigvalsh(H1), np.linalg.eigvalsh(H2)
     assert np.max(np.abs(w1 - w2)) < 1e-10 * max(1.0, np.max(np.abs(w1)))
+
+
+# -- dense oracle of H'' ---------------------------------------------------------------------
+
+
+def dense_pairing_terms(params, basis):
+    """The pairing terms of T'' as dense full-space Kronecker products,
+    -t sum_s (c*_{x s} c*_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.),
+    one per (x, y, j, eps) in the library's order."""
+    lat = basis.lattice
+    out = []
+    for x in lat.even_sites:
+        for j in range(1, lat.nu + 1):
+            for eps in (+1, -1):
+                y = lat.shift(x, j, eps)
+                phi_x = basis.boson(x, "position", omega=params.omega)
+                phi_y = basis.boson(y, "position", omega=params.omega)
+                phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+                term = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+                for spin in ("up", "down"):
+                    pair = basis.kron_fb(basis.cdag(x, spin) @ basis.cdag(y, spin), phase)
+                    term += -params.t * (pair + pair.conj().T)
+                out.append(((x, y, j, eps), term))
+    return out
+
+
+def dense_doubleprime(params, basis):
+    """H'' = T'' + P'' + K with every part a dense full-space matrix."""
+    lat = basis.lattice
+    T2 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for _, term in dense_pairing_terms(params, basis):
+        T2 += term
+    P_f = np.zeros((basis.fermion_dim, basis.fermion_dim), dtype=complex)
+    for x in lat.sites:
+        P_f += params.u_eff * basis.charge(x) @ basis.charge(x)
+    for b in lat.bonds():
+        P_f += -params.V * basis.charge(lat.sites[b.i]) @ basis.charge(lat.sites[b.j])
+    K_b = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
+    for x in lat.sites:
+        K_b += params.omega * basis.boson(x, "number")
+    return T2 + basis.embed_fermion(P_f) + basis.embed_boson(K_b)
+
+
+# (nu, n_max) on the L = 1 torus
+ORACLE_GEOMETRIES = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+
+
+def _assert_matches_dense_oracle(params, nu):
+    basis = build_basis(build_lattice(nu, 1), params.n_max)
+    assert np.array_equal(model.build_doubleprime(params, basis),
+                          dense_doubleprime(params, basis))
+    terms = model.pairing_bond_terms(params, basis)
+    oracle = dense_pairing_terms(params, basis)
+    assert [key for key, _ in terms] == [key for key, _ in oracle]
+    for (_, term), (_, want) in zip(terms, oracle):
+        assert sparse.issparse(term)
+        assert np.array_equal(term.toarray(), want)
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
+def test_doubleprime_equals_dense_oracle(nu, n_max):
+    _assert_matches_dense_oracle(small_params(n_max=n_max), nu)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(ORACLE_GEOMETRIES),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0))
+def test_doubleprime_equals_dense_oracle_random_couplings(geometry, t, U, V, g, omega):
+    nu, n_max = geometry
+    _assert_matches_dense_oracle(P(t=t, U=U, V=V, g=g, omega=omega, beta=1.0, n_max=n_max), nu)
 
 
 # -- external field ------------------------------------------------------------------------

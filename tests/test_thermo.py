@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hhlab import model, thermo
 from hhlab.hilbert import build_basis
@@ -90,6 +91,50 @@ def test_half_filling_at_infinite_temperature():
     spec = thermo.spectral(model.build_original(params, basis), 0.0)
     n_diag = np.repeat(1.0 + model.charge_diagonals(basis)[0], basis.boson_dim)
     assert abs(spec.expectation(n_diag) - 1.0) < 1e-12
+
+
+def dense_gibbs_state(H, beta):
+    """e^{-beta H} / Z from one eigendecomposition of the whole matrix."""
+    w, q = np.linalg.eigh(H)
+    wt = np.exp(-beta * (w - w[0]))
+    return (q * wt) @ q.conj().T / wt.sum()
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
+def test_pairing_bond_expectations_match_dense_trace(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    rho = dense_gibbs_state(H2, params.beta)
+    got = thermo.pairing_bond_expectations(params, basis, spec)
+    terms = model.pairing_bond_terms(params, basis)
+    assert [key for key, _ in got] == [key for key, _ in terms]
+    for (_, val), (_, term) in zip(got, terms):
+        want = np.trace(rho @ term.toarray())
+        assert isinstance(val, float)
+        assert abs(val - want) <= 1e-12 * abs(want)
+
+
+def test_sparse_expectation_matches_dense_trace(state):
+    # rho is block-diagonal, so entries of A between components add exactly 0
+    _, params, basis, H2, spec = state
+    rho = dense_gibbs_state(H2, params.beta)
+    block_of = np.empty(basis.total_dim, dtype=int)
+    for k, (idx, _, _) in enumerate(spec.blocks):
+        block_of[idx] = k
+    rng = np.random.default_rng(8)
+    A = sparse.random_array((basis.total_dim, basis.total_dim), density=0.05, rng=rng,
+                            dtype=complex, format="csr")
+    rows, cols = A.nonzero()
+    assert np.any(block_of[rows] != block_of[cols])
+    for obs in (A, A + A.conj().T):
+        want = np.trace(rho @ obs.toarray())
+        got = spec.expectation(obs)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(spec.expectation(obs.toarray()) - want) <= 1e-12 * abs(want)
+    assert isinstance(spec.expectation(A + A.conj().T), float)
+    assert isinstance(spec.expectation(A), complex)
 
 
 # -- Duhamel two-point function -----------------------------------------------------------
