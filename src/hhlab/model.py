@@ -48,6 +48,7 @@ __all__ = [
     "build_parts",
     "hamiltonian_set",
     "lang_firsov",
+    "phonon_gauge",
     "build_zigzag",
     "zigzag_fermion",
     "build_hole_particle",
@@ -404,17 +405,29 @@ def lang_firsov(params, basis):
     exactly unitary at any truncation).  Meant for small bases; the
     generator is exponentiated by dense eigendecomposition.
     """
-    n_b = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
-    for x in basis.sites:
-        n_b += basis.boson(x, "number")
-    rot = basis.embed_boson(np.diag(np.exp(-0.5j * np.pi * np.diag(n_b))))
-
+    rot = np.conj(phonon_gauge(basis))
     gen = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
     for x in basis.sites:
         gen += basis.kron_fb(basis.charge(x), basis.boson(x, "momentum", omega=params.omega))
     # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
     c = params.omega ** (-1.5) * params.g
-    return rot @ expm_i_hermitian(-c * gen)
+    return rot[:, None] * expm_i_hermitian(-c * gen)
+
+
+def phonon_gauge(basis):
+    """The diagonal of the phonon gauge i^{N_p}, N_p = sum_x n_x, on the full space.
+
+    Conjugation by it maps each phi_x to i times a real antisymmetric matrix,
+    so exp(-i alpha (phi_x - phi_y)) becomes real and H'' and H''(h) become
+    real symmetric.  Its entries are exactly 1, i, -1 or -i.
+    """
+    d = basis.n_max + 1
+    b = np.arange(basis.boson_dim)
+    n_p = np.zeros(basis.boson_dim, dtype=int)
+    for _ in range(basis.n_sites):
+        n_p += b % d
+        b //= d
+    return np.tile(np.array([1, 1j, -1, -1j])[n_p % 4], basis.fermion_dim)
 
 
 def _particle_hole_factor(basis, x, spin):

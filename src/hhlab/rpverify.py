@@ -29,6 +29,7 @@ holds with wide margin elsewhere.  Both slacks are reported.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -570,13 +571,34 @@ def trace_product_check(n_trials=50, dim=6, seed=5, tol=1e-12):
 # -- reflection positivity of Z and Gaussian domination -------------------------------
 
 
+# log Z values a FieldPartition keeps; the least recently used is dropped first
+LOG_Z_CACHE_SIZE = 4096
+# largest imaginary entry a gauged block may keep, relative to its largest entry
+_GAUGE_IMAG_TOL = 1e-12
+
+
+def _gauged_real_block(blk, g):
+    """conj(g) blk g as a contiguous real matrix; refuses a non-real result."""
+    gauged = g.conj()[:, None] * blk * g[None, :]
+    imag = float(np.max(np.abs(gauged.imag)))
+    if imag > _GAUGE_IMAG_TOL * float(np.max(np.abs(gauged))):
+        raise ValueError(f"block of H'' is not real in the phonon gauge "
+                         f"(largest imaginary entry {imag:.3e})")
+    return np.ascontiguousarray(gauged.real, dtype=float)
+
+
 class FieldPartition:
     """Fast Z(h) evaluation for the field family H''(h) = H'' + diag(h-terms).
 
     The external field only shifts the diagonal, so the connected components
-    of H'' are field-independent; the component blocks are extracted once
-    and each log partition function costs one small eigvalsh per block.
-    log Z values are cached per (rounded) configuration.
+    of H'' are field-independent; the component blocks are extracted once.
+    Each block is stored real symmetric in the phonon gauge i^{N_p}
+    (``model.phonon_gauge``), a diagonal unitary that commutes with the field
+    term, so every log partition function costs one real eigvalsh per block
+    and equals the complex one up to rounding.  A block that is not real in
+    that gauge is refused with ValueError.  log Z values are cached per
+    configuration rounded to 12 digits, keeping the LOG_Z_CACHE_SIZE most
+    recently used.
     """
 
     def __init__(self, params, basis, H2=None):
@@ -584,17 +606,19 @@ class FieldPartition:
         self.basis = basis
         if H2 is None:
             H2 = _model.build_doubleprime(params, basis)
+        gauge = _model.phonon_gauge(basis)
         labels = _thermo._component_labels(H2)
         self.blocks = []
         for lab in range(labels.max() + 1):
             idx = np.flatnonzero(labels == lab)
-            self.blocks.append((idx, np.ascontiguousarray(H2[np.ix_(idx, idx)])))
-        self._cache = {}
+            self.blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], gauge[idx])))
+        self._cache = OrderedDict()
 
     def log_partition(self, h):
         h = np.asarray(h, dtype=float)
         key = tuple(np.round(h, 12))
         if key in self._cache:
+            self._cache.move_to_end(key)
             return self._cache[key]
         corr = np.repeat(_model.field_diagonal_correction(self.params, self.basis, h),
                          self.basis.boson_dim)
@@ -604,6 +628,8 @@ class FieldPartition:
         z = sum(float(np.sum(np.exp(-beta * (w - w0)))) for w in ws)
         lz = -beta * w0 + float(np.log(z))
         self._cache[key] = lz
+        if len(self._cache) > LOG_Z_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return lz
 
 

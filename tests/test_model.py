@@ -324,6 +324,20 @@ def test_doubleprime_equals_dense_oracle_random_couplings(geometry, t, U, V, g, 
     _assert_matches_dense_oracle(P(t=t, U=U, V=V, g=g, omega=omega, beta=1.0, n_max=n_max), nu)
 
 
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
+def test_phonon_gauge_makes_doubleprime_real(nu, n_max):
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime(small_params(n_max=n_max), basis)
+    g = model.phonon_gauge(basis)
+    n_tot = sum(np.real(np.diag(basis.boson(x, "number"))) for x in basis.sites)
+    assert np.max(np.abs(g - np.tile(np.exp(0.5j * np.pi * n_tot), basis.fermion_dim))) < 1e-14
+    assert set(g.tolist()) <= {1, 1j, -1, -1j}
+    if n_max > 0:  # the phonon phases make H'' itself complex
+        assert np.max(np.abs(H2.imag)) > 0.1
+    gauged = g.conj()[:, None] * H2 * g[None, :]
+    assert np.max(np.abs(gauged.imag)) <= 1e-12 * np.max(np.abs(H2))
+
+
 # -- external field ------------------------------------------------------------------------
 
 

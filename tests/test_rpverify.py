@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhlab import model, rpverify, thermo
 from hhlab.hilbert import build_basis
@@ -123,6 +124,72 @@ def test_field_partition_matches_dense_logz(field_state):
     Hh = model.build_field_hamiltonian(params, basis, h)
     dense = thermo.spectral(Hh, params.beta).logZ
     assert np.isclose(ens.log_partition(h), dense, rtol=0, atol=1e-10)
+
+
+def _dense_log_partition(params, basis, h):
+    return thermo.spectral(model.build_field_hamiltonian(params, basis, h), params.beta).logZ
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert abs(got - want) <= rtol * max(abs(want), 1.0), (got, want)
+
+
+def test_field_partition_matches_dense_logz_2x2():
+    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    rng = np.random.default_rng(31)
+    for h in (rng.standard_normal(4), rng.standard_normal(4), np.full(4, 0.75)):
+        _assert_rel_close(ens.log_partition(h), _dense_log_partition(params, basis, h))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_field_partition_matches_dense_logz_random_couplings(n_max, t, U, V, g, omega, beta, h):
+    params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    _assert_rel_close(ens.log_partition(h), _dense_log_partition(params, basis, h))
+
+
+def test_field_partition_refuses_block_not_real_in_gauge():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    off = np.abs(H2) - np.diag(np.diag(np.abs(H2)))
+    i, j = np.unravel_index(np.argmax(off), off.shape)
+    H2[i, j] *= np.exp(0.25j * np.pi)  # still Hermitian, same sparsity
+    H2[j, i] *= np.exp(-0.25j * np.pi)
+    assert np.array_equal(H2, H2.conj().T)
+    with pytest.raises(ValueError, match="not real in the phonon gauge"):
+        rpverify.FieldPartition(params, basis, H2)
+
+
+def test_field_partition_cache_is_bounded_lru(monkeypatch):
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    computed = []
+    correction = model.field_diagonal_correction
+    monkeypatch.setattr(model, "field_diagonal_correction",
+                        lambda *a: computed.append(1) or correction(*a))
+    size = rpverify.LOG_Z_CACHE_SIZE
+    fields = [[1e-3 * k, 0.0] for k in range(size)]
+    first = ens.log_partition([0.5, -0.5])
+    for h in fields[:size - 1]:
+        ens.log_partition(h)
+    assert len(ens._cache) == size and len(computed) == size
+    assert ens.log_partition([0.5, -0.5]) == first  # a hit, which makes it the most recent
+    assert len(computed) == size
+    ens.log_partition(fields[-1])  # evicts the least recently used: fields[0]
+    assert len(ens._cache) == size and len(computed) == size + 1
+    ens.log_partition([0.5, -0.5])
+    assert len(computed) == size + 1
+    ens.log_partition(fields[0])
+    assert len(ens._cache) == size and len(computed) == size + 2
 
 
 def test_rp_equality_for_symmetric_field(field_state):
