@@ -38,7 +38,6 @@ from . import model as _model
 from . import thermo as _thermo
 
 __all__ = [
-    "u_eff",
     "torus_integral",
     "torus_integral_oracle",
     "BoundReport",
@@ -46,11 +45,6 @@ __all__ = [
     "phase_sweep",
     "finite_volume_fourier_check",
 ]
-
-
-def u_eff(params):
-    """Effective on-site interaction U - 2 g^2 / omega."""
-    return params.u_eff
 
 
 def _midpoint_value(nu, n):
@@ -216,9 +210,9 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
 
     Returns (checks, report_dict).
     """
-    from .lattice import build_lattice
+    from .lattice import build_lattice, dispersion
     from .hilbert import build_basis
-    from .rpverify import CheckResult
+    from .rpverify import CheckResult, _eq
 
     lat = build_lattice(nu, ell)
     h = np.asarray(h, dtype=complex)
@@ -226,7 +220,7 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
     stag = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
 
     ps = lat.momentum_grid()
-    E = np.array([_dispersion_E(p) for p in ps])
+    E = np.array([dispersion(p)[0] for p in ps])
     F = 2.0 * nu - E
     hhat = lat.fourier(h)
     norm = (2.0 * np.pi) ** nu / lat.n_sites
@@ -234,14 +228,14 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
     checks = []
     X_real = float(np.real(np.vdot(h, lap @ h)))
     X_mom = norm * float(np.sum(2.0 * E * np.abs(hhat) ** 2))
-    checks.append(_fourier_eq("fourier_quadratic", "<h|(-D)h> = norm sum 2E |hhat|^2",
-                              X_real, X_mom, tol))
+    checks.append(_eq("fourier_quadratic", "<h|(-D)h> = norm sum 2E |hhat|^2",
+                      X_real, X_mom, tol))
     f = lap @ h
     Y_real = float(np.real(np.vdot(f, stag * (lap @ (stag * f)))))
     Y_mom = norm * float(np.sum((2.0 * E) ** 2 * 2.0 * F * np.abs(hhat) ** 2))
-    checks.append(_fourier_eq("fourier_cubic",
-                              "<(-D)h|tau(-D)tau(-D)h> = norm sum (2E)^2 2F |hhat|^2",
-                              Y_real, Y_mom, tol))
+    checks.append(_eq("fourier_cubic",
+                      "<(-D)h|tau(-D)tau(-D)h> = norm sum (2E)^2 2F |hhat|^2",
+                      Y_real, Y_mom, tol))
 
     report = {
         "norm": norm,
@@ -268,8 +262,8 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
                                   bool(S.min() >= -tol)))
         g_real, _, _ = _thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
         g_mom = norm * float(np.sum((2.0 * E) ** 2 * S * np.abs(hhat) ** 2))
-        checks.append(_fourier_eq("fourier_g", "g = norm sum (2E)^2 S(p) |hhat|^2",
-                                  g_real, g_mom, max(tol, 1e-8)))
+        checks.append(_eq("fourier_g", "g = norm sum (2E)^2 S(p) |hhat|^2",
+                          g_real, g_mom, max(tol, 1e-8)))
         # finite-volume analogue of the q_o^2 decomposition (reported only)
         q2 = float(corr[origin])
         report.update({
@@ -279,14 +273,3 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
         })
     return checks, report
 
-
-def _fourier_eq(name, statement, lhs, rhs, tol):
-    from .rpverify import CheckResult
-
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    dev = abs(lhs - rhs) / scale
-    return CheckResult(name, statement, float(lhs), float(rhs), dev, bool(dev <= tol))
-
-
-def _dispersion_E(p):
-    return float(np.sum(1.0 - np.cos(p)))

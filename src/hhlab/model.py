@@ -54,6 +54,7 @@ __all__ = [
     "build_hole_particle",
     "hole_particle_fermion",
     "build_spin_flip",
+    "spin_swap",
     "build_a_operators",
     "expm_i_hermitian",
     "fermion_mode_permutation",
@@ -528,16 +529,37 @@ def build_spin_flip(basis):
     D c_{x up} D^-1 = c_{x down}, D c_{x down} D^-1 = c_{x up},
     D b_x D^-1 = -b_x.
     """
-    perm = {}
-    for x in basis.sites:
-        mu, md = basis.mode_index(x, "up"), basis.mode_index(x, "down")
-        perm[mu], perm[md] = md, mu
-    swap = fermion_mode_permutation(basis, perm)
+    swap = fermion_mode_permutation(basis, _spin_swap_modes(basis))
     n_tot = np.zeros(basis.boson_dim)
     for x in basis.sites:
         n_tot += np.real(np.diag(basis.boson(x, "number")))
     parity = np.diag(np.where(np.round(n_tot).astype(int) % 2 == 1, -1.0, 1.0).astype(complex))
     return np.kron(swap, parity)
+
+
+def _spin_swap_modes(basis):
+    perm = {}
+    for x in basis.sites:
+        mu, md = basis.mode_index(x, "up"), basis.mode_index(x, "down")
+        perm[mu], perm[md] = md, mu
+    return perm
+
+
+def spin_swap(basis):
+    """The global spin swap c_{x up} <-> c_{x down} (phonons untouched) as a
+    signed permutation of the full space.
+
+    Returns (perm, sign): the swap unitary S sends basis vector e_i to
+    sign[i] e_{perm[i]}, so (S A S^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j].
+    S is an involution: perm[perm] is the identity and sign[perm] = sign.
+    Every q_x is invariant under it, so it commutes with the field term.
+    """
+    u = fermion_mode_permutation(basis, _spin_swap_modes(basis))
+    perm_f = np.argmax(np.abs(u), axis=0)
+    sign_f = u[perm_f, np.arange(basis.fermion_dim)].real
+    nb = basis.boson_dim
+    perm = (perm_f[:, None] * nb + np.arange(nb)[None, :]).ravel()
+    return perm, np.repeat(sign_f, nb)
 
 
 def build_a_operators(basis):
@@ -581,28 +603,31 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     keep = np.ones(basis.boson_dim, dtype=bool)
     for i in range(basis.boson_dim):
         keep[i] = all(n <= low for n in basis.boson_tuple(i))
-    proj = basis.embed_boson(np.diag(keep.astype(complex)))
+    mask = np.tile(keep, basis.fermion_dim)
+    window = np.ix_(mask, mask)
 
     def tr(a, b):
-        return complex(np.vdot(proj @ a @ proj, proj @ b @ proj))
+        return complex(np.vdot(a[window], b[window]))
 
     gram = np.array([[tr(b_full, b_full), tr(b_full, q_full)],
                      [tr(q_full, b_full), tr(q_full, q_full)]])
     rhs = np.array([tr(b_full, target), tr(q_full, target)])
     zeta, minus_d = np.linalg.solve(gram, rhs)
     d = -minus_d
-    resid = proj @ (target - zeta * b_full + d * q_full) @ proj
-    disp_residual = float(np.linalg.norm(resid)
-                          / max(np.linalg.norm(proj @ target @ proj), 1e-300))
+    resid = (target - zeta * b_full + d * q_full)[window]
+    disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target[window]), 1e-300))
 
     c_full = basis.embed_fermion(basis.c(x, "up"))
     cd_full = basis.embed_fermion(basis.cdag(x, "up"))
     conj_c = U @ c_full @ Ui
     phase_op = conj_c @ cd_full + cd_full @ conj_c
-    phi = basis.embed_boson(basis.boson(x, "position", omega=params.omega))
+    # phi_x acts on the boson factor only: eigendecompose it there once, so
+    # each trial a costs one small product instead of a full-space eigh
+    w, q = np.linalg.eigh(basis.boson(x, "position", omega=params.omega))
 
     def mismatch_norm(a):
-        return float(np.linalg.norm(phase_op - expm_i_hermitian(a * phi)))
+        phase = (q * np.exp(1j * a * w)) @ q.conj().T
+        return float(np.linalg.norm(phase_op - basis.embed_boson(phase)))
 
     scale = max(abs(params.alpha), abs(params.g) / np.sqrt(params.omega), 1e-3)
     res = minimize_scalar(mismatch_norm, bounds=(-8 * scale, 8 * scale), method="bounded",

@@ -482,13 +482,19 @@ def _log_partition(beta, w):
     return -beta * w0 + float(np.log(np.sum(np.exp(-beta * (w - w0)))))
 
 
+def _kron(X, Y):
+    """np.kron for square X and Y, by one broadcast product."""
+    n, m = X.shape[0], Y.shape[0]
+    return (X[:, None, :, None] * Y[None, :, None, :]).reshape(n * m, n * m)
+
+
 def dls_check(inst, tol=1e-10):
     """Z(A,B,C,D)^2 <= Z(A,A,C,C) Z(B,B,D,D), evaluated in log space."""
     def lz(left, right, cs, ds):
-        n = inst.A.shape[0]
-        H = np.kron(left, np.eye(n)) + np.kron(np.eye(n), inst.theta.conjugate(right))
+        eye = np.eye(inst.A.shape[0])
+        H = _kron(left, eye) + _kron(eye, inst.theta.conjugate(right))
         for lam, C, D in zip(inst.lambdas, cs, ds):
-            block = np.kron(C, inst.theta.conjugate(D))
+            block = _kron(C, inst.theta.conjugate(D))
             H -= lam * (block + block.conj().T)
         if np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(H))):
             raise AssertionError("coupled Hamiltonian lost Hermiticity")
@@ -575,6 +581,9 @@ def trace_product_check(n_trials=50, dim=6, seed=5, tol=1e-12):
 LOG_Z_CACHE_SIZE = 4096
 # largest imaginary entry a gauged block may keep, relative to its largest entry
 _GAUGE_IMAG_TOL = 1e-12
+# largest deviation of a spin-swapped block from its partner, relative to the
+# partner's largest entry
+_SWAP_TOL = 1e-12
 
 
 def _gauged_real_block(blk, g):
@@ -587,18 +596,90 @@ def _gauged_real_block(blk, g):
     return np.ascontiguousarray(gauged.real, dtype=float)
 
 
+def _swap_halves(blk, loc, s):
+    """The two halves Q+^T blk Q+ and Q-^T blk Q- of a self-mirrored block.
+
+    The swap acts on the block as e_k -> s[k] e_loc[k] (an involution), so
+    its +1 and -1 eigenspaces are spanned by (e_k +- s[k] e_loc[k]) / sqrt(2)
+    over the pairs k < loc[k], plus each fixed point in the half of its own
+    sign.  Returns [(rows, half)] for the two signs, where rows are the block
+    positions whose field correction each half carries (one per pair).
+    """
+    k = np.arange(len(loc))
+    r, fixed = k[k < loc], k[k == loc]
+    out = []
+    for sign in (1.0, -1.0):
+        keep = fixed[s[fixed] == sign]
+
+        def project(M):  # Q^T M for the half of this sign
+            pairs = (M[r] + sign * s[r][:, None] * M[loc[r]]) * np.sqrt(0.5)
+            return np.concatenate([M[keep], pairs])
+
+        out.append((np.concatenate([keep, r]), np.ascontiguousarray(project(project(blk).T))))
+    return out
+
+
+def _spin_swap_sectors(basis, labels, blocks):
+    """[(idx, real block, weight)] of H'' reduced by the global spin swap.
+
+    A block mirrored onto another block is kept once with weight 2; a block
+    mirrored onto itself is stored as its two swap halves.  Refuses, with
+    ValueError, a swap that moves a charge diagonal or that does not map
+    each gauged block onto its partner.
+    """
+    perm, sign = _model.spin_swap(basis)
+    q = _model.charge_diagonals(basis)
+    if not np.array_equal(q[:, perm[::basis.boson_dim] // basis.boson_dim], q):
+        raise ValueError("the spin swap does not keep every charge diagonal")
+    sectors = []
+    for lab, (idx, blk) in enumerate(blocks):
+        images = perm[idx]
+        m = int(labels[images[0]])
+        part_idx, part = blocks[m]
+        if np.any(labels[images] != m) or len(part_idx) != len(idx):
+            raise ValueError(f"the spin swap does not map block {lab} of H'' onto one block")
+        if m < lab:
+            continue
+        loc = np.searchsorted(part_idx, images)
+        swapped = np.empty_like(blk)
+        swapped[np.ix_(loc, loc)] = sign[idx][:, None] * blk * sign[idx][None, :]
+        dev = float(np.max(np.abs(swapped - part)))
+        if dev > _SWAP_TOL * float(np.max(np.abs(part))):
+            raise ValueError(f"the spin swap does not map block {lab} of H'' onto block {m} "
+                             f"(largest deviation {dev:.3e})")
+        if m > lab:
+            sectors.append((idx, blk, 2))
+        else:
+            sectors += [(idx[rows], half, 1) for rows, half in _swap_halves(blk, loc, sign[idx])
+                        if len(rows)]
+    return sectors
+
+
 class FieldPartition:
     """Fast Z(h) evaluation for the field family H''(h) = H'' + diag(h-terms).
 
     The external field only shifts the diagonal, so the connected components
     of H'' are field-independent; the component blocks are extracted once.
-    Each block is stored real symmetric in the phonon gauge i^{N_p}
+    Each block is gauged real symmetric by the phonon gauge i^{N_p}
     (``model.phonon_gauge``), a diagonal unitary that commutes with the field
-    term, so every log partition function costs one real eigvalsh per block
-    and equals the complex one up to rounding.  A block that is not real in
-    that gauge is refused with ValueError.  log Z values are cached per
-    configuration rounded to 12 digits, keeping the LOG_Z_CACHE_SIZE most
-    recently used.
+    term.  The blocks are then reduced by the global spin swap
+    c_{x up} <-> c_{x down} (``model.spin_swap``), a signed permutation that
+    keeps every q_x and so commutes with H''(h) for every h:
+
+    * a block the swap maps onto another block is stored once, with weight 2
+      in the sum for Z, and its partner is dropped;
+    * a block the swap maps onto itself is stored as its two halves
+      Q+^T B Q+ and Q-^T B Q-, on the +1 and -1 eigenspaces of the swap.
+      The field correction is constant on each swapped pair of states, so
+      it stays diagonal in each half.
+
+    Every log partition function then costs one real eigvalsh per stored
+    sector and equals the complex one up to rounding.  Construction refuses,
+    with ValueError, a block that is not real in the phonon gauge (checked
+    first), and a spin swap that moves a charge diagonal or does not map a
+    gauged block onto its partner to 1e-12 of the partner's largest entry.
+    log Z values are cached per configuration rounded to 12 digits, keeping
+    the LOG_Z_CACHE_SIZE most recently used.
     """
 
     def __init__(self, params, basis, H2=None):
@@ -608,10 +689,11 @@ class FieldPartition:
             H2 = _model.build_doubleprime(params, basis)
         gauge = _model.phonon_gauge(basis)
         labels = _thermo._component_labels(H2)
-        self.blocks = []
+        blocks = []
         for lab in range(labels.max() + 1):
             idx = np.flatnonzero(labels == lab)
-            self.blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], gauge[idx])))
+            blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], gauge[idx])))
+        self.sectors = _spin_swap_sectors(basis, labels, blocks)
         self._cache = OrderedDict()
 
     def log_partition(self, h):
@@ -622,10 +704,11 @@ class FieldPartition:
             return self._cache[key]
         corr = np.repeat(_model.field_diagonal_correction(self.params, self.basis, h),
                          self.basis.boson_dim)
-        ws = [np.linalg.eigvalsh(blk + np.diag(corr[idx])) for idx, blk in self.blocks]
-        w0 = min(float(w[0]) for w in ws)
+        ws = [(weight, np.linalg.eigvalsh(blk + np.diag(corr[idx])))
+              for idx, blk, weight in self.sectors]
+        w0 = min(float(w[0]) for _, w in ws)
         beta = self.params.beta
-        z = sum(float(np.sum(np.exp(-beta * (w - w0)))) for w in ws)
+        z = sum(weight * float(np.sum(np.exp(-beta * (w - w0)))) for weight, w in ws)
         lz = -beta * w0 + float(np.log(z))
         self._cache[key] = lz
         if len(self._cache) > LOG_Z_CACHE_SIZE:

@@ -10,9 +10,9 @@ P = ModelParams
 
 
 def test_u_eff_values():
-    assert bounds.u_eff(P(t=1, U=4, V=1, g=1, omega=1, beta=1)) == 2.0
-    assert bounds.u_eff(P(t=1, U=7, V=1, g=0, omega=1, beta=1)) == 7.0
-    assert bounds.u_eff(P(t=1, U=1, V=1, g=3, omega=1, beta=1)) == -17.0
+    assert P(t=1, U=4, V=1, g=1, omega=1, beta=1).u_eff == 2.0
+    assert P(t=1, U=7, V=1, g=0, omega=1, beta=1).u_eff == 7.0
+    assert P(t=1, U=1, V=1, g=3, omega=1, beta=1).u_eff == -17.0
 
 
 # -- torus integral ------------------------------------------------------------------

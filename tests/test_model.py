@@ -338,6 +338,34 @@ def test_phonon_gauge_makes_doubleprime_real(nu, n_max):
     assert np.max(np.abs(gauged.imag)) <= 1e-12 * np.max(np.abs(H2))
 
 
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
+def test_spin_swap_commutes_with_field_hamiltonian(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    perm, sign = model.spin_swap(basis)
+    assert np.array_equal(perm[perm], np.arange(basis.total_dim))
+    assert np.array_equal(sign[perm], sign) and set(sign.tolist()) == {1.0, -1.0}
+    if basis.total_dim <= 1024:  # the helper is the fermion mode permutation on the fermion factor
+        S = np.zeros((basis.total_dim,) * 2)
+        S[perm, np.arange(basis.total_dim)] = sign
+        swap = {}
+        for x in basis.sites:
+            swap[basis.mode_index(x, "up")] = basis.mode_index(x, "down")
+            swap[basis.mode_index(x, "down")] = basis.mode_index(x, "up")
+        assert np.array_equal(S, np.kron(model.fermion_mode_permutation(basis, swap),
+                                         np.eye(basis.boson_dim)))
+    qd = model.charge_diagonals(basis)
+    assert np.array_equal(qd[:, perm[::basis.boson_dim] // basis.boson_dim], qd)
+    g = model.phonon_gauge(basis)
+    rng = np.random.default_rng(nu + 10 * n_max)
+    for h in (np.zeros(basis.n_sites), rng.standard_normal(basis.n_sites)):
+        H = model.build_field_hamiltonian(params, basis, h)
+        for M in (H, g.conj()[:, None] * H * g[None, :]):  # before and after the gauge
+            swapped = np.empty_like(M)
+            swapped[np.ix_(perm, perm)] = sign[:, None] * M * sign[None, :]
+            assert np.array_equal(swapped, M)
+
+
 # -- external field ------------------------------------------------------------------------
 
 

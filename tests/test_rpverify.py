@@ -168,6 +168,28 @@ def test_field_partition_refuses_block_not_real_in_gauge():
         rpverify.FieldPartition(params, basis, H2)
 
 
+def test_field_partition_refuses_block_not_mirrored_by_spin_swap():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    perm, _ = model.spin_swap(basis)
+    i = np.flatnonzero(perm != np.arange(basis.total_dim))[0]
+    H2[i, i] += 0.25  # still Hermitian, real in the gauge, same sparsity
+    with pytest.raises(ValueError, match="spin swap"):
+        rpverify.FieldPartition(params, basis, H2)
+
+
+def test_field_partition_spin_swap_sectors_2x2():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    sizes = [len(idx) for idx, _, _ in ens.sectors]
+    assert all(blk.shape == (n, n) for n, (_, blk, _) in zip(sizes, ens.sectors))
+    assert sum(w * n for n, (_, _, w) in zip(sizes, ens.sectors)) == basis.total_dim
+    assert max(sizes) == 384 and 576 not in sizes
+    assert {w for _, _, w in ens.sectors} == {1, 2}
+
+
 def test_field_partition_cache_is_bounded_lru(monkeypatch):
     params = small_params(n_max=0)
     basis = build_basis(build_lattice(1, 1), params.n_max)
