@@ -170,7 +170,7 @@ def main_bound(params, nu, grid_n=None, refinements=4):
                        reason="" if certified else "rhs <= 0")
 
 
-def phase_sweep(params_list, nu, grid_n=None, refinements=4, workers=1):
+def phase_sweep(params_list, nu, grid_n=None, refinements=4):
     """One BoundReport per parameter point, in input order.
 
     The torus integral is evaluated once per (nu, grid) and cached, so a
@@ -178,19 +178,8 @@ def phase_sweep(params_list, nu, grid_n=None, refinements=4, workers=1):
     """
     if nu >= 3:
         torus_integral(nu, grid_n=grid_n, refinements=refinements)  # warm the cache
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_sweep_point, ((p, nu, grid_n, refinements)
-                                              for p in params_list)))
     return [main_bound(p, nu, grid_n=grid_n, refinements=refinements)
             for p in params_list]
-
-
-def _sweep_point(args):
-    p, nu, grid_n, refinements = args
-    return main_bound(p, nu, grid_n=grid_n, refinements=refinements)
 
 
 # -- finite-volume momentum-space identities -------------------------------------

@@ -25,7 +25,7 @@ from .lattice import build_lattice
 CONFIG_DEFAULTS = {
     "nu": 1, "ell": 1, "n_max": 2,
     "t": 1.0, "U": 1.0, "V": 2.0, "g": 0.7, "omega": 1.2, "beta": 1.0,
-    "cap": 16384, "workers": 1,
+    "cap": 16384,
 }
 
 
@@ -41,7 +41,6 @@ class RunConfig:
     omega: float
     beta: float
     cap: int
-    workers: int
     seed: int | None = None
 
     def params(self):
@@ -75,7 +74,7 @@ def make_config(args):
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         raw.update(file_vals)
-    for key in ("seed", "cap", "workers"):
+    for key in ("seed", "cap"):
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
     if getattr(args, "nmax", None) is not None:
@@ -85,7 +84,7 @@ def make_config(args):
             nu=int(raw["nu"]), ell=int(raw["ell"]), n_max=int(raw["n_max"]),
             t=float(raw["t"]), U=float(raw["U"]), V=float(raw["V"]), g=float(raw["g"]),
             omega=float(raw["omega"]), beta=float(raw["beta"]),
-            cap=int(raw["cap"]), workers=int(raw["workers"]),
+            cap=int(raw["cap"]),
             seed=None if raw.get("seed") is None else int(raw["seed"]),
         )
     except (TypeError, ValueError) as exc:
@@ -312,7 +311,7 @@ def cmd_sweep(args):
     points = [base]
     for name, values in axes:
         points = [replace(p, **{name: v}) for p in points for v in values]
-    reports = bounds.phase_sweep(points, nu, workers=cfg.workers)
+    reports = bounds.phase_sweep(points, nu)
     lines = [",".join(SWEEP_COLUMNS)]
     for rep in reports:
         rec = rep.to_record()
@@ -353,7 +352,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, help="RNG seed (mandatory for randomized suites)")
     ap.add_argument("--nmax", type=int, help="phonon truncation override")
     ap.add_argument("--cap", type=int, help="Hilbert-space dimension cap")
-    ap.add_argument("--workers", type=int, help="worker processes for sweeps")
     ap.add_argument("--out", help="output file (default stdout)")
     sub = ap.add_subparsers(dest="command", required=True)
 

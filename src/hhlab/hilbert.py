@@ -21,10 +21,11 @@ deliberately truncated relation is the CCR,
 [b, b*] = 1 - (n_max + 1) P_top, with P_top the projector onto the top
 rung.  Operators on each factor are dense complex matrices, and the
 embeddings here form full-space operators as dense Kronecker products,
-which suits small spaces and checks.  H'' and its pairing terms are
-assembled in hhlab.model from the small factors directly (scattered into
-one dense matrix, or kept as scipy.sparse terms) rather than through these
-embeddings.  A hard dimension cap keeps sizes at desk scale.
+which suits small spaces and checks.  The Hamiltonians H, H' and H'' are
+not built through these embeddings: hhlab.model scatters the nonzero
+entries of each term's small fermion and boson factors straight into one
+dense matrix (or into scipy.sparse terms).  A hard dimension cap keeps
+sizes at desk scale.
 """
 
 from __future__ import annotations

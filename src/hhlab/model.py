@@ -2,7 +2,11 @@
 
 Three Hamiltonians live here, each assembled directly from its defining
 formula (conjugation by the explicit unitaries is a cross-check, never the
-definition):
+definition).  All three go through the same few term helpers: a bond term
+-t (fermion (x) boson + h.c.) is scattered from its small Kronecker factors,
+the e-ph coupling from one boson block per fermion state, and the charge and
+phonon terms are added as diagonal vectors, so no full-space Kronecker
+product is formed:
 
 * ``build_original``     H  = T + P + I + K: hopping, on-site U and
   nearest-neighbor V charge repulsion, linear electron-phonon coupling g,
@@ -29,7 +33,7 @@ the displayed alpha, g/omega and u_eff values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -104,12 +108,11 @@ class ModelParams:
 
 @dataclass
 class HamiltonianSet:
-    """H, H' and H'' on a common basis, plus their named parts."""
+    """H, H' and H'' on a common basis."""
 
     H: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
-    parts: dict = field(default_factory=dict)
 
 
 def _require_lattice(basis):
@@ -131,45 +134,159 @@ def _hop_phase(basis, params, x, y):
     return expm_i_hermitian(-params.alpha * (phi_x - phi_y))
 
 
+# -- term helpers: every Hamiltonian is a composition of these ----------------------
+
+
+def _hopping_instances(lat):
+    """(x, y) for every directed bond x -> y = x + delta_j."""
+    return [(lat.sites[b.i], lat.sites[b.j]) for b in lat.bonds()]
+
+
+def _pairing_instances(lat):
+    """(x, y, j, eps) for every even site x and partner y = x + eps delta_j."""
+    return [(x, lat.shift(x, j, eps), j, eps)
+            for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
+
+
+def _bond_factors(basis, instances, pairing, params=None):
+    """The Kronecker factors of the bond term of each (x, y, ...) instance.
+
+    Yields (instance, fermions, boson): ``fermions`` holds the fermion factor
+    for s = up, down, c*_{x s} c*_{y s} if ``pairing`` and c*_{x s} c_{y s}
+    otherwise; ``boson`` is the phase exp(-i alpha (phi_x - phi_y)) with the
+    alpha of ``params``, or the identity when no params are given (the bare
+    hopping of H).  The term is -t sum_s (fermion (x) boson + h.c.).  Works on
+    any basis holding both sites, half-space bases included.
+    """
+    second = basis.cdag if pairing else basis.c
+    eye = np.eye(basis.boson_dim)
+    for inst in instances:
+        x, y = inst[0], inst[1]
+        boson = eye if params is None else _hop_phase(basis, params, x, y)
+        yield inst, [basis.cdag(x, s) @ second(y, s) for s in ("up", "down")], boson
+
+
+def _bond_entries(basis, coeff, fermion, boson):
+    """The nonzero entries of coeff fermion (x) boson as flat (rows, cols, values).
+
+    The adjoint has the entries conj(values) at (cols, rows).
+    """
+    nb = basis.boson_dim
+    r, c = np.nonzero(fermion)
+    br, bc = np.nonzero(boson)
+    values = coeff * (fermion[r, c][:, None] * boson[br, bc])
+    return (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel(), values.ravel()
+
+
+def _bond_matrix(basis, coeff, factors):
+    """Sum of coeff (fermion (x) boson + h.c.) over ``factors`` as a dense
+    full-space matrix.
+
+    The entries of each term and of its adjoint are scattered straight into
+    the result, so no full-space Kronecker product is formed.  The result is
+    bit-identical to summing the dense terms in instance order.
+    """
+    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for _, fermions, boson in factors:
+        for fermion in fermions:
+            rows, cols, values = _bond_entries(basis, coeff, fermion, boson)
+            out[rows, cols] += values
+            out[cols, rows] += values.conj()
+    return out
+
+
+def _charge_boson_sum(basis, charges, bosons, coeff=1.0, out=None):
+    """coeff sum_x diag(charges[x]) (x) bosons[x], added into ``out`` (a new
+    dense full-space matrix by default).
+
+    Each term is fermion-diagonal, so it is scattered as one boson block per
+    fermion state where charges[x] is nonzero.
+    """
+    nb = basis.boson_dim
+    if out is None:
+        out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for q, boson in zip(charges, bosons):
+        f = np.flatnonzero(q)
+        br, bc = np.nonzero(boson)
+        out[(f[:, None] * nb + br).ravel(), (f[:, None] * nb + bc).ravel()] += (
+            coeff * (q[f][:, None] * boson[br, bc])).ravel()
+    return out
+
+
+def _ladder_sums(basis):
+    """b_x + b*_x on the boson factor, for every site."""
+    return [basis.boson(x, "annihilate") + adjoint(basis.boson(x, "annihilate"))
+            for x in basis.sites]
+
+
+def _onsite_terms(lat, coeff):
+    return [(coeff, s, s) for s in range(lat.n_sites)]
+
+
+def _bond_terms(lat, coeff):
+    return [(coeff, b.i, b.j) for b in lat.bonds()]
+
+
+def _charge_products(charges, terms):
+    """Diagonal of sum coeff c_i c_j over the (coeff, i, j) of ``terms``, added
+    in that order, on the fermion factor; ``charges`` holds the c_x diagonals.
+
+    The order fixes the rounding of the sum: H adds its bond terms first, H'
+    and H'' their on-site terms first.
+    """
+    out = np.zeros(charges.shape[1])
+    for coeff, i, j in terms:
+        out += coeff * charges[i] * charges[j]
+    return out
+
+
+def _phonon_energy(basis, omega):
+    """Diagonal of omega sum_x b*_x b_x on the boson factor."""
+    out = np.zeros(basis.boson_dim)
+    for x in basis.sites:
+        out += omega * np.diag(basis.boson(x, "number")).real
+    return out
+
+
+def _add_diagonal(H, basis, fermion, boson):
+    """H += fermion (x) 1 + 1 (x) boson for diagonals given as vectors."""
+    H[np.diag_indices_from(H)] += (np.repeat(fermion, basis.boson_dim)
+                                   + np.tile(boson, basis.fermion_dim))
+
+
 # -- Hamiltonian builders ---------------------------------------------------------
+
+
+def _original(params, basis, charges):
+    """T + P + I + K with ``charges`` as the diagonals of the q_x in P and I.
+
+    With charge_diagonals this is H; with spin_diagonals it is the
+    hole-particle image u H u^-1 = T + K + U sum s^2 + V sum s s + g sum s (b + b*).
+    """
+    lat = _require_lattice(basis)
+    H = _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False))
+    _charge_boson_sum(basis, charges, _ladder_sums(basis), params.g, out=H)
+    p = _charge_products(charges, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
+    _add_diagonal(H, basis, p, _phonon_energy(basis, params.omega))
+    return H
+
+
+def build_original(params, basis):
+    """The extended Holstein-Hubbard Hamiltonian H = T + P + I + K."""
+    return _original(params, basis, charge_diagonals(basis))
 
 
 def build_parts(params, basis):
     """Named components of H = T + P + I + K as full-space matrices."""
     lat = _require_lattice(basis)
-    nf, nb = basis.fermion_dim, basis.boson_dim
-    eye_f = np.eye(nf, dtype=complex)
-
-    T_f = np.zeros((nf, nf), dtype=complex)
-    P_f = np.zeros((nf, nf), dtype=complex)
-    for b in lat.bonds():
-        x, y = lat.sites[b.i], lat.sites[b.j]
-        for spin in ("up", "down"):
-            hop = basis.cdag(x, spin) @ basis.c(y, spin)
-            T_f += -params.t * (hop + adjoint(hop))
-        P_f += params.V * basis.charge(x) @ basis.charge(y)
-    for x in lat.sites:
-        P_f += params.U * basis.charge(x) @ basis.charge(x)
-
-    I_full = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    K_b = np.zeros((nb, nb), dtype=complex)
-    for x in lat.sites:
-        bx = basis.boson(x, "annihilate")
-        I_full += params.g * basis.kron_fb(basis.charge(x), bx + adjoint(bx))
-        K_b += params.omega * basis.boson(x, "number")
-
+    q = charge_diagonals(basis)
+    p = _charge_products(q, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
     return {
-        "T": basis.embed_fermion(T_f),
-        "P": basis.embed_fermion(P_f),
-        "I": I_full,
-        "K": basis.embed_boson(K_b),
+        "T": _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False)),
+        "P": np.diag(np.repeat(p, basis.boson_dim).astype(complex)),
+        "I": _charge_boson_sum(basis, q, _ladder_sums(basis), params.g),
+        "K": build_parts_K(params, basis),
     }
-
-
-def build_original(params, basis):
-    """The extended Holstein-Hubbard Hamiltonian H = T + P + I + K."""
-    parts = build_parts(params, basis)
-    return parts["T"] + parts["P"] + parts["I"] + parts["K"]
 
 
 def original_structures(basis):
@@ -180,125 +297,48 @@ def original_structures(basis):
     on a fixed geometry.
     """
     lat = _require_lattice(basis)
-    nf = basis.fermion_dim
-    hop = np.zeros((nf, nf), dtype=complex)
-    vv = np.zeros((nf, nf), dtype=complex)
-    for b in lat.bonds():
-        x, y = lat.sites[b.i], lat.sites[b.j]
-        for spin in ("up", "down"):
-            term = basis.cdag(x, spin) @ basis.c(y, spin)
-            hop += -(term + adjoint(term))
-        vv += basis.charge(x) @ basis.charge(y)
-    uu = np.zeros((nf, nf), dtype=complex)
-    coup = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    num = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
-    for x in lat.sites:
-        uu += basis.charge(x) @ basis.charge(x)
-        bx = basis.boson(x, "annihilate")
-        coup += basis.kron_fb(basis.charge(x), bx + adjoint(bx))
-        num += basis.boson(x, "number")
-    return {
-        "t": basis.embed_fermion(hop),
-        "U": basis.embed_fermion(uu),
-        "V": basis.embed_fermion(vv),
-        "g": coup,
-        "omega": basis.embed_boson(num),
-    }
-
-
-def _pairless_charge_terms(params, basis, u_coeff, v_coeff):
-    """Diagonal of u_coeff sum_x q_x^2 + v_coeff sum_bonds q_x q_y on the fermion factor."""
-    lat = basis.lattice
     q = charge_diagonals(basis)
-    out = np.zeros(basis.fermion_dim)
-    for s in range(lat.n_sites):
-        out += u_coeff * q[s] * q[s]
-    for b in lat.bonds():
-        out += v_coeff * q[b.i] * q[b.j]
-    return out
-
-
-def build_transformed(params, basis, parts_out=None):
-    """H' = T' + P' + K from its defining formula (not by conjugation)."""
-    lat = _require_lattice(basis)
-    T1 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for b in lat.bonds():
-        x, y = lat.sites[b.i], lat.sites[b.j]
-        phase = _hop_phase(basis, params, x, y)
-        for spin in ("up", "down"):
-            term = basis.kron_fb(basis.cdag(x, spin) @ basis.c(y, spin), phase)
-            T1 += -params.t * (term + adjoint(term))
-    p1 = _pairless_charge_terms(params, basis, params.u_eff, params.V)
-    P1 = basis.embed_fermion(np.diag(p1.astype(complex)))
-    K = build_parts_K(params, basis)
-    if parts_out is not None:
-        parts_out.update({"T1": T1, "P1": P1})
-    return T1 + P1 + K
-
-
-def _phonon_energy(params, basis):
-    """Diagonal of omega sum_x b*_x b_x on the boson factor."""
-    out = np.zeros(basis.boson_dim)
-    for x in basis.sites:
-        out += params.omega * np.diag(basis.boson(x, "number")).real
-    return out
+    nf, nb = basis.fermion_dim, basis.boson_dim
+    return {
+        "t": _bond_matrix(basis, -1.0, _bond_factors(basis, _hopping_instances(lat), False)),
+        "U": np.diag(np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb).astype(complex)),
+        "V": np.diag(np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb).astype(complex)),
+        "g": _charge_boson_sum(basis, q, _ladder_sums(basis)),
+        "omega": np.diag(np.tile(_phonon_energy(basis, 1.0), nf).astype(complex)),
+    }
 
 
 def build_parts_K(params, basis):
     """K = omega sum_x b*_x b_x as a full-space matrix."""
-    return basis.embed_boson(np.diag(_phonon_energy(params, basis).astype(complex)))
+    return np.diag(np.tile(_phonon_energy(basis, params.omega), basis.fermion_dim).astype(complex))
 
 
-def _pairing_instances(lat):
-    """(x, y, j, eps) for every even site x and partner y = x + eps delta_j."""
-    return [(x, lat.shift(x, j, eps), j, eps)
-            for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
+def _dressed(params, basis, instances, pairing, v_coeff):
+    """-t sum (bond term (x) phase + h.c.) + u_eff sum q^2 + v_coeff sum q q + K."""
+    lat = _require_lattice(basis)
+    H = _bond_matrix(basis, -params.t, _bond_factors(basis, instances, pairing, params))
+    p = _charge_products(charge_diagonals(basis),
+                         _onsite_terms(lat, params.u_eff) + _bond_terms(lat, v_coeff))
+    _add_diagonal(H, basis, p, _phonon_energy(basis, params.omega))
+    return H
 
 
-def _pairing_factors(params, basis, instances):
-    """The Kronecker factors of the pairing term of each (x, y, ...) instance.
+def build_transformed(params, basis):
+    """H' = T' + P' + K from its defining formula (not by conjugation).
 
-    Yields (instance, pairs, phase): ``pairs`` holds c*_{x s} c*_{y s} on the
-    fermion factor for s = up, down, and ``phase`` is exp(-i alpha (phi_x - phi_y))
-    on the boson factor.  The term is -t sum_s (pair_s (x) phase + h.c.).
-    Works on any basis holding both sites, half-space bases included.
+    T' is scattered from the Kronecker factors of its phase-dressed hopping
+    terms; P' and K are diagonal and added as vectors.
     """
-    for inst in instances:
-        x, y = inst[0], inst[1]
-        phase = _hop_phase(basis, params, x, y)
-        yield inst, [basis.cdag(x, s) @ basis.cdag(y, s) for s in ("up", "down")], phase
+    return _dressed(params, basis, _hopping_instances(_require_lattice(basis)), False, params.V)
 
 
-def _pairing_entries(params, basis, pair, phase):
-    """The nonzero entries of -t pair (x) phase as (rows, cols, values).
+def build_doubleprime(params, basis):
+    """H'' = T'' + P'' + K from its defining formula.
 
-    ``values`` has shape (k, nb, nb) for the k nonzeros (r, c) of ``pair``:
-    the boson block -t pair[r, c] phase, placed at fermion block (r, c).  The
-    index arrays ``rows`` (k, nb, 1) and ``cols`` (k, 1, nb) broadcast against
-    it.  The adjoint has the entries conj(values) at (cols, rows).
+    T'' is scattered from the Kronecker factors of its pairing terms; P'' and
+    K are diagonal and added as vectors.
     """
-    nb = basis.boson_dim
-    r, c = np.nonzero(pair)
-    b = np.arange(nb)
-    values = -params.t * (pair[r, c][:, None, None] * phase)
-    return r[:, None, None] * nb + b[:, None], c[:, None, None] * nb + b, values
-
-
-def _pairing_matrix(params, basis, instances):
-    """Sum of the pairing terms of ``instances`` as a dense full-space matrix.
-
-    The entries of each term and of its adjoint are scattered straight into
-    the result, so no full-space Kronecker product is formed.  The result is
-    bit-identical to summing the dense terms -t (pair (x) phase + h.c.) in
-    instance order.
-    """
-    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for _, pairs, phase in _pairing_factors(params, basis, instances):
-        for pair in pairs:
-            rows, cols, values = _pairing_entries(params, basis, pair, phase)
-            out[rows, cols] += values
-            out[cols, rows] += values.conj()
-    return out
+    return _dressed(params, basis, _pairing_instances(_require_lattice(basis)), True, -params.V)
 
 
 def pairing_bond_terms(params, basis):
@@ -312,11 +352,10 @@ def pairing_bond_terms(params, basis):
     lat = _require_lattice(basis)
     dim = basis.total_dim
     out = []
-    for inst, pairs, phase in _pairing_factors(params, basis, _pairing_instances(lat)):
+    for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params):
         rows, cols, vals = [], [], []
-        for pair in pairs:
-            r, c, v = (a.ravel() for a in
-                       np.broadcast_arrays(*_pairing_entries(params, basis, pair, phase)))
+        for fermion in fermions:
+            r, c, v = _bond_entries(basis, -params.t, fermion, boson)
             rows += [r, c]  # the pair, then its adjoint
             cols += [c, r]
             vals += [v, v.conj()]
@@ -326,32 +365,21 @@ def pairing_bond_terms(params, basis):
     return out
 
 
-def build_doubleprime(params, basis, parts_out=None):
-    """H'' = T'' + P'' + K from its defining formula.
-
-    T'' is scattered from the Kronecker factors of its pairing terms; P'' and
-    K are diagonal and added as vectors.
-    """
-    lat = _require_lattice(basis)
-    nf, nb = basis.fermion_dim, basis.boson_dim
-    H = _pairing_matrix(params, basis, _pairing_instances(lat))
-    p2 = _pairless_charge_terms(params, basis, params.u_eff, -params.V)
-    if parts_out is not None:
-        parts_out.update({"T2": H.copy(), "P2": basis.embed_fermion(np.diag(p2.astype(complex)))})
-    H[np.diag_indices_from(H)] += np.repeat(p2, nb) + np.tile(_phonon_energy(params, basis), nf)
-    return H
+def _occupations(basis, spin):
+    """Diagonal of every n_{x spin} on the fermion factor, shape (n_sites, fermion_dim)."""
+    idx = np.arange(basis.fermion_dim)
+    return np.array([(idx >> (basis.n_modes - 1 - basis.mode_index(x, spin))) & 1
+                     for x in basis.sites]).reshape(basis.n_sites, -1)
 
 
 def charge_diagonals(basis):
     """Diagonal of every q_x on the fermion factor, shape (n_sites, fermion_dim)."""
-    nf = basis.fermion_dim
-    idx = np.arange(nf)
-    out = np.zeros((basis.n_sites, nf))
-    for s, x in enumerate(basis.sites):
-        up = (idx >> (basis.n_modes - 1 - basis.mode_index(x, "up"))) & 1
-        dn = (idx >> (basis.n_modes - 1 - basis.mode_index(x, "down"))) & 1
-        out[s] = up + dn - 1
-    return out
+    return (_occupations(basis, "up") + _occupations(basis, "down") - 1).astype(float)
+
+
+def spin_diagonals(basis):
+    """Diagonal of every s_x on the fermion factor, shape (n_sites, fermion_dim)."""
+    return (_occupations(basis, "up") - _occupations(basis, "down")).astype(float)
 
 
 def field_diagonal_correction(params, basis, h):
@@ -383,13 +411,10 @@ def build_field_hamiltonian(params, basis, h):
 
 
 def hamiltonian_set(params, basis):
-    """All three Hamiltonians plus named parts (small bases only)."""
-    parts = build_parts(params, basis)
-    H = parts["T"] + parts["P"] + parts["I"] + parts["K"]
-    H1 = build_transformed(params, basis, parts_out=parts)
-    H2 = build_doubleprime(params, basis, parts_out=parts)
-    hs = HamiltonianSet(H=H, H1=H1, H2=H2, parts=parts)
-    for name, m in (("H", H), ("H1", H1), ("H2", H2)):
+    """All three Hamiltonians, each checked Hermitian."""
+    hs = HamiltonianSet(H=build_original(params, basis), H1=build_transformed(params, basis),
+                        H2=build_doubleprime(params, basis))
+    for name, m in (("H", hs.H), ("H1", hs.H1), ("H2", hs.H2)):
         res = hermiticity_residual(m)
         if res > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
             raise AssertionError(f"{name} fails Hermiticity: residual {res}")
@@ -407,9 +432,8 @@ def lang_firsov(params, basis):
     generator is exponentiated by dense eigendecomposition.
     """
     rot = np.conj(phonon_gauge(basis))
-    gen = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for x in basis.sites:
-        gen += basis.kron_fb(basis.charge(x), basis.boson(x, "momentum", omega=params.omega))
+    gen = _charge_boson_sum(basis, charge_diagonals(basis),
+                            [basis.boson(x, "momentum", omega=params.omega) for x in basis.sites])
     # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
     c = params.omega ** (-1.5) * params.g
     return rot[:, None] * expm_i_hermitian(-c * gen)

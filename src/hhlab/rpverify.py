@@ -311,28 +311,21 @@ def _half_charge_squares(params, lat, half_basis, h, side):
     endpoint of each crossing bond.  The last piece is what makes the three
     displayed parts sum exactly to P''(h).
     """
-    nf = half_basis.fermion_dim
-    diag = np.zeros(nf)
-    idx = np.arange(nf)
-
-    def qdiag(x):
-        up = (idx >> (half_basis.n_modes - 1 - half_basis.mode_index(x, "up"))) & 1
-        dn = (idx >> (half_basis.n_modes - 1 - half_basis.mode_index(x, "down"))) & 1
-        return up + dn - 1.0
-
+    diag = np.zeros(half_basis.fermion_dim)
+    qdiag = dict(zip(half_basis.sites, _model.charge_diagonals(half_basis)))
     coeff = params.u_eff - lat.nu * params.V
     for x in half_basis.sites:
-        diag += coeff * qdiag(x) ** 2
+        diag += coeff * qdiag[x] ** 2
     for b in lat.bonds():
         x, y = lat.sites[b.i], lat.sites[b.j]
         sx, sy = _bond_side(lat, x, y)
         if sx == side and sy == side:
-            dq = qdiag(x) - h[b.i] - qdiag(y) + h[b.j]
+            dq = qdiag[x] - h[b.i] - qdiag[y] + h[b.j]
             diag += 0.5 * params.V * dq ** 2
         elif side in (sx, sy) and sx != sy:
             own = x if sx == side else y
             own_i = b.i if sx == side else b.j
-            diag += 0.5 * params.V * (qdiag(own) - h[own_i]) ** 2
+            diag += 0.5 * params.V * (qdiag[own] - h[own_i]) ** 2
     return half_basis.embed_fermion(np.diag(diag.astype(complex)))
 
 
@@ -379,8 +372,8 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
         t_parts[key] = t_parts[key] + term
         if sx == sy:
             internal[sx].append(inst)
-    T_L = _model._pairing_matrix(params, bl, internal["L"])
-    T_R = _model._pairing_matrix(params, br, internal["R"])
+    T_L = _model._bond_matrix(bl, -params.t, _model._bond_factors(bl, internal["L"], True, params))
+    T_R = _model._bond_matrix(br, -params.t, _model._bond_factors(br, internal["R"], True, params))
     out.append(_matrix_eq("lr_T_internal_L", "internal-left pairing = T''_L (x) 1",
                           split.to_lr(t_parts["LL"].toarray()), split.kron_l(T_L), tol))
     out.append(_matrix_eq("lr_T_internal_R", "internal-right pairing = 1 (x) T''_R",
@@ -412,13 +405,14 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
         split.to_lr(t_parts["cross"].toarray()), cross_expected, tol))
 
     # P''(h) split
-    p_diag = (_model._pairless_charge_terms(params, basis, params.u_eff, -params.V)
+    qd = _model.charge_diagonals(basis)
+    p_diag = (_model._charge_products(qd, _model._onsite_terms(lat, params.u_eff)
+                                      + _model._bond_terms(lat, -params.V))
               + _model.field_diagonal_correction(params, basis, h))
     P_full = np.diag(np.repeat(p_diag, basis.boson_dim).astype(complex))
     P_L = _half_charge_squares(params, lat, bl, h, "L")
     P_R = _half_charge_squares(params, lat, br, h, "R")
     P_cross = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    qd = _model.charge_diagonals(basis)
     crossing_bonds = [(b.i, b.j) for b in lat.bonds()
                       if _bond_side(lat, lat.sites[b.i], lat.sites[b.j])[0]
                       != _bond_side(lat, lat.sites[b.i], lat.sites[b.j])[1]]
@@ -775,7 +769,7 @@ def falk_bruch_rhs(b, c, tol=1e-12):
     return b * sx / np.tanh(sx)
 
 
-def infrared_chain_check(params, basis, h, spec, H2=None, bond_expectations=None, tol=1e-9):
+def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol=1e-9):
     """The chain g <= Falk-Bruch(b, c) with b <= b0, c <= c0 and the
     resulting two-term bound on g, for one (possibly complex) field h.
 
@@ -786,7 +780,7 @@ def infrared_chain_check(params, basis, h, spec, H2=None, bond_expectations=None
     lat = basis.lattice
     h = np.asarray(h, dtype=complex)
     g_q, b_q, c_q = _thermo.quadratic_form_quantities(
-        params, basis, h, spec, H=H2, bond_expectations=bond_expectations)
+        params, basis, h, spec, H2, bond_expectations=bond_expectations)
 
     lap = lat.laplacian_matrix()
     stag = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
@@ -838,19 +832,11 @@ def half_filling_check(params, nu, ell, tol=1e-10, mechanism=False):
     if mechanism:
         u = _model.build_hole_particle(basis)
         hh = u @ H @ u.conj().T
-        W = np.zeros_like(hh)
-        for x in lat.sites:
-            sx = basis.spin_z(x)
-            W += params.U * basis.embed_fermion(sx @ sx)
-            bx = basis.boson(x, "annihilate")
-            W += params.g * basis.kron_fb(sx, bx + bx.conj().T)
-        for b in lat.bonds():
-            W += params.V * basis.embed_fermion(
-                basis.spin_z(lat.sites[b.i]) @ basis.spin_z(lat.sites[b.j]))
-        parts = _model.build_parts(params, basis)
+        # T + K + W: the terms of H with every q_x replaced by s_x
         out.append(_matrix_eq("half_filling_decomposition",
                               "u H u^-1 = T + K + U sum s^2 + V sum ss + g sum s(b+b*)",
-                              hh, parts["T"] + parts["K"] + W, tol))
+                              hh, _model._original(params, basis, _model.spin_diagonals(basis)),
+                              tol))
         D = _model.build_spin_flip(basis)
         out.append(_matrix_eq("half_filling_spin_flip", "D (u H u^-1) D^-1 = u H u^-1",
                               D @ hh @ D.conj().T, hh, tol))

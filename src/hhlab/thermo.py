@@ -286,7 +286,7 @@ def charge_correlation(params, nu, ell, x, y, which="original"):
 # -- the g, b, c quantities of the infrared bound -------------------------------
 
 
-def quadratic_form_quantities(params, basis, h, spec, H=None, bond_expectations=None):
+def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None):
     """(g, b, c) for the observable A = sum_x q_x ((-Delta) h)_x under H''.
 
     g = <A* A>, b = the Duhamel (A, A), c = beta <[A, [H'', A*]]>.
@@ -312,8 +312,6 @@ def quadratic_form_quantities(params, basis, h, spec, H=None, bond_expectations=
     # blockwise evaluation: A is diagonal, so both the Duhamel sum and the
     # nested commutator [A, [H, A*]] = -H o |a_k - a_l|^2 live inside the
     # connected components of H
-    if H is None:
-        H = spec_matrix(spec)
     b_q = 0.0 + 0.0j
     c_direct = 0.0 + 0.0j
     for (idx, w, q), rho_i in zip(spec.blocks, spec.rho_blocks()):
@@ -359,14 +357,6 @@ def pairing_bond_expectations(params, basis, spec):
     return out
 
 
-def spec_matrix(spec):
-    """Reassemble the matrix a SpectralData was built from (blockwise)."""
-    H = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (idx, w, q) in spec.blocks:
-        H[np.ix_(idx, idx)] = (q * w) @ q.conj().T
-    return H
-
-
 class HamiltonianFamily:
     """A coupling-linear family H(c) = sum_k c_k S_k on a fixed basis.
 
@@ -382,8 +372,7 @@ class HamiltonianFamily:
         mask = np.zeros((dim, dim), dtype=bool)
         for name in names:
             mask |= structures[name] != 0.0
-        np.fill_diagonal(mask, True)
-        _, labels = connected_components(csr_matrix(mask), directed=False)
+        labels = _component_labels(mask)
         self.dim = dim
         self.names = names
         self.sectors = []

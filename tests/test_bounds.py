@@ -115,14 +115,6 @@ def test_sweep_monotone_in_g():
     assert rhs == sorted(rhs)
 
 
-def test_sweep_worker_pool_matches_serial():
-    from dataclasses import replace
-
-    base = P(t=0.5, U=2.0, V=8.0, g=1.0, omega=1.0, beta=10.0)
-    points = [replace(base, g=g) for g in (1.0, 2.0, 3.0)]
-    assert bounds.phase_sweep(points, 3, workers=2) == bounds.phase_sweep(points, 3)
-
-
 def test_certified_points_satisfy_all_hypotheses():
     from dataclasses import replace
 

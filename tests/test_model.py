@@ -16,6 +16,10 @@ def small_params(**kw):
     return P(**base)
 
 
+# (nu, n_max) on the L = 1 torus
+ORACLE_GEOMETRIES = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+
+
 # -- parameter container -------------------------------------------------------------
 
 
@@ -108,12 +112,13 @@ def independent_original(params, lat, basis):
     return H
 
 
-def test_original_matches_independent_assembly():
-    lat = build_lattice(1, 1)
-    params = small_params()
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
+def test_original_matches_independent_assembly(nu, n_max):
+    lat = build_lattice(nu, 1)
+    params = small_params(n_max=n_max)
     basis = build_basis(lat, params.n_max)
     H = model.build_original(params, basis)
-    assert H.shape == (144, 144)
+    assert H.shape == (basis.total_dim, basis.total_dim)
     oracle = independent_original(params, lat, basis)
     assert np.max(np.abs(H - oracle)) < 1e-12
 
@@ -277,25 +282,43 @@ def dense_pairing_terms(params, basis):
     return out
 
 
-def dense_doubleprime(params, basis):
-    """H'' = T'' + P'' + K with every part a dense full-space matrix."""
+def dense_charge_and_phonon(params, basis, v_coeff):
+    """u_eff sum q^2 + v_coeff sum_bonds q q + K as dense full-space matrices."""
     lat = basis.lattice
-    T2 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for _, term in dense_pairing_terms(params, basis):
-        T2 += term
     P_f = np.zeros((basis.fermion_dim, basis.fermion_dim), dtype=complex)
     for x in lat.sites:
         P_f += params.u_eff * basis.charge(x) @ basis.charge(x)
     for b in lat.bonds():
-        P_f += -params.V * basis.charge(lat.sites[b.i]) @ basis.charge(lat.sites[b.j])
+        P_f += v_coeff * basis.charge(lat.sites[b.i]) @ basis.charge(lat.sites[b.j])
     K_b = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
     for x in lat.sites:
         K_b += params.omega * basis.boson(x, "number")
-    return T2 + basis.embed_fermion(P_f) + basis.embed_boson(K_b)
+    return basis.embed_fermion(P_f) + basis.embed_boson(K_b)
 
 
-# (nu, n_max) on the L = 1 torus
-ORACLE_GEOMETRIES = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+def dense_doubleprime(params, basis):
+    """H'' = T'' + P'' + K with every part a dense full-space matrix."""
+    T2 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for _, term in dense_pairing_terms(params, basis):
+        T2 += term
+    return T2 + dense_charge_and_phonon(params, basis, -params.V)
+
+
+def dense_transformed(params, basis):
+    """H' = T' + P' + K with every part a dense full-space matrix: each
+    phase-dressed hopping term as a Kronecker product,
+    -t (c*_{x s} c_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.)."""
+    lat = basis.lattice
+    T1 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for b in lat.bonds():
+        x, y = lat.sites[b.i], lat.sites[b.j]
+        phi_x = basis.boson(x, "position", omega=params.omega)
+        phi_y = basis.boson(y, "position", omega=params.omega)
+        phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+        for spin in ("up", "down"):
+            term = basis.kron_fb(basis.cdag(x, spin) @ basis.c(y, spin), phase)
+            T1 += -params.t * (term + term.conj().T)
+    return T1 + dense_charge_and_phonon(params, basis, params.V)
 
 
 def _assert_matches_dense_oracle(params, nu):
@@ -313,6 +336,13 @@ def _assert_matches_dense_oracle(params, nu):
 @pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
 def test_doubleprime_equals_dense_oracle(nu, n_max):
     _assert_matches_dense_oracle(small_params(n_max=n_max), nu)
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
+def test_transformed_equals_dense_oracle(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    assert np.array_equal(model.build_transformed(params, basis), dense_transformed(params, basis))
 
 
 @settings(max_examples=25, deadline=None)

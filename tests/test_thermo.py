@@ -51,6 +51,20 @@ def test_large_beta_logz_is_finite():
     assert np.isfinite(spec.logZ)
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_hamiltonian_family_matches_original(n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    family = thermo.HamiltonianFamily(model.original_structures(basis))
+    spec = family.spectral({"t": params.t, "U": params.U, "V": params.V, "g": params.g,
+                            "omega": params.omega}, params.beta)
+    want = thermo.spectral(model.build_original(params, basis), params.beta)
+    w = want.eigenvalues
+    assert len(spec.blocks) == len(want.blocks)
+    assert np.max(np.abs(spec.eigenvalues - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
+    assert abs(spec.logZ - want.logZ) < 1e-12 * max(1.0, abs(want.logZ))
+
+
 # -- thermal expectation ---------------------------------------------------------------
 
 
