@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds, model, rpverify, thermo
-from .hilbert import build_basis, hermiticity_residual
+from .hilbert import build_basis
 from .lattice import build_lattice
 
 CONFIG_DEFAULTS = {
@@ -130,9 +130,9 @@ def cmd_build(args):
         "fermion_dim": basis.fermion_dim,
         "boson_dim": basis.boson_dim,
         "total_dim": basis.total_dim,
-        "hermiticity_residual_H": hermiticity_residual(hs.H),
-        "hermiticity_residual_H1": hermiticity_residual(hs.H1),
-        "hermiticity_residual_H2": hermiticity_residual(hs.H2),
+        "hermiticity_residual_H": hs.residuals["H"],
+        "hermiticity_residual_H1": hs.residuals["H1"],
+        "hermiticity_residual_H2": hs.residuals["H2"],
         "spectral_min": float(w[0]),
         "spectral_max": float(w[-1]),
         "logZ": spec.logZ,

@@ -135,14 +135,6 @@ class HilbertBasis:
         """s_x = n_{x up} - n_{x down} (diagonal)."""
         return self.n_spin(x, "up") - self.n_spin(x, "down")
 
-    def fermion_number(self, sites=None):
-        """Total fermion number over ``sites`` (default: all), diagonal."""
-        sites = self.sites if sites is None else sites
-        out = np.zeros((self.fermion_dim, self.fermion_dim), dtype=complex)
-        for x in sites:
-            out += self.n_site(x)
-        return out
-
     def fermion_parity(self, sites=None):
         """(-1)^(N over sites) as a diagonal matrix on the fermion factor."""
         sites = self.sites if sites is None else sites

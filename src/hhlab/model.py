@@ -108,11 +108,13 @@ class ModelParams:
 
 @dataclass
 class HamiltonianSet:
-    """H, H' and H'' on a common basis."""
+    """H, H' and H'' on a common basis, with the Hermiticity residual of each
+    (``hermiticity_residual`` of the matrix, keyed "H", "H1", "H2")."""
 
     H: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
+    residuals: dict
 
 
 def _require_lattice(basis):
@@ -178,15 +180,15 @@ def _bond_entries(basis, coeff, fermion, boson):
     return (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel(), values.ravel()
 
 
-def _bond_matrix(basis, coeff, factors):
+def _bond_matrix(basis, coeff, factors, dtype=complex):
     """Sum of coeff (fermion (x) boson + h.c.) over ``factors`` as a dense
-    full-space matrix.
+    full-space matrix of ``dtype`` (float needs real factors).
 
     The entries of each term and of its adjoint are scattered straight into
     the result, so no full-space Kronecker product is formed.  The result is
     bit-identical to summing the dense terms in instance order.
     """
-    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    out = np.zeros((basis.total_dim, basis.total_dim), dtype=dtype)
     for _, fermions, boson in factors:
         for fermion in fermions:
             rows, cols, values = _bond_entries(basis, coeff, fermion, boson)
@@ -290,21 +292,26 @@ def build_parts(params, basis):
 
 
 def original_structures(basis):
-    """Unit-coupling structure matrices of H: the family
+    """Unit-coupling structures of H: the family
     H(t, U, V, g, omega) = t S_t + U S_U + V S_V + g S_g + omega S_omega.
 
-    Feed to :class:`hhlab.thermo.HamiltonianFamily` for fast parameter scans
-    on a fixed geometry.
+    H is real: S_t and S_g are float64 dense matrices, and the diagonal S_U,
+    S_V and S_omega are 1-d vectors.  Feed to
+    :class:`hhlab.thermo.HamiltonianFamily` for fast parameter scans on a
+    fixed geometry.
     """
     lat = _require_lattice(basis)
     q = charge_diagonals(basis)
     nf, nb = basis.fermion_dim, basis.boson_dim
+    hopping = ((inst, [fermion.real for fermion in fermions], boson.real)
+               for inst, fermions, boson in _bond_factors(basis, _hopping_instances(lat), False))
     return {
-        "t": _bond_matrix(basis, -1.0, _bond_factors(basis, _hopping_instances(lat), False)),
-        "U": np.diag(np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb).astype(complex)),
-        "V": np.diag(np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb).astype(complex)),
-        "g": _charge_boson_sum(basis, q, _ladder_sums(basis)),
-        "omega": np.diag(np.tile(_phonon_energy(basis, 1.0), nf).astype(complex)),
+        "t": _bond_matrix(basis, -1.0, hopping, dtype=float),
+        "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
+        "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
+        "g": _charge_boson_sum(basis, q, [b.real for b in _ladder_sums(basis)],
+                               out=np.zeros((basis.total_dim, basis.total_dim))),
+        "omega": np.tile(_phonon_energy(basis, 1.0), nf),
     }
 
 
@@ -412,13 +419,14 @@ def build_field_hamiltonian(params, basis, h):
 
 def hamiltonian_set(params, basis):
     """All three Hamiltonians, each checked Hermitian."""
-    hs = HamiltonianSet(H=build_original(params, basis), H1=build_transformed(params, basis),
-                        H2=build_doubleprime(params, basis))
-    for name, m in (("H", hs.H), ("H1", hs.H1), ("H2", hs.H2)):
-        res = hermiticity_residual(m)
+    mats = {"H": build_original(params, basis), "H1": build_transformed(params, basis),
+            "H2": build_doubleprime(params, basis)}
+    residuals = {}
+    for name, m in mats.items():
+        res = residuals[name] = hermiticity_residual(m)
         if res > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
             raise AssertionError(f"{name} fails Hermiticity: residual {res}")
-    return hs
+    return HamiltonianSet(**mats, residuals=residuals)
 
 
 # -- unitary transformations -------------------------------------------------------

@@ -157,9 +157,6 @@ class LRSplit:
         """Rewrite a full-space operator in the (H_L (x) H_R) index layout."""
         return op[np.ix_(self.perm, self.perm)]
 
-    def vector_to_lr(self, v):
-        return v[self.perm]
-
     def kron_l(self, op_l):
         return np.kron(op_l, np.eye(self.basis_R.total_dim, dtype=complex))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from hhlab import model, thermo
@@ -258,6 +259,96 @@ def test_strong_coupling_charge_order():
 
 
 # -- g, b, c quantities -----------------------------------------------------------------------
+
+
+def per_field_oracle(basis, h, spec, H):
+    """(g, b, c / beta) for A = sum_x q_x ((-Delta) h)_x by the direct sums over
+    the eigenbasis of each block, one field at a time.  b and c / beta are
+    returned complex, as summed."""
+    f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))
+    a = np.repeat(f @ model.charge_diagonals(basis), basis.boson_dim)
+    g_q = spec.expectation(np.abs(a) ** 2)
+    b_q = c_q = 0.0 + 0.0j
+    for (idx, w, q), rho_i in zip(spec.blocks, spec.rho_blocks()):
+        a_i = a[idx]
+        at = (q.conj().T * a_i) @ q
+        kern = thermo._duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
+        b_q += np.sum(np.conj(at) * at * kern) / spec.z_shifted
+        diff = a_i[:, None] - a_i[None, :]
+        c_q += np.vdot(rho_i, -H[np.ix_(idx, idx)] * (diff * np.conj(diff)))
+    return g_q, b_q, c_q
+
+
+def assert_forms_match_oracle(params, basis, h, spec, H, bond_expectations=None):
+    got = thermo.quadratic_form_quantities(params, basis, h, spec, H, bond_expectations)
+    g_o, b_o, c_o = per_field_oracle(basis, h, spec, H)
+    for val, want in zip(got, (g_o, b_o.real, params.beta * c_o.real)):
+        assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)])
+def test_quadratic_forms_match_per_field_oracle(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
+    rng = np.random.default_rng(10 * nu + n_max)
+    n = basis.n_sites
+    for _ in range(5):
+        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert_forms_match_oracle(params, basis, h, spec, H2, bond_exp)
+    for M in spec._forms[2]:
+        assert M.shape == (n, n)
+        assert np.array_equal(M, M.conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=2))
+def test_quadratic_forms_match_oracle_random_couplings(n_max, t, U, V, g, omega, beta, h):
+    params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    H2 = model.build_doubleprime(params, basis)
+    assert_forms_match_oracle(params, basis, np.array(h), thermo.spectral(H2, beta), H2)
+
+
+def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
+    built = []
+    build = thermo._build_quadratic_forms
+    monkeypatch.setattr(thermo, "_build_quadratic_forms",
+                        lambda spec, basis, H: built.append(H) or build(spec, basis, H))
+    h = np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.5j, 0.1 - 0.9j])
+
+    def run(H, bonds=bond_exp):
+        out = thermo.quadratic_form_quantities(params, basis, h, spec, H, bonds)
+        assert spec._forms[0] is basis and spec._forms[1] is H   # one slot, the last pair
+        return out
+
+    g0, b0, c0 = run(H2)
+    assert c0 > 1.0
+    assert run(H2) == (g0, b0, c0) and len(built) == 1
+    # a diagonal shift rebuilds the forms; c keeps its value, as D_x vanishes on the diagonal
+    shifted = H2 + 0.5 * np.eye(basis.total_dim)
+    assert run(shifted) == (g0, b0, c0) and len(built) == 2 and built[-1] is shifted
+    # doubled bond terms double c, and the closed form must follow them
+    doubled = 2.0 * H2
+    with pytest.raises(AssertionError, match="nested commutator mismatch"):
+        run(doubled)
+    g, b, c = run(doubled, [(key, 2.0 * w) for key, w in bond_exp])
+    assert (g, b) == (g0, b0) and abs(c - 2.0 * c0) <= 1e-12 * c0
+    assert len(built) == 3
+    # an equal copy is another matrix: the slot is keyed by identity
+    assert run(H2.copy()) == (g0, b0, c0)
+    assert run(H2) == (g0, b0, c0)
+    assert len(built) == 5
 
 
 def test_quadratic_form_zero_and_constant_field(state):
