@@ -249,7 +249,9 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
                                   "(2 pi)^{nu/2} Ghat(p) >= 0 at every grid p",
                                   float(S.min()), 0.0, float(S.min()),
                                   bool(S.min() >= -tol)))
-        g_real, _, _ = _thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
+        # g = <A* A> for the diagonal A = sum_x f_x q_x: one field needs no forms
+        a = np.repeat(f @ qd, basis.boson_dim)
+        g_real = float(spec.expectation(np.abs(a) ** 2))
         g_mom = norm * float(np.sum((2.0 * E) ** 2 * S * np.abs(hhat) ** 2))
         checks.append(_eq("fourier_g", "g = norm sum (2E)^2 S(p) |hhat|^2",
                           g_real, g_mom, max(tol, 1e-8)))

@@ -180,15 +180,17 @@ def _bond_entries(basis, coeff, fermion, boson):
     return (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel(), values.ravel()
 
 
-def _bond_matrix(basis, coeff, factors, dtype=complex):
-    """Sum of coeff (fermion (x) boson + h.c.) over ``factors`` as a dense
-    full-space matrix of ``dtype`` (float needs real factors).
+def _bond_matrix(basis, coeff, factors, out=None):
+    """Sum of coeff (fermion (x) boson + h.c.) over ``factors``, added into
+    ``out`` (a new dense complex full-space matrix by default; a real ``out``
+    needs real factors).
 
     The entries of each term and of its adjoint are scattered straight into
     the result, so no full-space Kronecker product is formed.  The result is
     bit-identical to summing the dense terms in instance order.
     """
-    out = np.zeros((basis.total_dim, basis.total_dim), dtype=dtype)
+    if out is None:
+        out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
     for _, fermions, boson in factors:
         for fermion in fermions:
             rows, cols, values = _bond_entries(basis, coeff, fermion, boson)
@@ -306,7 +308,7 @@ def original_structures(basis):
     hopping = ((inst, [fermion.real for fermion in fermions], boson.real)
                for inst, fermions, boson in _bond_factors(basis, _hopping_instances(lat), False))
     return {
-        "t": _bond_matrix(basis, -1.0, hopping, dtype=float),
+        "t": _bond_matrix(basis, -1.0, hopping, out=np.zeros((basis.total_dim, basis.total_dim))),
         "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
         "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
         "g": _charge_boson_sum(basis, q, [b.real for b in _ladder_sums(basis)],

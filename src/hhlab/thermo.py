@@ -223,17 +223,20 @@ def _duhamel_kernel(beta, w_row, w_col):
     """kern[n, m] = kappa(E_m, E_n) for E_n in w_row, E_m in w_col.
 
     kappa(E, E') = (e^{-beta E} - e^{-beta E'}) / (beta (E' - E)), continued
-    through E = E' by its limit e^{-beta E}.  Energies are used as given;
-    callers divide by a consistently shifted Z, so a common shift cancels.
+    through E = E' by its limit e^{-beta E}.  kappa is symmetric, so it is
+    taken from the lower energy, e^{-beta min} (1 - e^{-d}) / d with
+    d = beta |E - E'|: neither factor exceeds 1 on energies above the ground
+    state, however wide the gap.  Energies are used as given; callers divide
+    by a consistently shifted Z, so a common shift cancels.
     """
     em = w_col[None, :]
     en = w_row[:, None]
-    delta = beta * (en - em)
-    small = np.abs(delta) < _GAP_SERIES_CUTOFF
+    delta = beta * np.abs(en - em)
+    small = delta < _GAP_SERIES_CUTOFF
     safe = np.where(small, 1.0, delta)
     ratio = np.where(small, 1.0 - delta / 2.0 + delta ** 2 / 6.0,
                      -np.expm1(-safe) / safe)
-    return np.exp(-beta * em) * ratio
+    return np.exp(-beta * np.minimum(en, em)) * ratio
 
 
 def _component_labels(H):
@@ -304,7 +307,9 @@ def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None)
     (spec, basis, H) and cached on ``spec``.  The build costs about N
     evaluations of one field by direct sums over the blocks (0.5 s at dim
     4096 on one BLAS thread); after it a field costs O(N^2) plus the bond sum
-    below, and touches no block.
+    below, and touches no block.  A caller with one field that needs only g
+    should take the diagonal expectation <|a|^2> instead, as
+    :func:`hhlab.bounds.finite_volume_fourier_check` does.
 
     The nested commutator is evaluated two ways -- from the Hamiltonian
     matrix (A is diagonal, so [A, [H, A*]] = -H o |a_k - a_l|^2, which is

@@ -169,3 +169,22 @@ def test_fourier_identities_with_structure_factor():
         assert c.passed, c
     assert np.isclose(report["q2_origin"], report["q2_from_structure_factor"])
     assert min(report["structure_factor"]) >= -1e-12
+
+
+def test_fourier_g_matches_infrared_chain_g():
+    # the Fourier check computes g = <A* A> directly; the infrared chain reads it
+    # from its Hermitian form G
+    from hhlab import model, thermo
+    from hhlab.hilbert import build_basis
+    from hhlab.lattice import build_lattice
+
+    params = P(t=0.8, U=1.1, V=0.6, g=0.9, omega=1.3, beta=1.4, n_max=0)
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    checks, _ = bounds.finite_volume_fourier_check(params, 2, 1, h, include_g=True)
+    fourier_g = next(c for c in checks if c.name == "fourier_g")
+    assert fourier_g.passed, fourier_g
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    g, _, _ = thermo.quadratic_form_quantities(params, basis, h, thermo.spectral(H2, params.beta), H=H2)
+    assert fourier_g.lhs == pytest.approx(g, rel=1e-12, abs=1e-12)

@@ -224,6 +224,16 @@ def test_duhamel_small_gap_series_continuity():
     assert np.allclose(kern, kern.T, atol=1e-12)
 
 
+def test_duhamel_kernel_finite_across_wide_gaps():
+    # beta * gap = 900: e^{beta gap} overflows, the kernel must not
+    w = np.array([0.0, 300.0, 300.5])
+    kern = thermo._duhamel_kernel(3.0, w, w)
+    assert np.all(np.isfinite(kern))
+    assert np.array_equal(kern, kern.T)
+    assert kern[0, 1] == pytest.approx(-np.expm1(-900.0) / 900.0, rel=1e-15)
+    assert kern[1, 2] == pytest.approx(np.exp(-900.0) * -np.expm1(-1.5) / 1.5, rel=1e-15)
+
+
 # -- charge correlations --------------------------------------------------------------------
 
 
