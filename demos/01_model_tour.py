@@ -25,7 +25,7 @@ w = np.linalg.eigvalsh(hs.H)
 print(f"spectrum of H: [{w[0]:+.4f}, ..., {w[-1]:+.4f}]  ({len(w)} levels)")
 
 V = model.build_zigzag(basis)
-dev = np.max(np.abs(hs.H2 - V @ hs.H1 @ V.conj().T))
+dev = np.max(np.abs(hs.H2 - V.conjugate(hs.H1)))
 print(f"H'' equals the zigzag conjugation of H' to {dev:.1e} (exact identity)")
 
 w1, w2 = np.linalg.eigvalsh(hs.H1), np.linalg.eigvalsh(hs.H2)

@@ -4,7 +4,8 @@ Modules:
 
 * ``lattice``  -- periodic torus geometry, parity, reflection, Laplacian,
   momentum grid.
-* ``hilbert``  -- fermion (x) truncated-phonon tensor basis and operators.
+* ``hilbert``  -- fermion (x) truncated-phonon tensor basis and operators,
+  and ``Monomial``, the signed permutations that hold the exact unitaries.
 * ``model``    -- the Hamiltonian, its phase-dressed and zigzag images, the
   external-field family, and the explicit unitary transformations.
 * ``thermo``   -- spectral data, thermal expectations, Duhamel two-point

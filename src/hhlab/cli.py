@@ -6,7 +6,9 @@ override it.  Machine-readable output goes to --out (or stdout): JSON
 lines for verification reports, CSV for sweeps, JSON objects elsewhere.
 Identical config and seed produce byte-identical output files.
 
-Exit codes: 0 success, 1 at least one check failed, 2 invalid input.
+Exit codes: 0 success, 1 at least one check failed, 2 invalid input, 3 a
+failed computation (RuntimeError, AssertionError or MemoryError); 2 and 3
+print one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -393,12 +395,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (RuntimeError, AssertionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,14 +25,20 @@ which suits small spaces and checks.  The Hamiltonians H, H' and H'' are
 not built through these embeddings: hhlab.model scatters the nonzero
 entries of each term's small fermion and boson factors straight into one
 dense matrix (or into scipy.sparse terms).  A hard dimension cap keeps
-sizes at desk scale.
+sizes at desk scale.  The exact unitaries of hhlab.model are signed
+permutations, held as a :class:`Monomial` and applied by re-indexing; only
+the truly dense Lang-Firsov unitary and theta (whose checks also take dense
+random unitaries) stay dense matrices.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
+    "Monomial",
     "HilbertBasis",
     "build_basis",
     "adjoint",
@@ -46,6 +52,39 @@ DEFAULT_DIM_CAP = 16384
 
 _ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
 _SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)       # (-1)^n
+
+
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """The signed permutation U e_i = sign[i] e_{perm[i]}, every sign +1 or -1.
+
+    U^-1 = U^T, so U A U^-1 is a re-indexing of A with sign flips, exact to the bit.
+    """
+
+    perm: np.ndarray
+    sign: np.ndarray
+
+    def compose(self, other):
+        """The product self @ other (other acts first)."""
+        return Monomial(self.perm[other.perm], other.sign * self.sign[other.perm])
+
+    def kron(self, other):
+        """self (x) other, with self the slow index."""
+        return Monomial((self.perm[:, None] * len(other.perm) + other.perm).ravel(),
+                        np.outer(self.sign, other.sign).ravel())
+
+    def conjugate(self, a):
+        """U A U^-1 for a dense matrix A, or for a diagonal given as a 1-d vector."""
+        inv = np.argsort(self.perm)
+        if a.ndim == 1:
+            return a[inv]
+        out = a[np.ix_(inv, inv)]
+        out *= self.sign[inv][:, None]
+        out *= self.sign[inv]
+        return out
+
+    def to_dense(self):
+        return np.eye(len(self.perm))[:, self.perm] * self.sign
 
 
 class HilbertBasis:
@@ -85,10 +124,6 @@ class HilbertBasis:
         if x not in self.site_index:
             raise ValueError(f"unknown site {x}")
         return 2 * self.site_index[x] + (0 if spin == "up" else 1)
-
-    def occupancy(self, fermion_index, mode):
-        """Occupation of ``mode`` in fermion basis state ``fermion_index``."""
-        return (fermion_index >> (self.n_modes - 1 - mode)) & 1
 
     def boson_tuple(self, boson_index):
         """Per-site phonon occupations of boson basis state ``boson_index``."""

@@ -24,6 +24,10 @@ product is formed:
 Charge operators q_x commute with every transformation generator used here,
 which is what makes the zigzag sign relation for charge correlations an
 exact finite-dimensional identity (see hhlab.thermo.charge_correlation).
+These unitaries (zigzag, hole-particle, spin flip, spin swap, mode
+permutations) are signed permutations: their builders return a
+:class:`hhlab.hilbert.Monomial` made by bit arithmetic, applied by
+re-indexing (``V.conjugate(H)``).  exp(L) of ``lang_firsov`` is truly dense.
 
 The displayed Lang-Firsov constants are treated as data to be measured, not
 assumed: ``lang_firsov_diagnostic`` extracts the displacement and phase
@@ -34,12 +38,13 @@ the displayed alpha, g/omega and u_eff values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize_scalar
 
-from .hilbert import adjoint, hermiticity_residual
+from .hilbert import Monomial, adjoint, hermiticity_residual
 
 __all__ = [
     "ModelParams",
@@ -49,7 +54,6 @@ __all__ = [
     "build_doubleprime",
     "build_field_hamiltonian",
     "field_diagonal_correction",
-    "build_parts",
     "hamiltonian_set",
     "lang_firsov",
     "phonon_gauge",
@@ -280,19 +284,6 @@ def build_original(params, basis):
     return _original(params, basis, charge_diagonals(basis))
 
 
-def build_parts(params, basis):
-    """Named components of H = T + P + I + K as full-space matrices."""
-    lat = _require_lattice(basis)
-    q = charge_diagonals(basis)
-    p = _charge_products(q, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
-    return {
-        "T": _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False)),
-        "P": np.diag(np.repeat(p, basis.boson_dim).astype(complex)),
-        "I": _charge_boson_sum(basis, q, _ladder_sums(basis), params.g),
-        "K": build_parts_K(params, basis),
-    }
-
-
 def original_structures(basis):
     """Unit-coupling structures of H: the family
     H(t, U, V, g, omega) = t S_t + U S_U + V S_V + g S_g + omega S_omega.
@@ -374,11 +365,15 @@ def pairing_bond_terms(params, basis):
     return out
 
 
+def _mode_occupations(basis):
+    """Occupation of every mode on the fermion factor, shape (n_modes, fermion_dim)."""
+    shift = basis.n_modes - 1 - np.arange(basis.n_modes)
+    return (np.arange(basis.fermion_dim) >> shift[:, None]) & 1
+
+
 def _occupations(basis, spin):
     """Diagonal of every n_{x spin} on the fermion factor, shape (n_sites, fermion_dim)."""
-    idx = np.arange(basis.fermion_dim)
-    return np.array([(idx >> (basis.n_modes - 1 - basis.mode_index(x, spin))) & 1
-                     for x in basis.sites]).reshape(basis.n_sites, -1)
+    return _mode_occupations(basis)[[basis.mode_index(x, spin) for x in basis.sites]]
 
 
 def charge_diagonals(basis):
@@ -449,6 +444,12 @@ def lang_firsov(params, basis):
     return rot[:, None] * expm_i_hermitian(-c * gen)
 
 
+def _phonon_digits(basis):
+    """Per-site phonon occupations (base-(n_max + 1) digits, last site first), per boson index."""
+    d = basis.n_max + 1
+    return np.arange(basis.boson_dim)[:, None] // d ** np.arange(basis.n_sites) % d
+
+
 def phonon_gauge(basis):
     """The diagonal of the phonon gauge i^{N_p}, N_p = sum_x n_x, on the full space.
 
@@ -456,34 +457,31 @@ def phonon_gauge(basis):
     so exp(-i alpha (phi_x - phi_y)) becomes real and H'' and H''(h) become
     real symmetric.  Its entries are exactly 1, i, -1 or -i.
     """
-    d = basis.n_max + 1
-    b = np.arange(basis.boson_dim)
-    n_p = np.zeros(basis.boson_dim, dtype=int)
-    for _ in range(basis.n_sites):
-        n_p += b % d
-        b //= d
+    n_p = _phonon_digits(basis).sum(axis=1)
     return np.tile(np.array([1, 1j, -1, -1j])[n_p % 4], basis.fermion_dim)
 
 
-def _particle_hole_factor(basis, x, spin):
-    """v_{x s} = [prod over all other modes of (-1)^n] (c*_{x s} + c_{x s}).
+def _parity_sign(counts):
+    return 1.0 - 2.0 * (counts % 2)
 
-    The sign string runs over every mode except (x, s); with this full
-    string, v c_Y v^-1 = c_Y exactly for all other modes Y (a string over
-    same-spin modes only would add a global sign per conjugated factor,
-    harmless for Hamiltonian conjugation but breaking the operator-level
-    identities).  v is its own inverse.
+
+def _on_phonons(basis, sign=None):
+    """The diagonal monomial ``sign`` on the boson factor (the identity by default)."""
+    return Monomial(np.arange(basis.boson_dim),
+                    np.ones(basis.boson_dim) if sign is None else sign)
+
+
+def _mode_flip(basis, x, spin):
+    """v_{x s} = [prod over all other modes of (-1)^n] (c*_{x s} + c_{x s}), its own inverse.
+
+    With the string over every other mode, v c_Y v^-1 = c_Y exactly for every
+    other mode Y (a same-spin string would add a global sign per factor).
     """
-    nf = basis.fermion_dim
-    idx = np.arange(nf)
-    own = basis.mode_index(x, spin)
-    string = np.ones(nf)
-    for m in range(basis.n_modes):
-        if m == own:
-            continue
-        occ = (idx >> (basis.n_modes - 1 - m)) & 1
-        string = string * np.where(occ, -1.0, 1.0)
-    return np.diag(string.astype(complex)) @ (basis.cdag(x, spin) + basis.c(x, spin))
+    m = basis.mode_index(x, spin)
+    occ = _mode_occupations(basis)
+    jw, string = occ[:m].sum(axis=0), occ.sum(axis=0) - occ[m]
+    return Monomial(np.arange(basis.fermion_dim) ^ (1 << (basis.n_modes - 1 - m)),
+                    _parity_sign(jw + string))
 
 
 def zigzag_fermion(basis):
@@ -493,41 +491,27 @@ def zigzag_fermion(basis):
     hence q_x -> (-1)^|x| q_x.
     """
     lat = _require_lattice(basis)
-    out = np.eye(basis.fermion_dim, dtype=complex)
-    for x in lat.odd_sites:
-        for spin in ("up", "down"):
-            out = out @ _particle_hole_factor(basis, x, spin)
-    return out
+    return reduce(Monomial.compose, [_mode_flip(basis, x, spin)
+                                     for x in lat.odd_sites for spin in ("up", "down")])
 
 
 def build_zigzag(basis):
     """Zigzag unitary on the full space (acts as identity on phonons)."""
-    return np.kron(zigzag_fermion(basis), np.eye(basis.boson_dim, dtype=complex))
+    return zigzag_fermion(basis).kron(_on_phonons(basis))
 
 
 def fermion_mode_permutation(basis, perm):
     """Second-quantized unitary of a mode permutation: c*_m -> c*_{perm[m]}.
 
-    Built by re-creating each occupied basis bitstring with the permuted
-    modes; Jordan-Wigner signs come out automatically.
+    Each occupied bitstring is re-created with the permuted modes; the sign
+    is the parity of the inversions of ``perm`` among the occupied modes.
     """
-    nf, M = basis.fermion_dim, basis.n_modes
-    u = np.zeros((nf, nf), dtype=complex)
-    for i in range(nf):
-        occ = [m for m in range(M) if (i >> (M - 1 - m)) & 1]
-        targets = [perm[m] for m in occ]
-        # sign = parity of the permutation sorting `targets`
-        sign = 1
-        ts = list(targets)
-        for a in range(len(ts)):
-            for b in range(a + 1, len(ts)):
-                if ts[a] > ts[b]:
-                    sign = -sign
-        j = 0
-        for m in targets:
-            j |= 1 << (M - 1 - m)
-        u[j, i] = sign
-    return u
+    M = basis.n_modes
+    p = np.array([perm[m] for m in range(M)])
+    occ = _mode_occupations(basis)
+    crossed = np.triu(p[:, None] > p[None, :], 1).astype(int)  # a < b with perm[a] > perm[b]
+    inversions = np.sum(occ * (crossed @ occ), axis=0)
+    return Monomial(np.sum(occ << (M - 1 - p)[:, None], axis=0), _parity_sign(inversions))
 
 
 def hole_particle_fermion(basis):
@@ -539,22 +523,20 @@ def hole_particle_fermion(basis):
     (-1)^{n_{x down}} on odd sites.
     """
     lat = _require_lattice(basis)
-    nf = basis.fermion_dim
-    idx = np.arange(nf)
-    out = np.eye(nf, dtype=complex)
-    for x in lat.sites:
-        out = out @ _particle_hole_factor(basis, x, "down")
-    twist = np.ones(nf)
-    for x in lat.odd_sites:
-        m = basis.mode_index(x, "down")
-        occ = (idx >> (basis.n_modes - 1 - m)) & 1
-        twist = twist * np.where(occ, -1.0, 1.0)
-    return np.diag(twist.astype(complex)) @ out
+    flips = reduce(Monomial.compose, [_mode_flip(basis, x, "down") for x in lat.sites])
+    odd = [lat.site_index[x] for x in lat.odd_sites]
+    twist = _parity_sign(_occupations(basis, "down")[odd].sum(axis=0))
+    return Monomial(np.arange(basis.fermion_dim), twist).compose(flips)
 
 
 def build_hole_particle(basis):
     """Hole-particle unitary on the full space (identity on phonons)."""
-    return np.kron(hole_particle_fermion(basis), np.eye(basis.boson_dim, dtype=complex))
+    return hole_particle_fermion(basis).kron(_on_phonons(basis))
+
+
+def _spin_swap(basis):
+    """The fermion factor of c_{x up} <-> c_{x down}: mode 2s + 1 is the down partner of 2s."""
+    return fermion_mode_permutation(basis, np.arange(basis.n_modes) ^ 1)
 
 
 def build_spin_flip(basis):
@@ -563,37 +545,19 @@ def build_spin_flip(basis):
     D c_{x up} D^-1 = c_{x down}, D c_{x down} D^-1 = c_{x up},
     D b_x D^-1 = -b_x.
     """
-    swap = fermion_mode_permutation(basis, _spin_swap_modes(basis))
-    n_tot = np.zeros(basis.boson_dim)
-    for x in basis.sites:
-        n_tot += np.real(np.diag(basis.boson(x, "number")))
-    parity = np.diag(np.where(np.round(n_tot).astype(int) % 2 == 1, -1.0, 1.0).astype(complex))
-    return np.kron(swap, parity)
-
-
-def _spin_swap_modes(basis):
-    perm = {}
-    for x in basis.sites:
-        mu, md = basis.mode_index(x, "up"), basis.mode_index(x, "down")
-        perm[mu], perm[md] = md, mu
-    return perm
+    parity = _parity_sign(_phonon_digits(basis).sum(axis=1))
+    return _spin_swap(basis).kron(_on_phonons(basis, parity))
 
 
 def spin_swap(basis):
     """The global spin swap c_{x up} <-> c_{x down} (phonons untouched) as a
-    signed permutation of the full space.
+    signed permutation S of the full space.
 
-    Returns (perm, sign): the swap unitary S sends basis vector e_i to
-    sign[i] e_{perm[i]}, so (S A S^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j].
-    S is an involution: perm[perm] is the identity and sign[perm] = sign.
-    Every q_x is invariant under it, so it commutes with the field term.
+    (S A S^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j].  S is an
+    involution: perm[perm] is the identity and sign[perm] = sign.  Every q_x
+    is invariant under it, so it commutes with the field term.
     """
-    u = fermion_mode_permutation(basis, _spin_swap_modes(basis))
-    perm_f = np.argmax(np.abs(u), axis=0)
-    sign_f = u[perm_f, np.arange(basis.fermion_dim)].real
-    nb = basis.boson_dim
-    perm = (perm_f[:, None] * nb + np.arange(nb)[None, :]).ravel()
-    return perm, np.repeat(sign_f, nb)
+    return _spin_swap(basis).kron(_on_phonons(basis))
 
 
 def build_a_operators(basis):
@@ -634,10 +598,7 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     # Frobenius-weight artifacts (and by trace cyclicity a global fit cannot
     # see the q term at all), so restrict to low occupations on every site
     low = max(1, basis.n_max // 2)
-    keep = np.ones(basis.boson_dim, dtype=bool)
-    for i in range(basis.boson_dim):
-        keep[i] = all(n <= low for n in basis.boson_tuple(i))
-    mask = np.tile(keep, basis.fermion_dim)
+    mask = np.tile(np.all(_phonon_digits(basis) <= low, axis=1), basis.fermion_dim)
     window = np.ix_(mask, mask)
 
     def tr(a, b):

@@ -37,7 +37,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .hilbert import HilbertBasis, build_basis
+from .hilbert import HilbertBasis, Monomial, build_basis
 
 __all__ = [
     "CheckResult",
@@ -618,7 +618,8 @@ def _spin_swap_sectors(basis, labels, blocks):
     ValueError, a swap that moves a charge diagonal or that does not map
     each gauged block onto its partner.
     """
-    perm, sign = _model.spin_swap(basis)
+    swap = _model.spin_swap(basis)
+    perm, sign = swap.perm, swap.sign
     q = _model.charge_diagonals(basis)
     if not np.array_equal(q[:, perm[::basis.boson_dim] // basis.boson_dim], q):
         raise ValueError("the spin swap does not keep every charge diagonal")
@@ -631,10 +632,8 @@ def _spin_swap_sectors(basis, labels, blocks):
             raise ValueError(f"the spin swap does not map block {lab} of H'' onto one block")
         if m < lab:
             continue
-        loc = np.searchsorted(part_idx, images)
-        swapped = np.empty_like(blk)
-        swapped[np.ix_(loc, loc)] = sign[idx][:, None] * blk * sign[idx][None, :]
-        dev = float(np.max(np.abs(swapped - part)))
+        loc = np.searchsorted(part_idx, images)  # the swap maps block position k to loc[k]
+        dev = float(np.max(np.abs(Monomial(loc, sign[idx]).conjugate(blk) - part)))
         if dev > _SWAP_TOL * float(np.max(np.abs(part))):
             raise ValueError(f"the spin swap does not map block {lab} of H'' onto block {m} "
                              f"(largest deviation {dev:.3e})")
@@ -827,16 +826,14 @@ def half_filling_check(params, nu, ell, tol=1e-10, mechanism=False):
     out.append(CheckResult("half_filling", "<n_x> = 1 at every site",
                            1.0 + worst, 1.0, worst, worst <= tol))
     if mechanism:
-        u = _model.build_hole_particle(basis)
-        hh = u @ H @ u.conj().T
+        hh = _model.build_hole_particle(basis).conjugate(H)
         # T + K + W: the terms of H with every q_x replaced by s_x
         out.append(_matrix_eq("half_filling_decomposition",
                               "u H u^-1 = T + K + U sum s^2 + V sum ss + g sum s(b+b*)",
                               hh, _model._original(params, basis, _model.spin_diagonals(basis)),
                               tol))
-        D = _model.build_spin_flip(basis)
         out.append(_matrix_eq("half_filling_spin_flip", "D (u H u^-1) D^-1 = u H u^-1",
-                              D @ hh @ D.conj().T, hh, tol))
+                              _model.build_spin_flip(basis).conjugate(hh), hh, tol))
     return out
 
 

@@ -261,8 +261,7 @@ def _correlation_state(params, nu, ell, which):
     basis = build_basis(lat, params.n_max)
     H = _model.build_original(params, basis)
     if which == "zigzag":
-        V = _model.build_zigzag(basis)
-        H = V @ H @ V.conj().T
+        H = _model.build_zigzag(basis).conjugate(H)
     elif which == "doubleprime":
         H = _model.build_doubleprime(params, basis)
     elif which != "original":

@@ -85,7 +85,7 @@ def test_criterion_02_transformation_identities():
     lat = build_lattice(1, 1)
     basis = build_basis(lat, params.n_max)
     dev = 0.0
-    Vf = model.zigzag_fermion(basis)
+    Vf = model.zigzag_fermion(basis).to_dense()
     for x in lat.sites:
         for spin in ("up", "down"):
             got = Vf @ basis.c(x, spin) @ Vf.conj().T

@@ -156,6 +156,28 @@ def test_integral_diverges_exit_code():
     assert run(["integral", "--nu", "2"]) == 2
 
 
+def test_integral_not_converged_exit_code(capsys):
+    # the quadrature cannot reach 1e-12 and raises RuntimeError: a failed
+    # computation, not a failed check
+    assert run(["integral", "--nu", "3", "--tol", "1e-12"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError: torus integral did not converge")
+    assert "Traceback" not in err
+
+
+def test_verify_halffill_mechanism_2x2(tmp_path):
+    # the first draw runs the hole-particle and spin-flip conjugations at dim 4096
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("nu = 2\nn_max = 1\n")
+    out = tmp_path / "h.jsonl"
+    assert run(["--config", str(cfg), "--seed", "7", "--out", str(out),
+                "verify", "--suite", "halffill", "--count", "1"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["name"] for r in records] == ["half_filling", "half_filling_decomposition",
+                                            "half_filling_spin_flip"]
+    assert all(r["pass"] for r in records)
+
+
 def test_integral_nu3(tmp_path):
     out = tmp_path / "i.json"
     assert run(["--out", str(out), "integral", "--nu", "3"]) == 0

@@ -3,6 +3,7 @@ import pytest
 
 from hhlab.hilbert import (
     HilbertBasis,
+    Monomial,
     adjoint,
     anticommutator,
     build_basis,
@@ -149,3 +150,26 @@ def test_vacuum_is_unit_basis_state():
     basis = build_basis(build_lattice(1, 1), 1)
     v = basis.vacuum()
     assert v[0] == 1.0 and np.count_nonzero(v) == 1
+
+
+# -- signed permutations ------------------------------------------------------------
+
+
+def random_monomial(rng, n):
+    return Monomial(rng.permutation(n), rng.choice([-1.0, 1.0], size=n))
+
+
+def test_monomial_algebra_matches_dense():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n, k = (int(v) for v in rng.integers(1, 9, size=2))
+        a, b, c = random_monomial(rng, n), random_monomial(rng, n), random_monomial(rng, k)
+        A = a.to_dense()
+        assert np.array_equal(np.abs(A).sum(axis=0), np.ones(n))
+        assert np.array_equal(A[a.perm, np.arange(n)], a.sign)
+        assert np.array_equal(a.compose(b).to_dense(), A @ b.to_dense())
+        assert np.array_equal(a.kron(c).to_dense(), np.kron(A, c.to_dense()))
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(a.conjugate(M), A @ M @ A.T)
+        d = rng.standard_normal(n)
+        assert np.array_equal(a.conjugate(d), np.diag(A @ np.diag(d) @ A.T))

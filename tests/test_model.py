@@ -135,17 +135,6 @@ def test_single_site_interaction_spectrum():
     assert np.allclose(w, expected)
 
 
-def test_diagonal_when_hopping_and_coupling_vanish():
-    # with g = 0 every non-hopping part is diagonal in the occupancy basis
-    lat = build_lattice(1, 1)
-    params = small_params(g=0.0)
-    basis = build_basis(lat, params.n_max)
-    parts = model.build_parts(params, basis)
-    rest = parts["P"] + parts["I"] + parts["K"]
-    assert np.allclose(rest, np.diag(np.diag(rest)))
-    assert np.allclose(parts["I"], 0.0)
-
-
 def test_all_hamiltonians_hermitian():
     lat = build_lattice(1, 1)
     params = small_params()
@@ -234,7 +223,7 @@ def test_zigzag_conjugations():
     lat = build_lattice(1, 1)
     params = small_params(n_max=1)
     basis = build_basis(lat, params.n_max)
-    Vf = model.zigzag_fermion(basis)
+    Vf = model.zigzag_fermion(basis).to_dense()
     assert np.max(np.abs(Vf @ Vf.conj().T - np.eye(basis.fermion_dim))) < 1e-12
     for x in lat.sites:
         for spin in ("up", "down"):
@@ -252,7 +241,7 @@ def test_doubleprime_is_zigzag_image_and_isospectral():
     basis = build_basis(lat, params.n_max)
     H1 = model.build_transformed(params, basis)
     H2 = model.build_doubleprime(params, basis)
-    Vfull = model.build_zigzag(basis)
+    Vfull = model.build_zigzag(basis).to_dense()
     assert np.max(np.abs(H2 - Vfull @ H1 @ Vfull.conj().T)) < 1e-10
     w1, w2 = np.linalg.eigvalsh(H1), np.linalg.eigvalsh(H2)
     assert np.max(np.abs(w1 - w2)) < 1e-10 * max(1.0, np.max(np.abs(w1)))
@@ -372,7 +361,8 @@ def test_phonon_gauge_makes_doubleprime_real(nu, n_max):
 def test_spin_swap_commutes_with_field_hamiltonian(nu, n_max):
     params = small_params(n_max=n_max)
     basis = build_basis(build_lattice(nu, 1), n_max)
-    perm, sign = model.spin_swap(basis)
+    S_swap = model.spin_swap(basis)
+    perm, sign = S_swap.perm, S_swap.sign
     assert np.array_equal(perm[perm], np.arange(basis.total_dim))
     assert np.array_equal(sign[perm], sign) and set(sign.tolist()) == {1.0, -1.0}
     if basis.total_dim <= 1024:  # the helper is the fermion mode permutation on the fermion factor
@@ -382,7 +372,7 @@ def test_spin_swap_commutes_with_field_hamiltonian(nu, n_max):
         for x in basis.sites:
             swap[basis.mode_index(x, "up")] = basis.mode_index(x, "down")
             swap[basis.mode_index(x, "down")] = basis.mode_index(x, "up")
-        assert np.array_equal(S, np.kron(model.fermion_mode_permutation(basis, swap),
+        assert np.array_equal(S, np.kron(model.fermion_mode_permutation(basis, swap).to_dense(),
                                          np.eye(basis.boson_dim)))
     qd = model.charge_diagonals(basis)
     assert np.array_equal(qd[:, perm[::basis.boson_dim] // basis.boson_dim], qd)
@@ -447,7 +437,7 @@ def test_field_hamiltonian_hermitian_for_real_h():
 def test_hole_particle_action():
     lat = build_lattice(1, 1)
     basis = build_basis(lat, 0)
-    u = model.hole_particle_fermion(basis)
+    u = model.hole_particle_fermion(basis).to_dense()
     assert np.max(np.abs(u @ u.conj().T - np.eye(basis.fermion_dim))) < 1e-12
     for x in lat.sites:
         up = u @ basis.c(x, "up") @ u.conj().T
@@ -462,7 +452,7 @@ def test_hole_particle_action():
 def test_spin_flip_action():
     lat = build_lattice(1, 1)
     basis = build_basis(lat, 2)
-    D = model.build_spin_flip(basis)
+    D = model.build_spin_flip(basis).to_dense()
     assert np.max(np.abs(D @ D.conj().T - np.eye(basis.total_dim))) < 1e-12
     for x in lat.sites:
         cu = basis.embed_fermion(basis.c(x, "up"))
@@ -477,8 +467,8 @@ def test_spin_flip_fixes_hole_particle_image():
     params = small_params(n_max=1)
     basis = build_basis(lat, params.n_max)
     H = model.build_original(params, basis)
-    u = model.build_hole_particle(basis)
-    D = model.build_spin_flip(basis)
+    u = model.build_hole_particle(basis).to_dense()
+    D = model.build_spin_flip(basis).to_dense()
     hh = u @ H @ u.conj().T
     assert np.max(np.abs(D @ hh @ D.conj().T - hh)) < 1e-10
 
@@ -492,3 +482,136 @@ def test_pure_fermion_limit_matches_charge_model():
     H = model.build_original(params, basis)
     oracle = independent_original(params, lat, basis)
     assert np.max(np.abs(H - oracle)) < 1e-12
+
+
+# -- exact unitaries against their dense oracles ----------------------------------------
+#
+# The library holds every exact unitary as a signed permutation (hilbert.Monomial).
+# The dense builders below are the products of single-mode particle-hole factors,
+# the looped mode permutation and the Kronecker spin flip it replaced; they are
+# kept here as oracles only.
+
+
+def dense_particle_hole_factor(basis, x, spin):
+    """[prod over all other modes of (-1)^n] (c*_{x s} + c_{x s}) as a dense matrix."""
+    nf = basis.fermion_dim
+    idx = np.arange(nf)
+    own = basis.mode_index(x, spin)
+    string = np.ones(nf)
+    for m in range(basis.n_modes):
+        if m == own:
+            continue
+        occ = (idx >> (basis.n_modes - 1 - m)) & 1
+        string = string * np.where(occ, -1.0, 1.0)
+    return np.diag(string.astype(complex)) @ (basis.cdag(x, spin) + basis.c(x, spin))
+
+
+def dense_zigzag_fermion(basis):
+    out = np.eye(basis.fermion_dim, dtype=complex)
+    for x in basis.lattice.odd_sites:
+        for spin in ("up", "down"):
+            out = out @ dense_particle_hole_factor(basis, x, spin)
+    return out
+
+
+def dense_hole_particle_fermion(basis):
+    lat = basis.lattice
+    nf = basis.fermion_dim
+    idx = np.arange(nf)
+    out = np.eye(nf, dtype=complex)
+    for x in lat.sites:
+        out = out @ dense_particle_hole_factor(basis, x, "down")
+    twist = np.ones(nf)
+    for x in lat.odd_sites:
+        m = basis.mode_index(x, "down")
+        occ = (idx >> (basis.n_modes - 1 - m)) & 1
+        twist = twist * np.where(occ, -1.0, 1.0)
+    return np.diag(twist.astype(complex)) @ out
+
+
+def looped_mode_permutation(basis, perm):
+    """c*_m -> c*_{perm[m]}: re-create each bitstring, sign by counting inversions."""
+    nf, M = basis.fermion_dim, basis.n_modes
+    u = np.zeros((nf, nf), dtype=complex)
+    for i in range(nf):
+        targets = [perm[m] for m in range(M) if (i >> (M - 1 - m)) & 1]
+        sign = 1
+        for a in range(len(targets)):
+            for b in range(a + 1, len(targets)):
+                if targets[a] > targets[b]:
+                    sign = -sign
+        j = 0
+        for m in targets:
+            j |= 1 << (M - 1 - m)
+        u[j, i] = sign
+    return u
+
+
+def spin_swap_modes(basis):
+    swap = {}
+    for x in basis.sites:
+        swap[basis.mode_index(x, "up")] = basis.mode_index(x, "down")
+        swap[basis.mode_index(x, "down")] = basis.mode_index(x, "up")
+    return swap
+
+
+def dense_spin_flip(basis):
+    n_tot = np.zeros(basis.boson_dim)
+    for x in basis.sites:
+        n_tot += np.real(np.diag(basis.boson(x, "number")))
+    parity = np.diag(np.where(np.round(n_tot).astype(int) % 2 == 1, -1.0, 1.0).astype(complex))
+    return np.kron(looped_mode_permutation(basis, spin_swap_modes(basis)), parity)
+
+
+def dense_unitaries(basis):
+    """(name, monomial, dense oracle) of every full-space exact unitary."""
+    eye = np.eye(basis.boson_dim)
+    return [
+        ("zigzag", model.build_zigzag(basis), np.kron(dense_zigzag_fermion(basis), eye)),
+        ("hole_particle", model.build_hole_particle(basis),
+         np.kron(dense_hole_particle_fermion(basis), eye)),
+        ("spin_flip", model.build_spin_flip(basis), dense_spin_flip(basis)),
+        ("spin_swap", model.spin_swap(basis),
+         np.kron(looped_mode_permutation(basis, spin_swap_modes(basis)), eye)),
+    ]
+
+
+def exactly_equal(a, b):
+    """Entrywise equality after +0.0, which folds -0.0 into 0.0."""
+    return np.array_equal(np.asarray(a) + 0.0, np.asarray(b) + 0.0)
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6), (2, 1)])
+def test_unitaries_equal_dense_oracles(nu, n_max):
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    assert exactly_equal(model.zigzag_fermion(basis).to_dense(), dense_zigzag_fermion(basis))
+    assert exactly_equal(model.hole_particle_fermion(basis).to_dense(),
+                         dense_hole_particle_fermion(basis))
+    swap = spin_swap_modes(basis)
+    assert exactly_equal(model.fermion_mode_permutation(basis, swap).to_dense(),
+                         looped_mode_permutation(basis, swap))
+    if basis.total_dim <= 1024:
+        for name, mono, dense in dense_unitaries(basis):
+            assert exactly_equal(mono.to_dense(), dense), name
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
+def test_conjugate_equals_dense_product(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    hs = model.hamiltonian_set(params, basis)
+    diag = np.random.default_rng(nu + 10 * n_max).standard_normal(basis.total_dim)
+    for name, mono, dense in dense_unitaries(basis):
+        for A in (hs.H, hs.H1, hs.H2):
+            assert exactly_equal(mono.conjugate(A), dense @ A @ dense.conj().T), name
+        assert exactly_equal(mono.conjugate(diag), np.diag(dense @ np.diag(diag) @ dense.conj().T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda nu: st.tuples(st.just(nu), st.permutations(range(4 * nu)))))
+def test_mode_permutation_matches_looped_oracle(case):
+    nu, perm = case
+    basis = build_basis(build_lattice(nu, 1), 0)
+    assert exactly_equal(model.fermion_mode_permutation(basis, perm).to_dense(),
+                         looped_mode_permutation(basis, perm))

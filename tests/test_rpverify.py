@@ -172,7 +172,7 @@ def test_field_partition_refuses_block_not_mirrored_by_spin_swap():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
     H2 = model.build_doubleprime(params, basis)
-    perm, _ = model.spin_swap(basis)
+    perm = model.spin_swap(basis).perm
     i = np.flatnonzero(perm != np.arange(basis.total_dim))[0]
     H2[i, i] += 0.25  # still Hermitian, real in the gauge, same sparsity
     with pytest.raises(ValueError, match="spin swap"):
