@@ -37,7 +37,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .hilbert import HilbertBasis, Monomial, build_basis
+from .hilbert import HilbertBasis, Monomial, build_basis, row_strips
 
 __all__ = [
     "CheckResult",
@@ -103,8 +103,12 @@ def _eq(name, statement, lhs, rhs, tol, scale=None):
 
 
 def _matrix_eq(name, statement, A, B, tol):
-    scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))), 1.0)
-    dev = float(np.max(np.abs(A - B))) / scale
+    # max |A|, max |B| and max |A - B| in one pass over strips of rows
+    maxima = np.array([(np.max(np.abs(A[s])), np.max(np.abs(B[s])), np.max(np.abs(A[s] - B[s])))
+                       for s in row_strips(A.shape[0])])
+    a_max, b_max, diff = np.max(maxima, axis=0)
+    scale = max(float(a_max), float(b_max), 1.0)
+    dev = float(diff) / scale
     return CheckResult(name, statement, dev, 0.0, dev, bool(dev <= tol))
 
 

@@ -11,6 +11,15 @@ answer.  The Gibbs state is kept as its diagonal blocks only: it is exactly
 block-diagonal, so an observable (a dense matrix, a scipy.sparse matrix or a
 1-d diagonal) enters a thermal average only through its diagonal blocks.
 
+The same pass over H's nonzero entries reads off a diagonal unitary gauge d
+from a maximum-modulus spanning forest of the pattern (_phase_gauge).  In
+it every component without flux is real symmetric: H'' (through its phonon
+exponentials), H, H' and the zigzag image V H V^-1 all are.  Such a block is
+solved by a real ``eigh`` and every later sum over it runs in real
+arithmetic; a block with flux keeps a complex ``eigh`` (see SpectralData).
+On the 2x2 torus at n_max = 1 (dim 4096, 85 components, one BLAS thread)
+``spectral(H'')`` takes about 0.3 s, against 1.2 s for complex blocks.
+
 The Duhamel two-point function is evaluated spectrally:
 
     (A, B) = Z^-1 sum_{m,n} (A*)_{mn} B_{nm} kappa(E_m, E_n),
@@ -22,9 +31,9 @@ All exponentials are shifted by the ground energy so beta can be large.
 The infrared quantities g = <A* A>, b = (A, A) and c = beta <[A, [H'', A*]]>
 of A = sum_x f_x q_x are Hermitian forms in the N-vector f (N = n_sites).
 Their three N x N matrices are built once per (spectral data, basis, H'')
-from the blocks -- about N times the work of one field by direct sums, 0.5 s
-at dim 4096 on one BLAS thread -- and cached on the spectral data, after
-which each field costs O(N^2) (see quadratic_form_quantities).
+from the real blocks -- N products q^T diag(q_x) q per block, about 0.2 s at
+dim 4096 on one BLAS thread -- and cached on the spectral data, after which
+each field costs O(N^2) (see quadratic_form_quantities).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
 from .hilbert import build_basis
@@ -48,14 +57,31 @@ __all__ = [
 ]
 
 _GAP_SERIES_CUTOFF = 1e-6
+_GAUGE_IMAG_TOL = 1e-12
 
 
 class SpectralData:
     """Eigenpairs of a Hermitian matrix plus cached thermal weights.
 
+    Each connected component of H is solved in a diagonal unitary gauge d
+    (|d_k| = 1) read off H itself (:func:`_phase_gauge`).  The gauged block
+    G = conj(d) H_blk d is real symmetric whenever the component carries no
+    flux, and is then solved by a real ``eigh``.  A block whose gauged
+    imaginary part exceeds _GAUGE_IMAG_TOL times its largest entry keeps a
+    complex ``eigh`` of H_blk itself (its gauge is reset to 1).  The
+    eigenvectors are stored in the gauge; those of H are Q = diag(d) q.
+    The Gibbs blocks, thermal sums and infrared forms are all taken in the
+    gauge, so they run in real arithmetic on the real blocks.
+
+    With ``check`` the eigenpairs must reproduce H to 1e-9 times its largest
+    entry.  On a real block the residual is the elementwise bound
+    |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the imaginary part the
+    real ``eigh`` discards is charged to the check.
+
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
-    ``blocks`` (list of (index array, eigenvalues, eigenvector matrix)).
-    Immutable once built.
+    ``blocks`` (list of (index array, eigenvalues, eigenvectors Q of H's
+    component), built on each access) and ``real_blocks`` (one flag per
+    component, True where a real ``eigh`` solved it).  Immutable once built.
     """
 
     def __init__(self, H, beta, check=True):
@@ -63,70 +89,107 @@ class SpectralData:
         n = H.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be square")
-        labels = _component_labels(H)
-        blocks = []
-        for lab in range(labels.max() + 1):
-            idx = np.flatnonzero(labels == lab)
-            w, q = np.linalg.eigh(H[np.ix_(idx, idx)])
-            blocks.append((idx, w, q))
-        self._finish(blocks, n, beta)
-        if check:
-            res = self.reconstruction_residual(H)
-            scale = max(float(np.max(np.abs(H))), 1e-300)
-            if res > 1e-9 * scale:
-                raise AssertionError(f"eigendecomposition residual {res} too large")
+        labels, phase = _phase_gauge(H)
+        sizes = np.bincount(labels)
+        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+        eig = [None] * len(sizes)
+        scale, res = 1e-300, 0.0
+        for size in np.unique(sizes):        # the components of one size form one stack
+            labs = np.flatnonzero(sizes == size)
+            idx = np.stack([members[lab] for lab in labs])
+            blk = H[idx[:, :, None], idx[:, None, :]]
+            top = np.abs(blk).max(axis=(1, 2))
+            scale = max(scale, float(top.max()))
+            g = _gauged(blk, phase[idx], phase[idx])
+            real = np.abs(g.imag).max(axis=(1, 2)) <= _GAUGE_IMAG_TOL * top
+            phase[idx[~real]] = 1.0
+            for sel, a, target in ((real, g.real, g), (~real, blk, blk)):
+                if not sel.any():
+                    continue
+                w, q = np.linalg.eigh(a[sel])
+                if check:
+                    res = max(res, _block_residual(w, q, target[sel]))
+                for lab, i, wi, qi in zip(labs[sel], idx[sel], w, q):
+                    eig[lab] = (i, wi, qi)
+        self._finish(eig, n, beta, phase)
+        if check and res > 1e-9 * scale:
+            raise AssertionError(f"eigendecomposition residual {res} too large")
 
     @classmethod
     def from_blocks(cls, blocks, dim, beta):
         """Assemble from per-component eigenpairs [(indices, w, Q), ...]."""
         self = cls.__new__(cls)
-        self._finish(blocks, dim, beta)
+        self._finish(blocks, dim, beta, None)
         return self
 
-    def _finish(self, blocks, dim, beta):
+    def _finish(self, eig, dim, beta, phase):
         self.dim = dim
         self.beta = float(beta)
-        self.blocks = blocks
-        self.e0 = min(float(w[0]) for _, w, _ in self.blocks)
-        self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in self.blocks]
+        self._eig = eig          # (indices, w, q) with q in the gauge
+        self._phase = phase      # the gauge d on the full space; None is d = 1
+        self.e0 = min(float(w[0]) for _, w, _ in eig)
+        self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in eig]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
         self._block_of = np.empty(dim, dtype=np.intp)   # component of each basis index
         self._position = np.empty(dim, dtype=np.intp)   # its index inside the component
-        for k, (idx, _, _) in enumerate(blocks):
+        for k, (idx, _, _) in enumerate(eig):
             self._block_of[idx] = k
             self._position[idx] = np.arange(len(idx))
         self._rho_diag = None
-        self._rho_blocks = None
+        self._gibbs = None
         self._forms = None
 
     @property
+    def blocks(self):
+        """[(indices, w, Q)] with Q the unitary eigenvectors of H's component."""
+        if self._phase is None:
+            return list(self._eig)
+        return [(idx, w, self._phase[idx, None] * q) for idx, w, q in self._eig]
+
+    @property
+    def real_blocks(self):
+        """One flag per component: True where it was solved by a real ``eigh``."""
+        return [np.isrealobj(q) for _, _, q in self._eig]
+
+    @property
     def eigenvalues(self):
-        return np.sort(np.concatenate([w for _, w, _ in self.blocks]))
+        return np.sort(np.concatenate([w for _, w, _ in self._eig]))
+
+    def _gauge(self, a, rows, cols):
+        """conj(d[rows]) a d[cols]: the rows x cols part a of an operator, in the gauge."""
+        if self._phase is None:
+            return a
+        return _gauged(a, self._phase[rows], self._phase[cols])
 
     def reconstruction_residual(self, H):
-        res = 0.0
-        for (idx, w, q) in self.blocks:
-            back = (q * w) @ q.conj().T
-            res = max(res, float(np.max(np.abs(back - H[np.ix_(idx, idx)]))))
-        return res
+        """Largest entry of a bound on |Q W Q^H - H_blk| over the components."""
+        return max(_block_residual(w, q, self._gauge(H[np.ix_(idx, idx)], idx, idx))
+                   for idx, w, q in self._eig)
 
     def rho_diag(self):
         """Diagonal of the Gibbs state in the original basis."""
         if self._rho_diag is None:
             d = np.zeros(self.dim)
-            for (idx, _, q), wt in zip(self.blocks, self._weights):
+            for (idx, _, q), wt in zip(self._eig, self._weights):
                 d[idx] = (np.abs(q) ** 2) @ wt
             self._rho_diag = d / self.z_shifted
         return self._rho_diag
 
+    def _gibbs_blocks(self):
+        """Per-component Gibbs blocks in the gauge, q diag(e^{-beta w}) q^H / Z; cached."""
+        if self._gibbs is None:
+            self._gibbs = [(q * wt) @ q.conj().T / self.z_shifted
+                           for (_, _, q), wt in zip(self._eig, self._weights)]
+        return self._gibbs
+
     def rho_blocks(self):
-        """Per-component Gibbs blocks rho_i (the full state is their direct
-        sum); cached."""
-        if self._rho_blocks is None:
-            self._rho_blocks = [(q * wt) @ q.conj().T / self.z_shifted
-                                for (_, _, q), wt in zip(self.blocks, self._weights)]
-        return self._rho_blocks
+        """Per-component Gibbs blocks rho_i of H (the full state is their
+        direct sum), built on each call from the cached gauged blocks."""
+        if self._phase is None:
+            return list(self._gibbs_blocks())
+        return [self._phase[idx, None] * rho * self._phase[idx].conj()
+                for (idx, _, _), rho in zip(self._eig, self._gibbs_blocks())]
 
     # -- thermal averages ----------------------------------------------------
 
@@ -138,7 +201,9 @@ class SpectralData:
 
         Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
         diagonal blocks of rho only: its entries between components are
-        exact zeros, so the entries of A there contribute exactly 0.
+        exact zeros, so the entries of A there contribute exactly 0.  In the
+        gauge, conj(rho_ij) A_ij = conj(r_ij) (conj(d_i) A_ij d_j) with r the
+        gauged Gibbs block.
         """
         if issparse(A):
             val = self._sparse_trace(A)
@@ -147,8 +212,8 @@ class SpectralData:
             if A.ndim == 1:
                 val = complex(np.dot(A, self.rho_diag()))
             else:
-                val = complex(sum(np.vdot(rho_i, A[np.ix_(idx, idx)])
-                                  for (idx, _, _), rho_i in zip(self.blocks, self.rho_blocks())))
+                val = complex(sum(np.vdot(rho_i, self._gauge(A[np.ix_(idx, idx)], idx, idx))
+                                  for (idx, _, _), rho_i in zip(self._eig, self._gibbs_blocks())))
         return _realize_if_hermitian(val, A)
 
     def _sparse_trace(self, A):
@@ -157,7 +222,8 @@ class SpectralData:
         comp = self._block_of[A.row]
         inside = comp == self._block_of[A.col]
         rows, cols, data, comp = A.row[inside], A.col[inside], A.data[inside], comp[inside]
-        rho = self.rho_blocks()
+        data = self._gauge(data, rows, cols)
+        rho = self._gibbs_blocks()
         total = 0.0 + 0.0j
         for k in np.unique(comp):
             sel = comp == k
@@ -176,18 +242,27 @@ class SpectralData:
         B = np.asarray(B)
         diag_a, diag_b = A.ndim == 1, B.ndim == 1
         total = 0.0 + 0.0j
-        for bi, (idx_i, w_i, q_i) in enumerate(self.blocks):
-            for bj, (idx_j, w_j, q_j) in enumerate(self.blocks):
+        for bi, (idx_i, w_i, q_i) in enumerate(self._eig):
+            for bj, (idx_j, w_j, q_j) in enumerate(self._eig):
                 if (diag_a or diag_b) and bi != bj:
                     continue  # diagonal observables have no cross-block elements
-                at = _eigenbasis_block(A, idx_i, idx_j, q_i, q_j)
-                bt = at if B is A else _eigenbasis_block(B, idx_i, idx_j, q_i, q_j)
+                at = self._eigenbasis_block(A, idx_i, idx_j, q_i, q_j)
+                bt = at if B is A else self._eigenbasis_block(B, idx_i, idx_j, q_i, q_j)
                 if at is None or bt is None:
                     continue
                 # shifted energies: the e^{beta e0} cancels against z_shifted
                 kern = _duhamel_kernel(self.beta, w_i - self.e0, w_j - self.e0)
                 total += np.sum(np.conj(at) * bt * kern)
         return complex(total / self.z_shifted)
+
+    def _eigenbasis_block(self, A, idx_i, idx_j, q_i, q_j):
+        """Matrix elements <n|A|m>, n in block i, m in block j."""
+        if A.ndim == 1:
+            return (q_i.conj().T * A[idx_i]) @ q_j   # a diagonal is gauge-invariant
+        sub = A[np.ix_(idx_i, idx_j)]
+        if not sub.any():
+            return None
+        return q_i.conj().T @ self._gauge(sub, idx_i, idx_j) @ q_j
 
 
 def _max_abs(A):
@@ -207,16 +282,6 @@ def _realize_if_hermitian(val, A):
             raise AssertionError(f"Hermitian observable returned imag part {val.imag}")
         return val.real
     return val
-
-
-def _eigenbasis_block(A, idx_i, idx_j, q_i, q_j):
-    """Matrix elements <n|A|m>, n in block i, m in block j."""
-    if A.ndim == 1:
-        return (q_i.conj().T * A[idx_i]) @ q_j
-    sub = A[np.ix_(idx_i, idx_j)]
-    if not sub.any():
-        return None
-    return q_i.conj().T @ sub @ q_j
 
 
 def _duhamel_kernel(beta, w_row, w_col):
@@ -239,12 +304,76 @@ def _duhamel_kernel(beta, w_row, w_col):
     return np.exp(-beta * np.minimum(en, em)) * ratio
 
 
+def _offdiagonal_pattern(H):
+    """Row and column indices of H's nonzero off-diagonal entries, row by row."""
+    rows, cols = np.divmod(np.flatnonzero(H != 0.0), H.shape[0])   # 3x faster than np.nonzero(H)
+    off = rows != cols
+    return rows[off], cols[off]
+
+
 def _component_labels(H):
-    mask = H != 0.0
-    np.fill_diagonal(mask, True)
-    graph = csr_matrix(mask)
+    n = H.shape[0]
+    rows, cols = _offdiagonal_pattern(H)
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     return labels
+
+
+def _phase_gauge(H):
+    """Component labels of H's exact sparsity pattern, and a gauge d on the
+    full space (|d_k| = 1) in which every flux-free component is real.
+
+    One pass over H's nonzero entries builds a maximum-modulus spanning
+    forest of the pattern: the minimum spanning tree of the weights -|H_kl|
+    plus a virtual node n joined to every node by a heavier edge, which the
+    tree takes once per component.  The phases are carried down each tree
+    from the node the virtual edge joins (d = 1 there): a child k of p gets
+    d_k = d_p H_kp / |H_kp|, so every tree edge of conj(d) H d is
+    |H_pk| > 0.  A Hermitian component without flux is then real, and a
+    component with flux stays complex.  The maximum modulus matters: an
+    entry at rounding level carries an arbitrary phase, and a tree through
+    it would leave O(1) imaginary parts on the large entries it bypasses.
+    The phases are multiplied down the trees by pointer jumping, in
+    O(n log n).  The components are numbered by their smallest index, as
+    :func:`_component_labels` numbers them.
+    """
+    n = H.shape[0]
+    rows, cols = _offdiagonal_pattern(H)
+    weights = np.concatenate([-np.abs(H[rows, cols]), np.ones(n)])
+    cols = np.concatenate([cols, np.arange(n)])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)), [len(cols)]])
+    tree = minimum_spanning_tree(csr_matrix((weights, cols, indptr), shape=(n + 1, n + 1)))
+    _, up = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    up = up[:n]
+    roots = np.flatnonzero(up == n)
+    up[roots] = roots
+    link = H[np.arange(n), up]          # conj(H[up[k], k]) for Hermitian H
+    link[roots] = 1.0
+    phase = np.divide(link, np.abs(link), out=np.ones_like(link), where=link != 0)
+    # phase[k] holds the product of the links from k up to (not including) up[k]
+    while not np.array_equal(up, up[up]):
+        phase = phase * phase[up]
+        up = up[up]
+    _, first, comp = np.unique(up, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[comp], phase / np.abs(phase)
+
+
+def _gauged(a, row_phase, col_phase):
+    """conj(row_phase) a col_phase, for a matrix or a stack of them (outer
+    product), or for entries a of a sparse matrix (as many as the phases)."""
+    if a.ndim == row_phase.ndim:
+        return row_phase.conj() * a * col_phase
+    return row_phase.conj()[..., :, None] * a * col_phase[..., None, :]
+
+
+def _block_residual(w, q, g):
+    """Largest entry of |q w q^H - g| over a block or a stack of blocks, with
+    Re g in place of g and |Im g| added where q is real: an elementwise
+    bound on |Q W Q^H - H_blk|."""
+    back = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2).conj()
+    if np.isrealobj(q) and np.iscomplexobj(g):
+        return float(np.max(np.abs(back - g.real) + np.abs(g.imag)))
+    return float(np.max(np.abs(back - g)))
 
 
 def spectral(H, beta, check=True):
@@ -303,10 +432,10 @@ def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None)
     Hermitian form in f = (-Delta) h: g = f^H G f, b = f^H B f and
     c = beta f^H C f, with the N x N matrices (N = n_sites) of
     :func:`_quadratic_forms`.  They are built on the first call for a
-    (spec, basis, H) and cached on ``spec``.  The build costs about N
-    evaluations of one field by direct sums over the blocks (0.5 s at dim
-    4096 on one BLAS thread); after it a field costs O(N^2) plus the bond sum
-    below, and touches no block.  A caller with one field that needs only g
+    (spec, basis, H) and cached on ``spec``.  The build costs N products
+    q^T diag(q_x) q per real block (about 0.2 s at dim 4096 on one BLAS
+    thread); after it a field costs O(N^2) plus the bond sum below, and
+    touches no block.  A caller with one field that needs only g
     should take the diagonal expectation <|a|^2> instead, as
     :func:`hhlab.bounds.finite_volume_fourier_check` does.
 
@@ -377,40 +506,53 @@ def _build_quadratic_forms(spec, basis, H):
     The charges are centred, q_x - N^-1 sum_y q_y: f = (-Delta) h sums to
     zero, so A is unchanged, and the forms lose the total-charge mode whose
     large entries f^H M f would otherwise cancel (about three digits of b on
-    the 2x2 torus).  Each form is summed block by block for x <= y and
-    mirrored as its conjugate, so it is exactly Hermitian; no full-space or
-    per-site dim^2 array is formed.  The cost is N products Q^H diag(q_x) Q
-    per block, about N per-field evaluations of the direct sums.
+    the 2x2 torus).
+
+    Everything is taken in the gauge of ``spec``: diag(q_x) commutes with it,
+    so M_x = q^H diag(q_x) q with the gauged eigenvectors q, and
+    conj(rho_i) o H_blk = conj(r_i) o G with r_i the gauged Gibbs block and
+    G = conj(d) H_blk d.  On a real block M_x and r_i are real, and Im G
+    drops out of C exactly (it is antisymmetric, r_i and D_x o D_y are
+    symmetric), so the block is summed in real arithmetic.  The N matrices
+    M_x of a block are stacked as rows of length n^2, and the D_x as rows
+    over the off-diagonal nonzeros of H_blk (the only entries where
+    H_kl D_x,kl survives), so each of B and C takes one product per block.
+    No full-space or per-site dim^2 array is formed.  The cost is N products
+    q^H diag(q_x) q per block.  The forms are mirrored from the upper
+    triangle, with a real diagonal, so they are exactly Hermitian.
     """
     qd = _model.charge_diagonals(basis)
     n = qd.shape[0]
-    upper = [(x, y) for x in range(n) for y in range(x, n)]
     G = np.zeros((n, n))
-    B = np.zeros((n, n), dtype=complex)
-    C = np.zeros((n, n), dtype=complex)
+    B = np.zeros((n, n))
+    C = np.zeros((n, n))
     rho_d = spec.rho_diag()
-    for (idx, w, q), rho_i in zip(spec.blocks, spec.rho_blocks()):
+    for (idx, w, q), rho_i in zip(spec._eig, spec._gibbs_blocks()):
         qb = qd[:, idx // basis.boson_dim]          # q_x on the block, one row per site
-        m = []
-        for qx in qb:
+        m = np.empty((n, len(idx), len(idx)), dtype=q.dtype)
+        for x, qx in enumerate(qb):
             nz = np.flatnonzero(qx)                 # q_x is 0 on about half the states
-            m.append((q[nz].conj().T * qx[nz]) @ q[nz])
-        mean = sum(m) / n
-        m = [mx - mean for mx in m]
+            m[x] = (q[nz].conj().T * qx[nz]) @ q[nz]
+        m -= m.mean(axis=0)
+        m = m.reshape(n, -1)
         qb = qb - qb.mean(axis=0)
-        kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
-        d = [qx[:, None] - qx[None, :] for qx in qb]
-        nested = -H[np.ix_(idx, idx)] * np.conj(rho_i)
-        for x, y in upper:
-            G[x, y] += np.dot(rho_d[idx], qb[x] * qb[y])
-            B[x, y] += np.vdot(m[x], kern * m[y])
-            C[x, y] += np.sum(nested * (d[x] * d[y]))
+        kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0).ravel()
+        blk = H[np.ix_(idx, idx)]
+        k, l = _offdiagonal_pattern(blk)            # D_x vanishes on the diagonal
+        nested = -rho_i[k, l].conj() * spec._gauge(blk[k, l], idx[k], idx[l])
+        if np.isrealobj(rho_i):
+            nested = nested.real
+        d = qb[:, k] - qb[:, l]
+        G = G + (qb * rho_d[idx]) @ qb.T
+        B = B + (m.conj() * kern) @ m.T
+        C = C + (d * nested) @ d.T
     B /= spec.z_shifted
-    for M in (B, C):
-        M.imag[np.diag_indices(n)] = 0.0           # a Hermitian diagonal is real
     lower = np.tril_indices(n, -1)
     for M in (G, B, C):
         M[lower] = np.conj(M.T[lower])
+    for M in (B, C):
+        if np.iscomplexobj(M):
+            M.imag[np.diag_indices(n)] = 0.0        # a Hermitian diagonal is real
     return G, B, C
 
 

@@ -6,6 +6,7 @@ from scipy import sparse
 from hhlab import model, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
+from test_model import ORACLE_GEOMETRIES
 
 P = model.ModelParams
 
@@ -407,3 +408,214 @@ def test_a_operator_is_normal(state):
     a = f @ qd
     A = np.diag(np.repeat(a, basis.boson_dim))
     assert np.max(np.abs(A.conj().T @ A - A @ A.conj().T)) == 0.0
+
+
+# -- the engine against complex eigh with no gauge ------------------------------------------
+
+HAMILTONIANS = {
+    "H": model.build_original,
+    "H1": model.build_transformed,
+    "H2": model.build_doubleprime,
+    "VHV": lambda params, basis: model.build_zigzag(basis).conjugate(
+        model.build_original(params, basis)),
+}
+
+
+class Oracle:
+    """Spectral quantities of H from complex ``eigh`` with no gauge: of the whole
+    matrix, or (``blockwise``) of each connected component, for sizes where one
+    eigh of the whole matrix is too slow (about 90 s at dim 4096)."""
+
+    def __init__(self, H, beta, blockwise=False):
+        n = H.shape[0]
+        if blockwise:
+            labels = thermo._component_labels(H)
+            parts = [np.flatnonzero(labels == lab) for lab in range(labels.max() + 1)]
+        else:
+            parts = [np.arange(n)]
+        self.H, self.beta = H, beta
+        self.blocks = [(idx, *np.linalg.eigh(H[np.ix_(idx, idx)])) for idx in parts]
+        self.w = np.sort(np.concatenate([w for _, w, _ in self.blocks]))
+        self.e0 = self.w[0]
+        wts = [np.exp(-beta * (w - self.e0)) for _, w, _ in self.blocks]
+        self.z = sum(wt.sum() for wt in wts)
+        self.logZ = -beta * self.e0 + np.log(self.z)
+        self.rhos = [(q * wt) @ q.conj().T / self.z for (_, _, q), wt in zip(self.blocks, wts)]
+        self.rho_diag = np.zeros(n)
+        for (idx, _, _), rho in zip(self.blocks, self.rhos):
+            self.rho_diag[idx] = rho.diagonal().real
+
+    def expectation(self, term):
+        term = term.tocsr()
+        return sum(np.vdot(rho, term[idx][:, idx].toarray())
+                   for (idx, _, _), rho in zip(self.blocks, self.rhos))
+
+    def forms(self, basis, h):
+        """(g, b, c) of A = sum_x q_x ((-Delta) h)_x by the direct sums."""
+        f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))
+        a = np.repeat(f @ model.charge_diagonals(basis), basis.boson_dim)
+        g = np.dot(self.rho_diag, np.abs(a) ** 2)
+        b = c = 0.0
+        for (idx, w, q), rho in zip(self.blocks, self.rhos):
+            at = q.conj().T @ (a[idx, None] * q)
+            kern = thermo._duhamel_kernel(self.beta, w - self.e0, w - self.e0)
+            b += np.sum(np.abs(at) ** 2 * kern) / self.z
+            diff = a[idx, None] - a[None, idx]
+            c += np.vdot(rho, -self.H[np.ix_(idx, idx)] * np.abs(diff) ** 2)
+        return g, b, self.beta * c.real
+
+
+def close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def assert_engine_matches(spec, oracle, H):
+    scale = np.max(np.abs(oracle.w))
+    assert np.max(np.abs(spec.eigenvalues - oracle.w)) <= 1e-12 * scale
+    assert close(spec.logZ, oracle.logZ)
+    assert np.max(np.abs(spec.rho_diag() - oracle.rho_diag)) <= 1e-12 * np.max(oracle.rho_diag)
+    # blocks still yields the unitary eigenvectors of H's components
+    for idx, w, Q in spec.blocks:
+        assert np.max(np.abs((Q * w) @ Q.conj().T - H[np.ix_(idx, idx)])) <= 1e-12 * scale
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(len(idx)))) <= 1e-12
+
+
+def assert_bonds_match(params, basis, spec, oracle):
+    got = thermo.pairing_bond_expectations(params, basis, spec)
+    for (_, val), (_, term) in zip(got, model.pairing_bond_terms(params, basis)):
+        assert close(val, oracle.expectation(term).real)
+
+
+def assert_forms_match(params, basis, spec, oracle, H, fields):
+    bonds = thermo.pairing_bond_expectations(params, basis, spec)
+    for h in fields:
+        got = thermo.quadratic_form_quantities(params, basis, h, spec, H, bonds)
+        for val, want in zip(got, oracle.forms(basis, h)):
+            assert close(val, want)
+
+
+@pytest.mark.parametrize("which", sorted(HAMILTONIANS))
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
+def test_engine_matches_dense_eigh(nu, n_max, which):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H = HAMILTONIANS[which](params, basis)
+    spec = thermo.spectral(H, params.beta)
+    oracle = Oracle(H, params.beta)
+    assert_engine_matches(spec, oracle, H)
+    assert_bonds_match(params, basis, spec, oracle)
+    if which == "H2":
+        rng = np.random.default_rng(100 * nu + n_max)
+        fields = rng.standard_normal((3, basis.n_sites)) + 1j * rng.standard_normal((3, basis.n_sites))
+        assert_forms_match(params, basis, spec, oracle, H, fields)
+
+
+def test_forms_match_ungauged_eigh_on_2x2_torus():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), 1)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    assert all(spec.real_blocks)
+    oracle = Oracle(H2, params.beta, blockwise=True)
+    assert_engine_matches(spec, oracle, H2)
+    rng = np.random.default_rng(21)
+    assert_forms_match(params, basis, spec, oracle, H2,
+                       rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from(sorted(HAMILTONIANS)),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=2))
+def test_engine_matches_dense_eigh_random_couplings(n_max, which, t, U, V, g, omega, beta, h):
+    params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    H = HAMILTONIANS[which](params, basis)
+    spec = thermo.spectral(H, beta)
+    assert all(spec.real_blocks)
+    oracle = Oracle(H, beta)
+    assert_engine_matches(spec, oracle, H)
+    assert_bonds_match(params, basis, spec, oracle)
+    if which == "H2":
+        assert_forms_match(params, basis, spec, oracle, H, [np.array(h)])
+
+
+# -- which components take the real path -------------------------------------------------
+
+
+@pytest.mark.parametrize("which", sorted(HAMILTONIANS))
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
+def test_every_model_component_is_solved_real(nu, n_max, which):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H = HAMILTONIANS[which](params, basis)
+    labels, phase = thermo._phase_gauge(H)
+    assert np.array_equal(labels, thermo._component_labels(H))
+    assert np.array_equal(np.abs(phase), np.ones(basis.total_dim))
+    spec = thermo.spectral(H, params.beta)
+    assert len(spec.real_blocks) == labels.max() + 1
+    assert all(spec.real_blocks)
+
+
+def gauged_real_matrix(rng, n):
+    """A Hermitian matrix D R D^-1 with R real symmetric on the path 0-1-...-(n-1)
+    plus chords, and D a random diagonal phase: real in some gauge."""
+    R = np.diag(rng.standard_normal(n))
+    for k in range(n - 1):
+        R[k, k + 1] = R[k + 1, k] = 1.0 + rng.random()
+    for k in range(n - 2):
+        R[k, k + 2] = R[k + 2, k] = rng.standard_normal()
+    d = np.exp(2j * np.pi * rng.random(n))
+    return d[:, None] * R * d.conj()[None, :]
+
+
+def test_rounding_level_entry_keeps_the_real_path():
+    # a breadth-first tree from node 0 would reach node n-1 through the tiny
+    # entry and carry its arbitrary phase onto the large entries
+    rng = np.random.default_rng(3)
+    n = 8
+    H = gauged_real_matrix(rng, n)
+    H[0, n - 1] = 1e-17 * np.exp(1.234j)
+    H[n - 1, 0] = np.conj(H[0, n - 1])
+    spec = thermo.spectral(H, 0.7)
+    assert spec.real_blocks == [True]
+    assert_engine_matches(spec, Oracle(H, 0.7), H)
+
+
+def test_flux_component_takes_the_complex_path():
+    # a 3-cycle with flux pi/3 next to a flux-free component
+    rng = np.random.default_rng(4)
+    H = np.zeros((7, 7), dtype=complex)
+    H[:3, :3] = [[0.3, 1.0, 0.8], [1.0, -0.2, 1.1 * np.exp(1j * np.pi / 3)],
+                 [0.8, 1.1 * np.exp(-1j * np.pi / 3), 0.5]]
+    H[3:, 3:] = gauged_real_matrix(rng, 4)
+    spec = thermo.spectral(H, 1.3)
+    assert spec.real_blocks == [False, True]
+    oracle = Oracle(H, 1.3)
+    assert_engine_matches(spec, oracle, H)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    A = A + A.conj().T
+    rho = oracle.rhos[0]
+    assert close(spec.expectation(A), np.vdot(rho, A).real)
+    assert close(spec.expectation(sparse.csr_array(A)), np.vdot(rho, A).real)
+    w, q = oracle.w, oracle.blocks[0][2]
+    at = q.conj().T @ A @ q
+    kern = thermo._duhamel_kernel(1.3, w - w[0], w - w[0])
+    assert close(spec.duhamel(A, A), np.sum(np.abs(at) ** 2 * kern) / oracle.z)
+
+
+def test_reconstruction_residual_charges_the_discarded_imaginary_part():
+    # an entry of 5e-13 with a phase no gauge removes stays on the real path
+    # (below 1e-12 of the largest entry); the real eigh drops its imaginary
+    # part, and the residual must account for it
+    rng = np.random.default_rng(5)
+    H = gauged_real_matrix(rng, 6)
+    H[0, 5] = 5e-13 * np.exp(0.9j)
+    H[5, 0] = np.conj(H[0, 5])
+    spec = thermo.spectral(H, 1.0)
+    assert spec.real_blocks == [True]
+    (idx, w, Q), = spec.blocks
+    actual = np.max(np.abs((Q * w) @ Q.conj().T - H))
+    assert actual > 1e-13
+    assert spec.reconstruction_residual(H) >= actual
