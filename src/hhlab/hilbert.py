@@ -19,12 +19,12 @@ exact finite-dimensional statements (the truncated position operator is
 still Hermitian, so its phase exponentials are exactly unitary).  The only
 deliberately truncated relation is the CCR,
 [b, b*] = 1 - (n_max + 1) P_top, with P_top the projector onto the top
-rung.  Operators on each factor are dense complex matrices, and the
-embeddings here form full-space operators as dense Kronecker products,
-which suits small spaces and checks.  The Hamiltonians H, H' and H'' are
-not built through these embeddings: hhlab.model scatters the nonzero
-entries of each term's small fermion and boson factors straight into one
-dense matrix (or into scipy.sparse terms).  A hard dimension cap keeps
+rung.  Operators on each factor are dense complex matrices; the embeddings
+here form dense full-space Kronecker products for small-size diagnostics
+and test oracles only.  hhlab.model scatters the nonzero entries of each
+term's small fermion and boson factors straight into one dense matrix (or
+into scipy.sparse terms), and hhlab.rpverify compares the reflection split
+as sparse Kronecker products and diagonal vectors.  A hard dimension cap keeps
 sizes at desk scale.  The exact unitaries of hhlab.model are signed
 permutations, held as a :class:`Monomial` and applied by re-indexing; only
 the truly dense Lang-Firsov unitary and theta (whose checks also take dense
@@ -249,10 +249,6 @@ class HilbertBasis:
 
     def embed_boson(self, B):
         return np.kron(np.eye(self.fermion_dim, dtype=complex), B)
-
-    def kron_fb(self, F, B):
-        """Full-space operator F (x) B."""
-        return np.kron(F, B)
 
     def vacuum(self):
         return np.kron(self.fermion_vacuum(), self.boson_vacuum())

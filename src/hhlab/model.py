@@ -308,11 +308,6 @@ def original_structures(basis):
     }
 
 
-def build_parts_K(params, basis):
-    """K = omega sum_x b*_x b_x as a full-space matrix."""
-    return np.diag(np.tile(_phonon_energy(basis, params.omega), basis.fermion_dim).astype(complex))
-
-
 def _dressed(params, basis, instances, pairing, v_coeff):
     """-t sum (bond term (x) phase + h.c.) + u_eff sum q^2 + v_coeff sum q q + K."""
     lat = _require_lattice(basis)

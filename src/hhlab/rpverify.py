@@ -9,7 +9,8 @@ Contents:
   complex conjugation (occupation basis vectors are real; the momentum
   operator is purely imaginary there and flips sign, as it must);
 * the left/right tensor factorization of every Hamiltonian piece, with all
-  conjugation identities checked as exact matrix identities;
+  conjugation identities checked as exact matrix identities (full-space
+  sides sparse or diagonal, theta on the dense half-space operators);
 * the trace-product and Cauchy-Schwarz inequalities for partition
   functions (the two-Hilbert-space inequality with lambda >= 0 couplings,
   fuzzed over random instances), reflection positivity of Z, Gaussian
@@ -103,10 +104,15 @@ def _eq(name, statement, lhs, rhs, tol, scale=None):
 
 
 def _matrix_eq(name, statement, A, B, tol):
-    # max |A|, max |B| and max |A - B| in one pass over strips of rows
-    maxima = np.array([(np.max(np.abs(A[s])), np.max(np.abs(B[s])), np.max(np.abs(A[s] - B[s])))
-                       for s in row_strips(A.shape[0])])
-    a_max, b_max, diff = np.max(maxima, axis=0)
+    """A = B entrywise: two dense matrices, two scipy.sparse matrices or two
+    diagonals given as 1-d vectors; a NaN entry fails the check."""
+    if sparse.issparse(A):
+        a_max, b_max, diff = (abs(M).max() for M in (A, B, A - B))
+    else:
+        # max |A|, max |B| and max |A - B| in one pass over strips of rows
+        a_max, b_max, diff = np.max([(np.max(np.abs(A[s])), np.max(np.abs(B[s])),
+                                      np.max(np.abs(A[s] - B[s])))
+                                     for s in row_strips(A.shape[0])], axis=0)
     scale = max(float(a_max), float(b_max), 1.0)
     dev = float(diff) / scale
     return CheckResult(name, statement, dev, 0.0, dev, bool(dev <= tol))
@@ -148,9 +154,15 @@ class AntiunitaryMap:
 # -- left/right factorization --------------------------------------------------------
 
 
+def _sparse_kron(X, Y):
+    """X (x) Y as a CSR array, for dense or sparse X and Y."""
+    return sparse.kron(sparse.csr_array(X), Y, format="csr")
+
+
 @dataclass
 class LRSplit:
-    """Index bookkeeping for H = H_L (x) H_R and the two half bases."""
+    """Index bookkeeping for H = H_L (x) H_R and the two half bases; full-space
+    operators are scipy.sparse matrices, or 1-d vectors for diagonals."""
 
     basis: HilbertBasis
     basis_L: HilbertBasis
@@ -158,14 +170,20 @@ class LRSplit:
     perm: np.ndarray  # LR-layout index -> full-layout index
 
     def to_lr(self, op):
-        """Rewrite a full-space operator in the (H_L (x) H_R) index layout."""
-        return op[np.ix_(self.perm, self.perm)]
+        """Rewrite a full-space operator (a dense or sparse matrix, or a
+        diagonal given as a 1-d vector) in the (H_L (x) H_R) index layout."""
+        op = op[self.perm]
+        return op if op.ndim == 1 else op[:, self.perm]
 
     def kron_l(self, op_l):
-        return np.kron(op_l, np.eye(self.basis_R.total_dim, dtype=complex))
+        """op_l (x) 1 as a CSR array, or as a 1-d vector for a diagonal given as one."""
+        n = self.basis_R.total_dim
+        return np.repeat(op_l, n) if op_l.ndim == 1 else _sparse_kron(op_l, sparse.eye_array(n))
 
     def kron_r(self, op_r):
-        return np.kron(np.eye(self.basis_L.total_dim, dtype=complex), op_r)
+        """1 (x) op_r as a CSR array, or as a 1-d vector for a diagonal given as one."""
+        n = self.basis_L.total_dim
+        return np.tile(op_r, n) if op_r.ndim == 1 else _sparse_kron(sparse.eye_array(n), op_r)
 
 
 def build_lr_split(basis):
@@ -305,7 +323,8 @@ def _crossing_instances(params, lat):
 
 
 def _half_charge_squares(params, lat, half_basis, h, side):
-    """P''(h) restricted to one half, with the crossing-bond square terms.
+    """The diagonal of P''(h) restricted to one half, with the crossing-bond
+    square terms, on the half-space basis.
 
     (u_eff - nu V) sum q^2 + (V/2) sum_internal (q_x - h_x - q_y + h_y)^2
     + (V/2) sum_crossing (q_own - h_own)^2, where "own" is this half's
@@ -327,7 +346,7 @@ def _half_charge_squares(params, lat, half_basis, h, side):
             own = x if sx == side else y
             own_i = b.i if sx == side else b.j
             diag += 0.5 * params.V * (qdiag[own] - h[own_i]) ** 2
-    return half_basis.embed_fermion(np.diag(diag.astype(complex)))
+    return np.repeat(diag, half_basis.boson_dim)
 
 
 def verify_lr_split(params, basis, h=None, tol=1e-10):
@@ -349,17 +368,18 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
     # identification of elementary operators under the factorization
     x_l, x_r = lat.left_sites[0], lat.right_sites[0]
     for x, side in ((x_l, "L"), (x_r, "R")):
-        c_full = split.to_lr(basis.embed_fermion(basis.c(x, "up")))
+        c_full = split.to_lr(_sparse_kron(basis.c(x, "up"), sparse.eye_array(basis.boson_dim)))
         if side == "L":
-            expected = split.kron_l(bl.kron_fb(bl.c(x, "up"), np.eye(bl.boson_dim)))
+            expected = split.kron_l(np.kron(bl.c(x, "up"), np.eye(bl.boson_dim)))
         else:
-            par = bl.kron_fb(bl.fermion_parity(), np.eye(bl.boson_dim))
-            expected = np.kron(par, br.kron_fb(br.c(x, "up"), np.eye(br.boson_dim)))
+            par = np.kron(bl.fermion_parity(), np.eye(bl.boson_dim))
+            expected = _sparse_kron(par, np.kron(br.c(x, "up"), np.eye(br.boson_dim)))
         out.append(_matrix_eq("lr_fermion_embed", f"c_({x},up) factorizes ({side})",
                               c_full, expected, tol))
-    pi_full = split.to_lr(basis.embed_boson(basis.boson(x_l, "momentum", omega=params.omega)))
-    expected = split.kron_l(bl.kron_fb(np.eye(bl.fermion_dim),
-                                       bl.boson(x_l, "momentum", omega=params.omega)))
+    pi_full = split.to_lr(_sparse_kron(sparse.eye_array(basis.fermion_dim),
+                                       basis.boson(x_l, "momentum", omega=params.omega)))
+    expected = split.kron_l(np.kron(np.eye(bl.fermion_dim),
+                                    bl.boson(x_l, "momentum", omega=params.omega)))
     out.append(_matrix_eq("lr_boson_embed", f"pi_({x_l}) factorizes (L)", pi_full, expected, tol))
 
     # T'' split: the full-space bond terms by side, against the internal
@@ -376,70 +396,58 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
     T_L = _model._bond_matrix(bl, -params.t, _model._bond_factors(bl, internal["L"], True, params))
     T_R = _model._bond_matrix(br, -params.t, _model._bond_factors(br, internal["R"], True, params))
     out.append(_matrix_eq("lr_T_internal_L", "internal-left pairing = T''_L (x) 1",
-                          split.to_lr(t_parts["LL"].toarray()), split.kron_l(T_L), tol))
+                          split.to_lr(t_parts["LL"]), split.kron_l(T_L), tol))
     out.append(_matrix_eq("lr_T_internal_R", "internal-right pairing = 1 (x) T''_R",
-                          split.to_lr(t_parts["RR"].toarray()), split.kron_r(T_R), tol))
+                          split.to_lr(t_parts["RR"]), split.kron_r(T_R), tol))
     out.append(_matrix_eq("lr_T_reflect", "T''_R = theta T''_L theta^-1",
                           T_R, theta.conjugate(T_L), tol))
 
     a_ops = _model.build_a_operators(bl)
-    cross_expected = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    crossing = sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
     for x, y, even_side in _crossing_instances(params, lat):
-        ell = y if even_side == "R" else x
-        if even_side == "R":
-            if lat.reflect(x) != ell:
-                raise AssertionError("crossing bond does not pair reflection partners")
-            sgn_alpha, coeff = +1.0, -params.t
-        else:
-            if lat.reflect(y) != ell:
-                raise AssertionError("crossing bond does not pair reflection partners")
-            sgn_alpha, coeff = -1.0, +params.t
+        right, ell, sgn_alpha, coeff = ((x, y, +1.0, -params.t) if even_side == "R"
+                                        else (y, x, -1.0, +params.t))
+        if lat.reflect(right) != ell:
+            raise AssertionError("crossing bond does not pair reflection partners")
         phi_l = bl.boson(ell, "position", omega=params.omega)
         phase = _model.expm_i_hermitian(sgn_alpha * params.alpha * phi_l)
         for spin in ("up", "down"):
-            C = bl.kron_fb(a_ops[(ell, spin)].conj().T, np.eye(bl.boson_dim))
-            C = C @ bl.kron_fb(np.eye(bl.fermion_dim), phase)
-            block = np.kron(C, theta.conjugate(C))
-            cross_expected += coeff * (block + block.conj().T)
+            C = np.kron(a_ops[(ell, spin)].conj().T, np.eye(bl.boson_dim))
+            C = C @ np.kron(np.eye(bl.fermion_dim), phase)
+            block = _sparse_kron(C, theta.conjugate(C))
+            crossing = crossing + coeff * (block + block.conj().T)
     out.append(_matrix_eq(
         "lr_T_cross", "crossing pairing = sum_bonds +/- t (C (x) theta C theta^-1 + h.c.)",
-        split.to_lr(t_parts["cross"].toarray()), cross_expected, tol))
+        split.to_lr(t_parts["cross"]), crossing, tol))
 
-    # P''(h) split
+    # P''(h) split, every part a diagonal
     qd = _model.charge_diagonals(basis)
     p_diag = (_model._charge_products(qd, _model._onsite_terms(lat, params.u_eff)
                                       + _model._bond_terms(lat, -params.V))
               + _model.field_diagonal_correction(params, basis, h))
-    P_full = np.diag(np.repeat(p_diag, basis.boson_dim).astype(complex))
     P_L = _half_charge_squares(params, lat, bl, h, "L")
     P_R = _half_charge_squares(params, lat, br, h, "R")
-    P_cross = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
     crossing_bonds = [(b.i, b.j) for b in lat.bonds()
                       if _bond_side(lat, lat.sites[b.i], lat.sites[b.j])[0]
                       != _bond_side(lat, lat.sites[b.i], lat.sites[b.j])[1]]
-    for i, j in crossing_bonds:
-        di = np.repeat(qd[i] - h[i], basis.boson_dim)
-        dj = np.repeat(qd[j] - h[j], basis.boson_dim)
-        P_cross += -params.V * np.diag((di * dj).astype(complex))
+    p_cross = sum(-params.V * ((qd[i] - h[i]) * (qd[j] - h[j])) for i, j in crossing_bonds)
     out.append(_matrix_eq("lr_P_split",
                           "P''(h) = P_L(h_L) (x) 1 + 1 (x) P_R(h_R) + cross",
-                          split.to_lr(P_full),
-                          split.kron_l(P_L) + split.kron_r(P_R) + split.to_lr(P_cross), tol))
+                          split.to_lr(np.repeat(p_diag, basis.boson_dim)),
+                          split.kron_l(P_L) + split.kron_r(P_R)
+                          + split.to_lr(np.repeat(p_cross, basis.boson_dim)), tol))
     # theta-covariance with the reflected field:  P_R(h_R) = theta P_L(r(h_R)) theta^-1
-    h_reflected = np.array(h, dtype=float)
-    for x in lat.left_sites:
-        h_reflected[lat.site_index[x]] = h[lat.site_index[lat.reflect_inv(x)]]
-    P_L_r = _half_charge_squares(params, lat, bl, h_reflected, "L")
+    P_L_r = _half_charge_squares(params, lat, bl, reflected_configs(lat, h)[1], "L")
     out.append(_matrix_eq("lr_P_reflect", "P''_R(h_R) = theta P''_L(r(h_R)) theta^-1",
-                          P_R, theta.conjugate(P_L_r), tol))
+                          np.diag(P_R), theta.conjugate(np.diag(P_L_r)), tol))
 
-    # K split
-    K_full = _model.build_parts_K(params, basis)
-    K_L, K_R = _model.build_parts_K(params, bl), _model.build_parts_K(params, br)
+    # K split: K = omega sum_x b*_x b_x on each basis, as a diagonal
+    K_full, K_L, K_R = (np.tile(_model._phonon_energy(b, params.omega), b.fermion_dim)
+                        for b in (basis, bl, br))
     out.append(_matrix_eq("lr_K_split", "K = K_L (x) 1 + 1 (x) K_R",
                           split.to_lr(K_full), split.kron_l(K_L) + split.kron_r(K_R), tol))
     out.append(_matrix_eq("lr_K_reflect", "K_R = theta K_L theta^-1",
-                          K_R, theta.conjugate(K_L), tol))
+                          np.diag(K_R), theta.conjugate(np.diag(K_L)), tol))
     return out
 
 
@@ -574,8 +582,6 @@ def trace_product_check(n_trials=50, dim=6, seed=5, tol=1e-12):
 
 # log Z values a FieldPartition keeps; the least recently used is dropped first
 LOG_Z_CACHE_SIZE = 4096
-# largest imaginary entry a gauged block may keep, relative to its largest entry
-_GAUGE_IMAG_TOL = 1e-12
 # largest deviation of a spin-swapped block from its partner, relative to the
 # partner's largest entry
 _SWAP_TOL = 1e-12
@@ -585,7 +591,7 @@ def _gauged_real_block(blk, g):
     """conj(g) blk g as a contiguous real matrix; refuses a non-real result."""
     gauged = g.conj()[:, None] * blk * g[None, :]
     imag = float(np.max(np.abs(gauged.imag)))
-    if imag > _GAUGE_IMAG_TOL * float(np.max(np.abs(gauged))):
+    if imag > _thermo._GAUGE_IMAG_TOL * float(np.max(np.abs(gauged))):
         raise ValueError(f"block of H'' is not real in the phonon gauge "
                          f"(largest imaginary entry {imag:.3e})")
     return np.ascontiguousarray(gauged.real, dtype=float)

@@ -265,7 +265,7 @@ def dense_pairing_terms(params, basis):
                 phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
                 term = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
                 for spin in ("up", "down"):
-                    pair = basis.kron_fb(basis.cdag(x, spin) @ basis.cdag(y, spin), phase)
+                    pair = np.kron(basis.cdag(x, spin) @ basis.cdag(y, spin), phase)
                     term += -params.t * (pair + pair.conj().T)
                 out.append(((x, y, j, eps), term))
     return out
@@ -305,7 +305,7 @@ def dense_transformed(params, basis):
         phi_y = basis.boson(y, "position", omega=params.omega)
         phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
         for spin in ("up", "down"):
-            term = basis.kron_fb(basis.cdag(x, spin) @ basis.c(y, spin), phase)
+            term = np.kron(basis.cdag(x, spin) @ basis.c(y, spin), phase)
             T1 += -params.t * (term + term.conj().T)
     return T1 + dense_charge_and_phonon(params, basis, params.V)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from hhlab import model, rpverify, thermo
 from hhlab.hilbert import build_basis
@@ -59,9 +60,38 @@ def test_lr_split_reorders_kron_products():
     FR = rng.standard_normal((br.fermion_dim,) * 2)
     BL = rng.standard_normal((bl.boson_dim,) * 2)
     BR = rng.standard_normal((br.boson_dim,) * 2)
-    full = basis.kron_fb(np.kron(FL, FR), np.kron(BL, BR))
-    lr = np.kron(bl.kron_fb(FL, BL), br.kron_fb(FR, BR))
+    full = np.kron(np.kron(FL, FR), np.kron(BL, BR))
+    lr = np.kron(np.kron(FL, BL), np.kron(FR, BR))
     assert np.max(np.abs(split.to_lr(full) - lr)) < 1e-12
+    # the sparse and the diagonal (1-d) forms of the operand give the same entries
+    assert np.array_equal(split.to_lr(sparse.csr_array(full)).toarray(), split.to_lr(full))
+    assert np.array_equal(split.to_lr(np.diag(full)), np.diag(split.to_lr(full)))
+
+
+def test_matrix_eq_sparse_and_diagonal_operands_match_dense():
+    rng = np.random.default_rng(12)
+    n = 300  # more than one strip of rows
+    A = 3.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A[rng.random((n, n)) < 0.95] = 0.0
+    B = A.copy()
+    B[rng.random((n, n)) < 0.01] += 1e-11  # some of these fall outside A's pattern
+    far = B.copy()
+    far[7, 11] += 0.5
+    for other in (B, far):
+        dense = rpverify._matrix_eq("m", "A = B", A, other, 1e-10)
+        assert rpverify._matrix_eq("m", "A = B", sparse.csr_array(A),
+                                   sparse.csr_array(other), 1e-10) == dense
+        diag = rpverify._matrix_eq("m", "A = B", np.diag(A), np.diag(other), 1e-10)
+        assert diag == rpverify._matrix_eq("m", "A = B", np.diag(np.diag(A)),
+                                           np.diag(np.diag(other)), 1e-10)
+    assert dense.lhs > 0.01 and not dense.passed  # the pair off by 0.5 at one entry
+    # a NaN entry in either operand fails the check for every operand kind
+    nan = A.copy()
+    nan[5, 5] = np.nan
+    for kind in (lambda M: M, sparse.csr_array, np.diag):
+        for pair in ((nan, A), (A, nan)):
+            rec = rpverify._matrix_eq("m", "A = B", *map(kind, pair), 1e-10)
+            assert np.isnan(rec.slack) and not rec.passed, kind
 
 
 # -- theta and the factorization ---------------------------------------------------------
@@ -83,6 +113,111 @@ def test_lr_split_identities(nu):
     h = rng.standard_normal(basis.n_sites)
     for res in rpverify.verify_lr_split(params, basis, h):
         assert res.passed, res
+
+
+def dense_lr_split(params, basis, h, tol=1e-10):
+    """The checks of verify_lr_split with every side a dense full-space
+    matrix: the operators re-indexed by split.perm and the Kronecker
+    products with the identity formed densely.  [(name, CheckResult)]."""
+    lat = basis.lattice
+    theta, split = rpverify.build_theta(basis)
+    bl, br = split.basis_L, split.basis_R
+
+    def to_lr(op):
+        return op[np.ix_(split.perm, split.perm)]
+
+    def kron_l(op_l):
+        return np.kron(op_l, np.eye(br.total_dim, dtype=complex))
+
+    def kron_r(op_r):
+        return np.kron(np.eye(bl.total_dim, dtype=complex), op_r)
+
+    def diag(vector):
+        return np.diag(vector.astype(complex))
+
+    pairs = []
+    x_l, x_r = lat.left_sites[0], lat.right_sites[0]
+    for x, side in ((x_l, "L"), (x_r, "R")):
+        c_full = to_lr(basis.embed_fermion(basis.c(x, "up")))
+        if side == "L":
+            expected = kron_l(np.kron(bl.c(x, "up"), np.eye(bl.boson_dim)))
+        else:
+            par = np.kron(bl.fermion_parity(), np.eye(bl.boson_dim))
+            expected = np.kron(par, np.kron(br.c(x, "up"), np.eye(br.boson_dim)))
+        pairs.append(("lr_fermion_embed", c_full, expected))
+    pi = basis.boson(x_l, "momentum", omega=params.omega)
+    pairs.append(("lr_boson_embed", to_lr(basis.embed_boson(pi)),
+                  kron_l(np.kron(np.eye(bl.fermion_dim),
+                                 bl.boson(x_l, "momentum", omega=params.omega)))))
+
+    parts = {key: np.zeros((basis.total_dim,) * 2, dtype=complex) for key in ("LL", "RR", "cross")}
+    internal = {"L": [], "R": []}
+    for inst, term in model.pairing_bond_terms(params, basis):
+        sx, sy = rpverify._bond_side(lat, inst[0], inst[1])
+        parts["cross" if sx != sy else sx + sy] += term.toarray()
+        if sx == sy:
+            internal[sx].append(inst)
+    T_L, T_R = (model._bond_matrix(b, -params.t, model._bond_factors(b, internal[side], True, params))
+                for b, side in ((bl, "L"), (br, "R")))
+    pairs += [("lr_T_internal_L", to_lr(parts["LL"]), kron_l(T_L)),
+              ("lr_T_internal_R", to_lr(parts["RR"]), kron_r(T_R)),
+              ("lr_T_reflect", T_R, theta.conjugate(T_L))]
+
+    a_ops = model.build_a_operators(bl)
+    cross = np.zeros((basis.total_dim,) * 2, dtype=complex)
+    for x, y, even_side in rpverify._crossing_instances(params, lat):
+        ell, sgn_alpha, coeff = (y, 1.0, -params.t) if even_side == "R" else (x, -1.0, params.t)
+        phase = model.expm_i_hermitian(
+            sgn_alpha * params.alpha * bl.boson(ell, "position", omega=params.omega))
+        for spin in ("up", "down"):
+            C = np.kron(a_ops[(ell, spin)].conj().T, np.eye(bl.boson_dim))
+            C = C @ np.kron(np.eye(bl.fermion_dim), phase)
+            block = np.kron(C, theta.conjugate(C))
+            cross += coeff * (block + block.conj().T)
+    pairs.append(("lr_T_cross", to_lr(parts["cross"]), cross))
+
+    qd = model.charge_diagonals(basis)
+    p_diag = (model._charge_products(qd, model._onsite_terms(lat, params.u_eff)
+                                     + model._bond_terms(lat, -params.V))
+              + model.field_diagonal_correction(params, basis, h))
+    P_L, P_R = (diag(rpverify._half_charge_squares(params, lat, b, h, side))
+                for b, side in ((bl, "L"), (br, "R")))
+    P_cross = np.zeros((basis.total_dim,) * 2, dtype=complex)
+    for b in lat.bonds():
+        sx, sy = rpverify._bond_side(lat, lat.sites[b.i], lat.sites[b.j])
+        if sx != sy:
+            di = np.repeat(qd[b.i] - h[b.i], basis.boson_dim)
+            dj = np.repeat(qd[b.j] - h[b.j], basis.boson_dim)
+            P_cross += -params.V * diag(di * dj)
+    pairs.append(("lr_P_split", to_lr(diag(np.repeat(p_diag, basis.boson_dim))),
+                  kron_l(P_L) + kron_r(P_R) + to_lr(P_cross)))
+    h_reflected = np.array(h, dtype=float)
+    for x in lat.left_sites:
+        h_reflected[lat.site_index[x]] = h[lat.site_index[lat.reflect_inv(x)]]
+    P_L_r = diag(rpverify._half_charge_squares(params, lat, bl, h_reflected, "L"))
+    pairs.append(("lr_P_reflect", P_R, theta.conjugate(P_L_r)))
+
+    K_full, K_L, K_R = (diag(np.tile(model._phonon_energy(b, params.omega), b.fermion_dim))
+                        for b in (basis, bl, br))
+    pairs += [("lr_K_split", to_lr(K_full), kron_l(K_L) + kron_r(K_R)),
+              ("lr_K_reflect", K_R, theta.conjugate(K_L))]
+    return [(name, rpverify._matrix_eq(name, "", A, B, tol)) for name, A, B in pairs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_lr_split_matches_dense_oracle_random_couplings(n_max, t, U, V, g, omega, h):
+    params = P(t=t, U=U, V=V, g=g, omega=omega, beta=1.0, n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    got = rpverify.verify_lr_split(params, basis, h)
+    want = dense_lr_split(params, basis, np.asarray(h))
+    assert [r.name for r in got] == [name for name, _ in want]
+    for res, (_, ref) in zip(got, want):
+        assert res.passed == ref.passed, (res, ref)
+        assert res.slack == ref.slack or max(res.slack, ref.slack) <= 1e-14, (res, ref)
 
 
 # -- two-Hilbert-space inequality ----------------------------------------------------------
