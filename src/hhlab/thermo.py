@@ -349,6 +349,12 @@ def _phase_gauge(H):
     up[roots] = roots
     link = H[np.arange(n), up]          # conj(H[up[k], k]) for Hermitian H
     link[roots] = 1.0
+    if np.iscomplexobj(link):
+        # Scale each link to largest part +-1 before taking its phase: complex
+        # division by a subnormal |link| overflows and leaves NaN phases.
+        top = np.maximum(np.abs(link.real), np.abs(link.imag))
+        top[top == 0] = 1.0
+        link = link.real / top + 1j * (link.imag / top)
     phase = np.divide(link, np.abs(link), out=np.ones_like(link), where=link != 0)
     # phase[k] holds the product of the links from k up to (not including) up[k]
     while not np.array_equal(up, up[up]):

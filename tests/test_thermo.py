@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from hhlab import model, thermo
@@ -528,6 +528,7 @@ def test_forms_match_ungauged_eigh_on_2x2_torus():
        st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
        st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
        st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=2))
+@example(1, "H", 1.0, 1.0, 1.0, 2.2250738585e-313, 1.0, 1.0, [0j, 0j])    # subnormal g
 def test_engine_matches_dense_eigh_random_couplings(n_max, which, t, U, V, g, omega, beta, h):
     params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
     basis = build_basis(build_lattice(1, 1), n_max)
@@ -581,6 +582,20 @@ def test_rounding_level_entry_keeps_the_real_path():
     spec = thermo.spectral(H, 0.7)
     assert spec.real_blocks == [True]
     assert_engine_matches(spec, Oracle(H, 0.7), H)
+
+
+def test_subnormal_links_get_unit_phases():
+    # complex division by a subnormal modulus overflows; the gauge must still
+    # come out unimodular and make the block real
+    rng = np.random.default_rng(6)
+    n = 5
+    H = gauged_real_matrix(rng, n) * 1e-310
+    H[np.diag_indices(n)] = rng.standard_normal(n)
+    _, phase = thermo._phase_gauge(H)
+    assert np.all(np.isfinite(phase))
+    assert np.allclose(np.abs(phase), 1.0)
+    spec = thermo.spectral(H, 0.9)
+    assert spec.real_blocks == [True]
 
 
 def test_flux_component_takes_the_complex_path():
