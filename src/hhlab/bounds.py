@@ -137,7 +137,7 @@ class BoundReport:
         return asdict(self)
 
 
-def main_bound(params, nu, grid_n=None, refinements=4):
+def main_bound(params, nu):
     """Evaluate the staggered charge-order bound at one parameter point.
 
     gap <= 0 or nu <= 2 yield a report with certified = False and a reason
@@ -159,7 +159,7 @@ def main_bound(params, nu, grid_n=None, refinements=4):
         return BoundReport(**base, entropy_term=entropy, hopping_term=hopping,
                            ir_term=float("inf"), gamma2_term=gamma2, rhs=float("-inf"),
                            certified=False, reason="integral diverges for nu <= 2")
-    integral, _ = torus_integral(nu, grid_n=grid_n, refinements=refinements)
+    integral, _ = torus_integral(nu)
     gamma1 = (2.0 * np.pi) ** (-nu) * 0.5 * (1.0 / (params.beta * params.V)
                                              + math.sqrt(params.t / params.V))
     ir = gamma1 * integral
@@ -170,16 +170,13 @@ def main_bound(params, nu, grid_n=None, refinements=4):
                        reason="" if certified else "rhs <= 0")
 
 
-def phase_sweep(params_list, nu, grid_n=None, refinements=4):
+def phase_sweep(params_list, nu):
     """One BoundReport per parameter point, in input order.
 
-    The torus integral is evaluated once per (nu, grid) and cached, so a
-    sweep costs one quadrature plus arithmetic per point.
+    The torus integral is evaluated once per nu and cached, so a sweep
+    costs one quadrature plus arithmetic per point.
     """
-    if nu >= 3:
-        torus_integral(nu, grid_n=grid_n, refinements=refinements)  # warm the cache
-    return [main_bound(p, nu, grid_n=grid_n, refinements=refinements)
-            for p in params_list]
+    return [main_bound(p, nu) for p in params_list]
 
 
 # -- finite-volume momentum-space identities -------------------------------------

@@ -138,7 +138,7 @@ def cmd_build(args):
         "spectral_min": float(w[0]),
         "spectral_max": float(w[-1]),
         "logZ": spec.logZ,
-        "components": len(spec.blocks),
+        "components": len(spec.real_blocks),
     }
     if args.dump:
         _dump_matrix(hs.H, args.dump)

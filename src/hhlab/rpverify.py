@@ -514,7 +514,7 @@ def _random_bounded(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_dls_instance(rng, dim_max=8, lam_max=2.0):
+def random_dls_instance(rng, dim_max=8):
     n = int(rng.integers(2, dim_max + 1))
     A = _random_bounded(rng, n)
     A = (A + A.conj().T) / 2
@@ -523,7 +523,7 @@ def random_dls_instance(rng, dim_max=8, lam_max=2.0):
     k = int(rng.integers(1, 4))
     Cs = [_random_bounded(rng, n) for _ in range(k)]
     Ds = [_random_bounded(rng, n) for _ in range(k)]
-    lams = list(rng.uniform(0.0, lam_max, size=k))
+    lams = list(rng.uniform(0.0, 2.0, size=k))
     if rng.random() < 0.5:
         W = np.eye(n, dtype=complex)  # standard conjugation
     else:
@@ -562,13 +562,13 @@ def dls_fuzz(n_instances=1000, seed=2024, dim_max=8, tol=1e-10):
     return out
 
 
-def trace_product_check(n_trials=50, dim=6, seed=5, tol=1e-12):
-    """Tr[A (x) theta A theta^-1] = |Tr A|^2 >= 0 for random A and theta."""
+def trace_product_check(seed=5, tol=1e-12):
+    """Tr[A (x) theta A theta^-1] = |Tr A|^2 >= 0 for 50 random 6 x 6 A and theta."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_trials):
-        A = _random_bounded(rng, dim)
-        q, _ = np.linalg.qr(_random_bounded(rng, dim))
+    for _ in range(50):
+        A = _random_bounded(rng, 6)
+        q, _ = np.linalg.qr(_random_bounded(rng, 6))
         th = AntiunitaryMap(q)
         lhs = complex(np.trace(np.kron(A, th.conjugate(A))))
         rhs = abs(np.trace(A)) ** 2
@@ -589,11 +589,11 @@ _SWAP_TOL = 1e-12
 
 def _gauged_real_block(blk, g):
     """conj(g) blk g as a contiguous real matrix; refuses a non-real result."""
-    gauged = g.conj()[:, None] * blk * g[None, :]
+    gauged = _thermo._gauged(blk, g, g)
     imag = float(np.max(np.abs(gauged.imag)))
     if imag > _thermo._GAUGE_IMAG_TOL * float(np.max(np.abs(gauged))):
-        raise ValueError(f"block of H'' is not real in the phonon gauge "
-                         f"(largest imaginary entry {imag:.3e})")
+        raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
+                         f"H'' (largest imaginary entry {imag:.3e})")
     return np.ascontiguousarray(gauged.real, dtype=float)
 
 
@@ -620,13 +620,16 @@ def _swap_halves(blk, loc, s):
     return out
 
 
-def _spin_swap_sectors(basis, labels, blocks):
+def _spin_swap_sectors(basis, labels, phase, blocks):
     """[(idx, real block, weight)] of H'' reduced by the global spin swap.
 
-    A block mirrored onto another block is kept once with weight 2; a block
-    mirrored onto itself is stored as its two swap halves.  Refuses, with
-    ValueError, a swap that moves a charge diagonal or that does not map
-    each gauged block onto its partner.
+    ``blocks`` are gauged by ``phase`` (d), where the swap e_k -> sign[k] e_perm[k]
+    becomes e_k -> s_k e_perm[k], s_k = conj(d[perm[k]]) sign[k] d[k]: +-1 times
+    one phase per block, which cancels in the conjugation.  A block mirrored
+    onto another block is kept once with weight 2; a block mirrored onto
+    itself is stored as its two swap halves.  Refuses, with ValueError, a
+    swap that moves a charge diagonal, that does not map each gauged block
+    onto its partner, or that is no real involution on a self-mirrored block.
     """
     swap = _model.spin_swap(basis)
     perm, sign = swap.perm, swap.sign
@@ -643,15 +646,18 @@ def _spin_swap_sectors(basis, labels, blocks):
         if m < lab:
             continue
         loc = np.searchsorted(part_idx, images)  # the swap maps block position k to loc[k]
-        dev = float(np.max(np.abs(Monomial(loc, sign[idx]).conjugate(blk) - part)))
+        s = phase[images].conj() * sign[idx] * phase[idx]
+        s = np.sign((s * s[0].conj()).real)
+        dev = float(np.max(np.abs(Monomial(loc, s).conjugate(blk) - part)))
         if dev > _SWAP_TOL * float(np.max(np.abs(part))):
             raise ValueError(f"the spin swap does not map block {lab} of H'' onto block {m} "
                              f"(largest deviation {dev:.3e})")
         if m > lab:
             sectors.append((idx, blk, 2))
-        else:
-            sectors += [(idx[rows], half, 1) for rows, half in _swap_halves(blk, loc, sign[idx])
-                        if len(rows)]
+            continue
+        if np.any(s[loc] != s):
+            raise ValueError(f"the spin swap is not a real involution on block {lab} of H''")
+        sectors += [(idx[rows], half, 1) for rows, half in _swap_halves(blk, loc, s) if len(rows)]
     return sectors
 
 
@@ -660,11 +666,14 @@ class FieldPartition:
 
     The external field only shifts the diagonal, so the connected components
     of H'' are field-independent; the component blocks are extracted once.
-    Each block is gauged real symmetric by the phonon gauge i^{N_p}
-    (``model.phonon_gauge``), a diagonal unitary that commutes with the field
-    term.  The blocks are then reduced by the global spin swap
+    The components and a diagonal unitary gauge d come from
+    ``thermo._phase_gauge(H'')``, the pass that ``thermo.spectral`` runs on
+    the same matrix, so both engines see the same real blocks.  Each block
+    is gauged real symmetric, conj(d) B d; a diagonal gauge commutes with
+    the field term.  The blocks are then reduced by the global spin swap
     c_{x up} <-> c_{x down} (``model.spin_swap``), a signed permutation that
-    keeps every q_x and so commutes with H''(h) for every h:
+    keeps every q_x and so commutes with H''(h) for every h; in the gauge
+    it is a signed permutation again, up to one phase per pair of blocks:
 
     * a block the swap maps onto another block is stored once, with weight 2
       in the sum for Z, and its partner is dropped;
@@ -675,11 +684,11 @@ class FieldPartition:
 
     Every log partition function then costs one real eigvalsh per stored
     sector and equals the complex one up to rounding.  Construction refuses,
-    with ValueError, a block that is not real in the phonon gauge (checked
-    first), and a spin swap that moves a charge diagonal or does not map a
-    gauged block onto its partner to 1e-12 of the partner's largest entry.
-    log Z values are cached per configuration rounded to 12 digits, keeping
-    the LOG_Z_CACHE_SIZE most recently used.
+    with ValueError, a block that carries flux and so is not real in the
+    gauge (checked first), and a spin swap that moves a charge diagonal or
+    does not map a gauged block onto its partner to 1e-12 of the partner's
+    largest entry.  log Z values are cached per configuration rounded to 12
+    digits, keeping the LOG_Z_CACHE_SIZE most recently used.
     """
 
     def __init__(self, params, basis, H2=None):
@@ -687,13 +696,12 @@ class FieldPartition:
         self.basis = basis
         if H2 is None:
             H2 = _model.build_doubleprime(params, basis)
-        gauge = _model.phonon_gauge(basis)
-        labels = _thermo._component_labels(H2)
+        labels, phase = _thermo._phase_gauge(H2)
         blocks = []
         for lab in range(labels.max() + 1):
             idx = np.flatnonzero(labels == lab)
-            blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], gauge[idx])))
-        self.sectors = _spin_swap_sectors(basis, labels, blocks)
+            blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], phase[idx])))
+        self.sectors = _spin_swap_sectors(basis, labels, phase, blocks)
         self._cache = OrderedDict()
 
     def log_partition(self, h):
@@ -716,12 +724,6 @@ class FieldPartition:
         return lz
 
 
-def _field_partition(params, basis, ensemble):
-    if ensemble is None:
-        ensemble = FieldPartition(params, basis)
-    return ensemble
-
-
 def reflected_configs(lat, h):
     """((h_L, r^-1(h_L)), (r(h_R), h_R)) for a field configuration h."""
     h = np.asarray(h, dtype=float)
@@ -734,9 +736,9 @@ def reflected_configs(lat, h):
     return keep_left, keep_right
 
 
-def rp_reflection_check(params, basis, h, ensemble=None, tol=1e-9):
-    """Z(h_L, h_R)^2 <= Z(h_L, r^-1(h_L)) Z(r(h_R), h_R), in log space."""
-    ens = _field_partition(params, basis, ensemble)
+def rp_reflection_check(params, basis, h, ens, tol=1e-9):
+    """Z(h_L, h_R)^2 <= Z(h_L, r^-1(h_L)) Z(r(h_R), h_R), in log space, with
+    Z taken from the FieldPartition ``ens`` of H''."""
     hl, hr = reflected_configs(basis.lattice, h)
     lz = ens.log_partition(h)
     lzl = ens.log_partition(hl)
@@ -746,9 +748,9 @@ def rp_reflection_check(params, basis, h, ensemble=None, tol=1e-9):
                        2.0 * lz, lzl + lzr, float(slack), bool(slack >= -tol))
 
 
-def gaussian_domination_check(params, basis, h, ensemble=None, tol=1e-10):
-    """Z(h) <= Z(0); exact equality for constant h."""
-    ens = _field_partition(params, basis, ensemble)
+def gaussian_domination_check(params, basis, h, ens, tol=1e-10):
+    """Z(h) <= Z(0), with Z taken from the FieldPartition ``ens`` of H'';
+    exact equality for constant h."""
     lz = ens.log_partition(h)
     lz0 = ens.log_partition(np.zeros(basis.n_sites))
     slack = lz0 - lz

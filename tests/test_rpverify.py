@@ -6,6 +6,7 @@ from scipy import sparse
 from hhlab import model, rpverify, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
+from test_model import ORACLE_GEOMETRIES
 
 P = model.ModelParams
 
@@ -299,7 +300,7 @@ def test_field_partition_refuses_block_not_real_in_gauge():
     H2[i, j] *= np.exp(0.25j * np.pi)  # still Hermitian, same sparsity
     H2[j, i] *= np.exp(-0.25j * np.pi)
     assert np.array_equal(H2, H2.conj().T)
-    with pytest.raises(ValueError, match="not real in the phonon gauge"):
+    with pytest.raises(ValueError, match="not real in the gauge read off H''"):
         rpverify.FieldPartition(params, basis, H2)
 
 
@@ -314,6 +315,27 @@ def test_field_partition_refuses_block_not_mirrored_by_spin_swap():
         rpverify.FieldPartition(params, basis, H2)
 
 
+def test_field_partition_refuses_swap_that_is_no_real_involution_in_gauge():
+    """A flux-free block on which the gauged swap is i times a real Sigma with
+    Sigma^2 = -1 has no real +-1 halves; splitting it anyway loses the spectrum."""
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    swap = model.spin_swap(basis)
+    moved = np.flatnonzero(swap.perm != np.arange(basis.total_dim))
+    a = moved[0]
+    b = next(k for k in moved if k not in (a, swap.perm[a]))
+    idx = [a, b, swap.perm[a], swap.perm[b]]
+    # real symmetric and commuting with Sigma: e_a -> e_pa -> -e_a, e_b -> e_pb -> -e_b
+    G = np.array([[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]], dtype=float)
+    d = np.array([1, 1, -1j * swap.sign[a], -1j * swap.sign[b]])
+    H2 = np.eye(basis.total_dim, dtype=complex)
+    H2[np.ix_(idx, idx)] += d[:, None] * G * d.conj()
+    S = swap.to_dense()
+    assert np.array_equal(S @ H2 @ S.T, H2)
+    with pytest.raises(ValueError, match="not a real involution"):
+        rpverify.FieldPartition(params, basis, H2)
+
+
 def test_field_partition_spin_swap_sectors_2x2():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(2, 1), params.n_max)
@@ -323,6 +345,20 @@ def test_field_partition_spin_swap_sectors_2x2():
     assert sum(w * n for n, (_, _, w) in zip(sizes, ens.sectors)) == basis.total_dim
     assert max(sizes) == 384 and 576 not in sizes
     assert {w for _, _, w in ens.sectors} == {1, 2}
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
+def test_field_partition_sectors_reproduce_spectrum(nu, n_max):
+    """At h = 0 the sectors, each counted with its weight, hold the spectrum of H''."""
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime(params, basis)
+    ens = rpverify.FieldPartition(params, basis, H2)
+    got = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(blk), weight)
+                                  for _, blk, weight in ens.sectors]))
+    want = thermo.spectral(H2, params.beta).eigenvalues
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_field_partition_cache_is_bounded_lru(monkeypatch):
