@@ -166,27 +166,15 @@ def _rng_for(cfg, suite):
     return np.random.default_rng(cfg.seed)
 
 
-def _verify_records(cfg, suite, count):
-    params = cfg.params()
+def _field_records(cfg, suite, count, params, lat, basis):
+    """The Z(h) checks (rp, gauss) and the infrared chain, on one H'' built
+    here and freed on return, before the half-filling checks allocate theirs."""
     checks = []
-
-    if suite in ("theta", "all"):
-        lat = build_lattice(cfg.nu, cfg.ell)
-        basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
-        checks += rpverify.theta_relations_check(params, basis)
-        checks += rpverify.verify_lr_split(params, basis)
-
-    if suite in ("dls", "all"):
-        rng = _rng_for(cfg, suite)
-        n = count or 1000
-        checks += rpverify.dls_fuzz(n_instances=n, seed=int(rng.integers(2 ** 31)))
-        checks.append(rpverify.trace_product_check(seed=int(rng.integers(2 ** 31))))
+    H2 = model.build_doubleprime(params, basis)
 
     if suite in ("rp", "gauss", "all"):
         rng = _rng_for(cfg, suite)
-        lat = build_lattice(cfg.nu, cfg.ell)
-        basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
-        ens = rpverify.FieldPartition(params, basis)
+        ens = rpverify.FieldPartition(params, basis, H2)
         n = count or 20
         do_rp = suite in ("rp", "all")
         do_gauss = suite in ("gauss", "all")
@@ -204,14 +192,33 @@ def _verify_records(cfg, suite, count):
 
     if suite in ("infrared", "all"):
         rng = _rng_for(cfg, suite)
-        lat = build_lattice(cfg.nu, cfg.ell)
-        basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
-        H2 = model.build_doubleprime(params, basis)
         spec = thermo.spectral(H2, params.beta)
         bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
         for _ in range(count or 20):
             h = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
             checks += rpverify.infrared_chain_check(params, basis, h, spec, H2, bond_exp)
+    return checks
+
+
+def _verify_records(cfg, suite, count):
+    params = cfg.params()
+    checks = []
+    if suite in ("theta", "rp", "gauss", "infrared", "all"):   # built once per run
+        lat = build_lattice(cfg.nu, cfg.ell)
+        basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
+
+    if suite in ("theta", "all"):
+        checks += rpverify.theta_relations_check(params, basis)
+        checks += rpverify.verify_lr_split(params, basis)
+
+    if suite in ("dls", "all"):
+        rng = _rng_for(cfg, suite)
+        n = count or 1000
+        checks += rpverify.dls_fuzz(n_instances=n, seed=int(rng.integers(2 ** 31)))
+        checks.append(rpverify.trace_product_check(seed=int(rng.integers(2 ** 31))))
+
+    if suite in ("rp", "gauss", "infrared", "all"):
+        checks += _field_records(cfg, suite, count, params, lat, basis)
 
     if suite in ("halffill", "all"):
         rng = _rng_for(cfg, suite)

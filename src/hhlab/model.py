@@ -59,6 +59,7 @@ __all__ = [
     "phonon_gauge",
     "build_zigzag",
     "zigzag_fermion",
+    "zigzag_spin_operators",
     "build_hole_particle",
     "hole_particle_fermion",
     "build_spin_flip",
@@ -488,6 +489,27 @@ def zigzag_fermion(basis):
     lat = _require_lattice(basis)
     return reduce(Monomial.compose, [_mode_flip(basis, x, spin)
                                      for x in lat.odd_sites for spin in ("up", "down")])
+
+
+def zigzag_spin_operators(basis):
+    """S'+ = V S+ V^-1 and the diagonal of 2 S'z = V 2 S^z V^-1 on the fermion
+    factor, with V the zigzag unitary of :func:`zigzag_fermion`.
+
+    S+ = sum_x c*_{x up} c_{x down} moves a down fermion at x to the empty up
+    mode of x.  Both Jordan-Wigner strings then run over the same occupied
+    modes, so every entry is +1.  S+ keeps each n_x, and V maps each n_x to
+    itself or to 2 - n_x, so S'+ keeps every site occupation as well.  S'+ is
+    returned as a scipy.sparse CSR array with entries +-1.  2 S'z is an integer
+    vector, and S'+ raises it by 2.
+    """
+    occ = _mode_occupations(basis)
+    site, f = np.nonzero((occ[0::2] == 0) & (occ[1::2] == 1))
+    bit = 1 << (basis.n_modes - 1 - np.arange(basis.n_modes))
+    raised = f + bit[2 * site] - bit[2 * site + 1]
+    V = zigzag_fermion(basis)
+    raising = sparse.csr_array((V.sign[raised] * V.sign[f], (V.perm[raised], V.perm[f])),
+                               shape=(basis.fermion_dim, basis.fermion_dim))
+    return raising, V.conjugate((occ[0::2] - occ[1::2]).sum(axis=0))
 
 
 def build_zigzag(basis):

@@ -16,7 +16,11 @@ Contents:
   fuzzed over random instances), reflection positivity of Z, Gaussian
   domination, the Duhamel/double-commutator bounds b <= b0 and c <= c0,
   the Falk-Bruch bound and its corollary, the free-energy chain for the
-  lower bound on <q_o^2>, and the half-filling identity.
+  lower bound on <q_o^2>, and the half-filling identity;
+* Z(h) of the field family H''(h) for reflection positivity and Gaussian
+  domination (:class:`FieldPartition`), solved on the highest-weight states
+  of the spin SU(2) of the zigzag frame, one real block per component of
+  H'' with S'z = M >= 0, counted 2M + 1 times.
 
 Every check returns a :class:`CheckResult` with the checked statement, the
 two sides, a relative slack and a pass flag; suites return lists of them.
@@ -38,7 +42,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .hilbert import HilbertBasis, Monomial, build_basis, row_strips
+from .hilbert import HilbertBasis, build_basis, row_strips
 
 __all__ = [
     "CheckResult",
@@ -510,19 +514,26 @@ def dls_check(inst, tol=1e-10):
                        lhs, rhs, float(slack), bool(slack >= -tol))
 
 
-def _random_bounded(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _random_bounded(rng, n, count=None):
+    """A complex n x n matrix with standard normal real and imaginary parts,
+    or a stack of ``count`` of them drawn in one call.
+
+    Generator.standard_normal fills any shape from the same stream, so the
+    stack equals ``count`` matrices drawn one by one, each real part first.
+    """
+    x = rng.standard_normal((1 if count is None else count, 2, n, n))
+    out = x[:, 0] + 1j * x[:, 1]
+    return out[0] if count is None else out
 
 
 def random_dls_instance(rng, dim_max=8):
     n = int(rng.integers(2, dim_max + 1))
-    A = _random_bounded(rng, n)
+    A, B = _random_bounded(rng, n, 2)
     A = (A + A.conj().T) / 2
-    B = _random_bounded(rng, n)
     B = (B + B.conj().T) / 2
     k = int(rng.integers(1, 4))
-    Cs = [_random_bounded(rng, n) for _ in range(k)]
-    Ds = [_random_bounded(rng, n) for _ in range(k)]
+    pairs = _random_bounded(rng, n, 2 * k)
+    Cs, Ds = list(pairs[:k]), list(pairs[k:])
     lams = list(rng.uniform(0.0, 2.0, size=k))
     if rng.random() < 0.5:
         W = np.eye(n, dtype=complex)  # standard conjugation
@@ -567,8 +578,8 @@ def trace_product_check(seed=5, tol=1e-12):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
-        A = _random_bounded(rng, 6)
-        q, _ = np.linalg.qr(_random_bounded(rng, 6))
+        A, M = _random_bounded(rng, 6, 2)
+        q, _ = np.linalg.qr(M)
         th = AntiunitaryMap(q)
         lhs = complex(np.trace(np.kron(A, th.conjugate(A))))
         rhs = abs(np.trace(A)) ** 2
@@ -582,113 +593,28 @@ def trace_product_check(seed=5, tol=1e-12):
 
 # log Z values a FieldPartition keeps; the least recently used is dropped first
 LOG_Z_CACHE_SIZE = 4096
-# largest deviation of a spin-swapped block from its partner, relative to the
-# partner's largest entry
-_SWAP_TOL = 1e-12
-
-
-def _gauged_real_block(blk, g):
-    """conj(g) blk g as a contiguous real matrix; refuses a non-real result."""
-    gauged = _thermo._gauged(blk, g, g)
-    imag = float(np.max(np.abs(gauged.imag)))
-    if imag > _thermo._GAUGE_IMAG_TOL * float(np.max(np.abs(gauged))):
-        raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
-                         f"H'' (largest imaginary entry {imag:.3e})")
-    return np.ascontiguousarray(gauged.real, dtype=float)
-
-
-def _swap_halves(blk, loc, s):
-    """The two halves Q+^T blk Q+ and Q-^T blk Q- of a self-mirrored block.
-
-    The swap acts on the block as e_k -> s[k] e_loc[k] (an involution), so
-    its +1 and -1 eigenspaces are spanned by (e_k +- s[k] e_loc[k]) / sqrt(2)
-    over the pairs k < loc[k], plus each fixed point in the half of its own
-    sign.  Returns [(rows, half)] for the two signs, where rows are the block
-    positions whose field correction each half carries (one per pair).
-    """
-    k = np.arange(len(loc))
-    r, fixed = k[k < loc], k[k == loc]
-    out = []
-    for sign in (1.0, -1.0):
-        keep = fixed[s[fixed] == sign]
-
-        def project(M):  # Q^T M for the half of this sign
-            pairs = (M[r] + sign * s[r][:, None] * M[loc[r]]) * np.sqrt(0.5)
-            return np.concatenate([M[keep], pairs])
-
-        out.append((np.concatenate([keep, r]), np.ascontiguousarray(project(project(blk).T))))
-    return out
-
-
-def _spin_swap_sectors(basis, labels, phase, blocks):
-    """[(idx, real block, weight)] of H'' reduced by the global spin swap.
-
-    ``blocks`` are gauged by ``phase`` (d), where the swap e_k -> sign[k] e_perm[k]
-    becomes e_k -> s_k e_perm[k], s_k = conj(d[perm[k]]) sign[k] d[k]: +-1 times
-    one phase per block, which cancels in the conjugation.  A block mirrored
-    onto another block is kept once with weight 2; a block mirrored onto
-    itself is stored as its two swap halves.  Refuses, with ValueError, a
-    swap that moves a charge diagonal, that does not map each gauged block
-    onto its partner, or that is no real involution on a self-mirrored block.
-    """
-    swap = _model.spin_swap(basis)
-    perm, sign = swap.perm, swap.sign
-    q = _model.charge_diagonals(basis)
-    if not np.array_equal(q[:, perm[::basis.boson_dim] // basis.boson_dim], q):
-        raise ValueError("the spin swap does not keep every charge diagonal")
-    sectors = []
-    for lab, (idx, blk) in enumerate(blocks):
-        images = perm[idx]
-        m = int(labels[images[0]])
-        part_idx, part = blocks[m]
-        if np.any(labels[images] != m) or len(part_idx) != len(idx):
-            raise ValueError(f"the spin swap does not map block {lab} of H'' onto one block")
-        if m < lab:
-            continue
-        loc = np.searchsorted(part_idx, images)  # the swap maps block position k to loc[k]
-        s = phase[images].conj() * sign[idx] * phase[idx]
-        s = np.sign((s * s[0].conj()).real)
-        dev = float(np.max(np.abs(Monomial(loc, s).conjugate(blk) - part)))
-        if dev > _SWAP_TOL * float(np.max(np.abs(part))):
-            raise ValueError(f"the spin swap does not map block {lab} of H'' onto block {m} "
-                             f"(largest deviation {dev:.3e})")
-        if m > lab:
-            sectors.append((idx, blk, 2))
-            continue
-        if np.any(s[loc] != s):
-            raise ValueError(f"the spin swap is not a real involution on block {lab} of H''")
-        sectors += [(idx[rows], half, 1) for rows, half in _swap_halves(blk, loc, s) if len(rows)]
-    return sectors
-
-
 class FieldPartition:
     """Fast Z(h) evaluation for the field family H''(h) = H'' + diag(h-terms).
 
-    The external field only shifts the diagonal, so the connected components
-    of H'' are field-independent; the component blocks are extracted once.
-    The components and a diagonal unitary gauge d come from
-    ``thermo._phase_gauge(H'')``, the pass that ``thermo.spectral`` runs on
-    the same matrix, so both engines see the same real blocks.  Each block
-    is gauged real symmetric, conj(d) B d; a diagonal gauge commutes with
-    the field term.  The blocks are then reduced by the global spin swap
-    c_{x up} <-> c_{x down} (``model.spin_swap``), a signed permutation that
-    keeps every q_x and so commutes with H''(h) for every h; in the gauge
-    it is a signed permutation again, up to one phase per pair of blocks:
+    The external field only shifts the diagonal, and S'+, the zigzag image
+    of the spin raising operator sum_x c*_{x up} c_{x down}, commutes with
+    H'' and with every field term.  So H'' is reduced once, by
+    ``thermo.highest_weight_sectors``, to real blocks on the highest-weight
+    states of each component with S'z = M >= 0, each counted 2M + 1 times.
+    The components and the diagonal gauge are those ``thermo.spectral``
+    reads off the same matrix, and the field correction stays diagonal on
+    every block.
 
-    * a block the swap maps onto another block is stored once, with weight 2
-      in the sum for Z, and its partner is dropped;
-    * a block the swap maps onto itself is stored as its two halves
-      Q+^T B Q+ and Q-^T B Q-, on the +1 and -1 eigenspaces of the swap.
-      The field correction is constant on each swapped pair of states, so
-      it stays diagonal in each half.
-
-    Every log partition function then costs one real eigvalsh per stored
-    sector and equals the complex one up to rounding.  Construction refuses,
-    with ValueError, a block that carries flux and so is not real in the
-    gauge (checked first), and a spin swap that moves a charge diagonal or
-    does not map a gauged block onto its partner to 1e-12 of the partner's
-    largest entry.  log Z values are cached per configuration rounded to 12
-    digits, keeping the LOG_Z_CACHE_SIZE most recently used.
+    ``sectors`` holds (idx, real block, weight 2M + 1), where idx has one
+    representative basis index per column of the block.  At 2x2, n_max = 1
+    (dim 4096) the largest block is 320 and the sum of n^3 is 1.23e8.  Every
+    log partition function costs one real eigvalsh per sector, with the
+    sectors of one size solved as one stack, and equals the complex one up to
+    rounding.  Construction refuses, with ValueError, an H'' that carries
+    flux, breaks [H'', S'+] = 0, or does not split into multiplets as
+    ``thermo.highest_weight_sectors`` describes.  log Z values are cached per
+    configuration rounded to 12 digits, keeping the LOG_Z_CACHE_SIZE most
+    recently used.
     """
 
     def __init__(self, params, basis, H2=None):
@@ -696,12 +622,10 @@ class FieldPartition:
         self.basis = basis
         if H2 is None:
             H2 = _model.build_doubleprime(params, basis)
-        labels, phase = _thermo._phase_gauge(H2)
-        blocks = []
-        for lab in range(labels.max() + 1):
-            idx = np.flatnonzero(labels == lab)
-            blocks.append((idx, _gauged_real_block(H2[np.ix_(idx, idx)], phase[idx])))
-        self.sectors = _spin_swap_sectors(basis, labels, phase, blocks)
+        # the sectors of one size are solved as one stack; ``sectors`` views the stacks
+        self._stacks = _thermo.highest_weight_sectors(basis, H2)
+        self.sectors = [(idx, blk, int(weight)) for stack in self._stacks
+                        for idx, blk, weight in zip(*stack)]
         self._cache = OrderedDict()
 
     def log_partition(self, h):
@@ -712,11 +636,15 @@ class FieldPartition:
             return self._cache[key]
         corr = np.repeat(_model.field_diagonal_correction(self.params, self.basis, h),
                          self.basis.boson_dim)
-        ws = [(weight, np.linalg.eigvalsh(blk + np.diag(corr[idx])))
-              for idx, blk, weight in self.sectors]
-        w0 = min(float(w[0]) for _, w in ws)
+        ws = []
+        for idx, blk, weight in self._stacks:
+            a = blk.copy()
+            diag = np.arange(a.shape[1])
+            a[:, diag, diag] += corr[idx]
+            ws.append((weight, np.linalg.eigvalsh(a)))
+        w0 = min(float(w[:, 0].min()) for _, w in ws)
         beta = self.params.beta
-        z = sum(weight * float(np.sum(np.exp(-beta * (w - w0)))) for weight, w in ws)
+        z = sum(float(weight @ np.exp(-beta * (w - w0)).sum(axis=1)) for weight, w in ws)
         lz = -beta * w0 + float(np.log(z))
         self._cache[key] = lz
         if len(self._cache) > LOG_Z_CACHE_SIZE:
@@ -859,9 +787,8 @@ def convexity_lemma_check(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
     worst = np.inf
     for _ in range(n_pairs):
         n = int(rng.integers(2, dim_max + 1))
-        B = _random_bounded(rng, n)
+        B, C = _random_bounded(rng, n, 2)
         B = (B + B.conj().T) / 2
-        C = _random_bounded(rng, n)
         C = (C + C.conj().T) / 2
         w, q = np.linalg.eigh(B + C)
         w0 = w[0]

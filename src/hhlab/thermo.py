@@ -17,8 +17,10 @@ it every component without flux is real symmetric: H'' (through its phonon
 exponentials), H, H' and the zigzag image V H V^-1 all are.  Such a block is
 solved by a real ``eigh`` and every later sum over it runs in real
 arithmetic; a block with flux keeps a complex ``eigh`` (see SpectralData).
-``rpverify.FieldPartition`` takes its components and gauge of H'' from the
-same function, so the Z(h) engine solves the same real blocks.
+``highest_weight_sectors`` takes its components and gauge of H'' from the
+same function and reduces H'' further, to the highest-weight states of the
+spin SU(2) of the zigzag frame; ``rpverify.FieldPartition`` solves Z(h) on
+those blocks.
 On the 2x2 torus at n_max = 1 (dim 4096, 85 components, one BLAS thread)
 ``spectral(H'')`` takes about 0.3 s, against 1.2 s for complex blocks.
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_array, csr_matrix, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
@@ -52,6 +54,7 @@ from .hilbert import build_basis
 __all__ = [
     "SpectralData",
     "spectral",
+    "highest_weight_sectors",
     "charge_correlation",
     "quadratic_form_quantities",
     "pairing_bond_expectations",
@@ -316,9 +319,10 @@ def _component_labels(H):
     return labels
 
 
-def _phase_gauge(H):
+def _phase_gauge(H, pattern=None):
     """Component labels of H's exact sparsity pattern, and a gauge d on the
     full space (|d_k| = 1) in which every flux-free component is real.
+    ``pattern`` is H's off-diagonal pattern (rows, cols) if the caller has it.
 
     One pass over H's nonzero entries builds a maximum-modulus spanning
     forest of the pattern: the minimum spanning tree of the weights -|H_kl|
@@ -335,7 +339,7 @@ def _phase_gauge(H):
     :func:`_component_labels` numbers them.
     """
     n = H.shape[0]
-    rows, cols = _offdiagonal_pattern(H)
+    rows, cols = _offdiagonal_pattern(H) if pattern is None else pattern
     weights = np.concatenate([-np.abs(H[rows, cols]), np.ones(n)])
     cols = np.concatenate([cols, np.arange(n)])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)), [len(cols)]])
@@ -382,6 +386,192 @@ def _block_residual(w, q, g):
 def spectral(H, beta):
     """Eigendecompose H (blockwise) and attach thermal weights at beta."""
     return SpectralData(H, beta)
+
+
+# -- the spin SU(2) of H'' --------------------------------------------------------
+
+
+# largest entry of [H'', S'+] relative to the largest entry of H'', and largest
+# deviation of the gauge on a group from +-1 times one phase
+_SYMMETRY_TOL = 1e-12
+# eigenvalues of S'- S'+ below this are zeros: the others are S(S + 1) - M(M + 1) >= 2
+_KERNEL_CUT = 0.5
+
+
+def _gauged_sparse(H2):
+    """The component labels and the gauge d of :func:`_phase_gauge`, and
+    conj(d) H'' d as a real sparse matrix over the nonzero pattern of H'' and
+    its diagonal; refuses a component whose gauged entries are not real."""
+    n = H2.shape[0]
+    rows, cols = _offdiagonal_pattern(H2)
+    labels, phase = _phase_gauge(H2, (rows, cols))
+    rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
+    gauged = _gauged(H2[rows, cols], phase[rows], phase[cols])
+    imag, top = np.zeros((2, labels.max() + 1))
+    np.maximum.at(imag, labels[rows], np.abs(gauged.imag))
+    np.maximum.at(top, labels[rows], np.abs(gauged))
+    flux = np.flatnonzero(imag > _GAUGE_IMAG_TOL * top)
+    if flux.size:
+        raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
+                         f"H'' (largest imaginary entry {imag[flux[0]]:.3e})")
+    return labels, phase, csr_array((gauged.real, (rows, cols)), shape=(n, n))
+
+
+def _check_commutes(basis, G, raising, phase):
+    """Refuse, with ValueError, an H'' that does not commute with S'+ (x) 1.
+
+    G is H'' in the gauge d as a sparse matrix, and S = conj(d) (S'+ (x) 1) d
+    is formed as one too: conj(d) [H'', S'+] d = [G, S], so no dense
+    full-space product is formed.  Every entry must stay within
+    _SYMMETRY_TOL times the largest entry of H''.
+    """
+    nb = basis.boson_dim
+    up = raising.tocoo()
+    rows = (up.row[:, None] * nb + np.arange(nb)).ravel()
+    cols = (up.col[:, None] * nb + np.arange(nb)).ravel()
+    S = csr_array((_gauged(np.repeat(up.data, nb), phase[rows], phase[cols]),
+                          (rows, cols)), shape=G.shape)
+    dev = float(np.max(np.abs((G @ S - S @ G).data), initial=0.0))
+    if dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0)):
+        raise ValueError(f"H'' does not commute with the spin raising operator S'+: "
+                         f"largest entry of the commutator {dev:.3e}")
+
+
+def _highest_weight_vectors(basis, raising, twice_m):
+    """The kernel of S'+ on each group of fermion states that share one site
+    occupation pattern and one 2 S'z = 2M >= 0.
+
+    S'+ keeps the pattern and raises 2M by 2, so S'- S'+ = S^2 - S'z (S'z + 1)
+    is block-diagonal over the groups.  Its kernel on a group is spanned by
+    the highest-weight states, S = M.  The blocks of each size are solved as
+    one stack.  Yields (states, vectors): ``states`` (g, n) holds the fermion
+    states of g groups of n states each, ascending, and ``vectors`` (g, n, k)
+    an orthonormal real basis of the kernel on each, of one dimension k.
+    """
+    occ = _model._mode_occupations(basis)
+    pattern = ((occ[0::2] + occ[1::2]) * 3 ** np.arange(basis.n_sites)[:, None]).sum(axis=0)
+    states = np.flatnonzero(twice_m >= 0)
+    _, group, size = np.unique(pattern[states] * (basis.n_sites + 1) + twice_m[states],
+                               return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
+    states, group = states[order], group[order]
+    start = np.concatenate([[0], np.cumsum(size)[:-1]])
+    group_of = np.full(basis.fermion_dim, -1)
+    slot_of = np.zeros(basis.fermion_dim, dtype=np.intp)
+    group_of[states] = group
+    slot_of[states] = np.arange(len(states)) - start[group]
+    casimir = (raising.T @ raising).tocoo()
+    keep = group_of[casimir.col] >= 0
+    r, c, v = casimir.row[keep], casimir.col[keep], casimir.data[keep]
+    for n in np.unique(size):
+        members = np.flatnonzero(size == n)
+        rank = np.full(len(size), -1)
+        rank[members] = np.arange(len(members))
+        sel = rank[group_of[c]] >= 0
+        stack = np.zeros((len(members), n, n))
+        stack[rank[group_of[c[sel]]], slot_of[r[sel]], slot_of[c[sel]]] = v[sel]
+        w, q = np.linalg.eigh(stack)
+        dims = np.sum(w < _KERNEL_CUT, axis=1)
+        for k in np.unique(dims[dims > 0]):
+            these = dims == k
+            yield states[start[members[these]][:, None] + np.arange(n)], q[these, :, :k]
+
+
+def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
+    """H'' on the highest-weight states of each component, weighted by the
+    2M + 1 states of each multiplet, as one stack (idx, real blocks,
+    weights) per block size.
+
+    Every component must hold one value M of S'z (``twice_m`` is 2 S'z on the
+    fermion factor).  The highest-weight vectors of a group of fermion states
+    (:func:`_highest_weight_vectors`) are tensored with each boson state.
+    Such a group must lie in one component, where the gauge is s_k phi with
+    s_k = +-1 and one phase phi per group.  The vectors are multiplied by s
+    (the sign fold), so the projected block P^T G P of the gauged H'' is
+    real and has the spectrum of H'' on the highest-weight states; phi
+    cancels.  idx holds the first basis state of the group of each column:
+    the field correction is constant on the group, because S'+ keeps every
+    q_x.  The counts must add up to the dimension: the sum of (2M + 1) x
+    size is total_dim.
+    """
+    nb = basis.boson_dim
+    twice_m_full = np.repeat(twice_m, nb)
+    _, first = np.unique(labels, return_index=True)
+    comp_m = twice_m_full[first]
+    mixed = np.flatnonzero(twice_m_full != comp_m[labels])
+    if mixed.size:
+        raise ValueError(f"component {labels[mixed[0]]} of H'' holds more than one value of S'z")
+    rows, cols, vals, col_lab, col_rep = [], [], [], [], []
+    for states, vectors in _highest_weight_vectors(basis, raising, twice_m):
+        full = states[:, None, :] * nb + np.arange(nb)[:, None]      # (group, boson, state)
+        lab = labels[full]
+        if np.any(lab != lab[..., :1]):
+            raise ValueError("a group of fermion states with one site occupation pattern "
+                             "and one S'z spans several components of H''")
+        ratio = phase[full] * phase[full[..., :1]].conj()
+        sign = np.sign(ratio.real)
+        dev = float(np.max(np.abs(ratio - sign)))
+        if dev > _SYMMETRY_TOL:
+            raise ValueError(f"the gauge read off H'' is not +-1 times one phase on a group "
+                             f"of one site occupation pattern and one S'z (deviation {dev:.3e})")
+        g, k = vectors.shape[0], vectors.shape[2]
+        shape = full.shape + (k,)                                     # (group, boson, state, column)
+        ids = sum(map(len, col_lab)) + np.arange(g * nb * k).reshape(g, nb, 1, k)
+        rows.append(np.broadcast_to(full[..., None], shape).ravel())
+        cols.append(np.broadcast_to(ids, shape).ravel())
+        vals.append((sign[..., None] * vectors[:, None]).ravel())
+        col_lab.append(np.repeat(lab[..., 0].ravel(), k))
+        col_rep.append(np.repeat(full[..., 0].ravel(), k))
+    rows, cols, vals, col_lab, col_rep = map(np.concatenate, (rows, cols, vals, col_lab, col_rep))
+    count = np.bincount(col_lab, minlength=len(comp_m))
+    total = int(np.sum((comp_m + 1) * count))
+    if total != basis.total_dim:
+        raise ValueError(f"the highest-weight sectors hold {total} states with their multiplets, "
+                         f"not total_dim = {basis.total_dim}")
+    # renumber the columns component by component, each in the order of its states
+    order = np.lexsort((np.arange(len(col_lab)), col_rep, col_lab))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    col_lab, col_rep = col_lab[order], col_rep[order]
+    P = csr_array((vals, (rows, rank[cols])), shape=(basis.total_dim, len(order)))
+    B = (P.T @ (G @ P)).tocoo()               # block-diagonal over the components
+    start = np.cumsum(count) - count          # first column of each component
+    lab = col_lab[B.row]
+    stacks = []
+    for n in np.unique(count[count > 0]):
+        comps = np.flatnonzero(count == n)
+        slot = np.full(len(count), -1)
+        slot[comps] = np.arange(len(comps))
+        sel = slot[lab] >= 0
+        blocks = np.zeros((len(comps), n, n))
+        blocks[slot[lab[sel]], B.row[sel] - start[lab[sel]], B.col[sel] - start[lab[sel]]] = B.data[sel]
+        stacks.append((col_rep[start[comps][:, None] + np.arange(n)], blocks, comp_m[comps] + 1))
+    return stacks
+
+
+def highest_weight_sectors(basis, H2):
+    """H'' reduced by the spin SU(2) of the zigzag frame, for Z(h) of the
+    field family H''(h): one stack (idx, real blocks, weights 2M + 1) per
+    block size.
+
+    S'+ = V S+ V^-1, the zigzag image of S+ = sum_x c*_{x up} c_{x down}
+    (``model.zigzag_spin_operators``), commutes with H'' and keeps every site
+    occupation, so it commutes with every field term too.  H''(h) is then
+    fixed by its restriction to the highest-weight states (ker S'+) of each
+    component with S'z = M >= 0, counted 2M + 1 times.  The components and
+    the gauge d are those of :func:`_phase_gauge`, and the gauged H'' is kept
+    as one sparse matrix, so no dense block or full-space product is formed.
+    Each idx holds one representative basis index per block column; the
+    field correction of H''(h) is constant on its group.  Refuses, with
+    ValueError, in this order: a component with flux; an H'' whose
+    commutator with S'+ exceeds 1e-12 times its largest entry; a component
+    with two values of S'z; a group split over components or with a gauge
+    that is not +-1 times one phase; multiplets that miss total_dim.
+    """
+    labels, phase, G = _gauged_sparse(H2)
+    raising, twice_m = _model.zigzag_spin_operators(basis)
+    _check_commutes(basis, G, raising, phase)
+    return _project_highest_weight(basis, labels, phase, G, raising, twice_m)
 
 
 # -- charge correlations ------------------------------------------------------

@@ -386,6 +386,29 @@ def test_spin_swap_commutes_with_field_hamiltonian(nu, n_max):
             assert np.array_equal(swapped, M)
 
 
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
+def test_zigzag_spin_operators_match_dense_oracle_and_commute_with_field_hamiltonian(nu, n_max):
+    """S'+ and 2 S'z are the zigzag images of the dense S+ and 2 S^z, S'+
+    keeps every site occupation, and [H''(h), S'+ (x) 1] = 0 for every h."""
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    raising, twice_m = model.zigzag_spin_operators(basis)
+    V = model.zigzag_fermion(basis).to_dense()
+    s_plus = sum(basis.cdag(x, "up") @ basis.c(x, "down") for x in basis.sites)
+    assert np.array_equal(raising.toarray(), V @ s_plus.real @ V.T)
+    s_z2 = sum(np.diag(basis.spin_z(x)).real for x in basis.sites)
+    assert np.array_equal(np.diag(twice_m).astype(float), V @ np.diag(s_z2) @ V.T)
+    r, c = raising.nonzero()
+    assert np.array_equal(twice_m[r], twice_m[c] + 2)
+    q = model.charge_diagonals(basis)
+    assert np.array_equal(q[:, r], q[:, c])
+    up = np.kron(raising.toarray(), np.eye(basis.boson_dim))
+    rng = np.random.default_rng(nu + 10 * n_max)
+    for h in (np.zeros(basis.n_sites), rng.standard_normal(basis.n_sites)):
+        H = model.build_field_hamiltonian(params, basis, h)
+        assert np.max(np.abs(H @ up - up @ H)) <= 1e-13 * np.max(np.abs(H))
+
+
 # -- external field ------------------------------------------------------------------------
 
 

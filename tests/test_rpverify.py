@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +240,45 @@ def test_dls_rejects_negative_lambda():
                              theta=inst.theta)
 
 
+def _random_bounded_per_matrix(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _random_dls_instance_per_matrix(rng, dim_max=8):
+    """random_dls_instance as it drew one matrix per call (kept verbatim as an oracle)."""
+    n = int(rng.integers(2, dim_max + 1))
+    A = _random_bounded_per_matrix(rng, n)
+    A = (A + A.conj().T) / 2
+    B = _random_bounded_per_matrix(rng, n)
+    B = (B + B.conj().T) / 2
+    k = int(rng.integers(1, 4))
+    Cs = [_random_bounded_per_matrix(rng, n) for _ in range(k)]
+    Ds = [_random_bounded_per_matrix(rng, n) for _ in range(k)]
+    lams = list(rng.uniform(0.0, 2.0, size=k))
+    if rng.random() < 0.5:
+        W = np.eye(n, dtype=complex)  # standard conjugation
+    else:
+        q, _ = np.linalg.qr(_random_bounded_per_matrix(rng, n))
+        W = q
+    beta = float(rng.uniform(0.05, 3.0))
+    return rpverify.DLSInstance(A=A, B=B, Cs=Cs, Ds=Ds, lambdas=lams, beta=beta,
+                                theta=rpverify.AntiunitaryMap(W))
+
+
+@pytest.mark.parametrize("seed,dim_max", [(0, 8), (11, 8), (2024, 8), (7, 3), (99, 16)])
+def test_random_dls_instance_bit_identical_to_per_matrix_draws(seed, dim_max):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(40):
+        got = rpverify.random_dls_instance(new, dim_max=dim_max)
+        want = _random_dls_instance_per_matrix(old, dim_max=dim_max)
+        for a, b in [(got.A, want.A), (got.B, want.B), (got.theta.W, want.theta.W),
+                     *zip(got.Cs, want.Cs), *zip(got.Ds, want.Ds)]:
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert len(got.Cs) == len(want.Cs) == len(got.Ds)
+        assert got.lambdas == want.lambdas and got.beta == want.beta
+    assert new.bit_generator.state == old.bit_generator.state
+
+
 def test_trace_product_identity():
     assert rpverify.trace_product_check().passed
 
@@ -304,47 +345,148 @@ def test_field_partition_refuses_block_not_real_in_gauge():
         rpverify.FieldPartition(params, basis, H2)
 
 
-def test_field_partition_refuses_block_not_mirrored_by_spin_swap():
+def test_field_partition_refuses_diagonal_shift_breaking_spin_raising():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
     H2 = model.build_doubleprime(params, basis)
-    perm = model.spin_swap(basis).perm
-    i = np.flatnonzero(perm != np.arange(basis.total_dim))[0]
+    raising, _ = model.zigzag_spin_operators(basis)
+    i = raising.nonzero()[1][0] * basis.boson_dim  # a state that S'+ does not annihilate
     H2[i, i] += 0.25  # still Hermitian, real in the gauge, same sparsity
-    with pytest.raises(ValueError, match="spin swap"):
+    with pytest.raises(ValueError, match="does not commute with the spin raising operator"):
         rpverify.FieldPartition(params, basis, H2)
 
 
-def test_field_partition_refuses_swap_that_is_no_real_involution_in_gauge():
-    """A flux-free block on which the gauged swap is i times a real Sigma with
-    Sigma^2 = -1 has no real +-1 halves; splitting it anyway loses the spectrum."""
-    params = small_params(n_max=0)
+def test_field_partition_refuses_bond_breaking_spin_raising():
+    """One pairing entry and its adjoint scaled by a real factor: H'' keeps its
+    sparsity and stays real in the gauge, but no longer commutes with S'+."""
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    off = np.abs(H2) - np.diag(np.diag(np.abs(H2)))
+    i, j = np.unravel_index(np.argmax(off), off.shape)
+    H2[i, j] *= 1.25
+    H2[j, i] *= 1.25
+    with pytest.raises(ValueError, match="does not commute with the spin raising operator"):
+        rpverify.FieldPartition(params, basis, H2)
+
+
+def _spin_groups(basis):
+    """The full-space states of each group of one site occupation pattern, one
+    2 S'z and one boson state, for the groups of more than one state."""
+    _, twice_m = model.zigzag_spin_operators(basis)
+    q = model.charge_diagonals(basis)
+    groups = {}
+    for i in range(basis.total_dim):
+        f, b = divmod(i, basis.boson_dim)
+        groups.setdefault((tuple(q[:, f]), twice_m[f], b), []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def _linked_diagonal(basis, H2, link):
+    """The diagonal of H'' (which commutes with S'+), with the first state of each
+    group joined to the others by entries 1e-14 link(k) and their adjoints: a tree,
+    so no flux, and a commutator far below 1e-12 of the largest entry."""
+    H = np.diag(np.diag(H2))
+    for k, group in enumerate(_spin_groups(basis)):
+        H[group[0], group[1:]] = 1e-14 * link(k)
+        H[group[1:], group[0]] = np.conj(1e-14 * link(k))
+    return H
+
+
+def test_field_partition_refuses_component_with_two_values_of_spin_z():
+    params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
-    swap = model.spin_swap(basis)
-    moved = np.flatnonzero(swap.perm != np.arange(basis.total_dim))
-    a = moved[0]
-    b = next(k for k in moved if k not in (a, swap.perm[a]))
-    idx = [a, b, swap.perm[a], swap.perm[b]]
-    # real symmetric and commuting with Sigma: e_a -> e_pa -> -e_a, e_b -> e_pb -> -e_b
-    G = np.array([[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]], dtype=float)
-    d = np.array([1, 1, -1j * swap.sign[a], -1j * swap.sign[b]])
-    H2 = np.eye(basis.total_dim, dtype=complex)
-    H2[np.ix_(idx, idx)] += d[:, None] * G * d.conj()
-    S = swap.to_dense()
-    assert np.array_equal(S @ H2 @ S.T, H2)
-    with pytest.raises(ValueError, match="not a real involution"):
+    H2 = model.build_doubleprime(params, basis)
+    _, twice_m = model.zigzag_spin_operators(basis)
+    m = np.repeat(twice_m, basis.boson_dim)
+    i, j = np.flatnonzero(m == 0)[0], np.flatnonzero(m == 2)[0]
+    H2[i, j] = H2[j, i] = 1e-14  # joins two components of different S'z, without flux
+    with pytest.raises(ValueError, match="more than one value of S'z"):
         rpverify.FieldPartition(params, basis, H2)
 
 
-def test_field_partition_spin_swap_sectors_2x2():
+def test_field_partition_refuses_gauge_not_one_phase_on_a_group():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    ens = rpverify.FieldPartition(params, basis, _linked_diagonal(basis, H2, lambda k: 1.0))
+    assert sum(w * len(idx) for idx, _, w in ens.sectors) == basis.total_dim
+    twisted = _linked_diagonal(basis, H2, lambda k: np.exp(0.25j * np.pi) if k == 0 else 1.0)
+    with pytest.raises(ValueError, match="not [+]-1 times one phase on a group"):
+        rpverify.FieldPartition(params, basis, twisted)
+
+
+def test_field_partition_refuses_group_split_over_components():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    with pytest.raises(ValueError, match="spans several components"):
+        rpverify.FieldPartition(params, basis, np.diag(np.diag(H2)))
+
+
+def test_field_partition_refuses_sectors_that_miss_states(monkeypatch):
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    vectors = thermo._highest_weight_vectors
+    monkeypatch.setattr(thermo, "_highest_weight_vectors",
+                        lambda *a: ((s, v[:, :, 1:]) for s, v in vectors(*a)))
+    with pytest.raises(ValueError, match="not total_dim"):
+        rpverify.FieldPartition(params, basis)
+
+
+def test_field_partition_highest_weight_sectors_2x2():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(2, 1), params.n_max)
     ens = rpverify.FieldPartition(params, basis)
-    sizes = [len(idx) for idx, _, _ in ens.sectors]
+    sizes = np.array([len(idx) for idx, _, _ in ens.sectors])
     assert all(blk.shape == (n, n) for n, (_, blk, _) in zip(sizes, ens.sectors))
     assert sum(w * n for n, (_, _, w) in zip(sizes, ens.sectors)) == basis.total_dim
-    assert max(sizes) == 384 and 576 not in sizes
-    assert {w for _, _, w in ens.sectors} == {1, 2}
+    assert {w for _, _, w in ens.sectors} == {1, 2, 3, 4, 5}
+    assert sizes.max() == 320
+    assert np.isclose(np.sum(sizes.astype(float) ** 3), 1.231e8, rtol=1e-3)
+
+
+def test_field_partition_sector_sizes_match_counting_formula_2x2():
+    """Summed over the sectors of one (D_up, D_down), with D_s = N_{s,even} -
+    N_{s,odd}, the sizes are c(D_up) c(D_down) - c(D_up + 1) c(D_down - 1)
+    times boson_dim, where c(D) counts the occupations of one spin with that D."""
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    parity = np.array([basis.lattice.staggered_sign(x) for x in basis.sites])
+    occ = model._mode_occupations(basis)
+    d_up, d_down = parity @ occ[0::2], parity @ occ[1::2]
+    _, twice_m = model.zigzag_spin_operators(basis)
+    assert np.array_equal(twice_m, d_up - d_down)
+    c = {}
+    for bits in range(2 ** basis.n_sites):
+        d = int(parity @ ((bits >> np.arange(basis.n_sites)) & 1))
+        c[d] = c.get(d, 0) + 1
+    got = {}
+    for idx, _, weight in ens.sectors:
+        f = idx // basis.boson_dim
+        key = (int(d_up[f[0]]), int(d_down[f[0]]))
+        assert np.all(d_up[f] == key[0]) and np.all(d_down[f] == key[1])
+        assert weight == key[0] - key[1] + 1
+        got[key] = got.get(key, 0) + len(idx)
+    want = {(du, dd): (c[du] * c[dd] - c.get(du + 1, 0) * c.get(dd - 1, 0)) * basis.boson_dim
+            for du in c for dd in c if du >= dd}
+    assert got == {key: n for key, n in want.items() if n}
+
+
+def test_field_partition_builds_without_a_dense_full_space_array():
+    """At dim 4096 the construction, the [H'', S'+] check included, peaks below
+    one dense 4096^2 float64 array (134 MB); H'' is allocated before."""
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    tracemalloc.start()
+    try:
+        rpverify.FieldPartition(params, basis, H2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.total_dim ** 2 * 8, peak
 
 
 @pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
