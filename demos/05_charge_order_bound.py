@@ -9,7 +9,7 @@ cell (where the staggered correlation is visibly positive).
 from dataclasses import replace
 
 from hhlab import ModelParams, main_bound, torus_integral
-from hhlab import bounds, thermo
+from hhlab import bounds, build_basis, thermo
 from hhlab.lattice import build_lattice
 
 val, err = torus_integral(3)
@@ -34,8 +34,9 @@ for r in bounds.phase_sweep(points, nu=3):
 print("\ndesk-scale cross-check (1d ring, exact diagonalization):")
 strong = ModelParams(t=0.1, U=1.0, V=5.0, g=2.0, omega=1.0, beta=20.0, n_max=6)
 lat = build_lattice(1, 1)
+basis = build_basis(lat, strong.n_max)
 for x in lat.sites:
-    c = thermo.charge_correlation(strong, 1, 1, x, (0,), which="original")
+    c = thermo.charge_correlation(strong, basis, x, (0,), which="original")
     print(f"  (-1)^|x| <q_x q_o> at x={x}: {lat.staggered_sign(x) * c:+.4f}")
 print("the staggered correlation is positive -- the same ordering tendency "
       "the bound certifies in d >= 3.")

@@ -8,8 +8,8 @@ Modules:
   and ``Monomial``, the signed permutations that hold the exact unitaries.
 * ``model``    -- the Hamiltonian, its phase-dressed and zigzag images, the
   external-field family, and the explicit unitary transformations.
-* ``thermo``   -- spectral data, thermal expectations, Duhamel two-point
-  functions, charge correlations.
+* ``thermo``   -- spectral data, thermal expectations, the infrared
+  quadratic forms, charge correlations.
 * ``rpverify`` -- the antiunitary reflection, left/right factorization,
   and exact verification of every inequality in the reflection-positivity
   chain (partition-function Cauchy-Schwarz, Gaussian domination, infrared

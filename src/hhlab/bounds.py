@@ -182,7 +182,7 @@ def phase_sweep(params_list, nu):
 # -- finite-volume momentum-space identities -------------------------------------
 
 
-def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
+def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
     """Verify the momentum-space forms of the three quadratic forms entering
     the infrared bound, on the finite torus, against direct real-space
     evaluation, and report the finite-volume analogue of the bound on
@@ -194,13 +194,14 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
     part of the returned report (the convention chain is logged, never
     silently absorbed).
 
-    Returns (checks, report_dict).
+    The torus is that of ``basis``; with ``include_g=False`` nothing is
+    built on the basis itself.  Returns (checks, report_dict).
     """
-    from .lattice import build_lattice, dispersion
-    from .hilbert import build_basis
+    from .lattice import dispersion
     from .rpverify import CheckResult, _eq
 
-    lat = build_lattice(nu, ell)
+    lat = basis.lattice
+    nu = lat.nu
     h = np.asarray(h, dtype=complex)
     lap = lat.laplacian_matrix()
     stag = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
@@ -231,7 +232,6 @@ def finite_volume_fourier_check(params, nu, ell, h, include_g=True, tol=1e-9):
     }
 
     if include_g:
-        basis = build_basis(lat, params.n_max)
         H2 = _model.build_doubleprime(params, basis)
         spec = _thermo.spectral(H2, params.beta)
         qd = _model.charge_diagonals(basis)

@@ -119,16 +119,20 @@ def _emit_lines(args, records):
 # -- subcommands ------------------------------------------------------------------
 
 
+def _basis(cfg):
+    """The basis of the configured torus; refused above the dimension cap."""
+    return build_basis(build_lattice(cfg.nu, cfg.ell), cfg.n_max, cap=cfg.cap)
+
+
 def cmd_build(args):
     cfg = make_config(args)
-    lat = build_lattice(cfg.nu, cfg.ell)
-    basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
+    basis = _basis(cfg)
     params = cfg.params()
     hs = model.hamiltonian_set(params, basis)
     spec = thermo.spectral(hs.H, params.beta)
     w = spec.eigenvalues
     summary = {
-        "n_sites": lat.n_sites,
+        "n_sites": basis.n_sites,
         "fermion_dim": basis.fermion_dim,
         "boson_dim": basis.boson_dim,
         "total_dim": basis.total_dim,
@@ -166,10 +170,11 @@ def _rng_for(cfg, suite):
     return np.random.default_rng(cfg.seed)
 
 
-def _field_records(cfg, suite, count, params, lat, basis):
+def _field_records(cfg, suite, count, params, basis):
     """The Z(h) checks (rp, gauss) and the infrared chain, on one H'' built
     here and freed on return, before the half-filling checks allocate theirs."""
     checks = []
+    lat = basis.lattice
     H2 = model.build_doubleprime(params, basis)
 
     if suite in ("rp", "gauss", "all"):
@@ -203,9 +208,8 @@ def _field_records(cfg, suite, count, params, lat, basis):
 def _verify_records(cfg, suite, count):
     params = cfg.params()
     checks = []
-    if suite in ("theta", "rp", "gauss", "infrared", "all"):   # built once per run
-        lat = build_lattice(cfg.nu, cfg.ell)
-        basis = build_basis(lat, cfg.n_max, cap=cfg.cap)
+    if suite != "dls":   # built once per run; the DLS suite needs no basis
+        basis = _basis(cfg)
 
     if suite in ("theta", "all"):
         checks += rpverify.theta_relations_check(params, basis)
@@ -218,7 +222,7 @@ def _verify_records(cfg, suite, count):
         checks.append(rpverify.trace_product_check(seed=int(rng.integers(2 ** 31))))
 
     if suite in ("rp", "gauss", "infrared", "all"):
-        checks += _field_records(cfg, suite, count, params, lat, basis)
+        checks += _field_records(cfg, suite, count, params, basis)
 
     if suite in ("halffill", "all"):
         rng = _rng_for(cfg, suite)
@@ -228,7 +232,7 @@ def _verify_records(cfg, suite, count):
                 V=float(rng.uniform(0.1, 3.0)), g=float(rng.uniform(-2.0, 2.0)),
                 omega=float(rng.uniform(0.3, 2.0)), beta=float(rng.uniform(0.0, 4.0)),
                 n_max=cfg.n_max)
-            checks += rpverify.half_filling_check(draw, cfg.nu, cfg.ell, mechanism=(k == 0))
+            checks += rpverify.half_filling_check(draw, basis, mechanism=(k == 0))
 
     if suite in ("q2", "all"):
         rng = _rng_for(cfg, suite)
@@ -236,13 +240,12 @@ def _verify_records(cfg, suite, count):
             n_pairs=count or 500, seed=int(rng.integers(2 ** 31))))
         strong = model.ModelParams(t=0.1, U=1.0, V=5.0, g=2.0, omega=1.0, beta=20.0,
                                    n_max=cfg.n_max)
-        checks += rpverify.q2_lower_bound_check(strong, cfg.nu, cfg.ell)
+        checks += rpverify.q2_lower_bound_check(strong, basis)
 
     if suite in ("fourier", "all"):
         rng = _rng_for(cfg, suite)
         h = rng.standard_normal((2 * cfg.ell) ** cfg.nu)
-        fchecks, _ = bounds.finite_volume_fourier_check(params, cfg.nu, cfg.ell, h,
-                                                        include_g=True)
+        fchecks, _ = bounds.finite_volume_fourier_check(params, basis, h, include_g=True)
         checks += fchecks
     return [c.to_record() for c in checks]
 
@@ -259,9 +262,10 @@ def cmd_correlate(args):
     params = cfg.params()
     x = _parse_site(args.x, cfg.nu)
     y = _parse_site(args.y, cfg.nu)
-    lat = build_lattice(cfg.nu, cfg.ell)
-    orig = thermo.charge_correlation(params, cfg.nu, cfg.ell, x, y, which="original")
-    zz = thermo.charge_correlation(params, cfg.nu, cfg.ell, x, y, which="zigzag")
+    basis = _basis(cfg)
+    lat = basis.lattice
+    orig = thermo.charge_correlation(params, basis, x, y, which="original")
+    zz = thermo.charge_correlation(params, basis, x, y, which="zigzag")
     sign = lat.staggered_sign(lat.wrap(np.array(x) - np.array(y)))
     _emit_json(args, {
         "x": list(x), "y": list(y),

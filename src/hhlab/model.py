@@ -173,52 +173,61 @@ def _bond_factors(basis, instances, pairing, params=None):
         yield inst, [basis.cdag(x, s) @ second(y, s) for s in ("up", "down")], boson
 
 
-def _bond_entries(basis, coeff, fermion, boson):
-    """The nonzero entries of coeff fermion (x) boson as flat (rows, cols, values).
+def _bond_entries(basis, coeff, fermions, boson):
+    """The nonzero entries of coeff sum_s (fermion_s (x) boson + h.c.) as a list
+    of flat (rows, cols, values): each spin's term, then its adjoint."""
+    nb = basis.boson_dim
+    br, bc = np.nonzero(boson)
+    out = []
+    for fermion in fermions:
+        r, c = np.nonzero(fermion)
+        values = (coeff * (fermion[r, c][:, None] * boson[br, bc])).ravel()
+        rows, cols = (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel()
+        out += [(rows, cols, values), (cols, rows, values.conj())]
+    return out
 
-    The adjoint has the entries conj(values) at (cols, rows).
+
+def _charge_boson_entries(basis, charges, bosons, coeff=1.0):
+    """The nonzero entries of coeff sum_x diag(charges[x]) (x) bosons[x], one
+    flat (rows, cols, values) per x.
+
+    Each term is fermion-diagonal: one boson block per fermion state where
+    charges[x] is nonzero.
     """
     nb = basis.boson_dim
-    r, c = np.nonzero(fermion)
-    br, bc = np.nonzero(boson)
-    values = coeff * (fermion[r, c][:, None] * boson[br, bc])
-    return (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel(), values.ravel()
+    out = []
+    for q, boson in zip(charges, bosons):
+        f = np.flatnonzero(q)
+        br, bc = np.nonzero(boson)
+        out.append(((f[:, None] * nb + br).ravel(), (f[:, None] * nb + bc).ravel(),
+                    (coeff * (q[f][:, None] * boson[br, bc])).ravel()))
+    return out
 
 
-def _bond_matrix(basis, coeff, factors, out=None):
-    """Sum of coeff (fermion (x) boson + h.c.) over ``factors``, added into
-    ``out`` (a new dense complex full-space matrix by default; a real ``out``
-    needs real factors).
+def _scatter(out, entries):
+    """Add the entries [(rows, cols, values), ...] into the dense ``out``, in order."""
+    for rows, cols, values in entries:
+        out[rows, cols] += values
+    return out
+
+
+def _sparse_sum(basis, entries):
+    """The sum of the entries [(rows, cols, values), ...] as a CSR array."""
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    return sparse.coo_array((values, (rows, cols)), shape=(basis.total_dim,) * 2).tocsr()
+
+
+def _bond_matrix(basis, coeff, factors):
+    """Sum of coeff (fermion (x) boson + h.c.) over ``factors``, as a dense
+    complex full-space matrix.
 
     The entries of each term and of its adjoint are scattered straight into
     the result, so no full-space Kronecker product is formed.  The result is
     bit-identical to summing the dense terms in instance order.
     """
-    if out is None:
-        out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
     for _, fermions, boson in factors:
-        for fermion in fermions:
-            rows, cols, values = _bond_entries(basis, coeff, fermion, boson)
-            out[rows, cols] += values
-            out[cols, rows] += values.conj()
-    return out
-
-
-def _charge_boson_sum(basis, charges, bosons, coeff=1.0, out=None):
-    """coeff sum_x diag(charges[x]) (x) bosons[x], added into ``out`` (a new
-    dense full-space matrix by default).
-
-    Each term is fermion-diagonal, so it is scattered as one boson block per
-    fermion state where charges[x] is nonzero.
-    """
-    nb = basis.boson_dim
-    if out is None:
-        out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for q, boson in zip(charges, bosons):
-        f = np.flatnonzero(q)
-        br, bc = np.nonzero(boson)
-        out[(f[:, None] * nb + br).ravel(), (f[:, None] * nb + bc).ravel()] += (
-            coeff * (q[f][:, None] * boson[br, bc])).ravel()
+        _scatter(out, _bond_entries(basis, coeff, fermions, boson))
     return out
 
 
@@ -274,7 +283,7 @@ def _original(params, basis, charges):
     """
     lat = _require_lattice(basis)
     H = _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False))
-    _charge_boson_sum(basis, charges, _ladder_sums(basis), params.g, out=H)
+    _scatter(H, _charge_boson_entries(basis, charges, _ladder_sums(basis), params.g))
     p = _charge_products(charges, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
     _add_diagonal(H, basis, p, _phonon_energy(basis, params.omega))
     return H
@@ -289,22 +298,21 @@ def original_structures(basis):
     """Unit-coupling structures of H: the family
     H(t, U, V, g, omega) = t S_t + U S_U + V S_V + g S_g + omega S_omega.
 
-    H is real: S_t and S_g are float64 dense matrices, and the diagonal S_U,
-    S_V and S_omega are 1-d vectors.  Feed to
-    :class:`hhlab.thermo.HamiltonianFamily` for fast parameter scans on a
-    fixed geometry.
+    H is real: S_t and S_g are float64 CSR arrays, summed from the entries
+    that ``build_original`` scatters, and the diagonal S_U, S_V and S_omega
+    are 1-d vectors.  Feed to :class:`hhlab.thermo.HamiltonianFamily` for
+    fast parameter scans on a fixed geometry.
     """
     lat = _require_lattice(basis)
     q = charge_diagonals(basis)
     nf, nb = basis.fermion_dim, basis.boson_dim
-    hopping = ((inst, [fermion.real for fermion in fermions], boson.real)
-               for inst, fermions, boson in _bond_factors(basis, _hopping_instances(lat), False))
+    hopping = [entry for _, fermions, boson in _bond_factors(basis, _hopping_instances(lat), False)
+               for entry in _bond_entries(basis, -1.0, [f.real for f in fermions], boson.real)]
     return {
-        "t": _bond_matrix(basis, -1.0, hopping, out=np.zeros((basis.total_dim, basis.total_dim))),
+        "t": _sparse_sum(basis, hopping),
         "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
         "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
-        "g": _charge_boson_sum(basis, q, [b.real for b in _ladder_sums(basis)],
-                               out=np.zeros((basis.total_dim, basis.total_dim))),
+        "g": _sparse_sum(basis, _charge_boson_entries(basis, q, [b.real for b in _ladder_sums(basis)])),
         "omega": np.tile(_phonon_energy(basis, 1.0), nf),
     }
 
@@ -346,19 +354,8 @@ def pairing_bond_terms(params, basis):
     (doubled wrap bonds, intended).
     """
     lat = _require_lattice(basis)
-    dim = basis.total_dim
-    out = []
-    for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params):
-        rows, cols, vals = [], [], []
-        for fermion in fermions:
-            r, c, v = _bond_entries(basis, -params.t, fermion, boson)
-            rows += [r, c]  # the pair, then its adjoint
-            cols += [c, r]
-            vals += [v, v.conj()]
-        term = sparse.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                                shape=(dim, dim))
-        out.append((inst, term.tocsr()))
-    return out
+    return [(inst, _sparse_sum(basis, _bond_entries(basis, -params.t, fermions, boson)))
+            for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params)]
 
 
 def _mode_occupations(basis):
@@ -433,8 +430,10 @@ def lang_firsov(params, basis):
     generator is exponentiated by dense eigendecomposition.
     """
     rot = np.conj(phonon_gauge(basis))
-    gen = _charge_boson_sum(basis, charge_diagonals(basis),
-                            [basis.boson(x, "momentum", omega=params.omega) for x in basis.sites])
+    gen = _scatter(np.zeros((basis.total_dim, basis.total_dim), dtype=complex),
+                   _charge_boson_entries(basis, charge_diagonals(basis),
+                                         [basis.boson(x, "momentum", omega=params.omega)
+                                          for x in basis.sites]))
     # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
     c = params.omega ** (-1.5) * params.g
     return rot[:, None] * expm_i_hermitian(-c * gen)

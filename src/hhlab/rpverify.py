@@ -42,7 +42,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .hilbert import HilbertBasis, build_basis, row_strips
+from .hilbert import HilbertBasis, row_strips
 
 __all__ = [
     "CheckResult",
@@ -743,18 +743,15 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
 # -- half filling -----------------------------------------------------------------------
 
 
-def half_filling_check(params, nu, ell, tol=1e-10, mechanism=False):
-    """<n_x> = 1 for every site under the original Hamiltonian.
+def half_filling_check(params, basis, tol=1e-10, mechanism=False):
+    """<n_x> = 1 for every site under the original Hamiltonian on ``basis``.
 
     With ``mechanism=True`` additionally verifies the symmetry argument as
     matrix identities: u H u^-1 = T + K + W with
     W = U sum s^2 + V sum s s + g sum s (b + b*), and D (u H u^-1) D^-1
     unchanged while D flips every s_x.
     """
-    from .lattice import build_lattice
-
-    lat = build_lattice(nu, ell)
-    basis = build_basis(lat, params.n_max)
+    lat = basis.lattice
     H = _model.build_original(params, basis)
     spec = _thermo.spectral(H, params.beta)
     out = []
@@ -802,8 +799,8 @@ def convexity_lemma_check(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
                        0.0, 0.0, float(worst), bool(worst >= -tol))
 
 
-def q2_lower_bound_check(params, nu, ell, tol=1e-9):
-    """The finite-volume lower bound on <q_o^2> under H'' at strong coupling:
+def q2_lower_bound_check(params, basis, tol=1e-9):
+    """The finite-volume lower bound on <q_o^2> under H'' on ``basis`` at strong coupling:
 
         <q_o^2> >= 1 - 8 nu t / gap - ln[4 (1 - e^{-beta omega})^{-1}] / (beta gap)
 
@@ -812,14 +809,12 @@ def q2_lower_bound_check(params, nu, ell, tol=1e-9):
     The bound survives phonon truncation because the truncated Tr e^{-beta K}
     is smaller than its untruncated value.
     """
-    from .lattice import build_lattice
-
+    lat = basis.lattice
+    nu = lat.nu
     gap = nu * params.V - params.u_eff
     if gap <= 0:
         return [CheckResult("q2_lower_bound", "nu V - u_eff > 0 required",
                             gap, 0.0, gap, False)]
-    lat = build_lattice(nu, ell)
-    basis = build_basis(lat, params.n_max)
     H2 = _model.build_doubleprime(params, basis)
 
     psi = np.zeros(basis.fermion_dim, dtype=complex)

@@ -1,15 +1,20 @@
-"""Spectral decomposition, thermal expectations and Duhamel two-point functions.
+"""Spectral decomposition, thermal expectations, the infrared forms and
+charge correlations.
 
-A Hamiltonian (a dense matrix) is first split into the connected components
-of its exact sparsity pattern (H[i, j] != 0.0); each component is
-eigendecomposed exactly with dense LAPACK, and all thermal sums run
-blockwise.  This is a lossless reordering -- parity-type conservation laws
-show up as exact structural zeros of the matrix -- and cuts the eigensolver
-cost by the usual cubic factor.  Components are detected from exact zeros
-only, so a "dirty" matrix simply degrades to one big block, never to a wrong
-answer.  The Gibbs state is kept as its diagonal blocks only: it is exactly
-block-diagonal, so an observable (a dense matrix, a scipy.sparse matrix or a
-1-d diagonal) enters a thermal average only through its diagonal blocks.
+A Hamiltonian (dense or scipy.sparse) is first split into the connected
+components of its exact sparsity pattern (H[i, j] != 0.0), read from its
+nonzero entries by one function, :func:`_gauged_sparse`; no dense block is
+gathered from H.  The entries of each component are scattered into one
+stack of equal-size dense blocks per component size (:func:`_block_stacks`),
+each component is eigendecomposed exactly with dense LAPACK, and all thermal
+sums run blockwise.  This is a lossless reordering -- parity-type
+conservation laws show up as exact structural zeros of the matrix -- and
+cuts the eigensolver cost by the usual cubic factor.  Components are
+detected from exact zeros only, so a "dirty" matrix simply degrades to one
+big block, never to a wrong answer.  The Gibbs state is kept as its diagonal
+blocks only: it is exactly block-diagonal, so an observable (a dense matrix,
+a scipy.sparse matrix or a 1-d diagonal) enters a thermal average only
+through its nonzero entries inside the components.
 
 The same pass over H's nonzero entries reads off a diagonal unitary gauge d
 from a maximum-modulus spanning forest of the pattern (_phase_gauge).  In
@@ -17,27 +22,25 @@ it every component without flux is real symmetric: H'' (through its phonon
 exponentials), H, H' and the zigzag image V H V^-1 all are.  Such a block is
 solved by a real ``eigh`` and every later sum over it runs in real
 arithmetic; a block with flux keeps a complex ``eigh`` (see SpectralData).
-``highest_weight_sectors`` takes its components and gauge of H'' from the
-same function and reduces H'' further, to the highest-weight states of the
-spin SU(2) of the zigzag frame; ``rpverify.FieldPartition`` solves Z(h) on
-those blocks.
+The three engines share this split: ``SpectralData``,
+``highest_weight_sectors`` (which reduces H'' further, to the
+highest-weight states of the spin SU(2) of the zigzag frame, for
+``rpverify.FieldPartition``'s Z(h)) and ``HamiltonianFamily``.
 On the 2x2 torus at n_max = 1 (dim 4096, 85 components, one BLAS thread)
 ``spectral(H'')`` takes about 0.3 s, against 1.2 s for complex blocks.
-
-The Duhamel two-point function is evaluated spectrally:
-
-    (A, B) = Z^-1 sum_{m,n} (A*)_{mn} B_{nm} kappa(E_m, E_n),
-    kappa(E, E') = (e^{-beta E} - e^{-beta E'}) / (beta (E' - E)),
-
-with a second-order series for beta |E - E'| < 1e-6 to avoid the 0/0.
-All exponentials are shifted by the ground energy so beta can be large.
 
 The infrared quantities g = <A* A>, b = (A, A) and c = beta <[A, [H'', A*]]>
 of A = sum_x f_x q_x are Hermitian forms in the N-vector f (N = n_sites).
 Their three N x N matrices are built once per (spectral data, basis, H'')
 from the real blocks -- N products q^T diag(q_x) q per block, about 0.2 s at
 dim 4096 on one BLAS thread -- and cached on the spectral data, after which
-each field costs O(N^2) (see quadratic_form_quantities).
+each field costs O(N^2) (see quadratic_form_quantities).  The Duhamel form
+b = (A, A) uses the kernel
+
+    kappa(E, E') = (e^{-beta E} - e^{-beta E'}) / (beta (E' - E)),
+
+with a second-order series for beta |E - E'| < 1e-6 to avoid the 0/0.
+All exponentials are shifted by the ground energy so beta can be large.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix, issparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
+from scipy.sparse import coo_array, csr_array, csr_matrix, issparse
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import model as _model
-from .hilbert import build_basis
 
 __all__ = [
     "SpectralData",
@@ -68,8 +70,10 @@ _GAUGE_IMAG_TOL = 1e-12
 class SpectralData:
     """Eigenpairs of a Hermitian matrix plus cached thermal weights.
 
-    Each connected component of H is solved in a diagonal unitary gauge d
-    (|d_k| = 1) read off H itself (:func:`_phase_gauge`).  The gauged block
+    Each connected component of H (dense or scipy.sparse) is solved in a
+    diagonal unitary gauge d (|d_k| = 1) read off H itself
+    (:func:`_gauged_sparse`).  H's entries are scattered into one stack of
+    blocks per component size, and each stack is gauged.  The gauged block
     G = conj(d) H_blk d is real symmetric whenever the component carries no
     flux, and is then solved by a real ``eigh``.  A block whose gauged
     imaginary part exceeds _GAUGE_IMAG_TOL times its largest entry keeps a
@@ -92,29 +96,23 @@ class SpectralData:
     """
 
     def __init__(self, H, beta):
-        H = np.ascontiguousarray(H)
         n = H.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be square")
-        labels, phase = _phase_gauge(H)
-        sizes = np.bincount(labels)
-        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-        eig = [None] * len(sizes)
+        labels, phase, entries, flux = _gauged_sparse(H)
+        eig = [None] * len(flux)
         scale, res = 1e-300, 0.0
-        for size in np.unique(sizes):        # the components of one size form one stack
-            labs = np.flatnonzero(sizes == size)
-            idx = np.stack([members[lab] for lab in labs])
-            blk = H[idx[:, :, None], idx[:, None, :]]
-            top = np.abs(blk).max(axis=(1, 2))
-            scale = max(scale, float(top.max()))
+        for labs, idx, (blk,) in _block_stacks(labels, [entries]):   # one stack per size
+            scale = max(scale, float(np.abs(blk).max()))
             g = _gauged(blk, phase[idx], phase[idx])
-            real = np.abs(g.imag).max(axis=(1, 2)) <= _GAUGE_IMAG_TOL * top
-            phase[idx[~real]] = 1.0
+            real = flux[labs] == 0.0
             for sel, a, target in ((real, g.real, g), (~real, blk, blk)):
                 if not sel.any():
                     continue
-                w, q = np.linalg.eigh(a[sel])
-                res = max(res, _block_residual(w, q, target[sel]))
+                if not sel.all():               # a copy only for a mixed stack
+                    a, target = a[sel], target[sel]
+                w, q = np.linalg.eigh(a)
+                res = max(res, _block_residual(w, q, target))
                 for lab, i, wi, qi in zip(labs[sel], idx[sel], w, q):
                     eig[lab] = (i, wi, qi)
         self._finish(eig, n, beta, phase)
@@ -164,11 +162,6 @@ class SpectralData:
         """conj(d[rows]) a d[cols]: the rows x cols part a of an operator, in the gauge."""
         return _gauged(a, self._phase[rows], self._phase[cols])
 
-    def reconstruction_residual(self, H):
-        """Largest entry of a bound on |Q W Q^H - H_blk| over the components."""
-        return max(_block_residual(w, q, self._gauge(H[np.ix_(idx, idx)], idx, idx))
-                   for idx, w, q in self._eig)
-
     def rho_diag(self):
         """Diagonal of the Gibbs state in the original basis."""
         if self._rho_diag is None:
@@ -185,12 +178,6 @@ class SpectralData:
                            for (_, _, q), wt in zip(self._eig, self._weights)]
         return self._gibbs
 
-    def rho_blocks(self):
-        """Per-component Gibbs blocks rho_i of H (the full state is their
-        direct sum), built on each call from the cached gauged blocks."""
-        return [self._phase[idx, None] * rho * self._phase[idx].conj()
-                for (idx, _, _), rho in zip(self._eig, self._gibbs_blocks())]
-
     # -- thermal averages ----------------------------------------------------
 
     def expectation(self, A):
@@ -200,25 +187,19 @@ class SpectralData:
         and discarded then.
 
         Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
-        diagonal blocks of rho only: its entries between components are
+        nonzero entries of a matrix A inside the components only (dense A is
+        read as a sparse one): the entries of rho between components are
         exact zeros, so the entries of A there contribute exactly 0.  In the
         gauge, conj(rho_ij) A_ij = conj(r_ij) (conj(d_i) A_ij d_j) with r the
         gauged Gibbs block.
         """
-        if issparse(A):
-            val = self._sparse_trace(A)
-        else:
-            A = np.asarray(A)
-            if A.ndim == 1:
-                val = complex(np.dot(A, self.rho_diag()))
-            else:
-                val = complex(sum(np.vdot(rho_i, self._gauge(A[np.ix_(idx, idx)], idx, idx))
-                                  for (idx, _, _), rho_i in zip(self._eig, self._gibbs_blocks())))
+        A = A if issparse(A) else np.asarray(A)
+        val = complex(np.dot(A, self.rho_diag())) if A.ndim == 1 else self._sparse_trace(A)
         return _realize_if_hermitian(val, A)
 
     def _sparse_trace(self, A):
-        """Tr(rho A) from the stored entries of a sparse A inside one component."""
-        A = A.tocoo()
+        """Tr(rho A) from the nonzero entries of A inside one component."""
+        A = coo_array(A)
         comp = self._block_of[A.row]
         inside = comp == self._block_of[A.col]
         rows, cols, data, comp = A.row[inside], A.col[inside], A.data[inside], comp[inside]
@@ -230,39 +211,6 @@ class SpectralData:
             total += np.vdot(rho[k][self._position[rows[sel]], self._position[cols[sel]]],
                              data[sel])
         return complex(total)
-
-    def duhamel(self, A, B):
-        """Duhamel two-point function (A, B) at this spectral data.
-
-        (A, A) >= 0 and (A, B) = conj((B, A)); diagonal observables may be
-        passed as 1-d arrays (their eigenbasis matrix elements are then
-        confined to the diagonal blocks, which is much cheaper).
-        """
-        A = np.asarray(A)
-        B = np.asarray(B)
-        diag_a, diag_b = A.ndim == 1, B.ndim == 1
-        total = 0.0 + 0.0j
-        for bi, (idx_i, w_i, q_i) in enumerate(self._eig):
-            for bj, (idx_j, w_j, q_j) in enumerate(self._eig):
-                if (diag_a or diag_b) and bi != bj:
-                    continue  # diagonal observables have no cross-block elements
-                at = self._eigenbasis_block(A, idx_i, idx_j, q_i, q_j)
-                bt = at if B is A else self._eigenbasis_block(B, idx_i, idx_j, q_i, q_j)
-                if at is None or bt is None:
-                    continue
-                # shifted energies: the e^{beta e0} cancels against z_shifted
-                kern = _duhamel_kernel(self.beta, w_i - self.e0, w_j - self.e0)
-                total += np.sum(np.conj(at) * bt * kern)
-        return complex(total / self.z_shifted)
-
-    def _eigenbasis_block(self, A, idx_i, idx_j, q_i, q_j):
-        """Matrix elements <n|A|m>, n in block i, m in block j."""
-        if A.ndim == 1:
-            return (q_i.conj().T * A[idx_i]) @ q_j   # a diagonal is gauge-invariant
-        sub = A[np.ix_(idx_i, idx_j)]
-        if not sub.any():
-            return None
-        return q_i.conj().T @ self._gauge(sub, idx_i, idx_j) @ q_j
 
 
 def _max_abs(A):
@@ -305,24 +253,24 @@ def _duhamel_kernel(beta, w_row, w_col):
 
 
 def _offdiagonal_pattern(H):
-    """Row and column indices of H's nonzero off-diagonal entries, row by row."""
+    """Rows, columns and values of H's nonzero off-diagonal entries, row by
+    row: of a dense H, or of the stored entries of a scipy.sparse H."""
+    if issparse(H):
+        H = H.tocoo().tocsr()               # duplicates summed, each row sorted
+        rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+        keep = (rows != H.indices) & (H.data != 0)
+        return rows[keep], H.indices[keep], H.data[keep]
     rows, cols = np.divmod(np.flatnonzero(H != 0.0), H.shape[0])   # 3x faster than np.nonzero(H)
     off = rows != cols
-    return rows[off], cols[off]
+    rows, cols = rows[off], cols[off]
+    return rows, cols, H[rows, cols]
 
 
-def _component_labels(H):
-    n = H.shape[0]
-    rows, cols = _offdiagonal_pattern(H)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return labels
-
-
-def _phase_gauge(H, pattern=None):
+def _phase_gauge(H, entries=None):
     """Component labels of H's exact sparsity pattern, and a gauge d on the
-    full space (|d_k| = 1) in which every flux-free component is real.
-    ``pattern`` is H's off-diagonal pattern (rows, cols) if the caller has it.
+    full space (|d_k| = 1) in which every flux-free component is real.  H is
+    dense or scipy.sparse; ``entries`` is its :func:`_offdiagonal_pattern`
+    if the caller has it.
 
     One pass over H's nonzero entries builds a maximum-modulus spanning
     forest of the pattern: the minimum spanning tree of the weights -|H_kl|
@@ -335,20 +283,23 @@ def _phase_gauge(H, pattern=None):
     entry at rounding level carries an arbitrary phase, and a tree through
     it would leave O(1) imaginary parts on the large entries it bypasses.
     The phases are multiplied down the trees by pointer jumping, in
-    O(n log n).  The components are numbered by their smallest index, as
-    :func:`_component_labels` numbers them.
+    O(n log n).  The components are numbered by their smallest index.
     """
     n = H.shape[0]
-    rows, cols = _offdiagonal_pattern(H) if pattern is None else pattern
-    weights = np.concatenate([-np.abs(H[rows, cols]), np.ones(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)), [len(cols)]])
-    tree = minimum_spanning_tree(csr_matrix((weights, cols, indptr), shape=(n + 1, n + 1)))
+    rows, cols, vals = _offdiagonal_pattern(H) if entries is None else entries
+    weights = np.concatenate([-np.abs(vals), np.ones(n)])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)), [len(weights)]])
+    tree = minimum_spanning_tree(csr_matrix((weights, np.concatenate([cols, np.arange(n)]), indptr),
+                                            shape=(n + 1, n + 1)))
     _, up = breadth_first_order(tree, n, directed=False, return_predecessors=True)
     up = up[:n]
     roots = np.flatnonzero(up == n)
     up[roots] = roots
-    link = H[np.arange(n), up]          # conj(H[up[k], k]) for Hermitian H
+    # the link H[k, up[k]] (conj(H[up[k], k]) for Hermitian H), looked up in
+    # the entries, which run row by row; n * n is a sentinel past every key
+    key, want = np.append(rows * n + cols, n * n), np.arange(n) * n + up
+    at = np.searchsorted(key, want)
+    link = np.where(key[at] == want, np.append(vals, 0)[at], 0)
     link[roots] = 1.0
     if np.iscomplexobj(link):
         # Scale each link to largest part +-1 before taking its phase: complex
@@ -363,6 +314,62 @@ def _phase_gauge(H, pattern=None):
         up = up[up]
     _, first, comp = np.unique(up, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[comp], phase / np.abs(phase)
+
+
+def _gauged_sparse(H):
+    """H split into the components of its exact sparsity pattern, read from
+    its nonzero entries (H dense or scipy.sparse): no dense block is gathered.
+
+    Returns (labels, phase, (rows, cols, values), flux).  ``labels`` and the
+    gauge ``phase`` are those of :func:`_phase_gauge`; the entries are H's
+    own (not gauged) over its off-diagonal pattern, row by row, then its
+    diagonal.  ``flux`` holds, per component, the largest imaginary part of
+    conj(d) H d where it exceeds _GAUGE_IMAG_TOL times the component's
+    largest entry (the component carries flux), else 0.  The gauge is reset
+    to 1 on every component with flux.
+    """
+    n = H.shape[0]
+    rows, cols, vals = _offdiagonal_pattern(H)
+    labels, phase = _phase_gauge(H, (rows, cols, vals))
+    rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
+    vals = np.concatenate([vals, H.diagonal()])
+    imag, top = np.zeros((2, labels.max() + 1))
+    np.maximum.at(imag, labels[rows], np.abs(_gauged(vals, phase[rows], phase[cols]).imag))
+    np.maximum.at(top, labels[rows], np.abs(vals))
+    flux = np.where(imag > _GAUGE_IMAG_TOL * top, imag, 0.0)
+    phase[flux[labels] > 0.0] = 1.0
+    return labels, phase, (rows, cols, vals), flux
+
+
+def _block_stacks(labels, entries):
+    """The entries of operators that are block-diagonal over ``labels``,
+    scattered into one stack of equal-size dense blocks per block size.
+
+    ``labels`` names the block of every index (-1: none, and the entries
+    there are dropped); ``entries`` is a list of (rows, cols, values), one
+    per operator, none between two blocks.  Yields, by ascending block size
+    n, (labs, idx, stacks): the labels of the m blocks of that size, their
+    indices idx (m, n), ascending in each block, and per operator its blocks
+    (m, n, n) in the dtype of its values, +0.0 off its entries.
+    """
+    inside = np.flatnonzero(labels >= 0)
+    order = inside[np.argsort(labels[inside], kind="stable")]
+    sizes = np.bincount(labels[inside])
+    start = np.cumsum(sizes) - sizes
+    position = np.zeros(len(labels), dtype=np.intp)   # index inside its block
+    position[order] = np.arange(len(order)) - start[labels[order]]
+    for n in np.unique(sizes[sizes > 0]):
+        labs = np.flatnonzero(sizes == n)
+        slot = np.full(len(sizes) + 1, -1)      # slot[-1] stays -1, for the label -1
+        slot[labs] = np.arange(len(labs))
+        stacks = []
+        for r, c, v in entries:
+            k = slot[labels[r]]
+            sel = k >= 0
+            blocks = np.zeros((len(labs), n, n), dtype=v.dtype)
+            blocks[k[sel], position[r[sel]], position[c[sel]]] = v[sel]
+            stacks.append(blocks)
+        yield labs, order[start[labs][:, None] + np.arange(n)], stacks
 
 
 def _gauged(a, row_phase, col_phase):
@@ -396,25 +403,6 @@ def spectral(H, beta):
 _SYMMETRY_TOL = 1e-12
 # eigenvalues of S'- S'+ below this are zeros: the others are S(S + 1) - M(M + 1) >= 2
 _KERNEL_CUT = 0.5
-
-
-def _gauged_sparse(H2):
-    """The component labels and the gauge d of :func:`_phase_gauge`, and
-    conj(d) H'' d as a real sparse matrix over the nonzero pattern of H'' and
-    its diagonal; refuses a component whose gauged entries are not real."""
-    n = H2.shape[0]
-    rows, cols = _offdiagonal_pattern(H2)
-    labels, phase = _phase_gauge(H2, (rows, cols))
-    rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
-    gauged = _gauged(H2[rows, cols], phase[rows], phase[cols])
-    imag, top = np.zeros((2, labels.max() + 1))
-    np.maximum.at(imag, labels[rows], np.abs(gauged.imag))
-    np.maximum.at(top, labels[rows], np.abs(gauged))
-    flux = np.flatnonzero(imag > _GAUGE_IMAG_TOL * top)
-    if flux.size:
-        raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
-                         f"H'' (largest imaginary entry {imag[flux[0]]:.3e})")
-    return labels, phase, csr_array((gauged.real, (rows, cols)), shape=(n, n))
 
 
 def _check_commutes(basis, G, raising, phase):
@@ -451,30 +439,16 @@ def _highest_weight_vectors(basis, raising, twice_m):
     occ = _model._mode_occupations(basis)
     pattern = ((occ[0::2] + occ[1::2]) * 3 ** np.arange(basis.n_sites)[:, None]).sum(axis=0)
     states = np.flatnonzero(twice_m >= 0)
-    _, group, size = np.unique(pattern[states] * (basis.n_sites + 1) + twice_m[states],
-                               return_inverse=True, return_counts=True)
-    order = np.argsort(group, kind="stable")
-    states, group = states[order], group[order]
-    start = np.concatenate([[0], np.cumsum(size)[:-1]])
     group_of = np.full(basis.fermion_dim, -1)
-    slot_of = np.zeros(basis.fermion_dim, dtype=np.intp)
-    group_of[states] = group
-    slot_of[states] = np.arange(len(states)) - start[group]
+    group_of[states] = np.unique(pattern[states] * (basis.n_sites + 1) + twice_m[states],
+                                 return_inverse=True)[1]
     casimir = (raising.T @ raising).tocoo()
-    keep = group_of[casimir.col] >= 0
-    r, c, v = casimir.row[keep], casimir.col[keep], casimir.data[keep]
-    for n in np.unique(size):
-        members = np.flatnonzero(size == n)
-        rank = np.full(len(size), -1)
-        rank[members] = np.arange(len(members))
-        sel = rank[group_of[c]] >= 0
-        stack = np.zeros((len(members), n, n))
-        stack[rank[group_of[c[sel]]], slot_of[r[sel]], slot_of[c[sel]]] = v[sel]
+    for _, states, (stack,) in _block_stacks(group_of, [(casimir.row, casimir.col, casimir.data)]):
         w, q = np.linalg.eigh(stack)
         dims = np.sum(w < _KERNEL_CUT, axis=1)
         for k in np.unique(dims[dims > 0]):
             these = dims == k
-            yield states[start[members[these]][:, None] + np.arange(n)], q[these, :, :k]
+            yield states[these], q[these, :, :k]
 
 
 def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
@@ -535,18 +509,8 @@ def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
     col_lab, col_rep = col_lab[order], col_rep[order]
     P = csr_array((vals, (rows, rank[cols])), shape=(basis.total_dim, len(order)))
     B = (P.T @ (G @ P)).tocoo()               # block-diagonal over the components
-    start = np.cumsum(count) - count          # first column of each component
-    lab = col_lab[B.row]
-    stacks = []
-    for n in np.unique(count[count > 0]):
-        comps = np.flatnonzero(count == n)
-        slot = np.full(len(count), -1)
-        slot[comps] = np.arange(len(comps))
-        sel = slot[lab] >= 0
-        blocks = np.zeros((len(comps), n, n))
-        blocks[slot[lab[sel]], B.row[sel] - start[lab[sel]], B.col[sel] - start[lab[sel]]] = B.data[sel]
-        stacks.append((col_rep[start[comps][:, None] + np.arange(n)], blocks, comp_m[comps] + 1))
-    return stacks
+    return [(col_rep[idx], blocks, comp_m[labs] + 1)
+            for labs, idx, (blocks,) in _block_stacks(col_lab, [(B.row, B.col, B.data)])]
 
 
 def highest_weight_sectors(basis, H2):
@@ -568,7 +532,12 @@ def highest_weight_sectors(basis, H2):
     with two values of S'z; a group split over components or with a gauge
     that is not +-1 times one phase; multiplets that miss total_dim.
     """
-    labels, phase, G = _gauged_sparse(H2)
+    labels, phase, (rows, cols, vals), flux = _gauged_sparse(H2)
+    if flux.any():
+        raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
+                         f"H'' (largest imaginary entry {flux[flux > 0.0][0]:.3e})")
+    G = csr_array((_gauged(vals, phase[rows], phase[cols]).real, (rows, cols)), shape=H2.shape)
+    del rows, cols, vals                      # G holds them from here on
     raising, twice_m = _model.zigzag_spin_operators(basis)
     _check_commutes(basis, G, raising, phase)
     return _project_highest_weight(basis, labels, phase, G, raising, twice_m)
@@ -578,9 +547,7 @@ def highest_weight_sectors(basis, H2):
 
 
 @lru_cache(maxsize=8)
-def _correlation_state(params, nu, ell, which):
-    lat = _model_lattice(nu, ell)
-    basis = build_basis(lat, params.n_max)
+def _correlation_state(params, basis, which):
     H = _model.build_original(params, basis)
     if which == "zigzag":
         H = _model.build_zigzag(basis).conjugate(H)
@@ -588,20 +555,11 @@ def _correlation_state(params, nu, ell, which):
         H = _model.build_doubleprime(params, basis)
     elif which != "original":
         raise ValueError(f"which must be 'original', 'zigzag' or 'doubleprime', got {which!r}")
-    spec = spectral(H, params.beta)
-    qd = _model.charge_diagonals(basis)
-    return lat, basis, spec, qd
+    return spectral(H, params.beta), _model.charge_diagonals(basis)
 
 
-@lru_cache(maxsize=32)
-def _model_lattice(nu, ell):
-    from .lattice import build_lattice
-
-    return build_lattice(nu, ell)
-
-
-def charge_correlation(params, nu, ell, x, y, which="original"):
-    """<q_x q_y> under the chosen Hamiltonian on the (nu, ell) torus.
+def charge_correlation(params, basis, x, y, which="original"):
+    """<q_x q_y> under the chosen Hamiltonian on ``basis`` (built on a torus).
 
     ``which`` selects the original H, its zigzag image V H V^-1 (for which
     <q_x q_y> picks up exactly the staggered sign (-1)^(|x| + |y|) relative
@@ -609,7 +567,8 @@ def charge_correlation(params, nu, ell, x, y, which="original"):
     the zigzag unitary is exact and the Lang-Firsov unitary commutes with
     every q), or the formula-built H''.
     """
-    lat, basis, spec, qd = _correlation_state(params, nu, ell, which)
+    lat = basis.lattice
+    spec, qd = _correlation_state(params, basis, which)
     i, j = lat.site_index[lat.wrap(x)], lat.site_index[lat.wrap(y)]
     diag = np.repeat(qd[i] * qd[j], basis.boson_dim)
     return spec.expectation(diag)
@@ -730,9 +689,8 @@ def _build_quadratic_forms(spec, basis, H):
         m = m.reshape(n, -1)
         qb = qb - qb.mean(axis=0)
         kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0).ravel()
-        blk = H[np.ix_(idx, idx)]
-        k, l = _offdiagonal_pattern(blk)            # D_x vanishes on the diagonal
-        nested = -rho_i[k, l].conj() * spec._gauge(blk[k, l], idx[k], idx[l])
+        k, l, h_kl = _offdiagonal_pattern(H[np.ix_(idx, idx)])   # D_x vanishes on the diagonal
+        nested = -rho_i[k, l].conj() * spec._gauge(h_kl, idx[k], idx[l])
         if np.isrealobj(rho_i):
             nested = nested.real
         d = qb[:, k] - qb[:, l]
@@ -765,47 +723,47 @@ def pairing_bond_expectations(params, basis, spec):
 class HamiltonianFamily:
     """A coupling-linear family H(c) = sum_k c_k S_k on a fixed basis.
 
-    Each structure S_k is a dense matrix or, when diagonal, a 1-d vector.
-    The union sparsity pattern of the dense structures -- and hence the
-    component split -- is coupling-independent, so it is computed once and
-    every member of the family is diagonalized sector by sector, with a real
-    ``eigh`` when every structure is real.  Meant for scans over many
-    parameter draws on one geometry.
+    Each structure S_k is a scipy.sparse matrix (``model.original_structures``
+    gives CSR arrays) or, when diagonal, a 1-d vector.  The components of the
+    union pattern of the matrices are coupling-independent: they are found
+    once, by :func:`_gauged_sparse` on the sum of their moduli, and each
+    structure is scattered into one stack of equal-size blocks per component
+    size.  Every member of the family is then diagonalized stack by stack,
+    with a real ``eigh`` when every structure is real.  Meant for scans over
+    many parameter draws on one geometry.
     """
 
     def __init__(self, structures):
-        names = list(structures)
-        dim = structures[names[0]].shape[0]
-        mask = np.zeros((dim, dim), dtype=bool)
-        for name in names:
-            if structures[name].ndim == 2:
-                mask |= structures[name] != 0.0
-        labels = _component_labels(mask)
-        self.dim = dim
-        self.names = names
-        self.dtype = np.result_type(*structures.values())
-        self.sectors = []
-        for lab in range(labels.max() + 1):
-            idx = np.flatnonzero(labels == lab)
-            restricted = {name: s[idx] if s.ndim == 1 else np.ascontiguousarray(s[np.ix_(idx, idx)])
-                          for name, s in structures.items()}
-            self.sectors.append((idx, restricted))
+        self.names = list(structures)
+        self.dim = structures[self.names[0]].shape[0]
+        self.dtype = np.result_type(*(s.dtype for s in structures.values()))
+        matrices = {name: coo_array(s) for name, s in structures.items() if s.ndim == 2}
+        labels = _gauged_sparse(sum(abs(s) for s in matrices.values()))[0]
+        self._count = labels.max() + 1
+        self._stacks = []
+        for labs, idx, blocks in _block_stacks(labels, [(s.row, s.col, s.data)
+                                                        for s in matrices.values()]):
+            parts = {name: s[idx] for name, s in structures.items() if s.ndim == 1}
+            parts.update(zip(matrices, blocks))
+            self._stacks.append((labs, idx, parts))
 
     def spectral(self, coeffs, beta):
         """SpectralData of H(coeffs) at inverse temperature beta."""
         unknown = set(coeffs) - set(self.names)
         if unknown:
             raise ValueError(f"unknown couplings {sorted(unknown)}")
-        blocks = []
-        for idx, restricted in self.sectors:
-            M = np.zeros((len(idx), len(idx)), dtype=self.dtype)
+        eig = [None] * self._count
+        for labs, idx, parts in self._stacks:
+            M = np.zeros(idx.shape + idx.shape[1:], dtype=self.dtype)
+            diag = np.arange(idx.shape[1])
             for name, c in coeffs.items():
                 if c != 0.0:
-                    s = restricted[name]
-                    if s.ndim == 1:
-                        M.flat[::len(idx) + 1] += c * s
+                    s = parts[name]
+                    if s.ndim == idx.ndim:          # a diagonal, restricted to the stack
+                        M[:, diag, diag] += c * s
                     else:
                         M += c * s
             w, q = np.linalg.eigh(M)
-            blocks.append((idx, w, q))
-        return SpectralData.from_blocks(blocks, self.dim, beta)
+            for lab, i, wi, qi in zip(labs, idx, w, q):
+                eig[lab] = (i, wi, qi)
+        return SpectralData.from_blocks(eig, self.dim, beta)

@@ -177,7 +177,7 @@ def test_criterion_07_q2_chain():
     t0 = time.time()
     conv = rpverify.convexity_lemma_check(n_pairs=500, dim_max=32, seed=707, tol=1e-9)
     params = P(**STRONG_PARAMS, n_max=2)
-    checks = rpverify.q2_lower_bound_check(params, 1, 1, tol=1e-9)
+    checks = rpverify.q2_lower_bound_check(params, build_basis(build_lattice(1, 1), 2), tol=1e-9)
     by_name = {c.name: c for c in checks}
     prod = by_name["q2_product_state"]
     chain = by_name["q2_lower_bound"]
@@ -212,13 +212,14 @@ def test_criterion_09_qualitative_charge_order():
     t0 = time.time()
     params = P(**STRONG_PARAMS, n_max=6)
     lat = build_lattice(1, 1)
+    basis = build_basis(lat, params.n_max)
     x = (-1,)
-    orig = thermo.charge_correlation(params, 1, 1, x, (0,), which="original")
+    orig = thermo.charge_correlation(params, basis, x, (0,), which="original")
     staggered = lat.staggered_sign(x) * orig
     worst = 0.0
     for site in lat.sites:
-        zz = thermo.charge_correlation(params, 1, 1, site, (0,), which="zigzag")
-        o = thermo.charge_correlation(params, 1, 1, site, (0,), which="original")
+        zz = thermo.charge_correlation(params, basis, site, (0,), which="zigzag")
+        o = thermo.charge_correlation(params, basis, site, (0,), which="original")
         worst = max(worst, abs(zz - lat.staggered_sign(site) * o))
     elapsed = time.time() - t0
     report(9, staggered > 0 and worst < 1e-10,

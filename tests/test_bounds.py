@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hhlab import bounds
+from hhlab.hilbert import build_basis
+from hhlab.lattice import build_lattice
 from hhlab.model import ModelParams
 
 P = ModelParams
@@ -141,7 +143,8 @@ def test_fourier_identities_random_field():
     params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
     rng = np.random.default_rng(9)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    checks, report = bounds.finite_volume_fourier_check(params, 1, 3, h, include_g=False)
+    basis = build_basis(build_lattice(1, 3), 0)   # the torus only: nothing is built on it
+    checks, report = bounds.finite_volume_fourier_check(params, basis, h, include_g=False)
     for c in checks:
         assert c.passed, c
     # the literal bare-E(p) prefactor misses the symbol of -Delta by exactly 2
@@ -150,12 +153,10 @@ def test_fourier_identities_random_field():
 
 def test_fourier_identities_single_momentum():
     params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
-    from hhlab.lattice import build_lattice
-
     lat = build_lattice(1, 3)
     p = lat.momentum_grid()[2]
     h = np.exp(1j * np.array(lat.sites).dot(p))
-    checks, _ = bounds.finite_volume_fourier_check(params, 1, 3, h, include_g=False)
+    checks, _ = bounds.finite_volume_fourier_check(params, build_basis(lat, 0), h, include_g=False)
     for c in checks:
         assert c.passed, c
 
@@ -164,7 +165,7 @@ def test_fourier_identities_with_structure_factor():
     params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
     rng = np.random.default_rng(10)
     checks, report = bounds.finite_volume_fourier_check(
-        params, 1, 1, rng.standard_normal(2), include_g=True)
+        params, build_basis(build_lattice(1, 1), params.n_max), rng.standard_normal(2), include_g=True)
     for c in checks:
         assert c.passed, c
     assert np.isclose(report["q2_origin"], report["q2_from_structure_factor"])
@@ -175,16 +176,14 @@ def test_fourier_g_matches_infrared_chain_g():
     # the Fourier check computes g = <A* A> directly; the infrared chain reads it
     # from its Hermitian form G
     from hhlab import model, thermo
-    from hhlab.hilbert import build_basis
-    from hhlab.lattice import build_lattice
 
     params = P(t=0.8, U=1.1, V=0.6, g=0.9, omega=1.3, beta=1.4, n_max=0)
     rng = np.random.default_rng(11)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    checks, _ = bounds.finite_volume_fourier_check(params, 2, 1, h, include_g=True)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    checks, _ = bounds.finite_volume_fourier_check(params, basis, h, include_g=True)
     fourier_g = next(c for c in checks if c.name == "fourier_g")
     assert fourier_g.passed, fourier_g
-    basis = build_basis(build_lattice(2, 1), params.n_max)
     H2 = model.build_doubleprime(params, basis)
     g, _, _ = thermo.quadratic_form_quantities(params, basis, h, thermo.spectral(H2, params.beta), H=H2)
     assert fourier_g.lhs == pytest.approx(g, rel=1e-12, abs=1e-12)

@@ -37,6 +37,15 @@ def test_cap_exceeded(tmp_path):
     assert run(["--config", str(cfg), "build"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "halffill"], ["verify", "--suite", "q2"],
+                                  ["verify", "--suite", "fourier"],
+                                  ["correlate", "--x", "0", "--y", "0"]])
+def test_cap_reaches_every_basis(argv, capsys):
+    # the default torus has dim 144: every subcommand's basis obeys --cap
+    assert run(["--cap", "100", "--seed", "1", *argv]) == 2
+    assert "exceeds the cap 100" in capsys.readouterr().err
+
+
 def test_matrix_dump_layout(tmp_path):
     out = tmp_path / "s.json"
     dump = tmp_path / "H.bin"

@@ -393,6 +393,19 @@ def _linked_diagonal(basis, H2, link):
     return H
 
 
+def test_field_partition_refuses_flux_first():
+    # a 3-cycle with flux pi/3 on the diagonal of H'': refused for its flux
+    # before the commutator with S'+, which the cycle also breaks
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H = np.diag(np.diag(model.build_doubleprime(params, basis))).astype(complex)
+    (i, j, k), phase = (0, 1, 2), np.exp(1j * np.pi / 3)
+    H[i, j], H[j, k], H[k, i] = 1.0, 1.0, phase
+    H += np.triu(H, 1).conj().T + np.tril(H, -1).conj().T
+    with pytest.raises(ValueError, match="carries flux"):
+        rpverify.FieldPartition(params, basis, H)
+
+
 def test_field_partition_refuses_component_with_two_values_of_spin_z():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
@@ -613,7 +626,8 @@ def test_half_filling_random_draws(nu, ell):
                    V=float(rng.uniform(0.1, 3)), g=float(rng.uniform(-2, 2)),
                    omega=float(rng.uniform(0.3, 2)), beta=float(rng.uniform(0.0, 4)),
                    n_max=int(rng.integers(0, 3)))
-        for res in rpverify.half_filling_check(params, nu, ell, mechanism=(k == 0)):
+        basis = build_basis(build_lattice(nu, ell), params.n_max)
+        for res in rpverify.half_filling_check(params, basis, mechanism=(k == 0)):
             assert res.passed, res
 
 
@@ -623,7 +637,7 @@ def test_convexity_lemma():
 
 def test_q2_chain_strong_coupling():
     params = P(t=0.1, U=1.0, V=5.0, g=2.0, omega=1.0, beta=20.0, n_max=2)
-    checks = rpverify.q2_lower_bound_check(params, 1, 1)
+    checks = rpverify.q2_lower_bound_check(params, build_basis(build_lattice(1, 1), 2))
     assert len(checks) == 2
     for res in checks:
         assert res.passed, res
@@ -633,5 +647,5 @@ def test_q2_chain_strong_coupling():
 
 def test_q2_chain_out_of_regime():
     params = P(t=1.0, U=40.0, V=1.0, g=0.1, omega=1.0, beta=1.0, n_max=1)
-    checks = rpverify.q2_lower_bound_check(params, 1, 1)
+    checks = rpverify.q2_lower_bound_check(params, build_basis(build_lattice(1, 1), 1))
     assert len(checks) == 1 and not checks[0].passed

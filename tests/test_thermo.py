@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from hhlab import model, thermo
 from hhlab.hilbert import build_basis
@@ -27,12 +30,19 @@ def state():
     return lat, params, basis, H2, spec
 
 
+@pytest.fixture(scope="module")
+def oracle(state):
+    _, params, _, H2, _ = state
+    return Oracle(H2, params.beta, blockwise=True)
+
+
 # -- spectral data --------------------------------------------------------------------
 
 
 def test_reconstruction_and_logz(state):
     lat, params, basis, H2, spec = state
-    assert spec.reconstruction_residual(H2) < 1e-9 * np.max(np.abs(H2))
+    for idx, w, Q in spec.blocks:
+        assert np.max(np.abs((Q * w) @ Q.conj().T - H2[np.ix_(idx, idx)])) < 1e-9 * np.max(np.abs(H2))
     w = spec.eigenvalues
     assert np.isclose(spec.logZ, np.log(np.sum(np.exp(-params.beta * (w - w[0]))))
                       - params.beta * w[0])
@@ -65,6 +75,18 @@ def test_hamiltonian_family_matches_original(n_max):
     assert len(spec.blocks) == len(want.blocks)
     assert np.max(np.abs(spec.eigenvalues - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
     assert abs(spec.logZ - want.logZ) < 1e-12 * max(1.0, abs(want.logZ))
+
+
+def test_hamiltonian_family_peak_memory_below_one_dense_matrix():
+    # the structures and the split are sparse: no dim^2 array at dim 4096
+    basis = build_basis(build_lattice(2, 1), 1)
+    tracemalloc.start()
+    try:
+        thermo.HamiltonianFamily(model.original_structures(basis))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.total_dim ** 2 * 8
 
 
 # -- thermal expectation ---------------------------------------------------------------
@@ -156,61 +178,61 @@ def test_sparse_expectation_matches_dense_trace(state):
 # -- Duhamel two-point function -----------------------------------------------------------
 
 
-def test_duhamel_identity_is_one(state):
-    _, _, basis, _, spec = state
+def test_duhamel_identity_is_one(state, oracle):
+    _, _, basis, _, _ = state
     one = np.eye(basis.total_dim, dtype=complex)
-    assert np.isclose(spec.duhamel(one, one), 1.0)
+    assert np.isclose(oracle.duhamel(one, one), 1.0)
 
 
-def test_duhamel_commuting_equals_static(state):
+def test_duhamel_commuting_equals_static(state, oracle):
     _, _, basis, H2, spec = state
     # A = H commutes with H: (A, A) = <A* A>
-    assert np.isclose(spec.duhamel(H2, H2), spec.expectation(H2 @ H2))
+    assert np.isclose(oracle.duhamel(H2, H2), spec.expectation(H2 @ H2))
 
 
-def test_duhamel_positive_and_symmetric(state):
-    _, _, basis, _, spec = state
+def test_duhamel_positive_and_symmetric(state, oracle):
+    _, _, basis, _, _ = state
     rng = np.random.default_rng(1)
     n = basis.total_dim
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    aa = spec.duhamel(A, A)
+    aa = oracle.duhamel(A, A)
     assert abs(complex(aa).imag) < 1e-10 * max(1.0, abs(aa))
     assert complex(aa).real >= -1e-12
-    assert np.isclose(spec.duhamel(A, B), np.conj(spec.duhamel(B, A)))
+    assert np.isclose(oracle.duhamel(A, B), np.conj(oracle.duhamel(B, A)))
 
 
-def test_duhamel_complex_split(state):
+def test_duhamel_complex_split(state, oracle):
     # (A, A) = (A_R, A_R) + (A_I, A_I) with A_R, A_I the Hermitian parts
-    _, _, basis, _, spec = state
+    _, _, basis, _, _ = state
     rng = np.random.default_rng(2)
     n = basis.total_dim
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a_r = (A + A.conj().T) / 2
     a_i = (A - A.conj().T) / 2j
-    lhs = spec.duhamel(A, A)
-    rhs = spec.duhamel(a_r, a_r) + spec.duhamel(a_i, a_i)
+    lhs = oracle.duhamel(A, A)
+    rhs = oracle.duhamel(a_r, a_r) + oracle.duhamel(a_i, a_i)
     assert np.isclose(lhs, rhs)
 
 
-def test_duhamel_bogoliubov_sandwich(state):
+def test_duhamel_bogoliubov_sandwich(state, oracle):
     # 0 <= (A, A) <= <A*A + AA*>/2
     _, _, basis, _, spec = state
     rng = np.random.default_rng(3)
     n = basis.total_dim
     for _ in range(5):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        aa = complex(spec.duhamel(A, A)).real
+        aa = complex(oracle.duhamel(A, A)).real
         sym = spec.expectation(A.conj().T @ A + A @ A.conj().T).real / 2
         assert -1e-12 <= aa <= sym * (1 + 1e-12)
 
 
-def test_duhamel_diagonal_fast_path_matches_dense(state):
-    _, _, basis, _, spec = state
+def test_duhamel_diagonal_fast_path_matches_dense(state, oracle):
+    _, _, basis, _, _ = state
     rng = np.random.default_rng(4)
     d = rng.standard_normal(basis.total_dim)
-    dense = spec.duhamel(np.diag(d.astype(complex)), np.diag(d.astype(complex)))
-    fast = spec.duhamel(d, d)
+    dense = oracle.duhamel(np.diag(d.astype(complex)), np.diag(d.astype(complex)))
+    fast = oracle.duhamel(d, d)
     assert np.isclose(dense, fast)
 
 
@@ -240,24 +262,27 @@ def test_duhamel_kernel_finite_across_wide_gaps():
 
 def test_charge_correlation_range():
     params = small_params()
-    val = thermo.charge_correlation(params, 1, 1, (0,), (0,), which="zigzag")
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    val = thermo.charge_correlation(params, basis, (0,), (0,), which="zigzag")
     assert 0.0 <= val <= 1.0
 
 
 def test_zigzag_sign_relation_exact():
     params = small_params()
     lat = build_lattice(1, 1)
+    basis = build_basis(lat, params.n_max)
     for x in lat.sites:
-        zz = thermo.charge_correlation(params, 1, 1, x, (0,), which="zigzag")
-        orig = thermo.charge_correlation(params, 1, 1, x, (0,), which="original")
+        zz = thermo.charge_correlation(params, basis, x, (0,), which="zigzag")
+        orig = thermo.charge_correlation(params, basis, x, (0,), which="original")
         assert abs(zz - lat.staggered_sign(x) * orig) < 1e-12
 
 
 def test_translation_invariance():
     params = small_params(n_max=1)
     lat = build_lattice(1, 1)
-    a = thermo.charge_correlation(params, 1, 1, (-1,), (0,), which="original")
-    b = thermo.charge_correlation(params, 1, 1, (0,), (1,), which="original")
+    basis = build_basis(lat, params.n_max)
+    a = thermo.charge_correlation(params, basis, (-1,), (0,), which="original")
+    b = thermo.charge_correlation(params, basis, (0,), (1,), which="original")
     assert np.isclose(a, b)
 
 
@@ -265,36 +290,12 @@ def test_strong_coupling_charge_order():
     # nu V - u_eff = 12 > 0: staggered correlation positive at the far site
     params = P(t=0.1, U=1.0, V=5.0, g=2.0, omega=1.0, beta=20.0, n_max=6)
     lat = build_lattice(1, 1)
-    val = thermo.charge_correlation(params, 1, 1, (-1,), (0,), which="original")
+    val = thermo.charge_correlation(params, build_basis(lat, params.n_max), (-1,), (0,),
+                                    which="original")
     assert lat.staggered_sign((-1,)) * val > 0.1
 
 
 # -- g, b, c quantities -----------------------------------------------------------------------
-
-
-def per_field_oracle(basis, h, spec, H):
-    """(g, b, c / beta) for A = sum_x q_x ((-Delta) h)_x by the direct sums over
-    the eigenbasis of each block, one field at a time.  b and c / beta are
-    returned complex, as summed."""
-    f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))
-    a = np.repeat(f @ model.charge_diagonals(basis), basis.boson_dim)
-    g_q = spec.expectation(np.abs(a) ** 2)
-    b_q = c_q = 0.0 + 0.0j
-    for (idx, w, q), rho_i in zip(spec.blocks, spec.rho_blocks()):
-        a_i = a[idx]
-        at = (q.conj().T * a_i) @ q
-        kern = thermo._duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
-        b_q += np.sum(np.conj(at) * at * kern) / spec.z_shifted
-        diff = a_i[:, None] - a_i[None, :]
-        c_q += np.vdot(rho_i, -H[np.ix_(idx, idx)] * (diff * np.conj(diff)))
-    return g_q, b_q, c_q
-
-
-def assert_forms_match_oracle(params, basis, h, spec, H, bond_expectations=None):
-    got = thermo.quadratic_form_quantities(params, basis, h, spec, H, bond_expectations)
-    g_o, b_o, c_o = per_field_oracle(basis, h, spec, H)
-    for val, want in zip(got, (g_o, b_o.real, params.beta * c_o.real)):
-        assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("nu,n_max", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)])
@@ -303,12 +304,10 @@ def test_quadratic_forms_match_per_field_oracle(nu, n_max):
     basis = build_basis(build_lattice(nu, 1), n_max)
     H2 = model.build_doubleprime(params, basis)
     spec = thermo.spectral(H2, params.beta)
-    bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
     rng = np.random.default_rng(10 * nu + n_max)
     n = basis.n_sites
-    for _ in range(5):
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert_forms_match_oracle(params, basis, h, spec, H2, bond_exp)
+    fields = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    assert_forms_match(params, basis, spec, Oracle(H2, params.beta, blockwise=True), H2, fields)
     for M in spec._forms[2]:
         assert M.shape == (n, n)
         assert np.array_equal(M, M.conj().T)
@@ -323,7 +322,7 @@ def test_quadratic_forms_match_oracle_random_couplings(n_max, t, U, V, g, omega,
     params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
     basis = build_basis(build_lattice(1, 1), n_max)
     H2 = model.build_doubleprime(params, basis)
-    assert_forms_match_oracle(params, basis, np.array(h), thermo.spectral(H2, beta), H2)
+    assert_forms_match(params, basis, thermo.spectral(H2, beta), Oracle(H2, beta), H2, [np.array(h)])
 
 
 def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
@@ -429,7 +428,7 @@ class Oracle:
     def __init__(self, H, beta, blockwise=False):
         n = H.shape[0]
         if blockwise:
-            labels = thermo._component_labels(H)
+            labels = component_labels(H)
             parts = [np.flatnonzero(labels == lab) for lab in range(labels.max() + 1)]
         else:
             parts = [np.arange(n)]
@@ -446,9 +445,24 @@ class Oracle:
             self.rho_diag[idx] = rho.diagonal().real
 
     def expectation(self, term):
-        term = term.tocsr()
+        term = sparse.csr_array(term)
         return sum(np.vdot(rho, term[idx][:, idx].toarray())
                    for (idx, _, _), rho in zip(self.blocks, self.rhos))
+
+    def duhamel(self, A, B):
+        """The Duhamel two-point function (A, B) = Z^-1 sum_{m,n} conj(A_mn) B_mn
+        kappa(E_m, E_n) over the eigenbasis, block pair by block pair.  A 1-d A
+        or B is a diagonal: it has no elements between blocks."""
+        A, B = np.asarray(A), np.asarray(B)
+        total = 0.0
+        for bi, (idx_i, w_i, q_i) in enumerate(self.blocks):
+            for bj, (idx_j, w_j, q_j) in enumerate(self.blocks):
+                if (A.ndim == 1 or B.ndim == 1) and bi != bj:
+                    continue
+                at, bt = (eigenbasis_block(X, idx_i, idx_j, q_i, q_j) for X in (A, B))
+                kern = thermo._duhamel_kernel(self.beta, w_i - self.e0, w_j - self.e0)
+                total += np.sum(np.conj(at) * bt * kern)
+        return complex(total / self.z)
 
     def forms(self, basis, h):
         """(g, b, c) of A = sum_x q_x ((-Delta) h)_x by the direct sums."""
@@ -463,6 +477,18 @@ class Oracle:
             diff = a[idx, None] - a[None, idx]
             c += np.vdot(rho, -self.H[np.ix_(idx, idx)] * np.abs(diff) ** 2)
         return g, b, self.beta * c.real
+
+
+def component_labels(H):
+    """Connected components of H's exact sparsity pattern, numbered by their smallest index."""
+    return connected_components(sparse.csr_array(H != 0.0), directed=False)[1]
+
+
+def eigenbasis_block(A, idx_i, idx_j, q_i, q_j):
+    """Matrix elements <n|A|m>, n in block i, m in block j; a 1-d A is a diagonal."""
+    if A.ndim == 1:
+        return (q_i.conj().T * A[idx_i]) @ q_j
+    return q_i.conj().T @ A[np.ix_(idx_i, idx_j)] @ q_j
 
 
 def close(got, want, tol=1e-12):
@@ -552,11 +578,26 @@ def test_every_model_component_is_solved_real(nu, n_max, which):
     basis = build_basis(build_lattice(nu, 1), n_max)
     H = HAMILTONIANS[which](params, basis)
     labels, phase = thermo._phase_gauge(H)
-    assert np.array_equal(labels, thermo._component_labels(H))
+    assert np.array_equal(labels, component_labels(H))
     assert np.array_equal(np.abs(phase), np.ones(basis.total_dim))
     spec = thermo.spectral(H, params.beta)
     assert len(spec.real_blocks) == labels.max() + 1
     assert all(spec.real_blocks)
+
+
+@pytest.mark.parametrize("which", ["H", "H1", "H2"])
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
+def test_split_of_sparse_input_equals_split_of_dense(nu, n_max, which):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H = HAMILTONIANS[which](params, basis)
+    S = sparse.csr_array(H)
+    for got, want in zip(thermo._phase_gauge(S), thermo._phase_gauge(H)):
+        assert np.array_equal(got, want)
+    (labels, phase, entries, flux), want = thermo._gauged_sparse(S), thermo._gauged_sparse(H)
+    assert np.array_equal(labels, want[0]) and np.array_equal(phase, want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(entries, want[2]))
+    assert np.array_equal(flux, want[3]) and not flux.any()
 
 
 def gauged_real_matrix(rng, n):
@@ -614,10 +655,6 @@ def test_flux_component_takes_the_complex_path():
     rho = oracle.rhos[0]
     assert close(spec.expectation(A), np.vdot(rho, A).real)
     assert close(spec.expectation(sparse.csr_array(A)), np.vdot(rho, A).real)
-    w, q = oracle.w, oracle.blocks[0][2]
-    at = q.conj().T @ A @ q
-    kern = thermo._duhamel_kernel(1.3, w - w[0], w - w[0])
-    assert close(spec.duhamel(A, A), np.sum(np.abs(at) ** 2 * kern) / oracle.z)
 
 
 def test_reconstruction_residual_charges_the_discarded_imaginary_part():
@@ -633,4 +670,5 @@ def test_reconstruction_residual_charges_the_discarded_imaginary_part():
     (idx, w, Q), = spec.blocks
     actual = np.max(np.abs((Q * w) @ Q.conj().T - H))
     assert actual > 1e-13
-    assert spec.reconstruction_residual(H) >= actual
+    (_, _, q), = spec._eig
+    assert thermo._block_residual(w, q, thermo._gauged(H, spec._phase, spec._phase)) >= actual
