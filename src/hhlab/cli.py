@@ -251,6 +251,8 @@ def _verify_records(cfg, suite, count):
 
 
 def cmd_verify(args):
+    if args.count is not None and args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     cfg = make_config(args)
     records = _verify_records(cfg, args.suite, args.count)
     _emit_lines(args, records)

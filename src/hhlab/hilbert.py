@@ -42,9 +42,6 @@ __all__ = [
     "HilbertBasis",
     "build_basis",
     "adjoint",
-    "commutator",
-    "anticommutator",
-    "is_hermitian",
     "hermiticity_residual",
 ]
 
@@ -270,20 +267,6 @@ def adjoint(a):
     return np.asarray(a).conj().T
 
 
-def commutator(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def anticommutator(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
-
-
 def row_strips(n):
     """Slices of _STRIP_ROWS consecutive rows covering range(n).
 
@@ -305,7 +288,3 @@ def hermiticity_residual(a):
         return 0.0
     return float(np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].conj().T))
                          for s in row_strips(a.shape[0])]))
-
-
-def is_hermitian(a, tol=1e-12):
-    return hermiticity_residual(a) <= tol

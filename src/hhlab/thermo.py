@@ -1,46 +1,35 @@
 """Spectral decomposition, thermal expectations, the infrared forms and
 charge correlations.
 
-A Hamiltonian (dense or scipy.sparse) is first split into the connected
+A Hamiltonian (dense or scipy.sparse) is split into the connected
 components of its exact sparsity pattern (H[i, j] != 0.0), read from its
-nonzero entries by one function, :func:`_gauged_sparse`; no dense block is
-gathered from H.  The entries of each component are scattered into one
-stack of equal-size dense blocks per component size (:func:`_block_stacks`),
-each component is eigendecomposed exactly with dense LAPACK, and all thermal
-sums run blockwise.  This is a lossless reordering -- parity-type
-conservation laws show up as exact structural zeros of the matrix -- and
-cuts the eigensolver cost by the usual cubic factor.  Components are
-detected from exact zeros only, so a "dirty" matrix simply degrades to one
-big block, never to a wrong answer.  The Gibbs state is kept as its diagonal
-blocks only: it is exactly block-diagonal, so an observable (a dense matrix,
-a scipy.sparse matrix or a 1-d diagonal) enters a thermal average only
-through its nonzero entries inside the components.
+nonzero entries by :func:`_gauged_sparse`.  The entries of each component
+are scattered into one stack of equal-size dense blocks per component size
+(:func:`_block_stacks`), each block is eigendecomposed exactly with dense
+LAPACK, and all thermal sums run blockwise.  Components are detected from
+exact zeros only, so a "dirty" matrix degrades to one big block, never to a
+wrong answer.  The Gibbs state is kept as its diagonal blocks: an
+observable (dense, scipy.sparse or a 1-d diagonal) enters a thermal average
+only through its nonzero entries inside the components.
 
-The same pass over H's nonzero entries reads off a diagonal unitary gauge d
-from a maximum-modulus spanning forest of the pattern (_phase_gauge).  In
-it every component without flux is real symmetric: H'' (through its phonon
-exponentials), H, H' and the zigzag image V H V^-1 all are.  Such a block is
-solved by a real ``eigh`` and every later sum over it runs in real
-arithmetic; a block with flux keeps a complex ``eigh`` (see SpectralData).
-The three engines share this split: ``SpectralData``,
-``highest_weight_sectors`` (which reduces H'' further, to the
-highest-weight states of the spin SU(2) of the zigzag frame, for
-``rpverify.FieldPartition``'s Z(h)) and ``HamiltonianFamily``.
-On the 2x2 torus at n_max = 1 (dim 4096, 85 components, one BLAS thread)
-``spectral(H'')`` takes about 0.3 s, against 1.2 s for complex blocks.
+The same pass reads off a diagonal unitary gauge d from a maximum-modulus
+spanning forest of the pattern (_phase_gauge), in which every component
+without flux is real symmetric (H'', H, H' and V H V^-1 all are) and is
+solved by a real ``eigh``.  The three engines share this split:
+``SpectralData``, ``HamiltonianFamily`` and ``highest_weight_sectors``.  The
+last reduces H'', for the Z(h) of ``rpverify.FieldPartition``, to the
+highest-weight states of the spin SU(2) of the zigzag frame, and once more
+by the reflection Theta: a sector that Theta maps onto another is kept once
+with twice its weight, and one mapped onto itself is split into the +-1
+eigenspaces of Theta.  These mirror sectors serve exactly the fields with
+np.array_equal(h, h o r); any other field takes the first set.
+An H'' that Theta does not leave invariant is refused after every refusal
+of the SU(2) reduction.  At 2x2, n_max = 1 (dim 4096) the two sets hold 60
+sectors (sum n^3 = 1.23e8) and 35 (5.04e7).
 
-The infrared quantities g = <A* A>, b = (A, A) and c = beta <[A, [H'', A*]]>
-of A = sum_x f_x q_x are Hermitian forms in the N-vector f (N = n_sites).
-Their three N x N matrices are built once per (spectral data, basis, H'')
-from the real blocks -- N products q^T diag(q_x) q per block, about 0.2 s at
-dim 4096 on one BLAS thread -- and cached on the spectral data, after which
-each field costs O(N^2) (see quadratic_form_quantities).  The Duhamel form
-b = (A, A) uses the kernel
-
-    kappa(E, E') = (e^{-beta E} - e^{-beta E'}) / (beta (E' - E)),
-
-with a second-order series for beta |E - E'| < 1e-6 to avoid the 0/0.
-All exponentials are shifted by the ground energy so beta can be large.
+The infrared forms g, b and c are built once per spectral data (see
+quadratic_form_quantities).  All exponentials are shifted by the ground
+energy so beta can be large.
 """
 
 from __future__ import annotations
@@ -48,8 +37,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, csr_matrix, issparse
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+from scipy.sparse import coo_array, csr_array, csr_matrix, eye_array, issparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
 
@@ -70,17 +59,12 @@ _GAUGE_IMAG_TOL = 1e-12
 class SpectralData:
     """Eigenpairs of a Hermitian matrix plus cached thermal weights.
 
-    Each connected component of H (dense or scipy.sparse) is solved in a
-    diagonal unitary gauge d (|d_k| = 1) read off H itself
-    (:func:`_gauged_sparse`).  H's entries are scattered into one stack of
-    blocks per component size, and each stack is gauged.  The gauged block
-    G = conj(d) H_blk d is real symmetric whenever the component carries no
-    flux, and is then solved by a real ``eigh``.  A block whose gauged
-    imaginary part exceeds _GAUGE_IMAG_TOL times its largest entry keeps a
-    complex ``eigh`` of H_blk itself (its gauge is reset to 1).  The
-    eigenvectors are stored in the gauge; those of H are Q = diag(d) q.
-    The Gibbs blocks, thermal sums and infrared forms are all taken in the
-    gauge, so they run in real arithmetic on the real blocks.
+    Each component of H (dense or scipy.sparse) is solved in the gauge d of
+    :func:`_gauged_sparse`: by a real ``eigh`` of G = conj(d) H_blk d where
+    it carries no flux, else by a complex ``eigh`` of H_blk (d = 1 there).
+    The eigenvectors are stored in the gauge (those of H are Q = diag(d) q),
+    and the Gibbs blocks, thermal sums and infrared forms are taken there,
+    in real arithmetic on the real blocks.
 
     The eigenpairs must reproduce H to 1e-9 times its largest entry, or
     construction raises AssertionError.  On a real block the residual is the
@@ -398,8 +382,9 @@ def spectral(H, beta):
 # -- the spin SU(2) of H'' --------------------------------------------------------
 
 
-# largest entry of [H'', S'+] relative to the largest entry of H'', and largest
-# deviation of the gauge on a group from +-1 times one phase
+# largest entry of [H'', S'+] and of Theta H'' Theta^-1 - H'' relative to that of H'';
+# largest deviation of the gauge on a group from +-1 times one phase, and of Theta on
+# the sectors from an orthogonal involution
 _SYMMETRY_TOL = 1e-12
 # eigenvalues of S'- S'+ below this are zeros: the others are S(S + 1) - M(M + 1) >= 2
 _KERNEL_CUT = 0.5
@@ -410,8 +395,7 @@ def _check_commutes(basis, G, raising, phase):
 
     G is H'' in the gauge d as a sparse matrix, and S = conj(d) (S'+ (x) 1) d
     is formed as one too: conj(d) [H'', S'+] d = [G, S], so no dense
-    full-space product is formed.  Every entry must stay within
-    _SYMMETRY_TOL times the largest entry of H''.
+    full-space product is formed.
     """
     nb = basis.boson_dim
     up = raising.tocoo()
@@ -452,21 +436,18 @@ def _highest_weight_vectors(basis, raising, twice_m):
 
 
 def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
-    """H'' on the highest-weight states of each component, weighted by the
-    2M + 1 states of each multiplet, as one stack (idx, real blocks,
-    weights) per block size.
+    """The highest-weight basis of each component as the columns of a sparse
+    P: returns (P, col_lab, col_rep, comp_m), the component and the
+    representative of each column, and 2M of each component.
 
     Every component must hold one value M of S'z (``twice_m`` is 2 S'z on the
     fermion factor).  The highest-weight vectors of a group of fermion states
     (:func:`_highest_weight_vectors`) are tensored with each boson state.
     Such a group must lie in one component, where the gauge is s_k phi with
-    s_k = +-1 and one phase phi per group.  The vectors are multiplied by s
-    (the sign fold), so the projected block P^T G P of the gauged H'' is
-    real and has the spectrum of H'' on the highest-weight states; phi
-    cancels.  idx holds the first basis state of the group of each column:
-    the field correction is constant on the group, because S'+ keeps every
-    q_x.  The counts must add up to the dimension: the sum of (2M + 1) x
-    size is total_dim.
+    s_k = +-1 and one phase phi per group.  The vectors are multiplied by s,
+    so P^T G P is real and has the spectrum of H'' on the highest-weight
+    states.  col_rep is the first basis state of the group of each column.
+    The sum of (2M + 1) x size must be total_dim.
     """
     nb = basis.boson_dim
     twice_m_full = np.repeat(twice_m, nb)
@@ -506,31 +487,90 @@ def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
     order = np.lexsort((np.arange(len(col_lab)), col_rep, col_lab))
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
-    col_lab, col_rep = col_lab[order], col_rep[order]
     P = csr_array((vals, (rows, rank[cols])), shape=(basis.total_dim, len(order)))
-    B = (P.T @ (G @ P)).tocoo()               # block-diagonal over the components
-    return [(col_rep[idx], blocks, comp_m[labs] + 1)
-            for labs, idx, (blocks,) in _block_stacks(col_lab, [(B.row, B.col, B.data)])]
+    return P, col_lab[order], col_rep[order], comp_m
 
 
-def highest_weight_sectors(basis, H2):
+def _sector_stacks(G, P, col_lab, col_rep, weight):
+    """P^T G P as one stack (idx = col_rep, real blocks, weight[labs]) per
+    block size of the labels ``col_lab``, without the entries between two
+    labels: rounding, between the eigenspaces of Theta."""
+    B = (P.T @ (G @ P)).tocoo()
+    keep = col_lab[B.row] == col_lab[B.col]
+    return [(col_rep[idx], blocks, weight[labs]) for labs, idx, (blocks,)
+            in _block_stacks(col_lab, [(B.row[keep], B.col[keep], B.data[keep])])]
+
+
+def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
+    """The sectors reduced by Theta = M K (K conjugates), for h = h o r.
+
+    In the gauge, M conj(H'') M^T = H'' reads O G O^T = G, O the signed
+    permutation conj(d[perm]) sign conj(d) up to one phase per component.
+    A sector that O maps onto another is kept once.  One mapped onto itself
+    is split into the +-1 eigenspaces of R = P^T O P, solved on each
+    connected component of R's pattern: it lies on one charge orbit
+    {q, q o r}, where the field correction of an invariant h is constant.
+    Returns (P U, labels 2c, or 2c + 1 on the -1 eigenspace, their
+    representatives, weight per label).
+    """
+    perm = reflection.perm
+    _, first = np.unique(labels, return_index=True)
+    o = phase[perm].conj() * reflection.sign * phase.conj()
+    sign = np.sign((o * o[first[labels]].conj()).real)
+    g = G.tocoo()
+    moved = csr_array((sign[g.row] * sign[g.col] * g.data, (perm[g.row], perm[g.col])), shape=G.shape)
+    dev = float(np.max(np.abs((moved - G).data), initial=0.0))
+    if dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0)):
+        raise ValueError(f"H'' is not invariant under the reflection Theta: largest change "
+                         f"of an entry {dev:.3e}")
+    image = labels[perm[first]]                     # O maps c onto image[c]
+    p = P.tocoo()
+    R = P.T @ csr_array((sign[p.row] * p.data, (perm[p.row], p.col)), shape=P.shape)
+    dev = float(np.max(np.abs((R.T @ R - eye_array(R.shape[0])).data), initial=0.0))
+    piece = np.where(image[col_lab] == col_lab, connected_components(R, directed=False)[1], -1)
+    kept = np.flatnonzero(col_lab < image[col_lab])
+    rows, cols, vecs = [kept], [np.arange(len(kept))], [np.ones(len(kept))]
+    new_lab, new_rep = [2 * col_lab[kept]], [col_rep[kept]]
+    R = ((R + R.T) / 2).tocoo()     # for orthogonal R, eigenvalues +-1 iff R = R^T
+    for _, idx, (stack,) in _block_stacks(piece, [(R.row, R.col, R.data)]):
+        w, v = np.linalg.eigh(stack)
+        dev = max(dev, float(np.max(np.abs(np.abs(w) - 1.0))))
+        m, k = idx.shape
+        rows.append(np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
+        cols.append(sum(map(len, new_lab)) + np.arange(m * k * k) // k)
+        vecs.append(np.swapaxes(v, 1, 2).ravel())
+        new_lab.append((2 * col_lab[idx[:, :1]] + (w < 0)).ravel())
+        new_rep.append(np.repeat(col_rep[idx[:, 0]], k))
+    if dev > _SYMMETRY_TOL:
+        raise ValueError(f"the reflection Theta is not an orthogonal involution on the "
+                         f"sectors (deviation {dev:.3e})")
+    rows, cols, vecs, new_lab, new_rep = map(np.concatenate, (rows, cols, vecs, new_lab, new_rep))
+    U = csr_array((vecs, (rows, cols)), shape=(P.shape[1], len(new_lab)))
+    weight = (comp_m + 1) * np.where(image == np.arange(len(image)), 1, 2)
+    return P @ U, new_lab, new_rep, np.repeat(weight, 2)
+
+
+def highest_weight_sectors(basis, H2, reflection):
     """H'' reduced by the spin SU(2) of the zigzag frame, for Z(h) of the
     field family H''(h): one stack (idx, real blocks, weights 2M + 1) per
-    block size.
+    block size, and the same reduced further by Theta = M K, for h = h o r.
 
     S'+ = V S+ V^-1, the zigzag image of S+ = sum_x c*_{x up} c_{x down}
     (``model.zigzag_spin_operators``), commutes with H'' and keeps every site
     occupation, so it commutes with every field term too.  H''(h) is then
     fixed by its restriction to the highest-weight states (ker S'+) of each
-    component with S'z = M >= 0, counted 2M + 1 times.  The components and
-    the gauge d are those of :func:`_phase_gauge`, and the gauged H'' is kept
-    as one sparse matrix, so no dense block or full-space product is formed.
-    Each idx holds one representative basis index per block column; the
-    field correction of H''(h) is constant on its group.  Refuses, with
-    ValueError, in this order: a component with flux; an H'' whose
+    component with S'z = M >= 0, counted 2M + 1 times.  The gauged H'' is
+    kept as one sparse matrix: no dense block or full-space product is
+    formed.  Each idx holds one representative basis index per column; the
+    field correction of H''(h) is constant on its group, or for h = h o r
+    on its charge orbit (:func:`_mirror_sectors`).  ``reflection`` is M, a
+    ``hilbert.Monomial`` that keeps S'z and sends S'+ to -S'+.  Refuses,
+    with ValueError, in this order: a component with flux; an H'' whose
     commutator with S'+ exceeds 1e-12 times its largest entry; a component
     with two values of S'z; a group split over components or with a gauge
-    that is not +-1 times one phase; multiplets that miss total_dim.
+    that is not +-1 times one phase; multiplets that miss total_dim; an H''
+    that Theta changes by over 1e-12 times its largest entry; a Theta that
+    is not an orthogonal involution on the sectors.
     """
     labels, phase, (rows, cols, vals), flux = _gauged_sparse(H2)
     if flux.any():
@@ -540,7 +580,10 @@ def highest_weight_sectors(basis, H2):
     del rows, cols, vals                      # G holds them from here on
     raising, twice_m = _model.zigzag_spin_operators(basis)
     _check_commutes(basis, G, raising, phase)
-    return _project_highest_weight(basis, labels, phase, G, raising, twice_m)
+    P, col_lab, col_rep, comp_m = _project_highest_weight(basis, labels, phase, G, raising, twice_m)
+    return (_sector_stacks(G, P, col_lab, col_rep, comp_m + 1),
+            _sector_stacks(G, *_mirror_sectors(labels, phase, G, reflection,
+                                               P, col_lab, col_rep, comp_m)))
 
 
 # -- charge correlations ------------------------------------------------------

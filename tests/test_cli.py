@@ -65,6 +65,17 @@ def test_verify_requires_seed_for_randomized_suites(tmp_path):
     assert run(["--out", str(out), "verify", "--suite", "dls"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["gauss", "dls"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_count_below_one(tmp_path, capsys, suite, count):
+    out = tmp_path / "r.jsonl"
+    assert run(["--seed", "1", "--out", str(out), "verify", "--suite", suite,
+                "--count", count]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_verify_theta_suite(tmp_path):
     out = tmp_path / "r.jsonl"
     assert run(["--nmax", "1", "--out", str(out), "verify", "--suite", "theta"]) == 0

@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
 
-from hhlab.hilbert import (
-    HilbertBasis,
-    Monomial,
-    adjoint,
-    anticommutator,
-    build_basis,
-    commutator,
-    hermiticity_residual,
-    is_hermitian,
-)
+from hhlab.hilbert import HilbertBasis, Monomial, adjoint, build_basis, hermiticity_residual
 from hhlab.lattice import Lattice, build_lattice
 from hhlab.model import build_a_operators
+
+
+def commutator(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
+
+
+def anticommutator(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a @ b + b @ a
+
+
+def is_hermitian(a, tol=1e-12):
+    return hermiticity_residual(a) <= tol
 
 
 def test_dims_single_site():

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from hhlab import model
-from hhlab.hilbert import HilbertBasis, build_basis, hermiticity_residual, is_hermitian
+from hhlab.hilbert import HilbertBasis, build_basis, hermiticity_residual
 from hhlab.lattice import Lattice, build_lattice
+from test_hilbert import is_hermitian
 
 P = model.ModelParams
 

@@ -516,6 +516,76 @@ def test_field_partition_sectors_reproduce_spectrum(nu, n_max):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("nu,n_max", [(1, 1), (1, 2), (2, 0)])
+def test_mirror_symmetry_of_doubleprime(nu, n_max):
+    """M conj(H'') M^T = H'', M keeps S'z and sends S'+ to -S'+, and r is an
+    involution of the sites that maps the bonds onto themselves."""
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    M, sites = rpverify._mirror_symmetry(basis)
+    H2 = model.build_doubleprime(params, basis)
+    assert np.max(np.abs(M.conjugate(H2.conj()) - H2)) <= 1e-12 * np.max(np.abs(H2))
+    raising, twice_m = model.zigzag_spin_operators(basis)
+    nb = basis.boson_dim
+    assert np.array_equal(M.conjugate(np.repeat(twice_m, nb).astype(float)), np.repeat(twice_m, nb))
+    up = sparse.kron(raising, sparse.eye_array(nb)).toarray()
+    assert np.array_equal(M.conjugate(up), -up)
+    assert np.array_equal(sites[sites], np.arange(basis.n_sites))
+    bonds = {frozenset((b.i, b.j)) for b in basis.lattice.bonds()}
+    assert {frozenset((sites[i], sites[j])) for i, j in map(tuple, bonds)} == bonds
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_field_partition_mirror_sectors_match_dense_logz_2x2(n_max):
+    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=n_max)
+    basis = build_basis(build_lattice(2, 1), n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    assert sum(int(w.sum()) * blk.shape[1] for _, blk, w in ens._mirror_stacks) == basis.total_dim
+    if n_max == 1:
+        sizes = np.concatenate([np.full(len(w), blk.shape[1]) for _, blk, w in ens._mirror_stacks])
+        assert len(sizes) == 35 and np.isclose(np.sum(sizes.astype(float) ** 3), 5.038e7, rtol=1e-3)
+    rng = np.random.default_rng(5)
+    fields = [np.zeros(4), np.full(4, 0.75)]
+    for h in rng.standard_normal((2, 4)):
+        fields += rpverify.reflected_configs(basis.lattice, h)
+    for h in fields:
+        assert np.array_equal(h, h[ens._mirror_sites])
+        _assert_rel_close(ens.log_partition(h), _dense_log_partition(params, basis, h))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_field_partition_reflected_fields_match_dense_logz(n_max, t, U, V, g, omega, beta, h):
+    """Each reflected field of h takes the mirror sectors, and h itself (unless
+    it is reflection-invariant) the highest-weight sectors."""
+    params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    assert sum(int(w.sum()) * blk.shape[1] for _, blk, w in ens._mirror_stacks) == basis.total_dim
+    for field in (np.array(h), *rpverify.reflected_configs(basis.lattice, h)):
+        _assert_rel_close(ens.log_partition(field), _dense_log_partition(params, basis, field))
+
+
+def test_field_partition_refuses_field_term_breaking_reflection_last():
+    """eps q_x on one site keeps every site occupation, so S'+ still commutes
+    with H'', but the reflection does not; the SU(2) refusals come first."""
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    H2[np.diag_indices_from(H2)] += 0.25 * np.repeat(model.charge_diagonals(basis)[0],
+                                                     basis.boson_dim)
+    with pytest.raises(ValueError, match="not invariant under the reflection Theta"):
+        rpverify.FieldPartition(params, basis, H2)
+    raising, _ = model.zigzag_spin_operators(basis)
+    i = raising.nonzero()[1][0] * basis.boson_dim  # a state that S'+ does not annihilate
+    H2[i, i] += 0.25
+    with pytest.raises(ValueError, match="does not commute with the spin raising operator"):
+        rpverify.FieldPartition(params, basis, H2)
+
+
 def test_field_partition_cache_is_bounded_lru(monkeypatch):
     params = small_params(n_max=0)
     basis = build_basis(build_lattice(1, 1), params.n_max)
