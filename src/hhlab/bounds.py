@@ -26,13 +26,11 @@ whose integrand scipy provides directly as i0e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import i0e
 
 from . import model as _model
 from . import thermo as _thermo
@@ -47,21 +45,26 @@ __all__ = [
 ]
 
 
+# Largest half grid (points per float64 array) torus_integral will build: 1 GiB.
+_MAX_HALF_GRID_POINTS = 2 ** 27
+
+
 def _midpoint_value(nu, n):
     """Midpoint rule for Int_{(-pi,pi)^nu} dp / E(p) on an n^nu grid.
 
-    n must be even so the singular point p = 0 is never sampled.
+    n must be even so the singular point p = 0 is never sampled.  The grid
+    is symmetric under p -> -p and E is even in each p_j, so the sum runs
+    over the (n/2)^nu points of the positive orthant and is multiplied by
+    2^nu (exact in floating point).
     """
     if n % 2:
         raise ValueError("grid size must be even to dodge p = 0")
-    pts = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
+    pts = -np.pi + (np.arange(n // 2, n) + 0.5) * (2 * np.pi / n)
     one_minus_cos = 1.0 - np.cos(pts)
-    E = np.zeros((n,) * nu)
-    for axis in range(nu):
-        shape = [1] * nu
-        shape[axis] = n
-        E = E + one_minus_cos.reshape(shape)
-    return float(np.sum(1.0 / E) * (2 * np.pi / n) ** nu)
+    E = one_minus_cos
+    for _ in range(nu - 1):
+        E = np.add.outer(E, one_minus_cos)
+    return float(np.sum(1.0 / E) * 2.0 ** nu * (2 * np.pi / n) ** nu)
 
 
 @lru_cache(maxsize=32)
@@ -72,8 +75,12 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     extrapolated with an empirically estimated leading order (the
     singularity makes the error O(1/n), not spectral).  Returns
     (value, error_estimate); raises for nu <= 2 where the integral
-    diverges.  The default grid shrinks with nu to keep the finest grid
-    around 10^7 points.
+    diverges.  Each grid is summed on its (n/2)^nu positive-orthant half.
+    The default grid shrinks with nu so that the finest half grid has
+    2^18, 2^20 and 2^20 points at nu = 3, 4 and 5.  A finest half grid of
+    more than 2^27 points (1 GiB per float64 array) is refused with a
+    ValueError before anything is allocated: nu = 6 (16^6) runs at the
+    default grid, nu = 7 (16^7) is refused.
     """
     if nu <= 2:
         raise ValueError(f"integral diverges for nu <= 2 (got nu = {nu})")
@@ -82,6 +89,11 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     if grid_n is None:
         grid_n = max(4, 2 ** (7 - nu))
     ns = [grid_n * 2 ** k for k in range(refinements)]
+    half_points = (ns[-1] // 2) ** nu
+    if half_points > _MAX_HALF_GRID_POINTS:
+        raise ValueError(
+            f"torus grid too large: the finest half grid has {half_points} points "
+            f"(limit {_MAX_HALF_GRID_POINTS}, 1 GiB per float64 array)")
     vals = [_midpoint_value(nu, n) for n in ns]
     extrapolants = []
     for k in range(len(vals) - 2):
@@ -106,6 +118,9 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
 
 def torus_integral_oracle(nu):
     """Independent evaluation via the exponential-Bessel representation."""
+    from scipy.integrate import quad
+    from scipy.special import i0e
+
     if nu <= 2:
         raise ValueError(f"integral diverges for nu <= 2 (got nu = {nu})")
     val, err = quad(lambda s: i0e(s) ** nu, 0.0, np.inf, limit=400)
@@ -134,7 +149,10 @@ class BoundReport:
     reason: str = ""
 
     def to_record(self):
-        return asdict(self)
+        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def main_bound(params, nu):

@@ -42,7 +42,6 @@ from functools import reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize_scalar
 
 from .hilbert import Monomial, adjoint, hermiticity_residual
 
@@ -602,6 +601,8 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     boolean mismatch flags against the displayed (1, g/omega, alpha, u_eff).
     Small bases only (dense exponentials).
     """
+    from scipy.optimize import minimize_scalar
+
     U = lang_firsov(params, basis)
     Ui = U.conj().T
     x = basis.sites[0]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -55,6 +57,43 @@ def test_midpoint_rejects_odd_grids():
         bounds._midpoint_value(3, 9)
 
 
+def _full_grid_midpoint_value(nu, n):
+    """Oracle: the midpoint rule summed over the whole n^nu grid."""
+    if n % 2:
+        raise ValueError("grid size must be even to dodge p = 0")
+    pts = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
+    one_minus_cos = 1.0 - np.cos(pts)
+    E = np.zeros((n,) * nu)
+    for axis in range(nu):
+        shape = [1] * nu
+        shape[axis] = n
+        E = E + one_minus_cos.reshape(shape)
+    return float(np.sum(1.0 / E) * (2 * np.pi / n) ** nu)
+
+
+@pytest.mark.parametrize("nu, n", [(3, 4), (3, 8), (3, 16), (4, 4), (4, 8), (4, 16), (5, 8)])
+def test_half_grid_midpoint_matches_full_grid(nu, n):
+    full = _full_grid_midpoint_value(nu, n)
+    assert bounds._midpoint_value(nu, n) == pytest.approx(full, rel=1e-13, abs=0)
+
+
+def test_oversize_torus_grid_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="torus grid too large"):
+            bounds.torus_integral(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the limit is on the finest half grid: at the default grid nu = 6 has
+    # 16^6 = 2^24 points and is allowed; two more refinements at nu = 5
+    # (64^5 = 2^30 points) are not
+    assert 16 ** 6 <= bounds._MAX_HALF_GRID_POINTS < 16 ** 7
+    with pytest.raises(ValueError, match="torus grid too large"):
+        bounds.torus_integral(5, refinements=6)
+
+
 # -- the main bound -------------------------------------------------------------------
 
 
@@ -96,6 +135,19 @@ def test_certified_requires_all_hypotheses():
     # rhs <= 0 at weak coupling even though the gap is positive
     rep = bounds.main_bound(P(t=5.0, U=1, V=2, g=1, omega=1, beta=2), 3)
     assert rep.gap > 0 and not rep.certified and rep.reason == "rhs <= 0"
+
+
+@pytest.mark.parametrize("params", [
+    P(t=1, U=1, V=10, g=3, omega=1, beta=10),          # certified
+    P(t=5.0, U=1, V=2, g=1, omega=1, beta=2),          # rhs <= 0
+    P(t=1, U=50, V=1, g=0.1, omega=1, beta=5),         # gap <= 0: NaN terms
+])
+def test_report_record_matches_asdict(params):
+    rep = bounds.main_bound(params, 3)
+    rec, ref = rep.to_record(), asdict(rep)
+    assert type(rec) is dict and list(rec) == list(ref)
+    for key, value in ref.items():
+        assert rec[key] == value or (math.isnan(value) and math.isnan(rec[key])), key
 
 
 # -- sweeps ------------------------------------------------------------------------------

@@ -185,6 +185,13 @@ def test_integral_not_converged_exit_code(capsys):
     assert "Traceback" not in err
 
 
+def test_integral_oversize_grid_exit_code(capsys):
+    assert run(["integral", "--nu", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: torus grid too large")
+    assert err.count("\n") == 1
+
+
 def test_verify_halffill_mechanism_2x2(tmp_path):
     # the first draw runs the hole-particle and spin-flip conjugations at dim 4096
     cfg = tmp_path / "c.cfg"

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,18 @@ def test_every_exported_name_exists(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exports) <= set(namespace)
+
+
+def test_import_leaves_optional_scipy_unloaded():
+    # only lang_firsov_diagnostic and torus_integral_oracle need these; a fresh
+    # process must not pay for them on import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, hhlab.cli, hhlab.rpverify, hhlab.thermo, hhlab.bounds, hhlab.model; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
