@@ -491,11 +491,11 @@ def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
     return P, col_lab[order], col_rep[order], comp_m
 
 
-def _sector_stacks(G, P, col_lab, col_rep, weight):
-    """P^T G P as one stack (idx = col_rep, real blocks, weight[labs]) per
+def _sector_stacks(B, col_lab, col_rep, weight):
+    """The sparse B as one stack (idx = col_rep, real blocks, weight[labs]) per
     block size of the labels ``col_lab``, without the entries between two
     labels: rounding, between the eigenspaces of Theta."""
-    B = (P.T @ (G @ P)).tocoo()
+    B = B.tocoo()
     keep = col_lab[B.row] == col_lab[B.col]
     return [(col_rep[idx], blocks, weight[labs]) for labs, idx, (blocks,)
             in _block_stacks(col_lab, [(B.row[keep], B.col[keep], B.data[keep])])]
@@ -510,7 +510,7 @@ def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
     is split into the +-1 eigenspaces of R = P^T O P, solved on each
     connected component of R's pattern: it lies on one charge orbit
     {q, q o r}, where the field correction of an invariant h is constant.
-    Returns (P U, labels 2c, or 2c + 1 on the -1 eigenspace, their
+    Returns (U, with P U the sectors, labels 2c, or 2c + 1 on the -1 eigenspace, their
     representatives, weight per label).
     """
     perm = reflection.perm
@@ -547,7 +547,7 @@ def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
     rows, cols, vecs, new_lab, new_rep = map(np.concatenate, (rows, cols, vecs, new_lab, new_rep))
     U = csr_array((vecs, (rows, cols)), shape=(P.shape[1], len(new_lab)))
     weight = (comp_m + 1) * np.where(image == np.arange(len(image)), 1, 2)
-    return P @ U, new_lab, new_rep, np.repeat(weight, 2)
+    return U, new_lab, new_rep, np.repeat(weight, 2)
 
 
 def highest_weight_sectors(basis, H2, reflection):
@@ -581,9 +581,10 @@ def highest_weight_sectors(basis, H2, reflection):
     raising, twice_m = _model.zigzag_spin_operators(basis)
     _check_commutes(basis, G, raising, phase)
     P, col_lab, col_rep, comp_m = _project_highest_weight(basis, labels, phase, G, raising, twice_m)
-    return (_sector_stacks(G, P, col_lab, col_rep, comp_m + 1),
-            _sector_stacks(G, *_mirror_sectors(labels, phase, G, reflection,
-                                               P, col_lab, col_rep, comp_m)))
+    B = P.T @ (G @ P)
+    U, *mirror = _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m)
+    return (_sector_stacks(B, col_lab, col_rep, comp_m + 1),
+            _sector_stacks(U.T @ (B @ U), *mirror))
 
 
 # -- charge correlations ------------------------------------------------------

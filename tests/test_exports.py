@@ -34,3 +34,15 @@ def test_import_leaves_optional_scipy_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Each benchmark child compiles hhlab from source, and the import peak, hence the
+# benchmark's peak_rss_mb, rises with the size of the largest module; past about
+# 40 kB it moves every workload's peak.
+MAX_MODULE_BYTES = 40_000
+
+
+@pytest.mark.parametrize("path", sorted(Path(hhlab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_source_under_size_limit(path):
+    assert path.stat().st_size < MAX_MODULE_BYTES

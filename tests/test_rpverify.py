@@ -279,6 +279,195 @@ def test_random_dls_instance_bit_identical_to_per_matrix_draws(seed, dim_max):
     assert new.bit_generator.state == old.bit_generator.state
 
 
+# The per-instance evaluation of the DLS and convexity fuzz as it ran before the
+# stacked solver (kept verbatim as oracles, with the draws above): one complex
+# eigvalsh or eigh per Hamiltonian.
+
+
+def _kron_per_instance(X, Y):
+    """np.kron for square X and Y, by one broadcast product."""
+    n, m = X.shape[0], Y.shape[0]
+    return (X[:, None, :, None] * Y[None, :, None, :]).reshape(n * m, n * m)
+
+
+def _log_partition_per_instance(beta, w):
+    w0 = w[0]
+    return -beta * w0 + float(np.log(np.sum(np.exp(-beta * (w - w0)))))
+
+
+def _dls_check_per_instance(inst, tol=1e-10):
+    """Z(A,B,C,D)^2 <= Z(A,A,C,C) Z(B,B,D,D), evaluated in log space."""
+    def lz(left, right, cs, ds):
+        eye = np.eye(inst.A.shape[0])
+        H = _kron_per_instance(left, eye) + _kron_per_instance(eye, inst.theta.conjugate(right))
+        for lam, C, D in zip(inst.lambdas, cs, ds):
+            block = _kron_per_instance(C, inst.theta.conjugate(D))
+            H -= lam * (block + block.conj().T)
+        if np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(H))):
+            raise AssertionError("coupled Hamiltonian lost Hermiticity")
+        return _log_partition_per_instance(inst.beta, np.linalg.eigvalsh(H))
+
+    lhs = 2.0 * lz(inst.A, inst.B, inst.Cs, inst.Ds)
+    rhs = lz(inst.A, inst.A, inst.Cs, inst.Cs) + lz(inst.B, inst.B, inst.Ds, inst.Ds)
+    slack = (rhs - lhs) / 2.0
+    return rpverify.CheckResult("dls", "Z(A,B,C,D)^2 <= Z(A,A,C,C) Z(B,B,D,D)",
+                                lhs, rhs, float(slack), bool(slack >= -tol))
+
+
+def _dls_fuzz_per_instance(n_instances=1000, seed=2024, dim_max=8, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    out = []
+    worst = np.inf
+    for _ in range(n_instances):
+        res = _dls_check_per_instance(_random_dls_instance_per_matrix(rng, dim_max=dim_max),
+                                      tol=tol)
+        worst = min(worst, res.slack)
+        if not res.passed:
+            out.append(res)
+    out.append(rpverify.CheckResult("dls_fuzz", f"{n_instances} random instances hold",
+                                    worst, 0.0, worst, worst >= -tol))
+
+    inst = _random_dls_instance_per_matrix(rng, dim_max=dim_max)
+    zero = rpverify.DLSInstance(A=inst.A, B=inst.B, Cs=inst.Cs, Ds=inst.Ds,
+                                lambdas=[0.0] * len(inst.lambdas), beta=inst.beta,
+                                theta=inst.theta)
+    res = _dls_check_per_instance(zero, tol=0.0)
+    out.append(rpverify._eq("dls_equality_lambda0", "lambda = 0 gives exact equality",
+                            res.lhs, res.rhs, 1e-12, scale=max(abs(res.lhs), 1.0)))
+    sym = rpverify.DLSInstance(A=inst.A, B=inst.A, Cs=inst.Cs, Ds=inst.Cs,
+                               lambdas=inst.lambdas, beta=inst.beta, theta=inst.theta)
+    res = _dls_check_per_instance(sym, tol=0.0)
+    out.append(rpverify._eq("dls_equality_symmetric", "A = B, C = D gives exact equality",
+                            res.lhs, res.rhs, 1e-12, scale=max(abs(res.lhs), 1.0)))
+    return out
+
+
+def _convexity_lemma_check_per_pair(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(n_pairs):
+        n = int(rng.integers(2, dim_max + 1))
+        B = _random_bounded_per_matrix(rng, n)
+        C = _random_bounded_per_matrix(rng, n)
+        B = (B + B.conj().T) / 2
+        C = (C + C.conj().T) / 2
+        w, q = np.linalg.eigh(B + C)
+        w0 = w[0]
+        zs = np.sum(np.exp(-(w - w0)))
+        lhs = -w0 + np.log(zs)
+        gibbs = (q * np.exp(-(w - w0))) @ q.conj().T / zs
+        mean_b = float(np.real(np.vdot(gibbs, B)))
+        rhs = -mean_b + _log_partition_per_instance(1.0, np.linalg.eigvalsh(C))
+        worst = min(worst, (rhs - lhs) / max(abs(lhs), abs(rhs), 1.0))
+    return rpverify.CheckResult("convexity_lemma", "ln Tr e^-(B+C) <= <-B> + ln Tr e^-C",
+                                0.0, 0.0, float(worst), bool(worst >= -tol))
+
+
+# windows of 256 draws: 255 and 257 leave a partial window; a negative tol fails
+# the instances with slack below -tol (-1e3: all of them), whose dls records must
+# come back one by one in draw order
+@pytest.mark.parametrize("seed,dim_max,n_instances,tol", [
+    *[(seed, dim_max, 257, 1e-10) for seed in (0, 2024) for dim_max in (2, 5, 8)],
+    (7, 8, 1, 1e-10), (7, 8, 255, 1e-10), (2024, 8, 1000, 1e-10),
+    (3, 2, 300, -1.0), (3, 5, 300, -1.0), (3, 8, 300, -1.0), (3, 8, 300, -1e3),
+])
+def test_dls_fuzz_records_identical_to_per_instance_oracle(seed, dim_max, n_instances, tol):
+    got = [r.to_record() for r in rpverify.dls_fuzz(n_instances, seed, dim_max, tol)]
+    want = [r.to_record() for r in _dls_fuzz_per_instance(n_instances, seed, dim_max, tol)]
+    assert got == want
+    failed = sum(r["name"] == "dls" for r in got)
+    if tol == -1e3:
+        assert failed == n_instances
+    elif tol < 0:
+        assert failed >= 10
+
+
+def test_dls_check_identical_to_per_instance_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        inst = rpverify.random_dls_instance(rng, dim_max=6)
+        assert rpverify.dls_check(inst).to_record() == _dls_check_per_instance(inst).to_record()
+
+
+@pytest.mark.parametrize("seed,dim_max,n_pairs", [
+    (77, 32, 500), (707, 32, 257), (8, 16, 80), (5, 2, 255), (5, 5, 1), (9, 8, 600),
+])
+def test_convexity_lemma_identical_to_per_pair_oracle(seed, dim_max, n_pairs):
+    got = rpverify.convexity_lemma_check(n_pairs=n_pairs, dim_max=dim_max, seed=seed)
+    want = _convexity_lemma_check_per_pair(n_pairs=n_pairs, dim_max=dim_max, seed=seed)
+    assert got.to_record() == want.to_record()
+
+
+def _off_hermitian(M):
+    M = M.copy()
+    M[0, 1] += 1e-3
+    return M
+
+
+# (field of a draw (A, B, C, D, lambdas, W, beta), how it is spoiled, the refusal)
+_BAD_DLS_INPUTS = [
+    (5, lambda W: 1.01 * W, "unitary part is not unitary"),
+    (0, _off_hermitian, "A must be Hermitian"),
+    (1, _off_hermitian, "B must be Hermitian"),
+    (4, lambda lam: np.concatenate([lam[:-1], [-0.5]]), "lambda_j must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("field,spoil,match", _BAD_DLS_INPUTS)
+def test_dls_inputs_refused_in_a_batch_and_alone(field, spoil, match):
+    # dim_max=2: every draw has n = 2, so the spoiled one shares a stack with others
+    draws = rpverify._draw_dls(np.random.default_rng(4), 12, dim_max=2)
+    draw = list(draws[7])
+    draw[field] = spoil(draw[field])
+    draws[7] = tuple(draw)
+    with pytest.raises(ValueError, match=match):
+        rpverify._check_dls_inputs(draws)
+    A, B, C, D, lams, W, beta = draw
+    with pytest.raises(ValueError, match=match):
+        rpverify.dls_check(rpverify.DLSInstance(
+            A=A, B=B, Cs=list(C), Ds=list(D), lambdas=list(lams), beta=beta,
+            theta=rpverify.AntiunitaryMap(W, check=False)))
+
+
+def test_dls_coupled_hamiltonian_refused_in_a_batch_and_alone():
+    """B made non-Hermitian after construction passes no input check; the
+    coupled H of its draw then fails the solver's own Hermiticity check."""
+    rng = np.random.default_rng(6)
+    insts = [rpverify.random_dls_instance(rng, dim_max=2) for _ in range(12)]
+    insts[7].B = _off_hermitian(insts[7].B)
+    with pytest.raises(AssertionError, match="coupled Hamiltonian lost Hermiticity"):
+        rpverify._dls_results([inst._draw() for inst in insts], tol=1e-10)
+    with pytest.raises(AssertionError, match="coupled Hamiltonian lost Hermiticity"):
+        rpverify.dls_check(insts[7])
+    assert all(rpverify.dls_check(inst).passed for inst in insts[:7] + insts[8:])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the fuzz holds one window of draws and one stack of at most 1 MiB at a time,
+# about 5.5 MiB at its peak, whatever the count
+FUZZ_PEAK_BOUND = 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_instances", [1000, 5000])
+def test_dls_fuzz_memory_does_not_grow_with_count(n_instances):
+    peak = _traced_peak(lambda: rpverify.dls_fuzz(n_instances=n_instances))
+    assert peak < FUZZ_PEAK_BOUND, peak
+
+
+@pytest.mark.parametrize("n_pairs", [500, 1500])
+def test_convexity_lemma_memory_does_not_grow_with_count(n_pairs):
+    peak = _traced_peak(lambda: rpverify.convexity_lemma_check(n_pairs=n_pairs))
+    assert peak < FUZZ_PEAK_BOUND, peak
+
+
 def test_trace_product_identity():
     assert rpverify.trace_product_check().passed
 
