@@ -221,8 +221,7 @@ def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
     lat = basis.lattice
     nu = lat.nu
     h = np.asarray(h, dtype=complex)
-    lap = lat.laplacian_matrix()
-    stag = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
+    lap, stag = lat.laplacian_matrix(), lat.staggered_signs
 
     ps = lat.momentum_grid()
     E = np.array([dispersion(p)[0] for p in ps])

@@ -171,15 +171,15 @@ def _rng_for(cfg, suite):
 
 
 def _field_records(cfg, suite, count, params, basis):
-    """The Z(h) checks (rp, gauss) and the infrared chain, on one H'' built
-    here and freed on return, before the half-filling checks allocate theirs."""
+    """The Z(h) checks (rp, gauss) on the CSR H'', and the infrared chain on
+    the dense H'', which only it needs; each H'' is built here and freed on
+    return, before the half-filling checks allocate theirs."""
     checks = []
     lat = basis.lattice
-    H2 = model.build_doubleprime(params, basis)
 
     if suite in ("rp", "gauss", "all"):
         rng = _rng_for(cfg, suite)
-        ens = rpverify.FieldPartition(params, basis, H2)
+        ens = rpverify.FieldPartition(params, basis, model.build_doubleprime_csr(params, basis))
         n = count or 20
         do_rp = suite in ("rp", "all")
         do_gauss = suite in ("gauss", "all")
@@ -197,6 +197,7 @@ def _field_records(cfg, suite, count, params, basis):
 
     if suite in ("infrared", "all"):
         rng = _rng_for(cfg, suite)
+        H2 = model.build_doubleprime(params, basis)
         spec = thermo.spectral(H2, params.beta)
         bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
         for _ in range(count or 20):

@@ -21,11 +21,12 @@ deliberately truncated relation is the CCR,
 [b, b*] = 1 - (n_max + 1) P_top, with P_top the projector onto the top
 rung.  Operators on each factor are dense complex matrices; the embeddings
 here form dense full-space Kronecker products for small-size diagnostics
-and test oracles only.  hhlab.model scatters the nonzero entries of each
-term's small fermion and boson factors straight into one dense matrix (or
-into scipy.sparse terms), and hhlab.rpverify compares the reflection split
-as sparse Kronecker products and diagonal vectors.  A hard dimension cap keeps
-sizes at desk scale.  The exact unitaries of hhlab.model are signed
+and test oracles only.  hhlab.model reads each bond term's fermion factor
+off :meth:`HilbertBasis.mode_tables` as a partial signed permutation and
+scatters its entries, with those of the small boson factor, straight into
+one dense matrix (or into scipy.sparse terms), and hhlab.rpverify compares
+the reflection split as sparse Kronecker products and diagonal vectors.  A
+hard dimension cap keeps sizes at desk scale.  The exact unitaries of hhlab.model are signed
 permutations, held as a :class:`Monomial` and applied by re-indexing; only
 the truly dense Lang-Firsov unitary and theta (whose checks also take dense
 random unitaries) stay dense matrices.
@@ -141,8 +142,30 @@ class HilbertBasis:
             out = np.kron(out, m)
         return out
 
+    def mode_tables(self):
+        """(occupations, strings) on the fermion factor, each (n_modes, fermion_dim):
+        the occupation n_m of every mode m in every fermion state, and the sign
+        (-1)^(n_0 + ... + n_(m-1)) of the Jordan-Wigner string of c_m there.
+
+        Built once per basis and read-only.  hhlab.model reads every fermion
+        factor of the full space off these by bit arithmetic.
+        """
+        if "tables" not in self._fermion_cache:
+            shift = self.n_modes - 1 - np.arange(self.n_modes)
+            occ = (np.arange(self.fermion_dim) >> shift[:, None]) & 1
+            strings = 1.0 - 2.0 * ((np.cumsum(occ, axis=0) - occ) % 2)
+            occ.flags.writeable = strings.flags.writeable = False
+            self._fermion_cache["tables"] = occ, strings
+        return self._fermion_cache["tables"]
+
     def c(self, x, spin):
-        """Annihilator c_{x sigma} with Jordan-Wigner signs, fermion factor."""
+        """Annihilator c_{x sigma} with Jordan-Wigner signs, as a dense
+        fermion_dim x fermion_dim matrix.
+
+        Dense, so only for half-space bases (theta, the a operators, the
+        left/right identification checks), the Lang-Firsov diagnostic and
+        test oracles; the Hamiltonian builders never form it.
+        """
         m = self.mode_index(x, spin)
         if ("c", m) not in self._fermion_cache:
             self._fermion_cache[("c", m)] = self._fermion_kron(m, _ANNIHILATE)

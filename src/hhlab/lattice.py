@@ -17,6 +17,7 @@ A "field configuration" h is simply a numpy array of length ``n_sites``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -36,7 +37,9 @@ class Bond:
 class Lattice:
     """Torus [-L, L)^nu with parity, reflection, Laplacian and momentum tools.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  The
+    per-geometry tables (``neighbours``, ``staggered_signs``, the matrix of
+    -Delta) are built on first use, once, and handed out read-only.
     """
 
     def __init__(self, nu, ell, _sites=None):
@@ -85,6 +88,11 @@ class Lattice:
     def staggered_sign(self, x):
         """(-1)**(sum_j |x_j|) of the canonical representative."""
         return -1 if self.norm1(x) % 2 else 1
+
+    @cached_property
+    def staggered_signs(self):
+        """The staggered_sign of every site, in site order, as a read-only float vector."""
+        return _read_only(np.array([self.staggered_sign(x) for x in self.sites], dtype=float))
 
     @property
     def even_sites(self):
@@ -139,20 +147,35 @@ class Lattice:
                 out.append(Bond(self.site_index[x], self.site_index[y], j))
         return out
 
+    @cached_property
+    def neighbours(self):
+        """Site indices of x + delta_1, x - delta_1, ..., x + delta_nu,
+        x - delta_nu for every site x: a read-only (n_sites, 2 nu) table."""
+        return _read_only(np.array(
+            [[self.site_index[self.shift(x, j, eps)] for j in range(1, self.nu + 1)
+              for eps in (+1, -1)] for x in self.sites], dtype=np.intp))
+
     def laplacian(self, h):
-        """(Delta h)_x = sum_j (h_{x+delta_j} + h_{x-delta_j}) - 2 nu h_x."""
+        """(Delta h)_x = sum_j (h_{x+delta_j} + h_{x-delta_j}) - 2 nu h_x.
+
+        The neighbours are added one column of the table at a time, so each
+        entry sums its terms in the order of the formula.
+        """
         h = np.asarray(h)
         if self.n_sites == 1:
             return np.zeros_like(h, dtype=np.result_type(h, float))
         out = -2 * self.nu * h.astype(np.result_type(h, float))
-        for i, x in enumerate(self.sites):
-            for j in range(1, self.nu + 1):
-                out[i] += h[self.site_index[self.shift(x, j, +1)]]
-                out[i] += h[self.site_index[self.shift(x, j, -1)]]
+        for col in self.neighbours.T:
+            out += h[col]
         return out
 
     def laplacian_matrix(self):
-        """Dense matrix of -Delta (positive semidefinite, kernel = constants)."""
+        """Dense matrix of -Delta (positive semidefinite, kernel = constants),
+        built once and returned read-only: copy it to modify it."""
+        return self._laplacian_matrix
+
+    @cached_property
+    def _laplacian_matrix(self):
         n = self.n_sites
         m = np.zeros((n, n))
         for b in self.bonds():
@@ -160,7 +183,7 @@ class Lattice:
             m[b.j, b.j] += 1.0
             m[b.i, b.j] -= 1.0
             m[b.j, b.i] -= 1.0
-        return m
+        return _read_only(m)
 
     # -- momentum space -------------------------------------------------------
 
@@ -192,6 +215,11 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(nu={self.nu}, ell={self.ell}, n_sites={self.n_sites})"
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def build_lattice(nu, ell):

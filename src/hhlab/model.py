@@ -3,10 +3,13 @@
 Three Hamiltonians live here, each assembled directly from its defining
 formula (conjugation by the explicit unitaries is a cross-check, never the
 definition).  All three go through the same few term helpers: a bond term
--t (fermion (x) boson + h.c.) is scattered from its small Kronecker factors,
-the e-ph coupling from one boson block per fermion state, and the charge and
-phonon terms are added as diagonal vectors, so no full-space Kronecker
-product is formed:
+-t (fermion (x) boson + h.c.) is scattered from its Kronecker factors, the
+fermion factor a partial signed permutation read off the basis by bit
+arithmetic and the boson factor a small dense matrix; the e-ph coupling is
+scattered from one boson block per fermion state, and the charge and phonon
+terms are added as diagonal vectors.  No full-space Kronecker product and no
+dense fermion_dim x fermion_dim product is formed, and the same entries
+give a dense matrix or, for H'' (``build_doubleprime_csr``), a CSR array:
 
 * ``build_original``     H  = T + P + I + K: hopping, on-site U and
   nearest-neighbor V charge repulsion, linear electron-phonon coupling g,
@@ -51,6 +54,7 @@ __all__ = [
     "build_original",
     "build_transformed",
     "build_doubleprime",
+    "build_doubleprime_csr",
     "build_field_hamiltonian",
     "field_diagonal_correction",
     "hamiltonian_set",
@@ -154,33 +158,59 @@ def _pairing_instances(lat):
             for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
 
 
+def _fermion_pair(basis, a, b, pairing):
+    """c*_a c_b, or c*_a c*_b if ``pairing``, on the fermion factor as a
+    partial signed permutation (rows, cols, signs), rows ascending: the
+    nonzero entries of the dense product in the order np.nonzero gives.
+
+    Read off :meth:`HilbertBasis.mode_tables` by bit arithmetic, one factor
+    at a time: c_b (c*_b) takes each state j with n_b = 1 (0) to j ^ bit_b
+    with the Jordan-Wigner sign of b at j, and c*_a takes it on only where
+    n_a = 0, with its own sign there.  Signs are +-1.0.
+    """
+    occ, strings = basis.mode_tables()
+    bit_a, bit_b = 1 << (basis.n_modes - 1 - a), 1 << (basis.n_modes - 1 - b)
+    cols = np.flatnonzero(occ[b] == (0 if pairing else 1))
+    mid = cols ^ bit_b
+    keep = occ[a, mid] == 0
+    cols, mid = cols[keep], mid[keep]
+    rows = mid ^ bit_a
+    order = np.argsort(rows)
+    return rows[order], cols[order], (strings[b, cols] * strings[a, mid])[order]
+
+
 def _bond_factors(basis, instances, pairing, params=None):
     """The Kronecker factors of the bond term of each (x, y, ...) instance.
 
     Yields (instance, fermions, boson): ``fermions`` holds the fermion factor
     for s = up, down, c*_{x s} c*_{y s} if ``pairing`` and c*_{x s} c_{y s}
-    otherwise; ``boson`` is the phase exp(-i alpha (phi_x - phi_y)) with the
-    alpha of ``params``, or the identity when no params are given (the bare
-    hopping of H).  The term is -t sum_s (fermion (x) boson + h.c.).  Works on
-    any basis holding both sites, half-space bases included.
+    otherwise, each as the (rows, cols, signs) of :func:`_fermion_pair`, so
+    no fermion_dim x fermion_dim matrix is formed; ``boson`` is the dense
+    phase exp(-i alpha (phi_x - phi_y)) with the alpha of ``params``, or the
+    identity when no params are given (the bare hopping of H).  The term is
+    -t sum_s (fermion (x) boson + h.c.).  Works on any basis holding both
+    sites, half-space bases included.
     """
-    second = basis.cdag if pairing else basis.c
     eye = np.eye(basis.boson_dim)
     for inst in instances:
         x, y = inst[0], inst[1]
         boson = eye if params is None else _hop_phase(basis, params, x, y)
-        yield inst, [basis.cdag(x, s) @ second(y, s) for s in ("up", "down")], boson
+        yield inst, [_fermion_pair(basis, basis.mode_index(x, s), basis.mode_index(y, s), pairing)
+                     for s in ("up", "down")], boson
 
 
 def _bond_entries(basis, coeff, fermions, boson):
     """The nonzero entries of coeff sum_s (fermion_s (x) boson + h.c.) as a list
-    of flat (rows, cols, values): each spin's term, then its adjoint."""
+    of flat (rows, cols, values): each spin's term, then its adjoint.
+
+    Each fermion_s is a (rows, cols, signs) triple of :func:`_fermion_pair`
+    and ``boson`` a dense matrix on the boson factor.
+    """
     nb = basis.boson_dim
     br, bc = np.nonzero(boson)
     out = []
-    for fermion in fermions:
-        r, c = np.nonzero(fermion)
-        values = (coeff * (fermion[r, c][:, None] * boson[br, bc])).ravel()
+    for r, c, signs in fermions:
+        values = (coeff * (signs[:, None] * boson[br, bc])).ravel()
         rows, cols = (r[:, None] * nb + br).ravel(), (c[:, None] * nb + bc).ravel()
         out += [(rows, cols, values), (cols, rows, values.conj())]
     return out
@@ -210,10 +240,23 @@ def _scatter(out, entries):
     return out
 
 
+def _dense(basis, entries):
+    """The sum of the entries [(rows, cols, values), ...], in order, as a dense
+    complex full-space matrix."""
+    return _scatter(np.zeros((basis.total_dim, basis.total_dim), dtype=complex), entries)
+
+
 def _sparse_sum(basis, entries):
     """The sum of the entries [(rows, cols, values), ...] as a CSR array."""
     rows, cols, values = map(np.concatenate, zip(*entries))
     return sparse.coo_array((values, (rows, cols)), shape=(basis.total_dim,) * 2).tocsr()
+
+
+def _bond_sum(basis, coeff, factors):
+    """The entries of coeff (fermion (x) boson + h.c.) over ``factors``, made
+    term by term as they are consumed."""
+    for _, fermions, boson in factors:
+        yield from _bond_entries(basis, coeff, fermions, boson)
 
 
 def _bond_matrix(basis, coeff, factors):
@@ -224,10 +267,7 @@ def _bond_matrix(basis, coeff, factors):
     the result, so no full-space Kronecker product is formed.  The result is
     bit-identical to summing the dense terms in instance order.
     """
-    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
-    for _, fermions, boson in factors:
-        _scatter(out, _bond_entries(basis, coeff, fermions, boson))
-    return out
+    return _dense(basis, _bond_sum(basis, coeff, factors))
 
 
 def _ladder_sums(basis):
@@ -265,10 +305,11 @@ def _phonon_energy(basis, omega):
     return out
 
 
-def _add_diagonal(H, basis, fermion, boson):
-    """H += fermion (x) 1 + 1 (x) boson for diagonals given as vectors."""
-    H[np.diag_indices_from(H)] += (np.repeat(fermion, basis.boson_dim)
-                                   + np.tile(boson, basis.fermion_dim))
+def _diagonal(basis, fermion, boson):
+    """fermion (x) 1 + 1 (x) boson, for diagonals given as vectors, as one
+    flat (rows, cols, values) entry."""
+    idx = np.arange(basis.total_dim)
+    return idx, idx, np.repeat(fermion, basis.boson_dim) + np.tile(boson, basis.fermion_dim)
 
 
 # -- Hamiltonian builders ---------------------------------------------------------
@@ -282,10 +323,9 @@ def _original(params, basis, charges):
     """
     lat = _require_lattice(basis)
     H = _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False))
-    _scatter(H, _charge_boson_entries(basis, charges, _ladder_sums(basis), params.g))
     p = _charge_products(charges, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
-    _add_diagonal(H, basis, p, _phonon_energy(basis, params.omega))
-    return H
+    return _scatter(H, _charge_boson_entries(basis, charges, _ladder_sums(basis), params.g)
+                    + [_diagonal(basis, p, _phonon_energy(basis, params.omega))])
 
 
 def build_original(params, basis):
@@ -305,10 +345,9 @@ def original_structures(basis):
     lat = _require_lattice(basis)
     q = charge_diagonals(basis)
     nf, nb = basis.fermion_dim, basis.boson_dim
-    hopping = [entry for _, fermions, boson in _bond_factors(basis, _hopping_instances(lat), False)
-               for entry in _bond_entries(basis, -1.0, [f.real for f in fermions], boson.real)]
+    hopping = _bond_factors(basis, _hopping_instances(lat), False)
     return {
-        "t": _sparse_sum(basis, hopping),
+        "t": _sparse_sum(basis, _bond_sum(basis, -1.0, hopping)),
         "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
         "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
         "g": _sparse_sum(basis, _charge_boson_entries(basis, q, [b.real for b in _ladder_sums(basis)])),
@@ -316,14 +355,16 @@ def original_structures(basis):
     }
 
 
-def _dressed(params, basis, instances, pairing, v_coeff):
-    """-t sum (bond term (x) phase + h.c.) + u_eff sum q^2 + v_coeff sum q q + K."""
+def _dressed(params, basis, pairing):
+    """The entries of -t sum (bond term (x) phase + h.c.), term by term, then
+    the diagonal u_eff sum q^2 + v sum q q + K: H' with the hopping terms and
+    v = V, H'' with the pairing terms if ``pairing`` and v = -V."""
     lat = _require_lattice(basis)
-    H = _bond_matrix(basis, -params.t, _bond_factors(basis, instances, pairing, params))
-    p = _charge_products(charge_diagonals(basis),
-                         _onsite_terms(lat, params.u_eff) + _bond_terms(lat, v_coeff))
-    _add_diagonal(H, basis, p, _phonon_energy(basis, params.omega))
-    return H
+    instances = _pairing_instances(lat) if pairing else _hopping_instances(lat)
+    yield from _bond_sum(basis, -params.t, _bond_factors(basis, instances, pairing, params))
+    p = _charge_products(charge_diagonals(basis), _onsite_terms(lat, params.u_eff)
+                         + _bond_terms(lat, -params.V if pairing else params.V))
+    yield _diagonal(basis, p, _phonon_energy(basis, params.omega))
 
 
 def build_transformed(params, basis):
@@ -332,16 +373,25 @@ def build_transformed(params, basis):
     T' is scattered from the Kronecker factors of its phase-dressed hopping
     terms; P' and K are diagonal and added as vectors.
     """
-    return _dressed(params, basis, _hopping_instances(_require_lattice(basis)), False, params.V)
+    return _dense(basis, _dressed(params, basis, False))
 
 
 def build_doubleprime(params, basis):
-    """H'' = T'' + P'' + K from its defining formula.
+    """H'' = T'' + P'' + K from its defining formula, as a dense matrix.
 
     T'' is scattered from the Kronecker factors of its pairing terms; P'' and
     K are diagonal and added as vectors.
     """
-    return _dressed(params, basis, _pairing_instances(_require_lattice(basis)), True, -params.V)
+    return _dense(basis, _dressed(params, basis, True))
+
+
+def build_doubleprime_csr(params, basis):
+    """H'' as a scipy.sparse CSR array: the entries of :func:`build_doubleprime`
+    summed by :func:`_sparse_sum`, np.array_equal to it once densified, with
+    the zeros of its diagonal stored.  The Z(h) path takes it, so no dense
+    total_dim x total_dim matrix is formed there.
+    """
+    return _sparse_sum(basis, _dressed(params, basis, True))
 
 
 def pairing_bond_terms(params, basis):
@@ -358,9 +408,9 @@ def pairing_bond_terms(params, basis):
 
 
 def _mode_occupations(basis):
-    """Occupation of every mode on the fermion factor, shape (n_modes, fermion_dim)."""
-    shift = basis.n_modes - 1 - np.arange(basis.n_modes)
-    return (np.arange(basis.fermion_dim) >> shift[:, None]) & 1
+    """Occupation of every mode on the fermion factor, shape (n_modes, fermion_dim),
+    cached on the basis and read-only (:meth:`HilbertBasis.mode_tables`)."""
+    return basis.mode_tables()[0]
 
 
 def _occupations(basis, spin):
@@ -429,10 +479,9 @@ def lang_firsov(params, basis):
     generator is exponentiated by dense eigendecomposition.
     """
     rot = np.conj(phonon_gauge(basis))
-    gen = _scatter(np.zeros((basis.total_dim, basis.total_dim), dtype=complex),
-                   _charge_boson_entries(basis, charge_diagonals(basis),
-                                         [basis.boson(x, "momentum", omega=params.omega)
-                                          for x in basis.sites]))
+    gen = _dense(basis, _charge_boson_entries(basis, charge_diagonals(basis),
+                                              [basis.boson(x, "momentum", omega=params.omega)
+                                               for x in basis.sites]))
     # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
     c = params.omega ** (-1.5) * params.g
     return rot[:, None] * expm_i_hermitian(-c * gen)

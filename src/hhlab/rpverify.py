@@ -691,7 +691,7 @@ class FieldPartition:
         self.params = params
         self.basis = basis
         if H2 is None:
-            H2 = _model.build_doubleprime(params, basis)
+            H2 = _model.build_doubleprime_csr(params, basis)
         reflection, self._mirror_sites = _mirror_symmetry(basis)
         # the sectors of one size are solved as one stack; ``sectors`` views the stacks
         self._stacks, self._mirror_stacks = _thermo.highest_weight_sectors(basis, H2, reflection)
@@ -791,8 +791,7 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
     g_q, b_q, c_q = _thermo.quadratic_form_quantities(
         params, basis, h, spec, H2, bond_expectations=bond_expectations)
 
-    lap = lat.laplacian_matrix()
-    stag = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
+    lap, stag = lat.laplacian_matrix(), lat.staggered_signs
     X = float(np.real(np.vdot(h, lap @ h)))              # <h|(-Delta)h>
     f = lap @ h                                          # (-Delta) h
     Y = float(np.real(np.vdot(f, stag * (lap @ (stag * f)))))

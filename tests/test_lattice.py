@@ -201,3 +201,43 @@ def test_bond_type_fields():
     b = lat.bonds()[0]
     assert isinstance(b, Bond)
     assert b.direction in (1, 2)
+
+
+def _looped_laplacian(lat, h):
+    """(Delta h)_x summed site by site, neighbour by neighbour, in the order of the formula."""
+    h = np.asarray(h)
+    out = -2 * lat.nu * h.astype(np.result_type(h, float))
+    for i, x in enumerate(lat.sites):
+        for j in range(1, lat.nu + 1):
+            out[i] += h[lat.site_index[lat.shift(x, j, +1)]]
+            out[i] += h[lat.site_index[lat.shift(x, j, -1)]]
+    return out
+
+
+@pytest.mark.parametrize("nu,ell", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1)])
+def test_laplacian_is_bit_identical_to_site_loop(nu, ell):
+    lat = build_lattice(nu, ell)
+    rng = np.random.default_rng(nu + 10 * ell)
+    for h in (rng.standard_normal(lat.n_sites),
+              rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites),
+              rng.integers(-5, 5, lat.n_sites)):
+        got = lat.laplacian(h)
+        assert got.dtype == np.result_type(h, float)
+        assert np.array_equal(got, _looped_laplacian(lat, h))
+
+
+def test_lattice_tables_are_cached_and_read_only():
+    lat = build_lattice(2, 3)
+    lap = lat.laplacian_matrix()
+    assert lat.laplacian_matrix() is lap and lat.staggered_signs is lat.staggered_signs
+    for table in (lap, lat.staggered_signs, lat.neighbours):
+        with pytest.raises(ValueError):
+            table[0] = 7
+    with pytest.raises(ValueError):
+        lap += 1.0
+    assert np.array_equal(lat.staggered_signs, [lat.staggered_sign(x) for x in lat.sites])
+    assert lat.neighbours.shape == (lat.n_sites, 2 * lat.nu)
+    # a caller's copy is its own; the cache stays -Delta
+    mine = lat.laplacian_matrix().copy()
+    mine[0, 0] = 99.0
+    assert np.allclose(lat.laplacian_matrix().sum(axis=1), 0.0) and lap[0, 0] == 2 * lat.nu

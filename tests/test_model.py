@@ -6,6 +6,7 @@ from scipy import sparse
 from hhlab import model
 from hhlab.hilbert import HilbertBasis, build_basis, hermiticity_residual
 from hhlab.lattice import Lattice, build_lattice
+from hhlab.rpverify import build_lr_split
 from test_hilbert import is_hermitian
 
 P = model.ModelParams
@@ -650,3 +651,93 @@ def test_mode_permutation_matches_looped_oracle(case):
     basis = build_basis(build_lattice(nu, 1), 0)
     assert exactly_equal(model.fermion_mode_permutation(basis, perm).to_dense(),
                          looped_mode_permutation(basis, perm))
+
+
+# -- bit-arithmetic fermion factors and the CSR H'' -------------------------------------
+
+
+def _assert_triple_is_dense_nonzeros(triple, dense):
+    """(rows, cols, signs) equals np.nonzero of the dense factor: positions,
+    order and values, every value a real +-1."""
+    rows, cols, signs = triple
+    r, c = np.nonzero(dense)
+    assert np.array_equal(rows, r) and np.array_equal(cols, c)
+    assert np.array_equal(signs, dense[r, c]) and set(signs.tolist()) <= {1.0, -1.0}
+
+
+def _half_space_basis(nu, n_max):
+    return build_lr_split(build_basis(build_lattice(nu, 1), n_max)).basis_L
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
+@pytest.mark.parametrize("pairing", [False, True])
+def test_bond_factors_are_dense_product_nonzeros(nu, n_max, pairing):
+    params = small_params(n_max=n_max)
+    lat = build_lattice(nu, 1)
+    basis = build_basis(lat, n_max)
+    instances = model._pairing_instances(lat) if pairing else model._hopping_instances(lat)
+    second = basis.cdag if pairing else basis.c
+    for inst, fermions, boson in model._bond_factors(basis, instances, pairing, params):
+        x, y = inst[0], inst[1]
+        for spin, triple in zip(("up", "down"), fermions):
+            _assert_triple_is_dense_nonzeros(triple, basis.cdag(x, spin) @ second(y, spin))
+        assert np.array_equal(boson, model._hop_phase(basis, params, x, y))
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 0), (2, 0), (2, 1)])
+def test_fermion_pairs_on_half_space_basis_are_dense_product_nonzeros(nu, n_max):
+    basis = _half_space_basis(nu, n_max)
+    for a in range(basis.n_modes):
+        for b in range(basis.n_modes):
+            if a == b:
+                continue
+            (x, sa), (y, sb) = basis.modes[a], basis.modes[b]
+            _assert_triple_is_dense_nonzeros(model._fermion_pair(basis, a, b, False),
+                                             basis.cdag(x, sa) @ basis.c(y, sb))
+            _assert_triple_is_dense_nonzeros(model._fermion_pair(basis, a, b, True),
+                                             basis.cdag(x, sa) @ basis.cdag(y, sb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda nu: st.tuples(
+    st.just(nu), st.lists(st.integers(0, 4 * nu - 1), min_size=2, max_size=2, unique=True),
+    st.booleans())))
+def test_fermion_pair_matches_bit_loop_and_dense_oracles(case):
+    nu, (a, b), pairing = case
+    basis = build_basis(build_lattice(nu, 1), 0)
+    M = basis.n_modes
+    rows, cols, signs = model._fermion_pair(basis, a, b, pairing)
+    want = {}
+    for f in range(basis.fermion_dim):
+        first = (_apply_cdag if pairing else _apply_c)(f, b, M)
+        second = first and _apply_cdag(first[1], a, M)
+        if second:
+            want[second[1]] = (f, first[0] * second[0])
+    assert sorted(want) == rows.tolist()
+    assert [want[r] for r in rows.tolist()] == list(zip(cols.tolist(), signs.tolist()))
+    (x, sa), (y, sb) = basis.modes[a], basis.modes[b]
+    dense = basis.cdag(x, sa) @ (basis.cdag(y, sb) if pairing else basis.c(y, sb))
+    _assert_triple_is_dense_nonzeros((rows, cols, signs), dense)
+
+
+def test_mode_tables_are_cached_and_read_only():
+    basis = build_basis(build_lattice(2, 1), 0)
+    occ, strings = basis.mode_tables()
+    assert model._mode_occupations(basis) is occ and basis.mode_tables()[1] is strings
+    for table in (occ, strings):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    for m, (x, spin) in enumerate(basis.modes):
+        assert np.array_equal(occ[m], np.diag(basis.n_spin(x, spin)).real)
+        # c_m = (string of m) sigma^-_m: its entries carry the string's sign at the source state
+        r, c = np.nonzero(basis.c(x, spin))
+        assert np.array_equal(basis.c(x, spin)[r, c], strings[m, c])
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
+def test_doubleprime_csr_equals_dense(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime_csr(params, basis)
+    assert isinstance(H2, sparse.csr_array) and H2.dtype == complex
+    assert np.array_equal(H2.toarray(), model.build_doubleprime(params, basis))

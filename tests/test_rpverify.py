@@ -908,3 +908,58 @@ def test_q2_chain_out_of_regime():
     params = P(t=1.0, U=40.0, V=1.0, g=0.1, omega=1.0, beta=1.0, n_max=1)
     checks = rpverify.q2_lower_bound_check(params, build_basis(build_lattice(1, 1), 1))
     assert len(checks) == 1 and not checks[0].passed
+
+
+# -- no dense fermion factor on the full space -------------------------------------------
+
+
+def _refuse_dense_fermions(monkeypatch, basis):
+    def refuse(*args):
+        raise AssertionError("dense fermion operator on the full space")
+
+    monkeypatch.setattr(basis, "c", refuse, raising=False)
+    monkeypatch.setattr(basis, "cdag", refuse, raising=False)
+
+
+def test_full_space_builders_form_no_dense_fermion_operator_2x2(monkeypatch):
+    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    _refuse_dense_fermions(monkeypatch, basis)
+    with pytest.raises(AssertionError, match="dense fermion"):
+        basis.c(basis.sites[0], "up")
+    for build in (model.build_original, model.build_transformed, model.build_doubleprime):
+        assert build(params, basis).shape == (basis.total_dim,) * 2
+    assert len(model.pairing_bond_terms(params, basis)) == 8
+    assert model.original_structures(basis)["t"].nnz > 0
+    ens = rpverify.FieldPartition(params, basis)   # its half-space theta stays dense
+    assert np.isfinite(ens.log_partition(np.zeros(basis.n_sites)))
+
+
+@pytest.mark.parametrize("build", [lambda p, b: model.pairing_bond_terms(p, b),
+                                   lambda p, b: model.original_structures(b)],
+                         ids=["pairing_bond_terms", "original_structures"])
+def test_six_site_ring_terms_stay_small(build):
+    """On the 6-site ring (dim 4096) one dense complex fermion factor would be
+    268 MB; the terms are built from bit arithmetic well below that."""
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(1, 3), params.n_max)
+    tracemalloc.start()
+    try:
+        build(params, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
+def test_field_partition_on_csr_matches_dense_exactly(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    csr = rpverify.FieldPartition(params, basis, model.build_doubleprime_csr(params, basis))
+    dense = rpverify.FieldPartition(params, basis, model.build_doubleprime(params, basis))
+    rng = np.random.default_rng(41 + nu + 10 * n_max)
+    h = rng.standard_normal(basis.n_sites)
+    for f in (np.zeros(basis.n_sites), np.full(basis.n_sites, 0.75), h,
+              *rpverify.reflected_configs(basis.lattice, h)):
+        assert csr.log_partition(f) == dense.log_partition(f)
