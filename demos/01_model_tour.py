@@ -17,18 +17,18 @@ basis = build_basis(lat, params.n_max)
 print(f"lattice: {lat}")
 print(f"basis:   {basis}  (fermions {basis.fermion_dim} x phonons {basis.boson_dim})")
 
-hs = model.hamiltonian_set(params, basis)
+hs = model.hamiltonian_set(params, basis)   # CSR arrays, each checked Hermitian
 print(f"\nu_eff = U - 2 g^2/omega = {params.u_eff:+.3f}"
       f"   hopping phase constant alpha = {params.alpha:.3f}")
 
-w = np.linalg.eigvalsh(hs.H)
+w = np.linalg.eigvalsh(hs.H.toarray())
 print(f"spectrum of H: [{w[0]:+.4f}, ..., {w[-1]:+.4f}]  ({len(w)} levels)")
 
 V = model.build_zigzag(basis)
-dev = np.max(np.abs(hs.H2 - V.conjugate(hs.H1)))
+dev = abs(hs.H2 - V.conjugate(hs.H1)).max()
 print(f"H'' equals the zigzag conjugation of H' to {dev:.1e} (exact identity)")
 
-w1, w2 = np.linalg.eigvalsh(hs.H1), np.linalg.eigvalsh(hs.H2)
+w1, w2 = np.linalg.eigvalsh(hs.H1.toarray()), np.linalg.eigvalsh(hs.H2.toarray())
 print(f"spectra of H' and H'' agree to {np.max(np.abs(w1 - w2)):.1e}")
 
 spec = thermo.spectral(hs.H, params.beta)

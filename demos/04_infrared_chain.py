@@ -17,7 +17,7 @@ from hhlab import model, rpverify, thermo
 params = ModelParams(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=2)
 lat = build_lattice(nu=1, ell=1)
 basis = build_basis(lat, params.n_max)
-H2 = model.build_doubleprime(params, basis)
+H2 = model.build_doubleprime_csr(params, basis)
 spec = thermo.spectral(H2, params.beta)
 bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
 

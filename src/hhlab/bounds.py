@@ -74,8 +74,9 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     Midpoint values on grids grid_n, 2 grid_n, ... are Richardson
     extrapolated with an empirically estimated leading order (the
     singularity makes the error O(1/n), not spectral).  Returns
-    (value, error_estimate); raises for nu <= 2 where the integral
-    diverges.  Each grid is summed on its (n/2)^nu positive-orthant half.
+    (value, error_estimate); raises ValueError for nu <= 2, where the
+    integral diverges, and for a rel_tol that is not finite and > 0.  Each
+    grid is summed on its (n/2)^nu positive-orthant half.
     The default grid shrinks with nu so that the finest half grid has
     2^18, 2^20 and 2^20 points at nu = 3, 4 and 5.  A finest half grid of
     more than 2^27 points (1 GiB per float64 array) is refused with a
@@ -84,6 +85,8 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     """
     if nu <= 2:
         raise ValueError(f"integral diverges for nu <= 2 (got nu = {nu})")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if refinements < 3:
         raise ValueError("need at least 3 refinements to extrapolate")
     if grid_n is None:
@@ -159,8 +162,11 @@ def main_bound(params, nu):
     """Evaluate the staggered charge-order bound at one parameter point.
 
     gap <= 0 or nu <= 2 yield a report with certified = False and a reason
-    rather than an error; the terms are NaN where undefined.
+    rather than an error; the terms are NaN where undefined.  nu < 1 is
+    refused with a ValueError.
     """
+    if nu < 1:
+        raise ValueError(f"nu must be >= 1, got {nu}")
     ue = params.u_eff
     gap = nu * params.V - ue
     base = dict(nu=nu, t=params.t, U=params.U, V=params.V, g=params.g,
@@ -249,7 +255,7 @@ def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
     }
 
     if include_g:
-        H2 = _model.build_doubleprime(params, basis)
+        H2 = _model.build_doubleprime_csr(params, basis)
         spec = _thermo.spectral(H2, params.beta)
         qd = _model.charge_diagonals(basis)
         origin = lat.site_index[(0,) * nu]

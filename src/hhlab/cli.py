@@ -4,7 +4,9 @@ Subcommands: build, verify, correlate, bound, sweep, integral.  A flat
 key=value config file supplies the model and lattice; command-line flags
 override it.  Machine-readable output goes to --out (or stdout): JSON
 lines for verification reports, CSV for sweeps, JSON objects elsewhere.
-Identical config and seed produce byte-identical output files.
+Identical config and seed produce byte-identical output files at a fixed
+BLAS thread count (OPENBLAS_NUM_THREADS and the like); on the larger tori
+the last digits of some eigenvalue sums change with the thread count.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input, 3 a
 failed computation (RuntimeError, AssertionError or MemoryError); 2 and 3
@@ -153,14 +155,14 @@ def cmd_build(args):
 
 def _dump_matrix(H, path):
     """Binary layout: uint64 little-endian dimension, then row-major complex
-    entries as little-endian float64 pairs (re, im)."""
-    H = np.ascontiguousarray(H, dtype=complex)
+    entries as little-endian float64 pairs (re, im).  The sparse H is
+    densified one strip of rows (at most 8 MB) at a time."""
+    n = H.shape[0]
+    rows = max(1, (8 << 20) // (16 * n))
     with open(path, "wb") as fh:
-        fh.write(np.array(H.shape[0], dtype="<u8").tobytes())
-        inter = np.empty((H.shape[0], H.shape[1], 2))
-        inter[:, :, 0] = H.real
-        inter[:, :, 1] = H.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.array(n, dtype="<u8").tobytes())
+        for start in range(0, n, rows):
+            fh.write(H[start:start + rows].toarray().astype("<c16").tobytes())
 
 
 def _rng_for(cfg, suite):
@@ -171,15 +173,14 @@ def _rng_for(cfg, suite):
 
 
 def _field_records(cfg, suite, count, params, basis):
-    """The Z(h) checks (rp, gauss) on the CSR H'', and the infrared chain on
-    the dense H'', which only it needs; each H'' is built here and freed on
-    return, before the half-filling checks allocate theirs."""
+    """The Z(h) checks (rp, gauss) and the infrared chain, on one CSR H''."""
     checks = []
     lat = basis.lattice
+    H2 = model.build_doubleprime_csr(params, basis)
 
     if suite in ("rp", "gauss", "all"):
         rng = _rng_for(cfg, suite)
-        ens = rpverify.FieldPartition(params, basis, model.build_doubleprime_csr(params, basis))
+        ens = rpverify.FieldPartition(params, basis, H2)
         n = count or 20
         do_rp = suite in ("rp", "all")
         do_gauss = suite in ("gauss", "all")
@@ -197,7 +198,6 @@ def _field_records(cfg, suite, count, params, basis):
 
     if suite in ("infrared", "all"):
         rng = _rng_for(cfg, suite)
-        H2 = model.build_doubleprime(params, basis)
         spec = thermo.spectral(H2, params.beta)
         bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
         for _ in range(count or 20):

@@ -23,13 +23,13 @@ rung.  Operators on each factor are dense complex matrices; the embeddings
 here form dense full-space Kronecker products for small-size diagnostics
 and test oracles only.  hhlab.model reads each bond term's fermion factor
 off :meth:`HilbertBasis.mode_tables` as a partial signed permutation and
-scatters its entries, with those of the small boson factor, straight into
-one dense matrix (or into scipy.sparse terms), and hhlab.rpverify compares
-the reflection split as sparse Kronecker products and diagonal vectors.  A
-hard dimension cap keeps sizes at desk scale.  The exact unitaries of hhlab.model are signed
-permutations, held as a :class:`Monomial` and applied by re-indexing; only
-the truly dense Lang-Firsov unitary and theta (whose checks also take dense
-random unitaries) stay dense matrices.
+sums its entries, with those of the small boson factor, into a CSR array,
+and hhlab.rpverify compares the reflection split as sparse Kronecker
+products and diagonal vectors.  A hard dimension cap keeps sizes at desk
+scale.  The exact unitaries of hhlab.model are signed permutations, held as
+a :class:`Monomial` and applied by re-indexing, to a CSR array as to a
+dense one; only the truly dense Lang-Firsov unitary and theta (whose checks
+also take dense random unitaries) stay dense matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Monomial",
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 16384
-_STRIP_ROWS = 128   # rows per strip of row_strips: 8 MB of complex128 at dim 4096
 
 _ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
 _SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)       # (-1)^n
@@ -73,7 +73,13 @@ class Monomial:
                         np.outer(self.sign, other.sign).ravel())
 
     def conjugate(self, a):
-        """U A U^-1 for a dense matrix A, or for a diagonal given as a 1-d vector."""
+        """U A U^-1 for a dense or scipy.sparse matrix A, or for a diagonal given
+        as a 1-d vector.  A sparse A gives a CSR array, by
+        (U A U^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j]."""
+        if sparse.issparse(a):
+            a = a.tocoo()
+            return sparse.csr_array((self.sign[a.row] * self.sign[a.col] * a.data,
+                                     (self.perm[a.row], self.perm[a.col])), shape=a.shape)
         inv = np.argsort(self.perm)
         if a.ndim == 1:
             return a[inv]
@@ -290,24 +296,10 @@ def adjoint(a):
     return np.asarray(a).conj().T
 
 
-def row_strips(n):
-    """Slices of _STRIP_ROWS consecutive rows covering range(n).
-
-    A reduction taken strip by strip reads a transposed partner as one block
-    of columns, instead of through a full strided transpose, and keeps each
-    temporary to a strip; the maximum of the strip maxima is the maximum.
-    """
-    return [slice(i, min(i + _STRIP_ROWS, n)) for i in range(0, n, _STRIP_ROWS)]
-
-
 def hermiticity_residual(a):
-    """Max-entry deviation of a from its adjoint.
-
-    |a_ij - conj(a_ji)| is symmetric in (i, j), exactly in floating point, so
-    only the upper triangle is scanned, one strip of rows at a time.
-    """
-    a = np.asarray(a)
-    if not a.size:
-        return 0.0
-    return float(np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].conj().T))
-                         for s in row_strips(a.shape[0])]))
+    """Max-entry deviation of a (dense or scipy.sparse) from its adjoint."""
+    if not sparse.issparse(a):
+        a = np.asarray(a)
+        if not a.size:
+            return 0.0
+    return float(abs(a - a.conj().T).max())

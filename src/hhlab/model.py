@@ -3,13 +3,16 @@
 Three Hamiltonians live here, each assembled directly from its defining
 formula (conjugation by the explicit unitaries is a cross-check, never the
 definition).  All three go through the same few term helpers: a bond term
--t (fermion (x) boson + h.c.) is scattered from its Kronecker factors, the
+-t (fermion (x) boson + h.c.) gives the entries of its Kronecker factors, the
 fermion factor a partial signed permutation read off the basis by bit
-arithmetic and the boson factor a small dense matrix; the e-ph coupling is
-scattered from one boson block per fermion state, and the charge and phonon
-terms are added as diagonal vectors.  No full-space Kronecker product and no
-dense fermion_dim x fermion_dim product is formed, and the same entries
-give a dense matrix or, for H'' (``build_doubleprime_csr``), a CSR array:
+arithmetic and the boson factor a small dense matrix; the e-ph coupling gives
+one boson block per fermion state, and the charge and phonon terms are
+diagonal vectors.  One assembly, ``_sparse_sum``, sums the entries into a
+CSR array, so no full-space Kronecker product, no dense fermion_dim x
+fermion_dim product and no dense full-space matrix is formed.
+``build_original_csr``, ``build_doubleprime_csr`` and ``hamiltonian_set``
+return CSR arrays; the dense ``build_*`` densify the same sums, as
+small-size oracles:
 
 * ``build_original``     H  = T + P + I + K: hopping, on-site U and
   nearest-neighbor V charge repulsion, linear electron-phonon coupling g,
@@ -52,6 +55,7 @@ __all__ = [
     "ModelParams",
     "HamiltonianSet",
     "build_original",
+    "build_original_csr",
     "build_transformed",
     "build_doubleprime",
     "build_doubleprime_csr",
@@ -78,7 +82,8 @@ __all__ = [
 class ModelParams:
     """Physical couplings, inverse temperature and phonon truncation.
 
-    t, U, V, omega must be positive; g is any real; beta >= 0.
+    All six couplings must be finite; t, U, V, omega must be positive; g is
+    any real; beta >= 0.
     """
 
     t: float
@@ -90,6 +95,9 @@ class ModelParams:
     n_max: int = 2
 
     def __post_init__(self):
+        for name in ("t", "U", "V", "g", "omega", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t <= 0:
             raise ValueError(f"t must be > 0, got {self.t}")
         if self.U <= 0:
@@ -116,12 +124,13 @@ class ModelParams:
 
 @dataclass
 class HamiltonianSet:
-    """H, H' and H'' on a common basis, with the Hermiticity residual of each
-    (``hermiticity_residual`` of the matrix, keyed "H", "H1", "H2")."""
+    """H, H' and H'' on a common basis as CSR arrays, with the Hermiticity
+    residual of each (``hermiticity_residual`` of the matrix, keyed "H",
+    "H1", "H2")."""
 
-    H: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
+    H: sparse.csr_array
+    H1: sparse.csr_array
+    H2: sparse.csr_array
     residuals: dict
 
 
@@ -233,22 +242,13 @@ def _charge_boson_entries(basis, charges, bosons, coeff=1.0):
     return out
 
 
-def _scatter(out, entries):
-    """Add the entries [(rows, cols, values), ...] into the dense ``out``, in order."""
-    for rows, cols, values in entries:
-        out[rows, cols] += values
-    return out
-
-
-def _dense(basis, entries):
-    """The sum of the entries [(rows, cols, values), ...], in order, as a dense
-    complex full-space matrix."""
-    return _scatter(np.zeros((basis.total_dim, basis.total_dim), dtype=complex), entries)
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
 
 
 def _sparse_sum(basis, entries):
-    """The sum of the entries [(rows, cols, values), ...] as a CSR array."""
-    rows, cols, values = map(np.concatenate, zip(*entries))
+    """The sum of the entries [(rows, cols, values), ...] as a CSR array in
+    the dtype of the values; no entries give an all-zero float64 array."""
+    rows, cols, values = map(np.concatenate, zip(*entries, _NO_ENTRIES))
     return sparse.coo_array((values, (rows, cols)), shape=(basis.total_dim,) * 2).tocsr()
 
 
@@ -257,17 +257,6 @@ def _bond_sum(basis, coeff, factors):
     term by term as they are consumed."""
     for _, fermions, boson in factors:
         yield from _bond_entries(basis, coeff, fermions, boson)
-
-
-def _bond_matrix(basis, coeff, factors):
-    """Sum of coeff (fermion (x) boson + h.c.) over ``factors``, as a dense
-    complex full-space matrix.
-
-    The entries of each term and of its adjoint are scattered straight into
-    the result, so no full-space Kronecker product is formed.  The result is
-    bit-identical to summing the dense terms in instance order.
-    """
-    return _dense(basis, _bond_sum(basis, coeff, factors))
 
 
 def _ladder_sums(basis):
@@ -316,21 +305,28 @@ def _diagonal(basis, fermion, boson):
 
 
 def _original(params, basis, charges):
-    """T + P + I + K with ``charges`` as the diagonals of the q_x in P and I.
+    """T + P + I + K with ``charges`` as the diagonals of the q_x in P and I,
+    as a CSR array.
 
     With charge_diagonals this is H; with spin_diagonals it is the
     hole-particle image u H u^-1 = T + K + U sum s^2 + V sum s s + g sum s (b + b*).
     """
     lat = _require_lattice(basis)
-    H = _bond_matrix(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False))
     p = _charge_products(charges, _bond_terms(lat, params.V) + _onsite_terms(lat, params.U))
-    return _scatter(H, _charge_boson_entries(basis, charges, _ladder_sums(basis), params.g)
-                    + [_diagonal(basis, p, _phonon_energy(basis, params.omega))])
+    return _sparse_sum(basis, [
+        *_bond_sum(basis, -params.t, _bond_factors(basis, _hopping_instances(lat), False)),
+        *_charge_boson_entries(basis, charges, _ladder_sums(basis), params.g),
+        _diagonal(basis, p, _phonon_energy(basis, params.omega))])
+
+
+def build_original_csr(params, basis):
+    """The extended Holstein-Hubbard Hamiltonian H = T + P + I + K, as a CSR array."""
+    return _original(params, basis, charge_diagonals(basis))
 
 
 def build_original(params, basis):
-    """The extended Holstein-Hubbard Hamiltonian H = T + P + I + K."""
-    return _original(params, basis, charge_diagonals(basis))
+    """H of :func:`build_original_csr` as a dense matrix (a small-size oracle)."""
+    return build_original_csr(params, basis).toarray()
 
 
 def original_structures(basis):
@@ -338,7 +334,7 @@ def original_structures(basis):
     H(t, U, V, g, omega) = t S_t + U S_U + V S_V + g S_g + omega S_omega.
 
     H is real: S_t and S_g are float64 CSR arrays, summed from the entries
-    that ``build_original`` scatters, and the diagonal S_U, S_V and S_omega
+    that ``build_original_csr`` sums, and the diagonal S_U, S_V and S_omega
     are 1-d vectors.  Feed to :class:`hhlab.thermo.HamiltonianFamily` for
     fast parameter scans on a fixed geometry.
     """
@@ -368,30 +364,28 @@ def _dressed(params, basis, pairing):
 
 
 def build_transformed(params, basis):
-    """H' = T' + P' + K from its defining formula (not by conjugation).
+    """H' = T' + P' + K from its defining formula (not by conjugation), as a
+    dense matrix (a small-size oracle).
 
-    T' is scattered from the Kronecker factors of its phase-dressed hopping
+    T' is summed from the Kronecker factors of its phase-dressed hopping
     terms; P' and K are diagonal and added as vectors.
     """
-    return _dense(basis, _dressed(params, basis, False))
-
-
-def build_doubleprime(params, basis):
-    """H'' = T'' + P'' + K from its defining formula, as a dense matrix.
-
-    T'' is scattered from the Kronecker factors of its pairing terms; P'' and
-    K are diagonal and added as vectors.
-    """
-    return _dense(basis, _dressed(params, basis, True))
+    return _sparse_sum(basis, _dressed(params, basis, False)).toarray()
 
 
 def build_doubleprime_csr(params, basis):
-    """H'' as a scipy.sparse CSR array: the entries of :func:`build_doubleprime`
-    summed by :func:`_sparse_sum`, np.array_equal to it once densified, with
-    the zeros of its diagonal stored.  The Z(h) path takes it, so no dense
-    total_dim x total_dim matrix is formed there.
+    """H'' = T'' + P'' + K from its defining formula, as a CSR array, with the
+    zeros of its diagonal stored.
+
+    T'' is summed from the Kronecker factors of its pairing terms; P'' and K
+    are diagonal and added as vectors.
     """
     return _sparse_sum(basis, _dressed(params, basis, True))
+
+
+def build_doubleprime(params, basis):
+    """H'' of :func:`build_doubleprime_csr` as a dense matrix (a small-size oracle)."""
+    return build_doubleprime_csr(params, basis).toarray()
 
 
 def pairing_bond_terms(params, basis):
@@ -457,13 +451,14 @@ def build_field_hamiltonian(params, basis, h):
 
 
 def hamiltonian_set(params, basis):
-    """All three Hamiltonians, each checked Hermitian."""
-    mats = {"H": build_original(params, basis), "H1": build_transformed(params, basis),
-            "H2": build_doubleprime(params, basis)}
+    """All three Hamiltonians as CSR arrays, each checked Hermitian."""
+    mats = {"H": build_original_csr(params, basis),
+            "H1": _sparse_sum(basis, _dressed(params, basis, False)),
+            "H2": build_doubleprime_csr(params, basis)}
     residuals = {}
     for name, m in mats.items():
         res = residuals[name] = hermiticity_residual(m)
-        if res > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
+        if res > 1e-12 * max(1.0, float(abs(m).max())):
             raise AssertionError(f"{name} fails Hermiticity: residual {res}")
     return HamiltonianSet(**mats, residuals=residuals)
 
@@ -479,9 +474,9 @@ def lang_firsov(params, basis):
     generator is exponentiated by dense eigendecomposition.
     """
     rot = np.conj(phonon_gauge(basis))
-    gen = _dense(basis, _charge_boson_entries(basis, charge_diagonals(basis),
-                                              [basis.boson(x, "momentum", omega=params.omega)
-                                               for x in basis.sites]))
+    gen = _sparse_sum(basis, _charge_boson_entries(basis, charge_diagonals(basis),
+                                                   [basis.boson(x, "momentum", omega=params.omega)
+                                                    for x in basis.sites])).toarray()
     # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
     c = params.omega ** (-1.5) * params.g
     return rot[:, None] * expm_i_hermitian(-c * gen)

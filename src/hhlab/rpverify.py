@@ -25,7 +25,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .hilbert import HilbertBasis, Monomial, row_strips
+from .hilbert import HilbertBasis, Monomial
 
 __all__ = [
     "CheckResult",
@@ -93,13 +93,7 @@ def _eq(name, statement, lhs, rhs, tol, scale=None):
 def _matrix_eq(name, statement, A, B, tol):
     """A = B entrywise: two dense matrices, two scipy.sparse matrices or two
     diagonals given as 1-d vectors; a NaN entry fails the check."""
-    if sparse.issparse(A):
-        a_max, b_max, diff = (abs(M).max() for M in (A, B, A - B))
-    else:
-        # max |A|, max |B| and max |A - B| in one pass over strips of rows
-        a_max, b_max, diff = np.max([(np.max(np.abs(A[s])), np.max(np.abs(B[s])),
-                                      np.max(np.abs(A[s] - B[s])))
-                                     for s in row_strips(A.shape[0])], axis=0)
+    a_max, b_max, diff = (abs(M).max() for M in (A, B, A - B))
     scale = max(float(a_max), float(b_max), 1.0)
     dev = float(diff) / scale
     return CheckResult(name, statement, dev, 0.0, dev, bool(dev <= tol))
@@ -385,8 +379,9 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
         t_parts[key] = t_parts[key] + term
         if sx == sy:
             internal[sx].append(inst)
-    T_L = _model._bond_matrix(bl, -params.t, _model._bond_factors(bl, internal["L"], True, params))
-    T_R = _model._bond_matrix(br, -params.t, _model._bond_factors(br, internal["R"], True, params))
+    T_L, T_R = (_model._sparse_sum(b, _model._bond_sum(
+                    b, -params.t, _model._bond_factors(b, internal[side], True, params))).toarray()
+                for b, side in ((bl, "L"), (br, "R")))
     out.append(_matrix_eq("lr_T_internal_L", "internal-left pairing = T''_L (x) 1",
                           split.to_lr(t_parts["LL"]), split.kron_l(T_L), tol))
     out.append(_matrix_eq("lr_T_internal_R", "internal-right pairing = 1 (x) T''_R",
@@ -824,7 +819,7 @@ def half_filling_check(params, basis, tol=1e-10, mechanism=False):
     unchanged while D flips every s_x.
     """
     lat = basis.lattice
-    H = _model.build_original(params, basis)
+    H = _model.build_original_csr(params, basis)
     spec = _thermo.spectral(H, params.beta)
     out = []
     worst = 0.0
@@ -894,7 +889,7 @@ def q2_lower_bound_check(params, basis, tol=1e-9):
     if gap <= 0:
         return [CheckResult("q2_lower_bound", "nu V - u_eff > 0 required",
                             gap, 0.0, gap, False)]
-    H2 = _model.build_doubleprime(params, basis)
+    H2 = _model.build_doubleprime_csr(params, basis)
 
     psi = np.zeros(basis.fermion_dim, dtype=complex)
     psi[-1] = 1.0  # all modes occupied: every site doubly occupied

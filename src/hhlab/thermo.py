@@ -1,16 +1,17 @@
 """Spectral decomposition, thermal expectations, the infrared forms and
 charge correlations.
 
-A Hamiltonian (dense or scipy.sparse) is split into the connected
-components of its exact sparsity pattern (H[i, j] != 0.0), read from its
-nonzero entries by :func:`_gauged_sparse`.  The entries of each component
-are scattered into one stack of equal-size dense blocks per component size
-(:func:`_block_stacks`), each block is eigendecomposed exactly with dense
-LAPACK, and all thermal sums run blockwise.  Components are detected from
-exact zeros only, so a "dirty" matrix degrades to one big block, never to a
-wrong answer.  The Gibbs state is kept as its diagonal blocks: an
-observable (dense, scipy.sparse or a 1-d diagonal) enters a thermal average
-only through its nonzero entries inside the components.
+A Hamiltonian (a CSR array of hhlab.model, or a dense oracle) is split
+into the connected components of its exact sparsity pattern
+(H[i, j] != 0.0), read from its nonzero entries by :func:`_gauged_sparse`.
+The entries of each component are scattered into one stack of equal-size
+dense blocks per component size (:func:`_block_stacks`), each block is
+eigendecomposed exactly with dense LAPACK, and all thermal sums run
+blockwise.  Components are detected from exact zeros only, so a "dirty"
+matrix degrades to one big block, never to a wrong answer.  The Gibbs state
+is kept as its diagonal blocks: an observable (dense, scipy.sparse or a 1-d
+diagonal) enters a thermal average only through its nonzero entries inside
+the components.
 
 The same pass reads off a diagonal unitary gauge d from a maximum-modulus
 spanning forest of the pattern (_phase_gauge), in which every component
@@ -19,13 +20,8 @@ solved by a real ``eigh``.  The three engines share this split:
 ``SpectralData``, ``HamiltonianFamily`` and ``highest_weight_sectors``.  The
 last reduces H'', for the Z(h) of ``rpverify.FieldPartition``, to the
 highest-weight states of the spin SU(2) of the zigzag frame, and once more
-by the reflection Theta: a sector that Theta maps onto another is kept once
-with twice its weight, and one mapped onto itself is split into the +-1
-eigenspaces of Theta.  These mirror sectors serve exactly the fields with
-np.array_equal(h, h o r); any other field takes the first set.
-An H'' that Theta does not leave invariant is refused after every refusal
-of the SU(2) reduction.  At 2x2, n_max = 1 (dim 4096) the two sets hold 60
-sectors (sum n^3 = 1.23e8) and 35 (5.04e7).
+by the reflection Theta for the fields with np.array_equal(h, h o r)
+(:func:`_mirror_sectors`).
 
 The infrared forms g, b and c are built once per spectral data (see
 quadratic_form_quantities).  All exponentials are shifted by the ground
@@ -41,6 +37,7 @@ from scipy.sparse import coo_array, csr_array, csr_matrix, eye_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
+from .hilbert import Monomial, hermiticity_residual
 
 __all__ = [
     "SpectralData",
@@ -171,9 +168,8 @@ class SpectralData:
         and discarded then.
 
         Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
-        nonzero entries of a matrix A inside the components only (dense A is
-        read as a sparse one): the entries of rho between components are
-        exact zeros, so the entries of A there contribute exactly 0.  In the
+        nonzero entries of a matrix A inside the components only: the entries
+        of rho between components are exact zeros.  In the
         gauge, conj(rho_ij) A_ij = conj(r_ij) (conj(d_i) A_ij d_j) with r the
         gauged Gibbs block.
         """
@@ -184,30 +180,28 @@ class SpectralData:
     def _sparse_trace(self, A):
         """Tr(rho A) from the nonzero entries of A inside one component."""
         A = coo_array(A)
-        comp = self._block_of[A.row]
-        inside = comp == self._block_of[A.col]
-        rows, cols, data, comp = A.row[inside], A.col[inside], A.data[inside], comp[inside]
-        data = self._gauge(data, rows, cols)
-        rho = self._gibbs_blocks()
         total = 0.0 + 0.0j
-        for k in np.unique(comp):
-            sel = comp == k
-            total += np.vdot(rho[k][self._position[rows[sel]], self._position[cols[sel]]],
-                             data[sel])
+        for rho, e in zip(self._gibbs_blocks(), self._groups(A.row, A.col)):
+            if e.size:
+                r, c = A.row[e], A.col[e]
+                total += np.vdot(rho[self._position[r], self._position[c]],
+                                 self._gauge(A.data[e], r, c))
         return complex(total)
 
-
-def _max_abs(A):
-    if issparse(A):
-        return float(abs(A).max()) if A.nnz else 0.0
-    return float(np.max(np.abs(A)))
+    def _groups(self, rows, cols):
+        """Indices of the entries (rows, cols) inside a component: an array
+        per component, in entry order."""
+        comp = self._block_of[rows]
+        keep = np.flatnonzero(comp == self._block_of[cols])
+        keep = keep[np.argsort(comp[keep], kind="stable")]
+        return np.split(keep, np.cumsum(np.bincount(comp[keep], minlength=len(self._eig)))[:-1])
 
 
 def _realize_if_hermitian(val, A):
     if A.ndim == 1:
         herm = np.all(np.abs(A.imag) < 1e-14) if np.iscomplexobj(A) else True
     else:
-        herm = _max_abs(A - A.conj().T) < 1e-12 * max(1.0, _max_abs(A))
+        herm = hermiticity_residual(A) < 1e-12 * max(1.0, float(abs(A).max()))
     if herm:
         scale = max(abs(val), 1.0)
         if abs(val.imag) > 1e-10 * scale:
@@ -517,9 +511,7 @@ def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
     _, first = np.unique(labels, return_index=True)
     o = phase[perm].conj() * reflection.sign * phase.conj()
     sign = np.sign((o * o[first[labels]].conj()).real)
-    g = G.tocoo()
-    moved = csr_array((sign[g.row] * sign[g.col] * g.data, (perm[g.row], perm[g.col])), shape=G.shape)
-    dev = float(np.max(np.abs((moved - G).data), initial=0.0))
+    dev = float(np.max(np.abs((Monomial(perm, sign).conjugate(G) - G).data), initial=0.0))
     if dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0)):
         raise ValueError(f"H'' is not invariant under the reflection Theta: largest change "
                          f"of an entry {dev:.3e}")
@@ -592,11 +584,11 @@ def highest_weight_sectors(basis, H2, reflection):
 
 @lru_cache(maxsize=8)
 def _correlation_state(params, basis, which):
-    H = _model.build_original(params, basis)
+    H = _model.build_original_csr(params, basis)
     if which == "zigzag":
         H = _model.build_zigzag(basis).conjugate(H)
     elif which == "doubleprime":
-        H = _model.build_doubleprime(params, basis)
+        H = _model.build_doubleprime_csr(params, basis)
     elif which != "original":
         raise ValueError(f"which must be 'original', 'zigzag' or 'doubleprime', got {which!r}")
     return spectral(H, params.beta), _model.charge_diagonals(basis)
@@ -713,9 +705,8 @@ def _build_quadratic_forms(spec, basis, H):
     M_x of a block are stacked as rows of length n^2, and the D_x as rows
     over the off-diagonal nonzeros of H_blk (the only entries where
     H_kl D_x,kl survives), so each of B and C takes one product per block.
-    No full-space or per-site dim^2 array is formed.  The cost is N products
-    q^H diag(q_x) q per block.  The forms are mirrored from the upper
-    triangle, with a real diagonal, so they are exactly Hermitian.
+    The forms are mirrored from the upper triangle, with a real diagonal, so
+    they are exactly Hermitian.
     """
     qd = _model.charge_diagonals(basis)
     n = qd.shape[0]
@@ -723,7 +714,15 @@ def _build_quadratic_forms(spec, basis, H):
     B = np.zeros((n, n))
     C = np.zeros((n, n))
     rho_d = spec.rho_diag()
-    for (idx, w, q), rho_i in zip(spec._eig, spec._gibbs_blocks()):
+    # off-diagonal entries (D_x vanishes on the diagonal) per component, row by row;
+    # a dense H is read block by block, faster than a full scan
+    if issparse(H):
+        rows, cols, vals = _offdiagonal_pattern(H)
+        parts = [(spec._position[rows[e]], spec._position[cols[e]], vals[e])
+                 for e in spec._groups(rows, cols)]
+    else:
+        parts = (_offdiagonal_pattern(H[np.ix_(idx, idx)]) for idx, _, _ in spec._eig)
+    for (idx, w, q), rho_i, (k, l, h_kl) in zip(spec._eig, spec._gibbs_blocks(), parts):
         qb = qd[:, idx // basis.boson_dim]          # q_x on the block, one row per site
         m = np.empty((n, len(idx), len(idx)), dtype=q.dtype)
         for x, qx in enumerate(qb):
@@ -733,7 +732,6 @@ def _build_quadratic_forms(spec, basis, H):
         m = m.reshape(n, -1)
         qb = qb - qb.mean(axis=0)
         kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0).ravel()
-        k, l, h_kl = _offdiagonal_pattern(H[np.ix_(idx, idx)])   # D_x vanishes on the diagonal
         nested = -rho_i[k, l].conj() * spec._gauge(h_kl, idx[k], idx[l])
         if np.isrealobj(rho_i):
             nested = nested.real

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from hhlab.cli import main
+from hhlab import build_basis, build_lattice, cli, model
+from hhlab.cli import CONFIG_DEFAULTS, main
 
 
 def run(args):
@@ -58,6 +65,19 @@ def test_matrix_dump_layout(tmp_path):
     entries = np.frombuffer(raw[8:], dtype="<f8").reshape(dim, dim, 2)
     H = entries[:, :, 0] + 1j * entries[:, :, 1]
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
+    params = model.ModelParams(**{k: CONFIG_DEFAULTS[k] for k in ("t", "U", "V", "g", "omega", "beta")},
+                               n_max=0)
+    assert np.array_equal(H, model.build_original(params, build_basis(build_lattice(1, 1), 0)))
+
+
+def test_dump_strips_give_dense_layout(tmp_path):
+    # 1000 rows of complex entries span two strips of at most 8 MB
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1000, 1000)) + 1j * rng.standard_normal((1000, 1000))
+    A[rng.random(A.shape) < 0.99] = 0.0
+    dump = tmp_path / "A.bin"
+    cli._dump_matrix(sparse.csr_array(A), dump)
+    assert dump.read_bytes() == np.array(1000, dtype="<u8").tobytes() + A.astype("<c16").tobytes()
 
 
 def test_verify_requires_seed_for_randomized_suites(tmp_path):
@@ -185,6 +205,41 @@ def test_integral_not_converged_exit_code(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_integral_refuses_tolerance_not_finite_and_positive(capsys, tol):
+    assert run(["integral", "--nu", "3", "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: rel_tol must be finite and > 0, got ")
+
+
+@pytest.mark.parametrize("argv", [["bound", "--nu", "0"], ["bound", "--nu", "-2"],
+                                  ["sweep", "--nu", "0", "--vary", "t=1,2"]])
+def test_nu_below_one_refused(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: nu must be >= 1, got ")
+
+
+def test_config_nu_zero_refused_by_bound(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("nu = 0\n")
+    assert run(["--config", str(cfg), "bound"]) == 2
+    assert capsys.readouterr().err == "error: nu must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["sweep", "--nu", "3", "--vary", "t=nan"], ""),
+    (["sweep", "--nu", "3", "--vary", "beta=1,inf"], ""),
+    (["bound", "--nu", "3"], "t = nan\n"),
+    (["bound", "--nu", "3"], "g = -inf\n"),
+])
+def test_nonfinite_coupling_refused(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert " must be finite, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_oversize_grid_exit_code(capsys):
     assert run(["integral", "--nu", "7"]) == 2
     err = capsys.readouterr().err
@@ -210,3 +265,39 @@ def test_integral_nu3(tmp_path):
     assert run(["--out", str(out), "integral", "--nu", "3"]) == 0
     rec = json.loads(out.read_text())
     assert rec["oracle_relative_deviation"] < 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["correlate", "--x", "0,0", "--y", "1,0"],
+    *(["--seed", "7", "verify", "--suite", suite, "--count", "1"]
+      for suite in ("infrared", "halffill", "q2", "fourier")),
+], ids=["build", "correlate", "infrared", "halffill", "q2", "fourier"])
+def test_2x2_commands_form_no_dense_full_space_matrix(tmp_path, argv):
+    # at nu = 2, n_max = 1 (dim 4096) one dense complex matrix of the full space
+    # is 256 MiB; the commands work on CSR arrays and per-component blocks
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("nu = 2\nn_max = 1\n")
+    tracemalloc.start()
+    try:
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20, peak
+
+
+def test_verify_report_bytes_do_not_depend_on_blas_threads():
+    # the documented contract: identical config and seed give identical bytes at a
+    # fixed BLAS thread count; at the default config they match across counts too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", "import sys; from hhlab.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", "--seed", "7", "verify", "--suite", "all"],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]

@@ -36,6 +36,15 @@ def test_params_validation():
         P(t=1, U=1, V=1, g=0, omega=1, beta=-0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["t", "U", "V", "g", "omega", "beta"])
+def test_params_refuse_nonfinite_couplings(name, value):
+    good = dict(t=1.0, U=1.0, V=1.0, g=0.5, omega=1.0, beta=1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        P(**{**good, name: value})
+    P(**{**good, "t": 1e-18, "beta": 1e12})   # extreme but finite stays valid
+
+
 def test_u_eff_values():
     assert P(t=1, U=4, V=1, g=1, omega=1, beta=1).u_eff == 2.0
     assert P(t=1, U=5, V=1, g=0, omega=1, beta=1).u_eff == 5.0
@@ -638,8 +647,13 @@ def test_conjugate_equals_dense_product(nu, n_max):
     hs = model.hamiltonian_set(params, basis)
     diag = np.random.default_rng(nu + 10 * n_max).standard_normal(basis.total_dim)
     for name, mono, dense in dense_unitaries(basis):
-        for A in (hs.H, hs.H1, hs.H2):
-            assert exactly_equal(mono.conjugate(A), dense @ A @ dense.conj().T), name
+        for S in (hs.H, hs.H1, hs.H2):
+            A = S.toarray()
+            want = dense @ A @ dense.conj().T
+            assert exactly_equal(mono.conjugate(A), want), name
+            image = mono.conjugate(S)
+            assert isinstance(image, sparse.csr_array) and image.nnz == S.nnz, name
+            assert exactly_equal(image.toarray(), want), name
         assert exactly_equal(mono.conjugate(diag), np.diag(dense @ np.diag(diag) @ dense.conj().T))
 
 

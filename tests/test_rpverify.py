@@ -160,8 +160,19 @@ def dense_lr_split(params, basis, h, tol=1e-10):
         parts["cross" if sx != sy else sx + sy] += term.toarray()
         if sx == sy:
             internal[sx].append(inst)
-    T_L, T_R = (model._bond_matrix(b, -params.t, model._bond_factors(b, internal[side], True, params))
-                for b, side in ((bl, "L"), (br, "R")))
+
+    def half_pairing(b, instances):
+        """The internal pairing terms on a half basis as dense Kronecker products."""
+        out = np.zeros((b.total_dim,) * 2, dtype=complex)
+        for x, y, *_ in instances:
+            phase = model.expm_i_hermitian(-params.alpha * (b.boson(x, "position", omega=params.omega)
+                                                            - b.boson(y, "position", omega=params.omega)))
+            for spin in ("up", "down"):
+                pair = np.kron(b.cdag(x, spin) @ b.cdag(y, spin), phase)
+                out += -params.t * (pair + pair.conj().T)
+        return out
+
+    T_L, T_R = half_pairing(bl, internal["L"]), half_pairing(br, internal["R"])
     pairs += [("lr_T_internal_L", to_lr(parts["LL"]), kron_l(T_L)),
               ("lr_T_internal_R", to_lr(parts["RR"]), kron_r(T_R)),
               ("lr_T_reflect", T_R, theta.conjugate(T_L))]
@@ -214,7 +225,17 @@ def dense_lr_split(params, basis, h, tol=1e-10):
        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
 def test_lr_split_matches_dense_oracle_random_couplings(n_max, t, U, V, g, omega, h):
     params = P(t=t, U=U, V=V, g=g, omega=omega, beta=1.0, n_max=n_max)
-    basis = build_basis(build_lattice(1, 1), n_max)
+    assert_lr_split_matches_dense_oracle(params, build_basis(build_lattice(1, 1), n_max), h)
+
+
+def test_lr_split_matches_dense_oracle_2x2():
+    # each half of the 2x2 torus holds internal pairing bonds; the 2-site ring has none
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    assert_lr_split_matches_dense_oracle(params, basis, np.random.default_rng(5).standard_normal(4))
+
+
+def assert_lr_split_matches_dense_oracle(params, basis, h):
     got = rpverify.verify_lr_split(params, basis, h)
     want = dense_lr_split(params, basis, np.asarray(h))
     assert [r.name for r in got] == [name for name, _ in want]
