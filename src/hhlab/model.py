@@ -259,6 +259,11 @@ def _bond_sum(basis, coeff, factors):
         yield from _bond_entries(basis, coeff, fermions, boson)
 
 
+def _bond_csr(basis, coeff, factors):
+    """coeff sum (fermion (x) boson + h.c.) over ``factors``, as a CSR array."""
+    return _sparse_sum(basis, _bond_sum(basis, coeff, factors))
+
+
 def _ladder_sums(basis):
     """b_x + b*_x on the boson factor, for every site."""
     return [basis.boson(x, "annihilate") + adjoint(basis.boson(x, "annihilate"))
@@ -343,7 +348,7 @@ def original_structures(basis):
     nf, nb = basis.fermion_dim, basis.boson_dim
     hopping = _bond_factors(basis, _hopping_instances(lat), False)
     return {
-        "t": _sparse_sum(basis, _bond_sum(basis, -1.0, hopping)),
+        "t": _bond_csr(basis, -1.0, hopping),
         "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
         "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
         "g": _sparse_sum(basis, _charge_boson_entries(basis, q, [b.real for b in _ladder_sums(basis)])),

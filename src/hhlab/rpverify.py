@@ -379,9 +379,8 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
         t_parts[key] = t_parts[key] + term
         if sx == sy:
             internal[sx].append(inst)
-    T_L, T_R = (_model._sparse_sum(b, _model._bond_sum(
-                    b, -params.t, _model._bond_factors(b, internal[side], True, params))).toarray()
-                for b, side in ((bl, "L"), (br, "R")))
+    T_L, T_R = (_model._bond_csr(b, -params.t, _model._bond_factors(b, internal[side], True, params))
+                .toarray() for b, side in ((bl, "L"), (br, "R")))
     out.append(_matrix_eq("lr_T_internal_L", "internal-left pairing = T''_L (x) 1",
                           split.to_lr(t_parts["LL"]), split.kron_l(T_L), tol))
     out.append(_matrix_eq("lr_T_internal_R", "internal-right pairing = 1 (x) T''_R",

@@ -287,17 +287,26 @@ def test_2x2_commands_form_no_dense_full_space_matrix(tmp_path, argv):
     assert peak < 128 << 20, peak
 
 
-def test_verify_report_bytes_do_not_depend_on_blas_threads():
-    # the documented contract: identical config and seed give identical bytes at a
-    # fixed BLAS thread count; at the default config they match across counts too
+def _verify_report(threads):
+    """stdout of the default ``--seed 7 verify --suite all`` in a fresh process
+    with every common BLAS thread variable set to ``threads``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    reports = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", "import sys; from hhlab.cli import main; "
-                               "sys.exit(main(sys.argv[1:]))", "--seed", "7", "verify", "--suite", "all"],
-                              env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        reports.append(proc.stdout)
-    assert reports[0] == reports[1]
+    env = dict(os.environ, **{var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys; from hhlab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", "--seed", "7", "verify", "--suite", "all"],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_verify_report_bytes_repeat_at_fixed_blas_threads():
+    # the documented contract: identical config and seed give identical bytes
+    # at a fixed BLAS thread count
+    assert _verify_report("2") == _verify_report("2")
+
+
+def test_default_verify_report_same_bytes_at_1_and_2_blas_threads():
+    # at the default config the report does not depend on the thread count either
+    assert _verify_report("1") == _verify_report("2")

@@ -311,7 +311,7 @@ def test_quadratic_forms_match_per_field_oracle(nu, n_max):
     for M in spec._forms[2]:
         assert M.shape == (n, n)
         assert np.array_equal(M, M.conj().T)
-    # a CSR H'' is read once, not block by block, into the same forms
+    # a CSR H'' gives the same forms as the dense one
     csr = model.build_doubleprime_csr(params, basis)
     got = thermo._quadratic_forms(thermo.spectral(csr, params.beta), basis, csr)
     assert all(np.array_equal(a, b) for a, b in zip(got, spec._forms[2]))
