@@ -33,7 +33,6 @@ import math
 import numpy as np
 
 from . import model as _model
-from . import thermo as _thermo
 
 __all__ = [
     "torus_integral",
@@ -206,7 +205,7 @@ def phase_sweep(params_list, nu):
 # -- finite-volume momentum-space identities -------------------------------------
 
 
-def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
+def finite_volume_fourier_check(basis, h, spec=None, tol=1e-9):
     """Verify the momentum-space forms of the three quadratic forms entering
     the infrared bound, on the finite torus, against direct real-space
     evaluation, and report the finite-volume analogue of the bound on
@@ -218,12 +217,18 @@ def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
     part of the returned report (the convention chain is logged, never
     silently absorbed).
 
-    The torus is that of ``basis``; with ``include_g=False`` nothing is
-    built on the basis itself.  Returns (checks, report_dict).
+    The torus is that of ``basis``.  ``spec`` is the spectral data of H''
+    on ``basis`` (``thermo.spectral``); the structure-factor and g checks
+    take their Gibbs state from it, and without it only the momentum
+    identities are checked.  A ``spec`` of another dimension is refused
+    with ValueError.  Returns (checks, report_dict).
     """
     from .lattice import dispersion
     from .rpverify import CheckResult, _eq
 
+    if spec is not None and spec.dim != basis.total_dim:
+        raise ValueError(f"spec has dimension {spec.dim}, not the basis dimension "
+                         f"{basis.total_dim}")
     lat = basis.lattice
     nu = lat.nu
     h = np.asarray(h, dtype=complex)
@@ -254,9 +259,7 @@ def finite_volume_fourier_check(params, basis, h, include_g=True, tol=1e-9):
         "bare_E_prefactor_ratio": X_mom / max(norm * float(np.sum(E * np.abs(hhat) ** 2)), 1e-300),
     }
 
-    if include_g:
-        H2 = _model.build_doubleprime_csr(params, basis)
-        spec = _thermo.spectral(H2, params.beta)
+    if spec is not None:
         qd = _model.charge_diagonals(basis)
         origin = lat.site_index[(0,) * nu]
         corr = np.empty(lat.n_sites)

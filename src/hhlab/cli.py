@@ -93,6 +93,8 @@ def make_config(args):
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from exc
+    if cfg.seed is not None and cfg.seed < 0:
+        raise InputError(f"the seed (--seed or seed= in the config) must be >= 0, got {cfg.seed}")
     if cfg.ell < 1 or cfg.ell % 2 == 0:
         raise InputError(f"L must be a positive odd integer, got {cfg.ell}")
     try:
@@ -173,8 +175,10 @@ def _rng_for(cfg, suite):
 
 
 def _field_records(cfg, suite, count, params, basis):
-    """The Z(h) checks (rp, gauss) and the infrared chain, on one CSR H''."""
-    checks = []
+    """The Z(h) checks (rp, gauss), the infrared chain and the fourier checks,
+    on one CSR H'' solved at most once.  Returns (checks, fourier checks):
+    the report puts the fourier records last."""
+    checks, fourier = [], []
     lat = basis.lattice
     H2 = model.build_doubleprime_csr(params, basis)
 
@@ -196,14 +200,19 @@ def _field_records(cfg, suite, count, params, basis):
             "gauss_constant_shift", "Z(const) = Z(0)", res.lhs, res.rhs,
             abs(res.slack), abs(res.slack) <= 1e-10))
 
-    if suite in ("infrared", "all"):
+    if suite in ("infrared", "fourier", "all"):
         rng = _rng_for(cfg, suite)
         spec = thermo.spectral(H2, params.beta)
-        bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
-        for _ in range(count or 20):
-            h = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
-            checks += rpverify.infrared_chain_check(params, basis, h, spec, H2, bond_exp)
-    return checks
+        if suite != "fourier":
+            bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
+            for _ in range(count or 20):
+                h = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
+                checks += rpverify.infrared_chain_check(params, basis, h, spec, H2, bond_exp)
+        if suite in ("fourier", "all"):
+            # a fresh generator, so h does not depend on where this runs
+            h = _rng_for(cfg, suite).standard_normal(lat.n_sites)
+            fourier = bounds.finite_volume_fourier_check(basis, h, spec)[0]
+    return checks, fourier
 
 
 def _verify_records(cfg, suite, count):
@@ -222,8 +231,10 @@ def _verify_records(cfg, suite, count):
         checks += rpverify.dls_fuzz(n_instances=n, seed=int(rng.integers(2 ** 31)))
         checks.append(rpverify.trace_product_check(seed=int(rng.integers(2 ** 31))))
 
-    if suite in ("rp", "gauss", "infrared", "all"):
-        checks += _field_records(cfg, suite, count, params, basis)
+    fourier = []
+    if suite in ("rp", "gauss", "infrared", "fourier", "all"):
+        field_checks, fourier = _field_records(cfg, suite, count, params, basis)
+        checks += field_checks
 
     if suite in ("halffill", "all"):
         rng = _rng_for(cfg, suite)
@@ -243,12 +254,7 @@ def _verify_records(cfg, suite, count):
                                    n_max=cfg.n_max)
         checks += rpverify.q2_lower_bound_check(strong, basis)
 
-    if suite in ("fourier", "all"):
-        rng = _rng_for(cfg, suite)
-        h = rng.standard_normal((2 * cfg.ell) ** cfg.nu)
-        fchecks, _ = bounds.finite_volume_fourier_check(params, basis, h, include_g=True)
-        checks += fchecks
-    return [c.to_record() for c in checks]
+    return [c.to_record() for c in checks + fourier]
 
 
 def cmd_verify(args):
@@ -313,6 +319,8 @@ def _parse_vary(spec):
         if len(parts) != 3:
             raise InputError(f"bad range {body!r}; expected lo:hi:n")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if n < 1:
+            raise InputError(f"bad range {body!r}: it needs at least 1 point, got {n}")
         values = np.linspace(lo, hi, n).tolist()
     else:
         values = [float(v) for v in body.split(",")]
@@ -323,6 +331,10 @@ def cmd_sweep(args):
     cfg = make_config(args)
     nu = args.nu if args.nu is not None else cfg.nu
     axes = [_parse_vary(v) for v in args.vary]
+    names = [name for name, _ in axes]
+    for name in names:
+        if names.count(name) > 1:
+            raise InputError(f"axis {name!r} is given more than once in --vary")
     base = cfg.params()
     points = [base]
     for name, values in axes:

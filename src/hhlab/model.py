@@ -334,28 +334,6 @@ def build_original(params, basis):
     return build_original_csr(params, basis).toarray()
 
 
-def original_structures(basis):
-    """Unit-coupling structures of H: the family
-    H(t, U, V, g, omega) = t S_t + U S_U + V S_V + g S_g + omega S_omega.
-
-    H is real: S_t and S_g are float64 CSR arrays, summed from the entries
-    that ``build_original_csr`` sums, and the diagonal S_U, S_V and S_omega
-    are 1-d vectors.  Feed to :class:`hhlab.thermo.HamiltonianFamily` for
-    fast parameter scans on a fixed geometry.
-    """
-    lat = _require_lattice(basis)
-    q = charge_diagonals(basis)
-    nf, nb = basis.fermion_dim, basis.boson_dim
-    hopping = _bond_factors(basis, _hopping_instances(lat), False)
-    return {
-        "t": _bond_csr(basis, -1.0, hopping),
-        "U": np.repeat(_charge_products(q, _onsite_terms(lat, 1.0)), nb),
-        "V": np.repeat(_charge_products(q, _bond_terms(lat, 1.0)), nb),
-        "g": _sparse_sum(basis, _charge_boson_entries(basis, q, [b.real for b in _ladder_sums(basis)])),
-        "omega": np.tile(_phonon_energy(basis, 1.0), nf),
-    }
-
-
 def _dressed(params, basis, pairing):
     """The entries of -t sum (bond term (x) phase + h.c.), term by term, then
     the diagonal u_eff sum q^2 + v sum q q + K: H' with the hopping terms and

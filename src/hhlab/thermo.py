@@ -16,11 +16,11 @@ the components.
 The same pass reads off a diagonal unitary gauge d from a maximum-modulus
 spanning forest of the pattern (_phase_gauge), in which every component
 without flux is real symmetric (H'', H, H' and V H V^-1 all are) and is
-solved by a real ``eigh``.  The three engines share this split:
-``SpectralData``, ``HamiltonianFamily`` and ``highest_weight_sectors``.  The
-last reduces H'', for the Z(h) of ``rpverify.FieldPartition``, to the
-highest-weight states of the spin SU(2) of the zigzag frame, and once more
-by the reflection Theta: a sector that Theta maps onto another is kept once
+solved by a real ``eigh``.  The two engines share this split:
+``SpectralData`` and ``highest_weight_sectors``.  The second reduces H'',
+for the Z(h) of ``rpverify.FieldPartition``, to the highest-weight states
+of the spin SU(2) of the zigzag frame, and once more by the reflection
+Theta: a sector that Theta maps onto another is kept once
 with twice its weight, and one mapped onto itself is split into the +-1
 eigenspaces of Theta.  These mirror sectors serve exactly the fields with
 np.array_equal(h, h o r); any other field takes the first set.
@@ -51,7 +51,6 @@ __all__ = [
     "charge_correlation",
     "quadratic_form_quantities",
     "pairing_bond_expectations",
-    "HamiltonianFamily",
 ]
 
 _GAP_SERIES_CUTOFF = 1e-6
@@ -72,8 +71,6 @@ class SpectralData:
     construction raises AssertionError.  On a real block the residual is the
     elementwise bound |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the
     imaginary part the real ``eigh`` discards is charged to the check.
-    :meth:`from_blocks` takes eigenpairs that are already solved, in the
-    unit gauge d = 1.
 
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
     ``blocks`` (list of (index array, eigenvalues, eigenvectors Q of H's
@@ -101,19 +98,9 @@ class SpectralData:
                 res = max(res, _block_residual(w, q, target))
                 for lab, i, wi, qi in zip(labs[sel], idx[sel], w, q):
                     eig[lab] = (i, wi, qi)
-        self._finish(eig, n, beta, phase)
         if res > 1e-9 * scale:
             raise AssertionError(f"eigendecomposition residual {res} too large")
-
-    @classmethod
-    def from_blocks(cls, blocks, dim, beta):
-        """Assemble from per-component eigenpairs [(indices, w, Q), ...]."""
-        self = cls.__new__(cls)
-        self._finish(blocks, dim, beta, np.ones(dim))
-        return self
-
-    def _finish(self, eig, dim, beta, phase):
-        self.dim = dim
+        self.dim = n
         self.beta = float(beta)
         self._eig = eig          # (indices, w, q) with q in the gauge
         self._phase = phase      # the gauge d on the full space
@@ -121,8 +108,8 @@ class SpectralData:
         self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in eig]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
-        self._block_of = np.empty(dim, dtype=np.intp)   # component of each basis index
-        self._position = np.empty(dim, dtype=np.intp)   # its index inside the component
+        self._block_of = np.empty(n, dtype=np.intp)     # component of each basis index
+        self._position = np.empty(n, dtype=np.intp)     # its index inside the component
         for k, (idx, _, _) in enumerate(eig):
             self._block_of[idx] = k
             self._position[idx] = np.arange(len(idx))
@@ -586,24 +573,22 @@ def highest_weight_sectors(basis, H2, reflection):
 
 @lru_cache(maxsize=8)
 def _correlation_state(params, basis, which):
+    if which not in ("original", "zigzag"):
+        raise ValueError(f"which must be 'original' or 'zigzag', got {which!r}")
     H = _model.build_original_csr(params, basis)
     if which == "zigzag":
         H = _model.build_zigzag(basis).conjugate(H)
-    elif which == "doubleprime":
-        H = _model.build_doubleprime_csr(params, basis)
-    elif which != "original":
-        raise ValueError(f"which must be 'original', 'zigzag' or 'doubleprime', got {which!r}")
     return spectral(H, params.beta), _model.charge_diagonals(basis)
 
 
 def charge_correlation(params, basis, x, y, which="original"):
     """<q_x q_y> under the chosen Hamiltonian on ``basis`` (built on a torus).
 
-    ``which`` selects the original H, its zigzag image V H V^-1 (for which
+    ``which`` selects the original H or its zigzag image V H V^-1, for which
     <q_x q_y> picks up exactly the staggered sign (-1)^(|x| + |y|) relative
     to the original -- an identity that survives phonon truncation because
     the zigzag unitary is exact and the Lang-Firsov unitary commutes with
-    every q), or the formula-built H''.
+    every q.
     """
     lat = basis.lattice
     spec, qd = _correlation_state(params, basis, which)
@@ -757,51 +742,3 @@ def pairing_bond_expectations(params, basis, spec):
         out.append((key, spec.expectation(term)))
     return out
 
-
-class HamiltonianFamily:
-    """A coupling-linear family H(c) = sum_k c_k S_k on a fixed basis.
-
-    Each structure S_k is a scipy.sparse matrix (``model.original_structures``
-    gives CSR arrays) or, when diagonal, a 1-d vector.  The components of the
-    union pattern of the matrices are coupling-independent: they are found
-    once, by :func:`_gauged_sparse` on the sum of their moduli, and each
-    structure is scattered into one stack of equal-size blocks per component
-    size.  Every member of the family is then diagonalized stack by stack,
-    with a real ``eigh`` when every structure is real.  Meant for scans over
-    many parameter draws on one geometry.
-    """
-
-    def __init__(self, structures):
-        self.names = list(structures)
-        self.dim = structures[self.names[0]].shape[0]
-        self.dtype = np.result_type(*(s.dtype for s in structures.values()))
-        matrices = {name: coo_array(s) for name, s in structures.items() if s.ndim == 2}
-        labels = _gauged_sparse(sum(abs(s) for s in matrices.values()))[0]
-        self._count = labels.max() + 1
-        self._stacks = []
-        for labs, idx, blocks in _block_stacks(labels, [(s.row, s.col, s.data)
-                                                        for s in matrices.values()]):
-            parts = {name: s[idx] for name, s in structures.items() if s.ndim == 1}
-            parts.update(zip(matrices, blocks))
-            self._stacks.append((labs, idx, parts))
-
-    def spectral(self, coeffs, beta):
-        """SpectralData of H(coeffs) at inverse temperature beta."""
-        unknown = set(coeffs) - set(self.names)
-        if unknown:
-            raise ValueError(f"unknown couplings {sorted(unknown)}")
-        eig = [None] * self._count
-        for labs, idx, parts in self._stacks:
-            M = np.zeros(idx.shape + idx.shape[1:], dtype=self.dtype)
-            diag = np.arange(idx.shape[1])
-            for name, c in coeffs.items():
-                if c != 0.0:
-                    s = parts[name]
-                    if s.ndim == idx.ndim:          # a diagonal, restricted to the stack
-                        M[:, diag, diag] += c * s
-                    else:
-                        M += c * s
-            w, q = np.linalg.eigh(M)
-            for lab, i, wi, qi in zip(labs, idx, w, q):
-                eig[lab] = (i, wi, qi)
-        return SpectralData.from_blocks(eig, self.dim, beta)

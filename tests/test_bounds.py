@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from hhlab import bounds
+from hhlab import bounds, model, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
 from hhlab.model import ModelParams
@@ -192,11 +192,10 @@ def test_sweep_entropy_decreasing_in_beta():
 
 
 def test_fourier_identities_random_field():
-    params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
     rng = np.random.default_rng(9)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     basis = build_basis(build_lattice(1, 3), 0)   # the torus only: nothing is built on it
-    checks, report = bounds.finite_volume_fourier_check(params, basis, h, include_g=False)
+    checks, report = bounds.finite_volume_fourier_check(basis, h)
     for c in checks:
         assert c.passed, c
     # the literal bare-E(p) prefactor misses the symbol of -Delta by exactly 2
@@ -204,11 +203,10 @@ def test_fourier_identities_random_field():
 
 
 def test_fourier_identities_single_momentum():
-    params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
     lat = build_lattice(1, 3)
     p = lat.momentum_grid()[2]
     h = np.exp(1j * np.array(lat.sites).dot(p))
-    checks, _ = bounds.finite_volume_fourier_check(params, build_basis(lat, 0), h, include_g=False)
+    checks, _ = bounds.finite_volume_fourier_check(build_basis(lat, 0), h)
     for c in checks:
         assert c.passed, c
 
@@ -216,8 +214,9 @@ def test_fourier_identities_single_momentum():
 def test_fourier_identities_with_structure_factor():
     params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=2)
     rng = np.random.default_rng(10)
-    checks, report = bounds.finite_volume_fourier_check(
-        params, build_basis(build_lattice(1, 1), params.n_max), rng.standard_normal(2), include_g=True)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
+    checks, report = bounds.finite_volume_fourier_check(basis, rng.standard_normal(2), spec)
     for c in checks:
         assert c.passed, c
     assert np.isclose(report["q2_origin"], report["q2_from_structure_factor"])
@@ -227,15 +226,23 @@ def test_fourier_identities_with_structure_factor():
 def test_fourier_g_matches_infrared_chain_g():
     # the Fourier check computes g = <A* A> directly; the infrared chain reads it
     # from its Hermitian form G
-    from hhlab import model, thermo
-
     params = P(t=0.8, U=1.1, V=0.6, g=0.9, omega=1.3, beta=1.4, n_max=0)
     rng = np.random.default_rng(11)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     basis = build_basis(build_lattice(2, 1), params.n_max)
-    checks, _ = bounds.finite_volume_fourier_check(params, basis, h, include_g=True)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    checks, _ = bounds.finite_volume_fourier_check(basis, h, spec)
     fourier_g = next(c for c in checks if c.name == "fourier_g")
     assert fourier_g.passed, fourier_g
-    H2 = model.build_doubleprime(params, basis)
-    g, _, _ = thermo.quadratic_form_quantities(params, basis, h, thermo.spectral(H2, params.beta), H=H2)
+    g, _, _ = thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
     assert fourier_g.lhs == pytest.approx(g, rel=1e-12, abs=1e-12)
+
+
+def test_fourier_check_refuses_spectrum_of_another_dimension():
+    params = P(t=0.9, U=1.2, V=1.1, g=0.7, omega=1.4, beta=1.1, n_max=1)
+    small = build_basis(build_lattice(1, 1), 0)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, build_basis(build_lattice(1, 1), 1)),
+                           params.beta)
+    with pytest.raises(ValueError, match="dimension"):
+        bounds.finite_volume_fourier_check(small, np.ones(2), spec)

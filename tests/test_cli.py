@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from hhlab import build_basis, build_lattice, cli, model
+from hhlab import build_basis, build_lattice, cli, model, thermo
 from hhlab.cli import CONFIG_DEFAULTS, main
 
 
@@ -192,6 +192,32 @@ def test_sweep_bad_axis(tmp_path):
     assert run(["sweep", "--nu", "3", "--vary", "zap=1:2:2"]) == 2
 
 
+@pytest.mark.parametrize("vary", [["t=1:2:0"], ["t=1:2:-1"], ["t=1,2", "t=3"],
+                                  ["t=1,2", "g=1", "t=1:2:2"]])
+def test_sweep_refuses_empty_range_and_repeated_axis(tmp_path, capsys, vary):
+    out = tmp_path / "s.csv"
+    argv = ["--out", str(out), "sweep", "--nu", "3"]
+    for v in vary:
+        argv += ["--vary", v]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("at least 1 point" in err or "more than once" in err)
+    assert not out.exists()
+
+
+def test_negative_seed_refused_as_flag_and_config_key(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert run(["--seed", "-1", "--out", str(out), "verify", "--suite", "dls"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert run(["--seed", "-1", "--out", str(out), "build"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = -3\n")
+    assert run(["--config", str(cfg), "--out", str(out), "build"]) == 2
+    assert "seed=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_diverges_exit_code():
     assert run(["integral", "--nu", "2"]) == 2
 
@@ -310,3 +336,24 @@ def test_verify_report_bytes_repeat_at_fixed_blas_threads():
 def test_default_verify_report_same_bytes_at_1_and_2_blas_threads():
     # at the default config the report does not depend on the thread count either
     assert _verify_report("1") == _verify_report("2")
+
+
+def test_verify_all_solves_each_hamiltonian_once(tmp_path, monkeypatch):
+    # the infrared chain and the fourier checks share one spectrum of H''
+    calls = []
+    spectral = thermo.spectral
+
+    def recording(H, beta):
+        calls.append((sparse.csr_array(H), float(beta)))
+        return spectral(H, beta)
+
+    monkeypatch.setattr(thermo, "spectral", recording)
+    thermo._correlation_state.cache_clear()
+    try:
+        assert run(["--seed", "7", "--out", str(tmp_path / "r.jsonl"), "verify", "--suite", "all"]) == 0
+    finally:
+        thermo._correlation_state.cache_clear()
+    assert len(calls) > 1
+    for i, (A, beta_a) in enumerate(calls):
+        for B, beta_b in calls[:i]:
+            assert not (beta_a == beta_b and A.shape == B.shape and (A != B).nnz == 0)

@@ -134,17 +134,6 @@ def test_original_matches_independent_assembly(nu, n_max):
     assert np.max(np.abs(H - oracle)) < 1e-12
 
 
-@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES)
-def test_original_structures_sum_to_original(nu, n_max):
-    params = small_params(n_max=n_max)
-    basis = build_basis(build_lattice(nu, 1), n_max)
-    S = model.original_structures(basis)
-    assert all(isinstance(S[k], sparse.csr_array) and S[k].dtype == np.float64 for k in ("t", "g"))
-    H = (params.t * S["t"] + params.g * S["g"]).toarray() + np.diag(
-        params.U * S["U"] + params.V * S["V"] + params.omega * S["omega"])
-    assert np.max(np.abs(H - model.build_original(params, basis))) < 1e-12
-
-
 def test_single_site_interaction_spectrum():
     lat = Lattice.single_site()
     basis = build_basis(lat, 1)

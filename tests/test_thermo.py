@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,32 +59,6 @@ def test_large_beta_logz_is_finite():
     H = model.build_original(params, basis)
     spec = thermo.spectral(H, params.beta)
     assert np.isfinite(spec.logZ)
-
-
-@pytest.mark.parametrize("n_max", [1, 2])
-def test_hamiltonian_family_matches_original(n_max):
-    params = small_params(n_max=n_max)
-    basis = build_basis(build_lattice(1, 1), n_max)
-    family = thermo.HamiltonianFamily(model.original_structures(basis))
-    spec = family.spectral({"t": params.t, "U": params.U, "V": params.V, "g": params.g,
-                            "omega": params.omega}, params.beta)
-    want = thermo.spectral(model.build_original(params, basis), params.beta)
-    w = want.eigenvalues
-    assert len(spec.blocks) == len(want.blocks)
-    assert np.max(np.abs(spec.eigenvalues - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
-    assert abs(spec.logZ - want.logZ) < 1e-12 * max(1.0, abs(want.logZ))
-
-
-def test_hamiltonian_family_peak_memory_below_one_dense_matrix():
-    # the structures and the split are sparse: no dim^2 array at dim 4096
-    basis = build_basis(build_lattice(2, 1), 1)
-    tracemalloc.start()
-    try:
-        thermo.HamiltonianFamily(model.original_structures(basis))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < basis.total_dim ** 2 * 8
 
 
 # -- thermal expectation ---------------------------------------------------------------
@@ -265,6 +237,16 @@ def test_charge_correlation_range():
     basis = build_basis(build_lattice(1, 1), params.n_max)
     val = thermo.charge_correlation(params, basis, (0,), (0,), which="zigzag")
     assert 0.0 <= val <= 1.0
+
+
+def test_charge_correlation_refuses_unknown_hamiltonian_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("H built before the choice was checked")
+
+    monkeypatch.setattr(model, "build_original_csr", refuse)
+    basis = build_basis(build_lattice(1, 1), 0)
+    with pytest.raises(ValueError, match="'original' or 'zigzag'"):
+        thermo.charge_correlation(small_params(n_max=0), basis, (0,), (0,), which="doubleprime")
 
 
 def test_zigzag_sign_relation_exact():
