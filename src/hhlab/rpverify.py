@@ -17,6 +17,7 @@ two sides, a relative slack and a pass flag; suites return lists of them.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -78,9 +79,9 @@ def _ineq(name, statement, lhs, rhs, tol):
     The scale floor of 1 makes the comparison absolute for quantities that
     are both numerically zero (e.g. bounds whose two sides vanish
     identically on a small geometry)."""
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    slack = (rhs - lhs) / scale
-    return CheckResult(name, statement, float(lhs), float(rhs), float(slack), bool(slack >= -tol))
+    lhs, rhs = float(lhs), float(rhs)
+    slack = (rhs - lhs) / max(abs(lhs), abs(rhs), 1.0)
+    return CheckResult(name, statement, lhs, rhs, slack, slack >= -tol)
 
 
 def _eq(name, statement, lhs, rhs, tol, scale=None):
@@ -763,12 +764,11 @@ def falk_bruch_rhs(b, c, tol=1e-12):
     b = max(float(b), 0.0)
     c = max(float(c), 0.0)
     if b <= tol:
-        return 0.5 * np.sqrt(b * c)
+        return 0.5 * math.sqrt(b * c)
     if c <= tol:
         return b
-    x = c / (4.0 * b)
-    sx = np.sqrt(x)
-    return b * sx / np.tanh(sx)
+    sx = math.sqrt(c / (4.0 * b))
+    return b * sx / math.tanh(sx)
 
 
 def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol=1e-9):
@@ -782,19 +782,17 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
     """
     lat = basis.lattice
     h = np.asarray(h, dtype=complex)
-    g_q, b_q, c_q = _thermo.quadratic_form_quantities(
-        params, basis, h, spec, H2, bond_expectations=bond_expectations)
-
     lap, stag = lat.laplacian_matrix(), lat.staggered_signs
-    X = float(np.real(np.vdot(h, lap @ h)))              # <h|(-Delta)h>
     f = lap @ h                                          # (-Delta) h
-    Y = float(np.real(np.vdot(f, stag * (lap @ (stag * f)))))
+    g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, H2, bond_expectations)
+    X = float(np.vdot(h, f).real)                        # <h|(-Delta)h>
+    sf = stag * f
+    Y = float(np.vdot(sf, lap @ sf).real)
     b0 = X / (2.0 * params.beta * params.V)
     c0 = 4.0 * params.beta * params.t * Y
     fb = falk_bruch_rhs(b_q, c_q)
-    gamma1_full = 0.5 * (1.0 / (params.beta * params.V) + np.sqrt(params.t / params.V))
-    gamma2 = 0.25 * np.sqrt(params.t / params.V)
-    ginq = gamma1_full * X + gamma2 * Y
+    root = math.sqrt(params.t / params.V)
+    ginq = 0.5 * (1.0 / (params.beta * params.V) + root) * X + 0.25 * root * Y   # gamma1', gamma2
 
     return [
         _ineq("ir_duhamel_bound", "b <= <h|(-D)h>/(2 beta V)", b_q, b0, tol),

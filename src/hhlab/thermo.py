@@ -38,6 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.sparse import coo_array, csr_array, csr_matrix, eye_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
@@ -173,17 +174,24 @@ class SpectralData:
     def _sparse_trace(self, A):
         """Tr(rho A) from the nonzero entries of A inside one component."""
         A = coo_array(A)
-        comp = self._block_of[A.row]
-        inside = comp == self._block_of[A.col]
-        rows, cols, data, comp = A.row[inside], A.col[inside], A.data[inside], comp[inside]
-        data = self._gauge(data, rows, cols)
+        k, l, data, ends = self._by_component(A.row, A.col, A.data)
         rho = self._gibbs_blocks()
         total = 0.0 + 0.0j
-        for k in np.unique(comp):
-            sel = comp == k
-            total += np.vdot(rho[k][self._position[rows[sel]], self._position[cols[sel]]],
-                             data[sel])
+        for c in np.flatnonzero(np.diff(ends)):
+            s = slice(ends[c], ends[c + 1])
+            total += np.vdot(rho[c][k[s], l[s]], data[s])
         return complex(total)
+
+    def _by_component(self, rows, cols, vals):
+        """(k, l, vals, ends): the entries inside the components, gauged, k
+        and l positions in them; component c at ends[c]:ends[c + 1]."""
+        comp = self._block_of[rows]
+        inside = np.flatnonzero(comp == self._block_of[cols])
+        inside = inside[np.argsort(comp[inside], kind="stable")]
+        rows, cols = rows[inside], cols[inside]
+        ends = np.searchsorted(comp[inside], np.arange(len(self._eig) + 1))
+        return (self._position[rows], self._position[cols],
+                self._gauge(vals[inside], rows, cols), ends)
 
 
 def _realize_if_hermitian(val, A):
@@ -206,17 +214,22 @@ def _duhamel_kernel(beta, w_row, w_col):
     through E = E' by its limit e^{-beta E}.  kappa is symmetric, so it is
     taken from the lower energy, e^{-beta min} (1 - e^{-d}) / d with
     d = beta |E - E'|: neither factor exceeds 1 on energies above the ground
-    state, however wide the gap.  Energies are used as given; callers divide
-    by a consistently shifted Z, so a common shift cancels.
+    state, however wide the gap; below _GAP_SERIES_CUTOFF the ratio is its
+    Taylor series.  Each step is symmetric in (E, E'), and e^{-beta min} is
+    the larger exponential.  Energies are used as given; callers divide by a
+    consistently shifted Z, so a common shift cancels.
     """
-    em = w_col[None, :]
-    en = w_row[:, None]
-    delta = beta * np.abs(en - em)
-    small = delta < _GAP_SERIES_CUTOFF
-    safe = np.where(small, 1.0, delta)
-    ratio = np.where(small, 1.0 - delta / 2.0 + delta ** 2 / 6.0,
-                     -np.expm1(-safe) / safe)
-    return np.exp(-beta * np.minimum(en, em)) * ratio
+    neg = np.subtract.outer(w_row, w_col)
+    np.abs(neg, out=neg)
+    neg *= -beta                                    # -d
+    small = neg > -_GAP_SERIES_CUTOFF
+    d = -neg[small]
+    with np.errstate(invalid="ignore"):             # 0 / 0 at d = 0, replaced below
+        kern = np.expm1(neg)
+        kern /= neg
+    kern[small] = 1.0 - d / 2.0 + d ** 2 / 6.0
+    kern *= np.maximum.outer(np.exp(-beta * w_row), np.exp(-beta * w_col), out=neg)
+    return kern
 
 
 def _offdiagonal_pattern(H):
@@ -603,72 +616,78 @@ def charge_correlation(params, basis, x, y, which="original"):
 def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None):
     """(g, b, c) for the observable A = sum_x q_x ((-Delta) h)_x under H''.
 
-    g = <A* A>, b = the Duhamel (A, A), c = beta <[A, [H'', A*]]>.  Each is a
-    Hermitian form in f = (-Delta) h: g = f^H G f, b = f^H B f and
-    c = beta f^H C f, with the N x N matrices (N = n_sites) of
-    :func:`_quadratic_forms`.  They are built on the first call for a
-    (spec, basis, H) and cached on ``spec``.  The build costs N products
-    q^T diag(q_x) q per real block (about 0.2 s at dim 4096 on one BLAS
-    thread); after it a field costs O(N^2) plus the bond sum below, and
-    touches no block.  A caller with one field that needs only g
-    should take the diagonal expectation <|a|^2> instead, as
-    :func:`hhlab.bounds.finite_volume_fourier_check` does.
+    g = <A* A>, b = the Duhamel (A, A), c = beta <[A, [H'', A*]]>: forms in
+    f = (-Delta) h, g = f^H G f, b = f^H B f, c = beta f^H C f, with G, B, C
+    of :func:`_quadratic_forms`, cached on ``spec`` (a build of 70 ms at dim
+    4096 on one BLAS thread); then a field costs one product of N x N forms.
 
     The nested commutator is evaluated two ways -- from the Hamiltonian
     matrix (A is diagonal, so [A, [H, A*]] = -H o |a_k - a_l|^2, which is
     what C holds) and from the closed-form bond expansion with coefficients
-    t |f_x + f_y|^2 -- and the two must agree to 1e-9 relative.
+    t |f_x + f_y|^2 (:func:`_bond_form`) -- and the two must agree to 1e-9
+    relative.
 
-    ``spec`` must be the spectral data of the same H'' matrix used for the
-    direct route;  ``bond_expectations`` optionally carries precomputed
-    thermal expectations of the pairing bond terms (see
-    :func:`pairing_bond_expectations`); without them every call computes
-    them from the blocks.
+    ``spec`` must be the spectral data of H''; one whose dimension is not
+    ``basis.total_dim``, or an ``H`` of another shape, is refused with
+    ValueError before any block is read.  ``bond_expectations`` are those of
+    :func:`pairing_bond_expectations`; without them they are computed once
+    per ``params`` and kept on ``spec``.
     """
-    lat = basis.lattice
-    h = np.asarray(h, dtype=complex)
-    f = lat.laplacian(-h)          # f = (-Delta) h
-    G, B, C = _quadratic_forms(spec, basis, H)
-    g_q = np.vdot(f, G @ f).real   # G is real symmetric
-    b_q = np.vdot(f, B @ f)
+    f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))     # f = (-Delta) h
+    return _form_values(params, basis, f, spec, H, bond_expectations)
+
+
+def _form_values(params, basis, f, spec, H, bond_expectations=None):
+    """(g, b, c) of :func:`quadratic_form_quantities` at f = (-Delta) h."""
+    if spec.dim != basis.total_dim or H.shape != (spec.dim, spec.dim):
+        raise ValueError(f"spec has dimension {spec.dim} and H shape {H.shape}, not the "
+                         f"basis dimension {basis.total_dim}")
+    _quadratic_forms(spec, basis, H)
+    slot = spec._forms
+    own = bond_expectations is None
+    if own:
+        bond_expectations = slot[3] if slot[4] == params else pairing_bond_expectations(
+            params, basis, spec)
+    if slot[3] is not bond_expectations:
+        slot[2][3] = _bond_form(basis, bond_expectations)
+        slot[3], slot[4] = bond_expectations, params if own else None
+    g_q, b_q, c_direct, c_closed = ((slot[2] @ f) @ f.conj()).tolist()
     if abs(b_q.imag) > 1e-9 * max(1.0, abs(b_q)):
         raise AssertionError(f"(A, A) should be real, got {b_q}")
-    b_q = b_q.real
-    c_direct = np.vdot(f, C @ f)
     if abs(c_direct.imag) > 1e-10 * max(1.0, abs(c_direct)):
         raise AssertionError(f"<[A, [H, A*]]> should be real, got {c_direct}")
-    c_direct = params.beta * c_direct.real
-
-    # closed form: [A, [T'', A*]] = sum_bonds t |f_x + f_y|^2 (phase c*c* + h.c.)
-    # i.e. each stored bond term (built with -t) reweighted by -|f_x + f_y|^2
-    if bond_expectations is None:
-        bond_expectations = pairing_bond_expectations(params, basis, spec)
-    c_closed = 0.0
-    for (x, y, _, _), w in bond_expectations:
-        fx, fy = f[lat.site_index[x]], f[lat.site_index[y]]
-        c_closed += -params.beta * abs(fx + fy) ** 2 * w
-    scale = max(abs(c_direct), abs(c_closed), 1.0)
-    if abs(c_direct - c_closed) > 1e-9 * scale:
+    c_direct, c_closed = params.beta * c_direct.real, -params.beta * c_closed.real
+    if abs(c_direct - c_closed) > 1e-9 * max(abs(c_direct), abs(c_closed), 1.0):
         raise AssertionError(
             f"nested commutator mismatch: direct {c_direct}, closed form {c_closed}")
-    return float(g_q), float(b_q), float(c_direct)
+    return g_q.real, b_q.real, c_direct
+
+
+def _bond_form(basis, bond_expectations):
+    """W, f^H W f = sum_bonds |f_x + f_y|^2 <term>: [A, [T'', A*]] is each
+    bond term (built with -t) reweighted by -|f_x + f_y|^2."""
+    index, W = basis.lattice.site_index, np.zeros((basis.n_sites,) * 2)
+    for (x, y, _, _), w in bond_expectations:
+        ends = [index[x], index[y]]
+        np.add.at(W, np.ix_(ends, ends), w)
+    return W
 
 
 def _quadratic_forms(spec, basis, H):
-    """(G, B, C) for ``spec``, ``basis`` and ``H``: built on first use, then
-    held in the single slot ``spec._forms``.
-
-    The slot is keyed by the identity of ``basis`` and ``H`` and keeps both
-    alive, so a recycled id cannot hit a stale entry; another pair replaces it.
-    """
+    """(G, B, C), built on first use into the single slot ``spec._forms`` =
+    [basis, H, (G, B, C, W), the bonds of W, the params they were computed
+    here for or None], keyed by the identity of ``basis`` and ``H``: it keeps
+    both alive, so a recycled id cannot hit a stale entry."""
     slot = spec._forms
     if slot is None or slot[0] is not basis or slot[1] is not H:
-        slot = spec._forms = (basis, H, _build_quadratic_forms(spec, basis, H))
-    return slot[2]
+        forms = np.zeros((4, basis.n_sites, basis.n_sites), complex)   # as f: no cast
+        forms[:3] = _build_quadratic_forms(spec, basis, H)
+        slot = spec._forms = [basis, H, forms, None, None]
+    return slot[2][:3].real
 
 
 def _build_quadratic_forms(spec, basis, H):
-    """The N x N Hermitian matrices of g, b and c/beta for A = sum_x f_x q_x.
+    """The N x N real symmetric matrices of g, b and c/beta for A = sum_x f_x q_x.
 
     With q_x(k) the centred charge of basis state k (below), M_x =
     Q^H diag(q_x) Q on a block with eigenvectors Q, kappa the Duhamel kernel
@@ -681,53 +700,90 @@ def _build_quadratic_forms(spec, basis, H):
     The charges are centred, q_x - N^-1 sum_y q_y: f = (-Delta) h sums to
     zero, so A is unchanged, and the forms lose the total-charge mode whose
     large entries f^H M f would otherwise cancel (about three digits of b on
-    the 2x2 torus).
+    the 2x2 torus).  B and C are real (each equals its conjugate).
 
     Everything is taken in the gauge of ``spec``: diag(q_x) commutes with it,
     so M_x = q^H diag(q_x) q with the gauged eigenvectors q, and
     conj(rho_i) o H_blk = conj(r_i) o G with r_i the gauged Gibbs block and
-    G = conj(d) H_blk d.  On a real block M_x and r_i are real, and Im G
-    drops out of C exactly (it is antisymmetric, r_i and D_x o D_y are
-    symmetric), so the block is summed in real arithmetic.  The N matrices
-    M_x of a block are stacked as rows of length n^2, and the D_x as rows
-    over the off-diagonal nonzeros of H_blk (the only entries where
-    H_kl D_x,kl survives), so each of B and C takes one product per block.
-    No full-space or per-site dim^2 array is formed.  The cost is N products
-    q^H diag(q_x) q per block.  The forms are mirrored from the upper
-    triangle, with a real diagonal, so they are exactly Hermitian.
+    G = conj(d) H_blk d.  The M_x are combinations of a few P_j and I
+    (:func:`_charge_products`): B takes their kappa-Gram matrix.  D_x runs
+    over the off-diagonal nonzeros of H_blk (:func:`_block_entries`).  The
+    forms are mirrored from the upper triangle: exactly symmetric.
     """
     qd = _model.charge_diagonals(basis)
-    n = qd.shape[0]
-    G = np.zeros((n, n))
-    B = np.zeros((n, n))
-    C = np.zeros((n, n))
-    rho_d = spec.rho_diag()
-    for (idx, w, q), rho_i in zip(spec._eig, spec._gibbs_blocks()):
-        qb = qd[:, idx // basis.boson_dim]          # q_x on the block, one row per site
-        m = np.empty((n, len(idx), len(idx)), dtype=q.dtype)
-        for x, qx in enumerate(qb):
-            nz = np.flatnonzero(qx)                 # q_x is 0 on about half the states
-            m[x] = (q[nz].conj().T * qx[nz]) @ q[nz]
-        m -= m.mean(axis=0)
-        m = m.reshape(n, -1)
-        qb = qb - qb.mean(axis=0)
-        kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0).ravel()
-        k, l, h_kl = _offdiagonal_pattern(H[np.ix_(idx, idx)])   # D_x vanishes on the diagonal
-        nested = -rho_i[k, l].conj() * spec._gauge(h_kl, idx[k], idx[l])
-        if np.isrealobj(rho_i):
-            nested = nested.real
-        d = qb[:, k] - qb[:, l]
-        G = G + (qb * rho_d[idx]) @ qb.T
-        B = B + (m.conj() * kern) @ m.T
-        C = C + (d * nested) @ d.T
-    B /= spec.z_shifted
-    lower = np.tril_indices(n, -1)
+    centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
+    rho = spec.rho_diag()
+    G = (centred * rho) @ centred.T
+    B, C = np.zeros((2,) + G.shape)
+    stag = basis.lattice.staggered_signs
+    # a state alone in its component has M_x = q_x and no entry off the diagonal
+    lone = np.bincount(spec._block_of)[spec._block_of] == 1
+    big = [c for c, (idx, _, _) in enumerate(spec._eig) if len(idx) > 1]
+    for c, (k, l, h_kl) in zip(big, _block_entries(spec, H, big)):
+        (idx, w, q), wt = spec._eig[c], spec._weights[c]
+        p, coef = _charge_products(q, qd[:, idx // basis.boson_dim], stag)
+        kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
+        p *= np.sqrt(kern, out=kern)
+        d = np.vstack([np.diagonal(p, 0, 1, 2).real, np.sqrt(wt)])   # kappa_nn = wt: I last
+        p = p.reshape(len(p), len(idx) ** 2)
+        gram = d @ d.T              # the triangles of p count each off-diagonal pair once
+        gram[:-1, :-1] += 2.0 * (((p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T)
+                                 - gram[:-1, :-1])
+        B += coef @ gram @ coef.T
+        r = spec._gibbs_blocks()[c].take(k * len(idx) + l)     # take: 1.6x [k, l]
+        nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
+        cb = centred[:, idx]
+        d = cb.take(k, axis=1) - cb.take(l, axis=1)
+        C += (d * nested) @ d.T
+    B = B / spec.z_shifted + (centred[:, lone] * rho[lone]) @ centred[:, lone].T
+    lower = np.tril_indices(len(qd), -1)
     for M in (G, B, C):
-        M[lower] = np.conj(M.T[lower])
-    for M in (B, C):
-        if np.iscomplexobj(M):
-            M.imag[np.diag_indices(n)] = 0.0        # a Hermitian diagonal is real
+        M[lower] = M.T[lower]
     return G, B, C
+
+
+def _charge_products(q, qb, stag):
+    """The centred M_x = q^H diag(q_x - N^-1 sum_y q_y) q of a block (q its
+    eigenvectors, qb (N, n) the charges of its states) as (p, coef):
+    M_x = sum_j coef[x, j] p[j] + coef[x, -1] I.
+
+    p[j] = q^H diag(q_j - q_0) q (j >= 1; differences in -2..2, free of the
+    total-charge mode) in its lower triangle (+0.0 above), one rank-k
+    update (syrk, or herk if complex) per value.  Where sum_x stag_x = 0 and
+    the staggered charge sum_x stag_x q_x is one c on the block (H''
+    conserves it), the last difference follows from the others and c I.
+    """
+    n_sites, n = qb.shape
+    diff = qb[1:] - qb[0]
+    coef = np.zeros((n_sites, n_sites))
+    coef[1:, :-1] = np.eye(n_sites - 1)
+    charge = stag @ qb
+    if n_sites > 1 and stag.sum() == 0 and charge.min() == charge.max():
+        diff = diff[:-1]
+        coef[-1] = np.r_[-stag[-1] * stag[1:-1], 0.0, stag[-1] * charge[0]]
+    coef = (coef - coef.mean(axis=0))[:, np.r_[:len(diff), -1]]
+    update = blas.zherk if np.iscomplexobj(q) else blas.dsyrk
+    p = np.zeros((len(diff), n, n), dtype=q.dtype)
+    for j, dj in enumerate(diff):
+        for v in np.unique(dj[dj != 0]):
+            update(v, q[dj == v].T, beta=1.0, c=p[j].T, overwrite_c=1)
+    return p, coef
+
+
+def _block_entries(spec, H, comps):
+    """Per component c in ``comps``: (k, l, h) over H's nonzero off-diagonal
+    entries in it (positions k, l, h gauged).  A dense H is read block by
+    block: one pass over it costs twice the block gathers."""
+    if not issparse(H):
+        H = np.ascontiguousarray(H)
+        for c in comps:                         # take: twice as fast as np.ix_
+            idx = spec._eig[c][0]
+            k, l, h = _offdiagonal_pattern(H.take(idx[:, None] * len(H) + idx))
+            yield k, l, spec._gauge(h, idx[k], idx[l])
+        return
+    k, l, vals, ends = spec._by_component(*_offdiagonal_pattern(H))
+    for s in (slice(ends[c], ends[c + 1]) for c in comps):
+        yield k[s], l[s], vals[s]
 
 
 def pairing_bond_expectations(params, basis, spec):
@@ -737,8 +793,5 @@ def pairing_bond_expectations(params, basis, spec):
     commutator is a reweighting of exactly these numbers, so computing them
     once per spectral data makes the g/b/c evaluation O(1) per field h.
     """
-    out = []
-    for key, term in _model.pairing_bond_terms(params, basis):
-        out.append((key, spec.expectation(term)))
-    return out
+    return [(key, spec.expectation(term)) for key, term in _model.pairing_bond_terms(params, basis)]
 

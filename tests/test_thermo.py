@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from hhlab import model, thermo
+from hhlab import model, rpverify, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
@@ -32,6 +34,14 @@ def state():
 def oracle(state):
     _, params, _, H2, _ = state
     return Oracle(H2, params.beta, blockwise=True)
+
+
+@pytest.fixture(scope="module")
+def state_2x2():
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), 1)
+    H2 = model.build_doubleprime(params, basis)
+    return params, basis, H2, thermo.spectral(H2, params.beta)
 
 
 # -- spectral data --------------------------------------------------------------------
@@ -229,6 +239,37 @@ def test_duhamel_kernel_finite_across_wide_gaps():
     assert kern[1, 2] == pytest.approx(np.exp(-900.0) * -np.expm1(-1.5) / 1.5, rel=1e-15)
 
 
+def kernel_by_the_formula(beta, w_row, w_col):
+    """The Duhamel kernel as it was first written: every step a separate array."""
+    em = w_col[None, :]
+    en = w_row[:, None]
+    delta = beta * np.abs(en - em)
+    small = delta < thermo._GAP_SERIES_CUTOFF
+    safe = np.where(small, 1.0, delta)
+    ratio = np.where(small, 1.0 - delta / 2.0 + delta ** 2 / 6.0,
+                     -np.expm1(-safe) / safe)
+    return np.exp(-beta * np.minimum(en, em)) * ratio
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.0, 40.0])
+def test_duhamel_kernel_matches_the_formula(beta):
+    cut = thermo._GAP_SERIES_CUTOFF / beta
+    rng = np.random.default_rng(int(beta * 10))
+    w = np.sort(np.concatenate([
+        [0.0, 0.0, 1.0, 1.0, 1.0],                              # exact degeneracy
+        1.0 + cut * np.array([0.5, 0.999, 1.001, 2.0]),          # both sides of the cutoff
+        2.0 + rng.random(20) * 1e-3,
+        rng.random(20) * 800.0 / beta,                           # beta |dE| up to 800
+    ]))
+    kern = thermo._duhamel_kernel(beta, w, w)
+    assert np.array_equal(kern, kern.T)
+    want = kernel_by_the_formula(beta, w, w)
+    assert np.all(np.abs(kern - want) <= 4e-16 * np.abs(want))
+    # rectangular, as the oracle takes it between two blocks
+    rect = thermo._duhamel_kernel(beta, w[:7], w[3:])
+    assert np.all(np.abs(rect - want[:7, 3:]) <= 4e-16 * np.abs(want[:7, 3:]))
+
+
 # -- charge correlations --------------------------------------------------------------------
 
 
@@ -345,6 +386,129 @@ def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
     assert run(H2.copy()) == (g0, b0, c0)
     assert run(H2) == (g0, b0, c0)
     assert len(built) == 5
+
+
+def test_bond_expectations_computed_once_without_them(monkeypatch):
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    want = [thermo.quadratic_form_quantities(params, basis, h, spec, H2,
+                                             thermo.pairing_bond_expectations(params, basis, spec))
+            for h in np.eye(4)]
+    calls = []
+    bonds = thermo.pairing_bond_expectations
+    monkeypatch.setattr(thermo, "pairing_bond_expectations",
+                        lambda *args: calls.append(args) or bonds(*args))
+    spec = thermo.spectral(H2, params.beta)
+    for _ in range(3):
+        assert [thermo.quadratic_form_quantities(params, basis, h, spec, H2)
+                for h in np.eye(4)] == want
+    assert len(calls) == 1
+    # bonds handed in take over, and the ones computed here come back after them
+    given = bonds(params, basis, spec)
+    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, H2, given)
+    assert spec._forms[3] is given and len(calls) == 1
+    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, H2)
+    assert len(calls) == 2
+    # another params is another set of bond terms
+    other = P(**{**params.__dict__, "t": 2 * params.t})
+    with pytest.raises(AssertionError, match="nested commutator mismatch"):
+        thermo.quadratic_form_quantities(other, basis, np.eye(4)[0], spec, H2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("wrong", ["spec", "H"])
+def test_quadratic_forms_refuse_another_dimension_before_reading_blocks(monkeypatch, wrong):
+    params = small_params(n_max=0)
+    small = build_basis(build_lattice(1, 1), 0)
+    basis = build_basis(build_lattice(1, 1), 2)
+    H2 = model.build_doubleprime(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    if wrong == "spec":
+        spec = thermo.spectral(model.build_doubleprime(params, small), params.beta)
+    else:
+        H2 = H2[:-1, :-1]
+
+    def refuse(*args):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(thermo, "_build_quadratic_forms", refuse)
+    with pytest.raises(ValueError, match="dimension"):
+        thermo.quadratic_form_quantities(params, basis, np.ones(2), spec, H2)
+    with pytest.raises(ValueError, match="dimension"):
+        rpverify.infrared_chain_check(params, basis, np.ones(2), spec, H2)
+
+
+def staggered_charge_spread(basis, H):
+    """Per component of H: does the staggered charge take more than one value on it?"""
+    charge = np.repeat(basis.lattice.staggered_signs @ model.charge_diagonals(basis),
+                       basis.boson_dim)
+    labels = component_labels(H)
+    return [np.ptp(charge[labels == lab]) > 0 for lab in range(labels.max() + 1)]
+
+
+def test_staggered_charge_is_constant_on_every_component_of_doubleprime(state_2x2):
+    # the identity that lets the build take one charge product fewer per block
+    _, basis, H2, _ = state_2x2
+    assert not any(staggered_charge_spread(basis, H2))
+    for nu, n_max in ORACLE_GEOMETRIES:
+        basis = build_basis(build_lattice(nu, 1), n_max)
+        H2 = model.build_doubleprime(small_params(n_max=n_max), basis)
+        assert not any(staggered_charge_spread(basis, H2))
+
+
+def test_forms_of_the_original_hamiltonian_match_the_oracle():
+    # H moves charge between the sublattices: the build falls back to all products
+    params = small_params(n_max=2)
+    basis = build_basis(build_lattice(1, 1), 2)
+    H = model.build_original(params, basis)
+    spread = staggered_charge_spread(basis, H)
+    assert (sum(spread), len(spread)) == (5, 25)
+    assert_raw_forms_match(basis, thermo.spectral(H, params.beta), Oracle(H, params.beta), H,
+                           np.random.default_rng(8))
+
+
+def test_forms_on_a_component_with_flux_match_the_oracle():
+    # a phase on one entry of a cycle of H'' sends its component down the complex path
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    H = model.build_doubleprime(params, basis).astype(complex)
+    for k, l in zip(*np.nonzero(np.triu(H, 1))):
+        F = H.copy()
+        F[k, l] *= np.exp(0.7j)
+        F[l, k] = np.conj(F[k, l])
+        spec = thermo.spectral(F, params.beta)
+        if not all(spec.real_blocks):
+            break
+    assert not all(spec.real_blocks) and any(spec.real_blocks)
+    assert_raw_forms_match(basis, spec, Oracle(F, params.beta), F, np.random.default_rng(9))
+
+
+def assert_raw_forms_match(basis, spec, oracle, H, rng):
+    """f^H G f, f^H B f and beta f^H C f against the oracle's direct sums."""
+    G, B, C = thermo._quadratic_forms(spec, basis, H)
+    for _ in range(4):
+        h = rng.standard_normal(basis.n_sites) + 1j * rng.standard_normal(basis.n_sites)
+        f = basis.lattice.laplacian(-h)
+        got = [np.vdot(f, M @ f).real for M in (G, B, spec.beta * C)]
+        for val, want in zip(got, oracle.forms(basis, h)):
+            assert close(val, want)
+
+
+def test_form_build_memory_is_bounded(state_2x2):
+    # the build holds a few n x n arrays of one block at a time (about 19 MiB at
+    # its peak here); the bound keeps speed from being bought with memory
+    params, basis, H2, spec = state_2x2
+    spec.rho_diag()
+    spec._gibbs_blocks()
+    tracemalloc.start()
+    try:
+        thermo._build_quadratic_forms(spec, basis, H2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2 ** 20
 
 
 def test_quadratic_form_zero_and_constant_field(state):
