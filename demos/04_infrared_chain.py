@@ -24,8 +24,9 @@ bond_exp = thermo.pairing_bond_expectations(params, basis, spec)
 rng = np.random.default_rng(3)
 for k in range(4):
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    # the forms read H'' from spec, which keeps its entries
     g_q, b_q, c_q = thermo.quadratic_form_quantities(params, basis, h, spec,
-                                                     H=H2, bond_expectations=bond_exp)
+                                                     bond_expectations=bond_exp)
     fb = rpverify.falk_bruch_rhs(b_q, c_q)
     print(f"h{k}:  g = {g_q:.5f}   b = {b_q:.5f}   c = {c_q:.5f}   "
           f"FB(b, c) = {fb:.5f}")

@@ -8,29 +8,36 @@ Identical config and seed produce byte-identical output files at a fixed
 BLAS thread count (OPENBLAS_NUM_THREADS and the like); on the larger tori
 the last digits of some eigenvalue sums change with the thread count.
 
-Exit codes: 0 success, 1 at least one check failed, 2 invalid input, 3 a
-failed computation (RuntimeError, AssertionError or MemoryError); 2 and 3
-print one ``error: ...`` line on stderr.
+Exit codes: 0 success, 1 at least one check failed, 2 invalid input (also
+a --config file that cannot be read, an --out or ``build --dump`` file that
+cannot be written, and a sweep grid over MAX_SWEEP_POINTS points, refused
+before any axis is built), 3 a failed computation (RuntimeError,
+AssertionError or MemoryError); 2 and 3 print one ``error: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds, model, rpverify, thermo
-from .hilbert import build_basis
+from .hilbert import DEFAULT_DIM_CAP, build_basis
 from .lattice import build_lattice
 
 CONFIG_DEFAULTS = {
     "nu": 1, "ell": 1, "n_max": 2,
     "t": 1.0, "U": 1.0, "V": 2.0, "g": 0.7, "omega": 1.2, "beta": 1.0,
-    "cap": 16384,
+    "cap": DEFAULT_DIM_CAP,
 }
+
+# largest sweep grid: each point costs about 1.2 KB and 170 us
+MAX_SWEEP_POINTS = 2 ** 20
 
 
 @dataclass
@@ -56,9 +63,18 @@ class InputError(Exception):
     pass
 
 
+def _open(path, mode, what, **kwargs):
+    """open(), with an OSError (a missing file or directory, no permission)
+    raised as an InputError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise InputError(f"cannot open {what} {path!r}: {exc.strerror or exc}") from exc
+
+
 def load_config(path):
     out = {}
-    with open(path) as fh:
+    with _open(path, "r", "config file") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -106,7 +122,7 @@ def make_config(args):
 
 def _emit_text(args, text):
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        with _open(args.out, "w", "output file", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -161,7 +177,7 @@ def _dump_matrix(H, path):
     densified one strip of rows (at most 8 MB) at a time."""
     n = H.shape[0]
     rows = max(1, (8 << 20) // (16 * n))
-    with open(path, "wb") as fh:
+    with _open(path, "wb", "dump file") as fh:
         fh.write(np.array(n, dtype="<u8").tobytes())
         for start in range(0, n, rows):
             fh.write(H[start:start + rows].toarray().astype("<c16").tobytes())
@@ -308,6 +324,7 @@ SWEEP_COLUMNS = ["t", "U", "V", "g", "omega", "beta", "u_eff", "gap", "entropy_t
 
 
 def _parse_vary(spec):
+    """(name, n, values): the axis of n points, built only by ``values()``."""
     if "=" not in spec:
         raise InputError(f"bad --vary {spec!r}; expected name=a,b,c or name=lo:hi:n")
     name, body = spec.split("=", 1)
@@ -321,24 +338,27 @@ def _parse_vary(spec):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise InputError(f"bad range {body!r}: it needs at least 1 point, got {n}")
-        values = np.linspace(lo, hi, n).tolist()
-    else:
-        values = [float(v) for v in body.split(",")]
-    return name, values
+        return name, n, lambda: np.linspace(lo, hi, n).tolist()
+    values = [float(v) for v in body.split(",")]
+    return name, len(values), lambda: values
 
 
 def cmd_sweep(args):
     cfg = make_config(args)
     nu = args.nu if args.nu is not None else cfg.nu
     axes = [_parse_vary(v) for v in args.vary]
-    names = [name for name, _ in axes]
+    names = [name for name, _, _ in axes]
     for name in names:
         if names.count(name) > 1:
             raise InputError(f"axis {name!r} is given more than once in --vary")
+    count = math.prod(n for _, n, _ in axes)
+    if count > MAX_SWEEP_POINTS:
+        raise InputError(f"the sweep grid has {count} points, more than the limit "
+                         f"{MAX_SWEEP_POINTS} (2^20)")
     base = cfg.params()
     points = [base]
-    for name, values in axes:
-        points = [replace(p, **{name: v}) for p in points for v in values]
+    for name, _, values in axes:
+        points = [replace(p, **{name: v}) for p in points for v in values()]
     reports = bounds.phase_sweep(points, nu)
     lines = [",".join(SWEEP_COLUMNS)]
     for rep in reports:

@@ -27,9 +27,10 @@ sums its entries, with those of the small boson factor, into a CSR array,
 and hhlab.rpverify compares the reflection split as sparse Kronecker
 products and diagonal vectors.  A hard dimension cap keeps sizes at desk
 scale.  The exact unitaries of hhlab.model are signed permutations, held as
-a :class:`Monomial` and applied by re-indexing, to a CSR array as to a
-dense one; only the truly dense Lang-Firsov unitary and theta (whose checks
-also take dense random unitaries) stay dense matrices.
+a :class:`Monomial` and applied by re-indexing, to a CSR array or to a
+diagonal given as a 1-d vector (a dense matrix is refused); only the truly
+dense Lang-Firsov unitary and theta (whose checks also take dense random
+unitaries) stay dense matrices.
 """
 
 from __future__ import annotations
@@ -73,20 +74,18 @@ class Monomial:
                         np.outer(self.sign, other.sign).ravel())
 
     def conjugate(self, a):
-        """U A U^-1 for a dense or scipy.sparse matrix A, or for a diagonal given
-        as a 1-d vector.  A sparse A gives a CSR array, by
-        (U A U^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j]."""
+        """U A U^-1 for a scipy.sparse matrix A, as a CSR array by
+        (U A U^T)[perm[i], perm[j]] = sign[i] sign[j] A[i, j], or for a
+        diagonal given as a 1-d vector.  A dense 2-d A is refused with
+        TypeError: pass ``csr_array(A)``."""
         if sparse.issparse(a):
             a = a.tocoo()
             return sparse.csr_array((self.sign[a.row] * self.sign[a.col] * a.data,
                                      (self.perm[a.row], self.perm[a.col])), shape=a.shape)
-        inv = np.argsort(self.perm)
-        if a.ndim == 1:
-            return a[inv]
-        out = a[np.ix_(inv, inv)]
-        out *= self.sign[inv][:, None]
-        out *= self.sign[inv]
-        return out
+        if np.ndim(a) != 1:
+            raise TypeError(f"Monomial.conjugate takes a scipy.sparse matrix or a 1-d "
+                            f"diagonal, not a dense array of shape {np.shape(a)}")
+        return a[np.argsort(self.perm)]
 
     def to_dense(self):
         return np.eye(len(self.perm))[:, self.perm] * self.sign

@@ -38,8 +38,8 @@ class Lattice:
     """Torus [-L, L)^nu with parity, reflection, Laplacian and momentum tools.
 
     Immutable after construction; safe to share between threads.  The
-    per-geometry tables (``neighbours``, ``staggered_signs``, the matrix of
-    -Delta) are built on first use, once, and handed out read-only.
+    per-geometry tables (``staggered_signs``, the matrix of -Delta) are
+    built on first use, once, and handed out read-only.
     """
 
     def __init__(self, nu, ell, _sites=None):
@@ -147,31 +147,16 @@ class Lattice:
                 out.append(Bond(self.site_index[x], self.site_index[y], j))
         return out
 
-    @cached_property
-    def neighbours(self):
-        """Site indices of x + delta_1, x - delta_1, ..., x + delta_nu,
-        x - delta_nu for every site x: a read-only (n_sites, 2 nu) table."""
-        return _read_only(np.array(
-            [[self.site_index[self.shift(x, j, eps)] for j in range(1, self.nu + 1)
-              for eps in (+1, -1)] for x in self.sites], dtype=np.intp))
-
-    def laplacian(self, h):
-        """(Delta h)_x = sum_j (h_{x+delta_j} + h_{x-delta_j}) - 2 nu h_x.
-
-        The neighbours are added one column of the table at a time, so each
-        entry sums its terms in the order of the formula.
-        """
-        h = np.asarray(h)
-        if self.n_sites == 1:
-            return np.zeros_like(h, dtype=np.result_type(h, float))
-        out = -2 * self.nu * h.astype(np.result_type(h, float))
-        for col in self.neighbours.T:
-            out += h[col]
-        return out
-
     def laplacian_matrix(self):
         """Dense matrix of -Delta (positive semidefinite, kernel = constants),
-        built once and returned read-only: copy it to modify it."""
+        built once and returned read-only: copy it to modify it.
+
+        (-Delta h)_x = 2 nu h_x - sum_j (h_{x+delta_j} + h_{x-delta_j}),
+        summed over :meth:`bonds` (at L = 1, x + delta_j = x - delta_j).  It
+        is the lattice's one -Delta: every caller takes
+        ``laplacian_matrix() @ h``, so the infrared forms and checks that
+        share an f = (-Delta) h agree to the bit.
+        """
         return self._laplacian_matrix
 
     @cached_property

@@ -779,12 +779,17 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
     without the 1/2 (the one Gaussian domination proves with single-counted
     bonds) is reported as a separate always-true check.  The stated one
     fails numerically in a corner of parameter space (small t, beta V ~ 1).
+
+    The forms read the entries of H'' from ``spec``: ``H2`` is only checked
+    to have spec's shape, and one of another shape is refused with ValueError.
     """
+    if H2.shape != (spec.dim, spec.dim):
+        raise ValueError(f"H2 has shape {H2.shape}, not the dimension {spec.dim} of spec")
     lat = basis.lattice
     h = np.asarray(h, dtype=complex)
     lap, stag = lat.laplacian_matrix(), lat.staggered_signs
     f = lap @ h                                          # (-Delta) h
-    g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, H2, bond_expectations)
+    g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, bond_expectations)
     X = float(np.vdot(h, f).real)                        # <h|(-Delta)h>
     sf = stag * f
     Y = float(np.vdot(sf, lap @ sf).real)

@@ -28,9 +28,11 @@ An H'' that Theta does not leave invariant is refused after every refusal
 of the SU(2) reduction.  At 2x2, n_max = 1 (dim 4096) the two sets hold 60
 sectors (sum n^3 = 1.23e8) and 35 (5.04e7).
 
-The infrared forms g, b and c are built once per spectral data (see
-quadratic_form_quantities).  All exponentials are shifted by the ground
-energy so beta can be large.
+The infrared forms g, b and c are built once per spectral data, from the
+spectral data alone (see quadratic_form_quantities): ``SpectralData`` keeps
+the gauged off-diagonal entries of H, grouped by component, from its one
+read of H, so the forms never read H again.  All exponentials are shifted
+by the ground energy so beta can be large.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class SpectralData:
     elementwise bound |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the
     imaginary part the real ``eigh`` discards is charged to the check.
 
+    The gauged off-diagonal entries of H that the split reads are kept for
+    the infrared forms, grouped by component (``_entries``, as
+    :meth:`_by_component` gives them): at dim 4096 (2x2, n_max = 1) about
+    7 ms of the 0.3 s build, and 5.2 MB.
+
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
     ``blocks`` (list of (index array, eigenvalues, eigenvectors Q of H's
     component), built on each access) and ``real_blocks`` (one flag per
@@ -85,8 +92,11 @@ class SpectralData:
             raise ValueError("H must be square")
         labels, phase, entries, flux = _gauged_sparse(H)
         eig = [None] * len(flux)
+        self._block_of = labels                         # component of each basis index
+        self._position = np.empty(n, dtype=np.intp)     # its index inside the component
         scale, res = 1e-300, 0.0
         for labs, idx, (blk,) in _block_stacks(labels, [entries]):   # one stack per size
+            self._position[idx] = np.arange(idx.shape[1])
             scale = max(scale, float(np.abs(blk).max()))
             g = _gauged(blk, phase[idx], phase[idx])
             real = flux[labs] == 0.0
@@ -109,11 +119,8 @@ class SpectralData:
         self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in eig]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
-        self._block_of = np.empty(n, dtype=np.intp)     # component of each basis index
-        self._position = np.empty(n, dtype=np.intp)     # its index inside the component
-        for k, (idx, _, _) in enumerate(eig):
-            self._block_of[idx] = k
-            self._position[idx] = np.arange(len(idx))
+        # H's off-diagonal entries (the diagonal is the last n), for the forms
+        self._entries = self._by_component(*(a[:-n] for a in entries))
         self._rho_diag = None
         self._gibbs = None
         self._forms = None
@@ -613,13 +620,16 @@ def charge_correlation(params, basis, x, y, which="original"):
 # -- the g, b, c quantities of the infrared bound -------------------------------
 
 
-def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None):
+def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
     """(g, b, c) for the observable A = sum_x q_x ((-Delta) h)_x under H''.
 
     g = <A* A>, b = the Duhamel (A, A), c = beta <[A, [H'', A*]]>: forms in
     f = (-Delta) h, g = f^H G f, b = f^H B f, c = beta f^H C f, with G, B, C
-    of :func:`_quadratic_forms`, cached on ``spec`` (a build of 70 ms at dim
-    4096 on one BLAS thread); then a field costs one product of N x N forms.
+    of :func:`_quadratic_forms`, cached on ``spec`` (a build of about 90 ms
+    at dim 4096 on one BLAS thread, Gibbs blocks included, that reads no
+    entry of H''); then a field costs one product of N x N forms.
+    f = ``laplacian_matrix() @ h``, as in ``rpverify.infrared_chain_check``:
+    the two give the same (g, b, c) to the bit.
 
     The nested commutator is evaluated two ways -- from the Hamiltonian
     matrix (A is diagonal, so [A, [H, A*]] = -H o |a_k - a_l|^2, which is
@@ -627,31 +637,31 @@ def quadratic_form_quantities(params, basis, h, spec, H, bond_expectations=None)
     t |f_x + f_y|^2 (:func:`_bond_form`) -- and the two must agree to 1e-9
     relative.
 
-    ``spec`` must be the spectral data of H''; one whose dimension is not
-    ``basis.total_dim``, or an ``H`` of another shape, is refused with
-    ValueError before any block is read.  ``bond_expectations`` are those of
+    ``spec`` must be the spectral data of H'', whose entries it keeps; one
+    whose dimension is not ``basis.total_dim`` is refused with ValueError
+    before any block is read.  ``bond_expectations`` are those of
     :func:`pairing_bond_expectations`; without them they are computed once
     per ``params`` and kept on ``spec``.
     """
-    f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))     # f = (-Delta) h
-    return _form_values(params, basis, f, spec, H, bond_expectations)
+    f = basis.lattice.laplacian_matrix() @ np.asarray(h, dtype=complex)    # f = (-Delta) h
+    return _form_values(params, basis, f, spec, bond_expectations)
 
 
-def _form_values(params, basis, f, spec, H, bond_expectations=None):
+def _form_values(params, basis, f, spec, bond_expectations=None):
     """(g, b, c) of :func:`quadratic_form_quantities` at f = (-Delta) h."""
-    if spec.dim != basis.total_dim or H.shape != (spec.dim, spec.dim):
-        raise ValueError(f"spec has dimension {spec.dim} and H shape {H.shape}, not the "
-                         f"basis dimension {basis.total_dim}")
-    _quadratic_forms(spec, basis, H)
+    if spec.dim != basis.total_dim:
+        raise ValueError(f"spec has dimension {spec.dim}, not the basis dimension "
+                         f"{basis.total_dim}")
+    _quadratic_forms(spec, basis)
     slot = spec._forms
     own = bond_expectations is None
     if own:
-        bond_expectations = slot[3] if slot[4] == params else pairing_bond_expectations(
+        bond_expectations = slot[2] if slot[3] == params else pairing_bond_expectations(
             params, basis, spec)
-    if slot[3] is not bond_expectations:
-        slot[2][3] = _bond_form(basis, bond_expectations)
-        slot[3], slot[4] = bond_expectations, params if own else None
-    g_q, b_q, c_direct, c_closed = ((slot[2] @ f) @ f.conj()).tolist()
+    if slot[2] is not bond_expectations:
+        slot[1][3] = _bond_form(basis, bond_expectations)
+        slot[2], slot[3] = bond_expectations, params if own else None
+    g_q, b_q, c_direct, c_closed = ((slot[1] @ f) @ f.conj()).tolist()
     if abs(b_q.imag) > 1e-9 * max(1.0, abs(b_q)):
         raise AssertionError(f"(A, A) should be real, got {b_q}")
     if abs(c_direct.imag) > 1e-10 * max(1.0, abs(c_direct)):
@@ -673,20 +683,20 @@ def _bond_form(basis, bond_expectations):
     return W
 
 
-def _quadratic_forms(spec, basis, H):
+def _quadratic_forms(spec, basis):
     """(G, B, C), built on first use into the single slot ``spec._forms`` =
-    [basis, H, (G, B, C, W), the bonds of W, the params they were computed
-    here for or None], keyed by the identity of ``basis`` and ``H``: it keeps
-    both alive, so a recycled id cannot hit a stale entry."""
+    [basis, (G, B, C, W), the bonds of W, the params they were computed here
+    for or None], keyed by the identity of ``basis``: it keeps the basis
+    alive, so a recycled id cannot hit a stale entry."""
     slot = spec._forms
-    if slot is None or slot[0] is not basis or slot[1] is not H:
+    if slot is None or slot[0] is not basis:
         forms = np.zeros((4, basis.n_sites, basis.n_sites), complex)   # as f: no cast
-        forms[:3] = _build_quadratic_forms(spec, basis, H)
-        slot = spec._forms = [basis, H, forms, None, None]
-    return slot[2][:3].real
+        forms[:3] = _build_quadratic_forms(spec, basis)
+        slot = spec._forms = [basis, forms, None, None]
+    return slot[1][:3].real
 
 
-def _build_quadratic_forms(spec, basis, H):
+def _build_quadratic_forms(spec, basis):
     """The N x N real symmetric matrices of g, b and c/beta for A = sum_x f_x q_x.
 
     With q_x(k) the centred charge of basis state k (below), M_x =
@@ -707,8 +717,9 @@ def _build_quadratic_forms(spec, basis, H):
     conj(rho_i) o H_blk = conj(r_i) o G with r_i the gauged Gibbs block and
     G = conj(d) H_blk d.  The M_x are combinations of a few P_j and I
     (:func:`_charge_products`): B takes their kappa-Gram matrix.  D_x runs
-    over the off-diagonal nonzeros of H_blk (:func:`_block_entries`).  The
-    forms are mirrored from the upper triangle: exactly symmetric.
+    over the off-diagonal nonzeros of G, kept by ``spec`` from its one read
+    of H (``SpectralData._entries``).  The forms are mirrored from the upper
+    triangle: exactly symmetric.
     """
     qd = _model.charge_diagonals(basis)
     centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
@@ -718,9 +729,10 @@ def _build_quadratic_forms(spec, basis, H):
     stag = basis.lattice.staggered_signs
     # a state alone in its component has M_x = q_x and no entry off the diagonal
     lone = np.bincount(spec._block_of)[spec._block_of] == 1
-    big = [c for c, (idx, _, _) in enumerate(spec._eig) if len(idx) > 1]
-    for c, (k, l, h_kl) in zip(big, _block_entries(spec, H, big)):
-        (idx, w, q), wt = spec._eig[c], spec._weights[c]
+    k_all, l_all, h_all, ends = spec._entries
+    for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
+        if len(idx) == 1:
+            continue
         p, coef = _charge_products(q, qd[:, idx // basis.boson_dim], stag)
         kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
         p *= np.sqrt(kern, out=kern)
@@ -730,6 +742,8 @@ def _build_quadratic_forms(spec, basis, H):
         gram[:-1, :-1] += 2.0 * (((p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T)
                                  - gram[:-1, :-1])
         B += coef @ gram @ coef.T
+        s = slice(ends[c], ends[c + 1])
+        k, l, h_kl = k_all[s], l_all[s], h_all[s]
         r = spec._gibbs_blocks()[c].take(k * len(idx) + l)     # take: 1.6x [k, l]
         nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
         cb = centred[:, idx]
@@ -768,22 +782,6 @@ def _charge_products(q, qb, stag):
         for v in np.unique(dj[dj != 0]):
             update(v, q[dj == v].T, beta=1.0, c=p[j].T, overwrite_c=1)
     return p, coef
-
-
-def _block_entries(spec, H, comps):
-    """Per component c in ``comps``: (k, l, h) over H's nonzero off-diagonal
-    entries in it (positions k, l, h gauged).  A dense H is read block by
-    block: one pass over it costs twice the block gathers."""
-    if not issparse(H):
-        H = np.ascontiguousarray(H)
-        for c in comps:                         # take: twice as fast as np.ix_
-            idx = spec._eig[c][0]
-            k, l, h = _offdiagonal_pattern(H.take(idx[:, None] * len(H) + idx))
-            yield k, l, spec._gauge(h, idx[k], idx[l])
-        return
-    k, l, vals, ends = spec._by_component(*_offdiagonal_pattern(H))
-    for s in (slice(ends[c], ends[c + 1]) for c in comps):
-        yield k[s], l[s], vals[s]
 
 
 def pairing_bond_expectations(params, basis, spec):

@@ -235,7 +235,7 @@ def test_fourier_g_matches_infrared_chain_g():
     checks, _ = bounds.finite_volume_fourier_check(basis, h, spec)
     fourier_g = next(c for c in checks if c.name == "fourier_g")
     assert fourier_g.passed, fourier_g
-    g, _, _ = thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
+    g, _, _ = thermo.quadratic_form_quantities(params, basis, h, spec)
     assert fourier_g.lhs == pytest.approx(g, rel=1e-12, abs=1e-12)
 
 

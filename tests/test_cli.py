@@ -266,6 +266,51 @@ def test_nonfinite_coupling_refused(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+def assert_one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
+
+
+def test_unreadable_config_exits_two(tmp_path, capsys):
+    assert run(["--config", str(tmp_path / "missing.cfg"), "bound"]) == 2
+    assert_one_error_line(capsys, "error: cannot open config file ")
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    assert run(["--out", str(tmp_path / "no_dir" / "x.json"), "bound"]) == 2
+    assert_one_error_line(capsys, "error: cannot open output file ")
+
+
+def test_unwritable_dump_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_max = 0\n")
+    argv = ["--config", str(cfg), "build", "--dump", str(tmp_path / "no_dir" / "d.bin")]
+    assert run(argv) == 2
+    assert_one_error_line(capsys, "error: cannot open dump file ")
+
+
+def test_config_default_cap_is_the_basis_cap():
+    from hhlab.hilbert import DEFAULT_DIM_CAP
+
+    assert CONFIG_DEFAULTS["cap"] == DEFAULT_DIM_CAP
+
+
+@pytest.mark.parametrize("vary", [["t=0:1:1000000000"], ["t=0:1:1024", "V=1:2:1025"],
+                                  ["t=1,2", "V=0:1:1048576"]])
+def test_sweep_refuses_oversize_grid_before_building_it(monkeypatch, capsys, vary):
+    # the point count is the product of the axis lengths; no axis is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(cli.bounds, "phase_sweep", refuse)
+    argv = ["sweep", "--nu", "3"]
+    for v in vary:
+        argv += ["--vary", v]
+    assert run(argv) == 2
+    assert_one_error_line(capsys, "error: the sweep grid has ")
+
+
 def test_integral_oversize_grid_exit_code(capsys):
     assert run(["integral", "--nu", "7"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -46,3 +47,26 @@ MAX_MODULE_BYTES = 40_000
                          ids=lambda p: p.name)
 def test_module_source_under_size_limit(path):
     assert path.stat().st_size < MAX_MODULE_BYTES
+
+
+# perfbench/workloads.py calls these positionally, with these numbers of
+# arguments: a signature change must fail here before it breaks the benchmark
+BENCHMARK_CALLS = [("lattice", "build_lattice", 2), ("hilbert", "build_basis", 2),
+                   ("model", "build_doubleprime", 2), ("thermo", "spectral", 2),
+                   ("rpverify", "FieldPartition", 3), ("thermo", "pairing_bond_expectations", 3),
+                   ("rpverify", "gaussian_domination_check", 4),
+                   ("rpverify", "rp_reflection_check", 4),
+                   ("rpverify", "infrared_chain_check", 6), ("cli", "main", 1)]
+
+
+@pytest.mark.parametrize("module,name,arity", BENCHMARK_CALLS,
+                         ids=[f"{m}.{n}" for m, n, _ in BENCHMARK_CALLS])
+def test_benchmark_calls_bind(module, name, arity):
+    fn = getattr(importlib.import_module(f"hhlab.{module}"), name)
+    inspect.signature(fn).bind(*range(arity))
+
+
+def test_benchmark_config_keys_exist():
+    from hhlab.cli import CONFIG_DEFAULTS
+
+    assert {"nu", "ell", "n_max", "t", "U", "V", "g", "omega", "beta"} <= set(CONFIG_DEFAULTS)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hhlab.hilbert import HilbertBasis, Monomial, adjoint, build_basis, hermiticity_residual
 from hhlab.lattice import Lattice, build_lattice
@@ -179,6 +180,8 @@ def test_monomial_algebra_matches_dense():
         assert np.array_equal(a.compose(b).to_dense(), A @ b.to_dense())
         assert np.array_equal(a.kron(c).to_dense(), np.kron(A, c.to_dense()))
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert np.array_equal(a.conjugate(M), A @ M @ A.T)
+        assert np.array_equal(a.conjugate(sparse.csr_array(M)).toarray(), A @ M @ A.T)
+        with pytest.raises(TypeError, match="dense"):
+            a.conjugate(M)
         d = rng.standard_normal(n)
         assert np.array_equal(a.conjugate(d), np.diag(A @ np.diag(d) @ A.T))

@@ -80,13 +80,13 @@ def test_bond_enumeration_doubles_at_l1():
 
 def test_laplacian_kills_constants():
     lat = build_lattice(2, 3)
-    assert np.allclose(lat.laplacian(np.full(lat.n_sites, 3.7)), 0.0)
+    assert np.allclose(lat.laplacian_matrix() @ np.full(lat.n_sites, 3.7), 0.0)
 
 
 def test_laplacian_staggered_eigenvector():
     lat = build_lattice(1, 3)
     h = np.array([lat.staggered_sign(x) for x in lat.sites], dtype=float)
-    assert np.allclose(lat.laplacian(h), -4 * lat.nu * h)
+    assert np.allclose(lat.laplacian_matrix() @ h, 4 * lat.nu * h)
 
 
 def test_laplacian_matches_bond_assembled_matrix():
@@ -100,8 +100,8 @@ def test_laplacian_matches_bond_assembled_matrix():
         m[b.j, b.j] += 1
         m[b.i, b.j] -= 1
         m[b.j, b.i] -= 1
-    assert np.allclose(-lat.laplacian(h), m @ h)
-    assert np.allclose(m, lat.laplacian_matrix())
+    assert np.allclose(lat.laplacian_matrix() @ h, m @ h)
+    assert np.array_equal(m, lat.laplacian_matrix())
 
 
 def test_minus_laplacian_psd_with_constant_kernel():
@@ -193,7 +193,7 @@ def test_single_site_helper():
     lat = Lattice.single_site()
     assert lat.n_sites == 1
     assert lat.bonds() == []
-    assert np.allclose(lat.laplacian(np.array([2.0])), 0.0)
+    assert np.array_equal(lat.laplacian_matrix(), [[0.0]])
 
 
 def test_bond_type_fields():
@@ -216,27 +216,26 @@ def _looped_laplacian(lat, h):
 
 @pytest.mark.parametrize("nu,ell", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1)])
 def test_laplacian_is_bit_identical_to_site_loop(nu, ell):
+    # the matrix assembled from the bond list, column by column against the
+    # formula summed at every site: integer entries, so equal to the bit
     lat = build_lattice(nu, ell)
+    columns = [-_looped_laplacian(lat, e) for e in np.eye(lat.n_sites)]
+    assert np.array_equal(lat.laplacian_matrix(), np.column_stack(columns))
     rng = np.random.default_rng(nu + 10 * ell)
-    for h in (rng.standard_normal(lat.n_sites),
-              rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites),
-              rng.integers(-5, 5, lat.n_sites)):
-        got = lat.laplacian(h)
-        assert got.dtype == np.result_type(h, float)
-        assert np.array_equal(got, _looped_laplacian(lat, h))
+    h = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
+    assert np.allclose(lat.laplacian_matrix() @ h, -_looped_laplacian(lat, h), rtol=0, atol=1e-13)
 
 
 def test_lattice_tables_are_cached_and_read_only():
     lat = build_lattice(2, 3)
     lap = lat.laplacian_matrix()
     assert lat.laplacian_matrix() is lap and lat.staggered_signs is lat.staggered_signs
-    for table in (lap, lat.staggered_signs, lat.neighbours):
+    for table in (lap, lat.staggered_signs):
         with pytest.raises(ValueError):
             table[0] = 7
     with pytest.raises(ValueError):
         lap += 1.0
     assert np.array_equal(lat.staggered_signs, [lat.staggered_sign(x) for x in lat.sites])
-    assert lat.neighbours.shape == (lat.n_sites, 2 * lat.nu)
     # a caller's copy is its own; the cache stays -Delta
     mine = lat.laplacian_matrix().copy()
     mine[0, 0] = 99.0

@@ -330,14 +330,14 @@ def test_quadratic_forms_match_per_field_oracle(nu, n_max):
     rng = np.random.default_rng(10 * nu + n_max)
     n = basis.n_sites
     fields = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-    assert_forms_match(params, basis, spec, Oracle(H2, params.beta, blockwise=True), H2, fields)
-    for M in spec._forms[2]:
+    assert_forms_match(params, basis, spec, Oracle(H2, params.beta, blockwise=True), fields)
+    for M in spec._forms[1]:
         assert M.shape == (n, n)
         assert np.array_equal(M, M.conj().T)
     # a CSR H'' gives the same forms as the dense one
     csr = model.build_doubleprime_csr(params, basis)
-    got = thermo._quadratic_forms(thermo.spectral(csr, params.beta), basis, csr)
-    assert all(np.array_equal(a, b) for a, b in zip(got, spec._forms[2]))
+    got = thermo._quadratic_forms(thermo.spectral(csr, params.beta), basis)
+    assert all(np.array_equal(a, b) for a, b in zip(got, spec._forms[1]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -349,7 +349,7 @@ def test_quadratic_forms_match_oracle_random_couplings(n_max, t, U, V, g, omega,
     params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
     basis = build_basis(build_lattice(1, 1), n_max)
     H2 = model.build_doubleprime(params, basis)
-    assert_forms_match(params, basis, thermo.spectral(H2, beta), Oracle(H2, beta), H2, [np.array(h)])
+    assert_forms_match(params, basis, thermo.spectral(H2, beta), Oracle(H2, beta), [np.array(h)])
 
 
 def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
@@ -361,31 +361,31 @@ def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
     built = []
     build = thermo._build_quadratic_forms
     monkeypatch.setattr(thermo, "_build_quadratic_forms",
-                        lambda spec, basis, H: built.append(H) or build(spec, basis, H))
+                        lambda spec, basis: built.append(basis) or build(spec, basis))
     h = np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.5j, 0.1 - 0.9j])
 
-    def run(H, bonds=bond_exp):
-        out = thermo.quadratic_form_quantities(params, basis, h, spec, H, bonds)
-        assert spec._forms[0] is basis and spec._forms[1] is H   # one slot, the last pair
+    def run(b=basis, bonds=bond_exp, s=spec):
+        out = thermo.quadratic_form_quantities(params, b, h, s, bonds)
+        assert s._forms[0] is b   # one slot, the last basis
         return out
 
-    g0, b0, c0 = run(H2)
+    g0, b0, c0 = run()
     assert c0 > 1.0
-    assert run(H2) == (g0, b0, c0) and len(built) == 1
-    # a diagonal shift rebuilds the forms; c keeps its value, as D_x vanishes on the diagonal
-    shifted = H2 + 0.5 * np.eye(basis.total_dim)
-    assert run(shifted) == (g0, b0, c0) and len(built) == 2 and built[-1] is shifted
-    # doubled bond terms double c, and the closed form must follow them
-    doubled = 2.0 * H2
+    assert run() == (g0, b0, c0) and len(built) == 1
+    # doubled bond terms double the closed form, which must match the entries spec keeps
     with pytest.raises(AssertionError, match="nested commutator mismatch"):
-        run(doubled)
-    g, b, c = run(doubled, [(key, 2.0 * w) for key, w in bond_exp])
-    assert (g, b) == (g0, b0) and abs(c - 2.0 * c0) <= 1e-12 * c0
-    assert len(built) == 3
-    # an equal copy is another matrix: the slot is keyed by identity
-    assert run(H2.copy()) == (g0, b0, c0)
-    assert run(H2) == (g0, b0, c0)
-    assert len(built) == 5
+        run(bonds=[(key, 2.0 * w) for key, w in bond_exp])
+    assert len(built) == 1
+    # a diagonal shift of H'' has its own spectral data and forms; c keeps its
+    # value, as D_x vanishes on the diagonal
+    shifted = thermo.spectral(H2 + 0.5 * np.eye(basis.total_dim), params.beta)
+    for got, want in zip(run(s=shifted), (g0, b0, c0)):
+        assert close(got, want, 1e-10)
+    assert len(built) == 2
+    # an equal basis is another object: the slot is keyed by identity
+    assert run(b=build_basis(build_lattice(2, 1), 0)) == (g0, b0, c0)
+    assert run() == (g0, b0, c0)
+    assert len(built) == 4
 
 
 def test_bond_expectations_computed_once_without_them(monkeypatch):
@@ -393,7 +393,7 @@ def test_bond_expectations_computed_once_without_them(monkeypatch):
     basis = build_basis(build_lattice(2, 1), 0)
     H2 = model.build_doubleprime(params, basis)
     spec = thermo.spectral(H2, params.beta)
-    want = [thermo.quadratic_form_quantities(params, basis, h, spec, H2,
+    want = [thermo.quadratic_form_quantities(params, basis, h, spec,
                                              thermo.pairing_bond_expectations(params, basis, spec))
             for h in np.eye(4)]
     calls = []
@@ -402,19 +402,19 @@ def test_bond_expectations_computed_once_without_them(monkeypatch):
                         lambda *args: calls.append(args) or bonds(*args))
     spec = thermo.spectral(H2, params.beta)
     for _ in range(3):
-        assert [thermo.quadratic_form_quantities(params, basis, h, spec, H2)
+        assert [thermo.quadratic_form_quantities(params, basis, h, spec)
                 for h in np.eye(4)] == want
     assert len(calls) == 1
     # bonds handed in take over, and the ones computed here come back after them
     given = bonds(params, basis, spec)
-    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, H2, given)
-    assert spec._forms[3] is given and len(calls) == 1
-    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, H2)
+    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, given)
+    assert spec._forms[2] is given and len(calls) == 1
+    thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec)
     assert len(calls) == 2
     # another params is another set of bond terms
     other = P(**{**params.__dict__, "t": 2 * params.t})
     with pytest.raises(AssertionError, match="nested commutator mismatch"):
-        thermo.quadratic_form_quantities(other, basis, np.eye(4)[0], spec, H2)
+        thermo.quadratic_form_quantities(other, basis, np.eye(4)[0], spec)
     assert len(calls) == 3
 
 
@@ -434,10 +434,48 @@ def test_quadratic_forms_refuse_another_dimension_before_reading_blocks(monkeypa
         raise AssertionError("a block was read")
 
     monkeypatch.setattr(thermo, "_build_quadratic_forms", refuse)
-    with pytest.raises(ValueError, match="dimension"):
-        thermo.quadratic_form_quantities(params, basis, np.ones(2), spec, H2)
+    if wrong == "spec":   # the forms take no H: only the chain check is handed one
+        with pytest.raises(ValueError, match="dimension"):
+            thermo.quadratic_form_quantities(params, basis, np.ones(2), spec)
     with pytest.raises(ValueError, match="dimension"):
         rpverify.infrared_chain_check(params, basis, np.ones(2), spec, H2)
+
+
+def test_forms_read_no_hamiltonian_entries_after_the_spectral_build(monkeypatch, state_2x2):
+    # spec keeps the entries of H'' from its one read: the forms and the chain
+    # check must not read H'' again, dense or CSR
+    params, basis, dense, _ = state_2x2
+    h = np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.5j, 0.1 - 0.9j])
+
+    def refuse_to_read(*args):
+        raise AssertionError("H'' was read again")
+
+    for H2 in (model.build_doubleprime_csr(params, basis), dense):
+        spec = thermo.spectral(H2, params.beta)
+        bonds = thermo.pairing_bond_expectations(params, basis, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(thermo, "_offdiagonal_pattern", refuse_to_read)
+            g, b, c = thermo.quadratic_form_quantities(params, basis, h, spec, bonds)
+            records = rpverify.infrared_chain_check(params, basis, h, spec, H2, bonds)
+        assert c > 0.0 and len(records) == 5
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
+def test_forms_and_chain_check_take_one_laplacian(nu, n_max):
+    # both entry points take f = laplacian_matrix() @ h, so their (g, b, c)
+    # agree to the bit
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    H2 = model.build_doubleprime_csr(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    bonds = thermo.pairing_bond_expectations(params, basis, spec)
+    rng = np.random.default_rng(40 + nu)
+    for _ in range(20):
+        h = rng.standard_normal(basis.n_sites) + 1j * rng.standard_normal(basis.n_sites)
+        duhamel, _, commutator, falk_bruch, _ = rpverify.infrared_chain_check(
+            params, basis, h, spec, H2, bonds)
+        assert thermo.quadratic_form_quantities(params, basis, h, spec, bonds) == (
+            falk_bruch.lhs, duhamel.lhs, commutator.lhs)
 
 
 def staggered_charge_spread(basis, H):
@@ -465,7 +503,7 @@ def test_forms_of_the_original_hamiltonian_match_the_oracle():
     H = model.build_original(params, basis)
     spread = staggered_charge_spread(basis, H)
     assert (sum(spread), len(spread)) == (5, 25)
-    assert_raw_forms_match(basis, thermo.spectral(H, params.beta), Oracle(H, params.beta), H,
+    assert_raw_forms_match(basis, thermo.spectral(H, params.beta), Oracle(H, params.beta),
                            np.random.default_rng(8))
 
 
@@ -482,15 +520,15 @@ def test_forms_on_a_component_with_flux_match_the_oracle():
         if not all(spec.real_blocks):
             break
     assert not all(spec.real_blocks) and any(spec.real_blocks)
-    assert_raw_forms_match(basis, spec, Oracle(F, params.beta), F, np.random.default_rng(9))
+    assert_raw_forms_match(basis, spec, Oracle(F, params.beta), np.random.default_rng(9))
 
 
-def assert_raw_forms_match(basis, spec, oracle, H, rng):
+def assert_raw_forms_match(basis, spec, oracle, rng):
     """f^H G f, f^H B f and beta f^H C f against the oracle's direct sums."""
-    G, B, C = thermo._quadratic_forms(spec, basis, H)
+    G, B, C = thermo._quadratic_forms(spec, basis)
     for _ in range(4):
         h = rng.standard_normal(basis.n_sites) + 1j * rng.standard_normal(basis.n_sites)
-        f = basis.lattice.laplacian(-h)
+        f = basis.lattice.laplacian_matrix() @ h
         got = [np.vdot(f, M @ f).real for M in (G, B, spec.beta * C)]
         for val, want in zip(got, oracle.forms(basis, h)):
             assert close(val, want)
@@ -504,7 +542,7 @@ def test_form_build_memory_is_bounded(state_2x2):
     spec._gibbs_blocks()
     tracemalloc.start()
     try:
-        thermo._build_quadratic_forms(spec, basis, H2)
+        thermo._build_quadratic_forms(spec, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,7 +552,7 @@ def test_form_build_memory_is_bounded(state_2x2):
 def test_quadratic_form_zero_and_constant_field(state):
     lat, params, basis, H2, spec = state
     for h in (np.zeros(2), 0.8 * np.ones(2)):
-        g_q, b_q, c_q = thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
+        g_q, b_q, c_q = thermo.quadratic_form_quantities(params, basis, h, spec)
         assert abs(g_q) < 1e-12 and abs(b_q) < 1e-12 and abs(c_q) < 1e-12
 
 
@@ -525,7 +563,7 @@ def test_quadratic_form_closed_form_agreement(state):
     rng = np.random.default_rng(5)
     for _ in range(4):
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g_q, b_q, c_q = thermo.quadratic_form_quantities(params, basis, h, spec, H=H2)
+        g_q, b_q, c_q = thermo.quadratic_form_quantities(params, basis, h, spec)
         assert g_q >= -1e-12 and b_q >= -1e-12 and c_q >= -1e-12
 
 
@@ -535,7 +573,7 @@ def test_nested_commutator_matrix_identity(state):
     lat, params, basis, H2, spec = state
     rng = np.random.default_rng(6)
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    f = lat.laplacian(-h)
+    f = lat.laplacian_matrix() @ h
     qd = model.charge_diagonals(basis)
     a = np.repeat(f @ qd, basis.boson_dim)
     direct = (np.diag(a) @ (H2 @ np.diag(np.conj(a)) - np.diag(np.conj(a)) @ H2)
@@ -566,7 +604,7 @@ HAMILTONIANS = {
     "H1": model.build_transformed,
     "H2": model.build_doubleprime,
     "VHV": lambda params, basis: model.build_zigzag(basis).conjugate(
-        model.build_original(params, basis)),
+        sparse.csr_array(model.build_original(params, basis))).toarray(),
 }
 
 
@@ -616,7 +654,7 @@ class Oracle:
 
     def forms(self, basis, h):
         """(g, b, c) of A = sum_x q_x ((-Delta) h)_x by the direct sums."""
-        f = basis.lattice.laplacian(-np.asarray(h, dtype=complex))
+        f = basis.lattice.laplacian_matrix() @ np.asarray(h, dtype=complex)
         a = np.repeat(f @ model.charge_diagonals(basis), basis.boson_dim)
         g = np.dot(self.rho_diag, np.abs(a) ** 2)
         b = c = 0.0
@@ -662,10 +700,10 @@ def assert_bonds_match(params, basis, spec, oracle):
         assert close(val, oracle.expectation(term).real)
 
 
-def assert_forms_match(params, basis, spec, oracle, H, fields):
+def assert_forms_match(params, basis, spec, oracle, fields):
     bonds = thermo.pairing_bond_expectations(params, basis, spec)
     for h in fields:
-        got = thermo.quadratic_form_quantities(params, basis, h, spec, H, bonds)
+        got = thermo.quadratic_form_quantities(params, basis, h, spec, bonds)
         for val, want in zip(got, oracle.forms(basis, h)):
             assert close(val, want)
 
@@ -683,7 +721,7 @@ def test_engine_matches_dense_eigh(nu, n_max, which):
     if which == "H2":
         rng = np.random.default_rng(100 * nu + n_max)
         fields = rng.standard_normal((3, basis.n_sites)) + 1j * rng.standard_normal((3, basis.n_sites))
-        assert_forms_match(params, basis, spec, oracle, H, fields)
+        assert_forms_match(params, basis, spec, oracle, fields)
 
 
 def test_forms_match_ungauged_eigh_on_2x2_torus():
@@ -695,7 +733,7 @@ def test_forms_match_ungauged_eigh_on_2x2_torus():
     oracle = Oracle(H2, params.beta, blockwise=True)
     assert_engine_matches(spec, oracle, H2)
     rng = np.random.default_rng(21)
-    assert_forms_match(params, basis, spec, oracle, H2,
+    assert_forms_match(params, basis, spec, oracle,
                        rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
 
 
@@ -715,7 +753,7 @@ def test_engine_matches_dense_eigh_random_couplings(n_max, which, t, U, V, g, om
     assert_engine_matches(spec, oracle, H)
     assert_bonds_match(params, basis, spec, oracle)
     if which == "H2":
-        assert_forms_match(params, basis, spec, oracle, H, [np.array(h)])
+        assert_forms_match(params, basis, spec, oracle, [np.array(h)])
 
 
 # -- which components take the real path -------------------------------------------------
