@@ -14,6 +14,9 @@ Modules:
   and exact verification of every inequality in the reflection-positivity
   chain (partition-function Cauchy-Schwarz, Gaussian domination, infrared
   bounds, half filling, free-energy bounds).
+* ``fuzz``     -- the stacked solvers behind the random-instance fuzz of
+  ``rpverify``: the two-Hilbert-space inequality, solved with its two
+  symmetric Hamiltonians as real matrices, and the convexity lemma.
 * ``bounds``   -- the closed-form staggered charge-order bound, torus
   quadrature, parameter sweeps, finite-volume momentum-space identities.
 * ``cli``      -- the ``hhlab`` command-line front end.

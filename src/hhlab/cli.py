@@ -9,11 +9,11 @@ BLAS thread count (OPENBLAS_NUM_THREADS and the like); on the larger tori
 the last digits of some eigenvalue sums change with the thread count.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input (also
-a --config file that cannot be read, an --out or ``build --dump`` file that
-cannot be written, and a sweep grid over MAX_SWEEP_POINTS points, refused
-before any axis is built), 3 a failed computation (RuntimeError,
-AssertionError or MemoryError); 2 and 3 print one ``error: ...`` line on
-stderr.
+a --config file that cannot be read, an --out or ``build --dump`` path that
+cannot be written, refused before any work, and a sweep grid over
+MAX_SWEEP_POINTS points, refused before any axis is built), 3 a failed
+computation (RuntimeError, AssertionError or MemoryError); 2 and 3 print
+one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -70,6 +71,25 @@ def _open(path, mode, what, **kwargs):
         return open(path, mode, **kwargs)
     except OSError as exc:
         raise InputError(f"cannot open {what} {path!r}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path, what):
+    """Refuse, as the InputError :func:`_open` would raise, an output path that
+    cannot be written: a directory, a file without write permission, or a new
+    file in a directory that is missing or not writable.  Creates nothing, so
+    it runs before the work and leaves no file behind."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise InputError(f"cannot open {what} {path!r}: {reason}")
 
 
 def load_config(path):
@@ -440,6 +460,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_writable(args.out, "output file")
+        _check_writable(getattr(args, "dump", None), "dump file")
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,6 +167,19 @@ def _pairing_instances(lat):
             for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
 
 
+def _annihilator_csr(basis, x, spin):
+    """c_{x spin} on the fermion factor as a CSR signed partial permutation,
+    equal to the dense :meth:`HilbertBasis.c`: each state j with n_m = 1 goes
+    to j ^ bit_m with the Jordan-Wigner sign strings[m, j], the bits that
+    :func:`_fermion_pair` reads.  For full-space callers, where the dense c
+    would be fermion_dim^2 entries (64 GiB at nu = 3)."""
+    m = basis.mode_index(x, spin)
+    occ, strings = basis.mode_tables()
+    cols = np.flatnonzero(occ[m])
+    rows = cols ^ (1 << (basis.n_modes - 1 - m))
+    return sparse.csr_array((strings[m, cols], (rows, cols)), shape=(basis.fermion_dim,) * 2)
+
+
 def _fermion_pair(basis, a, b, pairing):
     """c*_a c_b, or c*_a c*_b if ``pairing``, on the fermion factor as a
     partial signed permutation (rows, cols, signs), rows ascending: the

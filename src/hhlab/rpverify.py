@@ -13,6 +13,7 @@ corollary, the free-energy chain for <q_o^2>, and the half-filling identity.
 
 Every check returns a :class:`CheckResult` with the checked statement, the
 two sides, a relative slack and a pass flag; suites return lists of them.
+The stacked solvers of the DLS and convexity fuzz live in ``hhlab.fuzz``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
+from .fuzz import (_WINDOW, _check_dls_inputs, _check_unitary, _convexity_slacks,
+                   _dls_log_sides, _draw_dls, _hermitian_part, _random_bounded)
 from .hilbert import HilbertBasis, Monomial
 
 __all__ = [
@@ -101,13 +104,6 @@ def _matrix_eq(name, statement, A, B, tol):
 
 
 # -- antiunitary maps ---------------------------------------------------------------
-
-
-def _check_unitary(W):
-    """Refuse, with ValueError, a W (or a stack of them) not unitary to 1e-10."""
-    dev = np.max(np.abs(W @ np.swapaxes(W, -1, -2).conj() - np.eye(W.shape[-1])), axis=(-2, -1))
-    if np.any(dev > 1e-10):
-        raise ValueError(f"unitary part is not unitary (deviation {np.max(dev)})")
 
 
 class AntiunitaryMap:
@@ -355,7 +351,8 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
     # identification of elementary operators under the factorization
     x_l, x_r = lat.left_sites[0], lat.right_sites[0]
     for x, side in ((x_l, "L"), (x_r, "R")):
-        c_full = split.to_lr(_sparse_kron(basis.c(x, "up"), sparse.eye_array(basis.boson_dim)))
+        c_full = split.to_lr(_sparse_kron(_model._annihilator_csr(basis, x, "up"),
+                                          sparse.eye_array(basis.boson_dim)))
         if side == "L":
             expected = split.kron_l(np.kron(bl.c(x, "up"), np.eye(bl.boson_dim)))
         else:
@@ -441,46 +438,6 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
 # -- the two-Hilbert-space partition function inequality ------------------------------
 
 
-# the DLS and convexity fuzz draw _WINDOW instances at a time, solved in stacks of at
-# most _STACK_BYTES: memory does not grow with the count
-_WINDOW = 256
-_STACK_BYTES = 1 << 20
-
-
-def _stacks(draws, nbytes):
-    """Yields (indices, fields stacked) of the draws (tuples of arrays) of one
-    shape, at most _STACK_BYTES // nbytes(len(first field)) at a time."""
-    groups = {}
-    for i, d in enumerate(draws):
-        groups.setdefault(tuple(np.shape(x) for x in d), []).append(i)
-    for shapes, idx in groups.items():
-        step = max(1, _STACK_BYTES // nbytes(shapes[0][0]))
-        for chunk in (idx[s:s + step] for s in range(0, len(idx), step)):
-            yield chunk, [np.array(x) for x in zip(*(draws[i] for i in chunk))]
-
-
-def _hermitian_part(M):
-    return (M + np.swapaxes(M, -1, -2).conj()) / 2
-
-
-def _hermitian(M, tol):
-    """max |M - M^H| <= tol max(1, max |M|) for each matrix of a stack."""
-    dev = np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()), axis=(-2, -1))
-    return not np.any(dev > tol * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1))))
-
-
-def _check_dls_inputs(draws):
-    """Refuse, with ValueError, draws (A, B, C, D, lambdas, W, beta) with a
-    lambda_j < 0, A or B not Hermitian to 1e-12 or W not unitary."""
-    for _, (A, B, _, _, lam, W, _) in _stacks(draws, lambda n: 16 * n * n):
-        if np.any(lam < 0):
-            raise ValueError("lambda_j must be nonnegative")
-        for M, nm in ((A, "A"), (B, "B")):
-            if not _hermitian(M, 1e-12):
-                raise ValueError(f"{nm} must be Hermitian")
-        _check_unitary(W)
-
-
 @dataclass
 class DLSInstance:
     """H = A (x) 1 + 1 (x) theta B theta^-1
@@ -508,45 +465,11 @@ class DLSInstance:
                 np.asarray(self.lambdas, dtype=float), self.theta.W, self.beta)
 
 
-def _log_partition(beta, w):
-    """ln Tr e^{-beta H} per row of ascending eigenvalues w (m, N), beta (m,)."""
-    w0 = w[:, 0]
-    return -beta * w0 + np.log(np.sum(np.exp(-beta[:, None] * (w - w0[:, None])), axis=1))
-
-
-def _kron(X, Y):
-    """np.kron of each pair of two broadcast stacks of square matrices."""
-    n, m = X.shape[-1], Y.shape[-1]
-    return (X[..., :, None, :, None] * Y[..., None, :, None, :]).reshape(-1, n * m, n * m)
-
-
-def _dls_sides(A, B, C, D, lam, W, beta):
-    """2 ln Z(A,B,C,D) and ln Z(A,A,C,C) + ln Z(B,B,D,D) of m stacked draws,
-    C and D (m, k, n, n), the three coupled H of each solved in one stack."""
-    k, n = C.shape[1:3]
-    lam, W, beta = np.tile(lam, (3, 1)), np.tile(W, (3, 1, 1))[:, None], np.tile(beta, 3)
-    # theta X theta^-1 = W conj(X) W^H of the right factors: B, A, B, then the D_j
-    X = np.concatenate([np.stack([B, A, B])[:, :, None], np.stack([D, C, D])], axis=2)
-    X = W @ X.reshape(3 * len(A), k + 1, n, n).conj() @ np.swapaxes(W.conj(), -1, -2)
-    cs = np.concatenate([C, C, D])
-    H = _kron(np.concatenate([A, A, B]), np.eye(n))
-    H += _kron(np.eye(n), X[:, 0])
-    for j in range(k):
-        block = _kron(cs[:, j], X[:, j + 1])
-        block += np.swapaxes(block, -1, -2).conj()
-        block *= lam[:, j, None, None]
-        H -= block
-    if not _hermitian(H, 1e-10):
-        raise AssertionError("coupled Hamiltonian lost Hermiticity")
-    lz = _log_partition(beta, np.linalg.eigvalsh(H)).reshape(3, -1)
-    return 2.0 * lz[0], lz[1] + lz[2]
-
-
 def _dls_results(draws, tol):
-    """The ``dls`` check of each draw, in draw order, solved in stacks of one (k, n)."""
-    lhs, rhs = np.empty((2, len(draws)))
-    for idx, stack in _stacks(draws, lambda n: 48 * n ** 4):
-        lhs[idx], rhs[idx] = _dls_sides(*stack)
+    """The ``dls`` check of each draw, in draw order.  ``fuzz`` solves
+    H(A,B,C,D) as a complex matrix and the two symmetric Hamiltonians, which
+    do not depend on theta, as real symmetric ones (derived in its docstring)."""
+    lhs, rhs = _dls_log_sides(draws)
     slack = (rhs - lhs) / 2.0
     return [CheckResult("dls", "Z(A,B,C,D)^2 <= Z(A,A,C,C) Z(B,B,D,D)", l, r, float(s),
                         bool(s >= -tol)) for l, r, s in zip(lhs, rhs, slack)]
@@ -557,32 +480,6 @@ def dls_check(inst, tol=1e-10):
     return _dls_results([inst._draw()], tol)[0]
 
 
-def _random_bounded(rng, n, count):
-    """``count`` complex n x n matrices with standard normal real and imaginary
-    parts, drawn in one call: the same stream as one by one, real part first."""
-    x = rng.standard_normal((count, 2, n, n))
-    return x[:, 0] + 1j * x[:, 1]
-
-
-def _draw_dls(rng, count, dim_max):
-    """``count`` draws of :func:`random_dls_instance` in a row, as checked
-    tuples (A, B, C, D, lambdas, W, beta), C and D stacks (k, n, n)."""
-    draws = []
-    for _ in range(count):
-        n = int(rng.integers(2, dim_max + 1))
-        A, B = _hermitian_part(_random_bounded(rng, n, 2))
-        k = int(rng.integers(1, 4))
-        pairs = _random_bounded(rng, n, 2 * k)
-        lams = rng.uniform(0.0, 2.0, size=k)
-        if rng.random() < 0.5:
-            W = np.eye(n, dtype=complex)  # standard conjugation
-        else:
-            W, _ = np.linalg.qr(_random_bounded(rng, n, 1)[0])
-        draws.append((A, B, pairs[:k], pairs[k:], lams, W, float(rng.uniform(0.05, 3.0))))
-    _check_dls_inputs(draws)
-    return draws
-
-
 def random_dls_instance(rng, dim_max=8):
     A, B, C, D, lams, W, beta = _draw_dls(rng, 1, dim_max)[0]
     return DLSInstance(A=A, B=B, Cs=list(C), Ds=list(D), lambdas=list(lams), beta=beta,
@@ -591,7 +488,8 @@ def random_dls_instance(rng, dim_max=8):
 
 def dls_fuzz(n_instances=1000, seed=2024, dim_max=8, tol=1e-10):
     """Random-instance fuzz of the partition-function inequality, plus the
-    exact equality cases lambda = 0 and (A, C) = (B, D)."""
+    exact equality cases lambda = 0 and (A, C) = (B, D); the second compares
+    the complex solve of H(A,A,C,C) (lhs) with its real frame (rhs)."""
     rng = np.random.default_rng(seed)
     out = []
     worst = np.inf
@@ -844,22 +742,6 @@ def half_filling_check(params, basis, tol=1e-10, mechanism=False):
 
 
 # -- the free-energy chain for <q_o^2> ---------------------------------------------------
-
-
-def _convexity_slacks(pairs):
-    """(rhs - lhs) / max(|lhs|, |rhs|, 1) of the convexity lemma for each
-    Hermitian pair (B, C), in draw order, solved in stacks of one n."""
-    slack = np.empty(len(pairs))
-    for idx, (B, C) in _stacks(pairs, lambda n: 16 * n * n):
-        w, q = np.linalg.eigh(B + C)
-        e = np.exp(-(w - w[:, :1]))
-        zs = np.sum(e, axis=1)
-        lhs = -w[:, 0] + np.log(zs)
-        gibbs = (q * e[:, None, :]) @ np.swapaxes(q.conj(), -1, -2) / zs[:, None, None]
-        mean_b = np.array([np.vdot(g, b).real for g, b in zip(gibbs, B)])
-        rhs = -mean_b + _log_partition(np.ones(len(idx)), np.linalg.eigvalsh(C))
-        slack[idx] = (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return slack
 
 
 def convexity_lemma_check(n_pairs=500, dim_max=32, seed=77, tol=1e-9):

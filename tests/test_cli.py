@@ -289,6 +289,35 @@ def test_unwritable_dump_exits_two(tmp_path, capsys):
     assert_one_error_line(capsys, "error: cannot open dump file ")
 
 
+@pytest.mark.parametrize("argv,step,what", [
+    (["--seed", "7", "--out", "{bad}", "verify", "--suite", "dls"], "rpverify.dls_fuzz",
+     "output file"),
+    (["--out", "{bad}", "verify", "--suite", "theta"], "rpverify.theta_relations_check",
+     "output file"),
+    (["build", "--dump", "{bad}"], "model.hamiltonian_set", "dump file"),
+])
+def test_unwritable_output_refused_before_the_work(tmp_path, monkeypatch, capsys, argv, step,
+                                                   what):
+    calls = []
+
+    def expensive(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the work ran before the output path was checked")
+
+    module, name = step.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, expensive)
+    bad = tmp_path / "no_dir" / "x.out"
+    assert run([a.replace("{bad}", str(bad)) for a in argv]) == 2
+    assert calls == []
+    assert not bad.exists()
+    assert_one_error_line(capsys, f"error: cannot open {what} ")
+
+
+def test_out_that_is_a_directory_exits_two(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "bound"]) == 2
+    assert_one_error_line(capsys, "error: cannot open output file ")
+
+
 def test_config_default_cap_is_the_basis_cap():
     from hhlab.hilbert import DEFAULT_DIM_CAP
 

@@ -22,19 +22,32 @@ def test_every_exported_name_exists(name):
     assert set(exports) <= set(namespace)
 
 
-def test_import_leaves_optional_scipy_unloaded():
-    # only lang_firsov_diagnostic and torus_integral_oracle need these; a fresh
-    # process must not pay for them on import
+def _fresh_python(code):
+    """The stdout of ``code`` run in a new interpreter that imports hhlab from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, hhlab.cli, hhlab.rpverify, hhlab.thermo, hhlab.bounds, hhlab.model; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
-            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_optional_scipy_unloaded():
+    # only lang_firsov_diagnostic and torus_integral_oracle need these; a fresh
+    # process must not pay for them on import
+    code = ("import sys, hhlab.cli, hhlab.rpverify, hhlab.thermo, hhlab.bounds, hhlab.model; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("first,second", [("fuzz", "rpverify"), ("rpverify", "fuzz")])
+def test_fuzz_and_rpverify_import_in_either_order(first, second):
+    # rpverify imports fuzz; fuzz must not import rpverify, or the two form a cycle
+    code = (f"import sys, hhlab.{first}; loaded = 'hhlab.rpverify' in sys.modules; "
+            f"import hhlab.{second}; print(loaded)")
+    assert _fresh_python(code) == str(first == "rpverify")
 
 
 # Each benchmark child compiles hhlab from source, and the import peak, hence the

@@ -1,0 +1,87 @@
+"""The real frame of the two symmetric DLS Hamiltonians (hhlab.fuzz) against
+the complex matrices it replaces."""
+
+import numpy as np
+import pytest
+
+from hhlab import fuzz
+
+
+def symmetric_hamiltonian(A, C, lam, W):
+    """H(A,A,C,C) as a dense complex matrix, theta X theta^-1 = W conj(X) W^H."""
+    def reflect(X):
+        return W @ X.conj() @ W.conj().T
+
+    n = len(A)
+    H = np.kron(A, np.eye(n)) + np.kron(np.eye(n), reflect(A))
+    for l, c in zip(lam, C):
+        block = np.kron(c, reflect(c))
+        H -= l * (block + block.conj().T)
+    return H
+
+
+def random_pairs(rng, n, m, k):
+    """m Hermitian A, m stacks of k complex C and their m x k couplings."""
+    A = fuzz._hermitian_part(fuzz._random_bounded(rng, n, m))
+    return A, fuzz._random_bounded(rng, n, m * k).reshape(m, k, n, n), rng.uniform(0, 2, (m, k))
+
+
+@pytest.mark.parametrize("unitary", ["identity", "random"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_real_frame_spectrum_matches_complex_eigvalsh(n, unitary):
+    rng = np.random.default_rng(100 + n)
+    A, C, lam = random_pairs(rng, n, 4, 1 + n % 3)
+    R = fuzz._real_frame(A, C, lam)
+    assert R.dtype == np.float64 and R.shape == (4, n * n, n * n)
+    for a, c, l, r in zip(A, C, lam, R):
+        W = (np.eye(n) if unitary == "identity"
+             else np.linalg.qr(fuzz._random_bounded(rng, n, 1)[0])[0])
+        want = np.linalg.eigvalsh(symmetric_hamiltonian(a, c, l, W))
+        scale = max(1.0, np.max(np.abs(want)))           # the spectral norm of H(A,A,C,C)
+        assert np.max(np.abs(r - r.T)) <= 1e-14 * scale
+        assert np.max(np.abs(np.linalg.eigvalsh(r) - want)) <= 1e-13 * scale
+
+
+def _spoil_offdiagonal(A):
+    A = A.copy()
+    A[0, 1] += 1e-3
+    return A
+
+
+def _spoil_diagonal(A):
+    A = A.copy()
+    A[0, 0] += 1e-6j
+    return A
+
+
+# (spoil, flagged): the real symmetric R of H(A,A,C,C) is checked as a full
+# matrix, and must flag the A that the check of the complex H(A,A,C,C) flags.
+# A + i eps 1 leaves H(A,A,C,C) Hermitian: the shift cancels against conj(A).
+_SPOILS = [(_spoil_offdiagonal, True), (_spoil_diagonal, True),
+           (lambda A: A + 1e-3j * np.eye(len(A)), False), (lambda A: A, False)]
+
+
+@pytest.mark.parametrize("spoil,flagged", _SPOILS)
+def test_real_frame_hermiticity_check_flags_what_the_complex_check_flags(spoil, flagged):
+    rng = np.random.default_rng(8)
+    A, C, lam = random_pairs(rng, 3, 6, 2)
+    A = np.array([spoil(a) for a in A])
+    R = fuzz._real_frame(A, C, lam)
+    for a, c, l, r in zip(A, C, lam, R):
+        W = np.linalg.qr(fuzz._random_bounded(rng, 3, 1)[0])[0]
+        assert not fuzz._hermitian(symmetric_hamiltonian(a, c, l, W), 1e-10) == flagged
+        assert not fuzz._hermitian(r, 1e-10) == flagged
+
+
+def test_real_pair_refused_when_only_it_lost_hermiticity(monkeypatch):
+    """H(A,B,C,D) is checked first; with it made Hermitian, a spoiled A is
+    still refused through the real pair."""
+    draws = fuzz._draw_dls(np.random.default_rng(4), 12, dim_max=2)
+    _, stack = next(fuzz._stacks(draws, lambda n: 48 * n ** 4))
+    stack[0][0] = _spoil_offdiagonal(stack[0][0])
+    with pytest.raises(AssertionError, match="coupled Hamiltonian lost Hermiticity"):
+        fuzz._dls_sides(*stack)
+    coupled = fuzz._coupled
+    monkeypatch.setattr(fuzz, "_coupled", lambda *args: fuzz._hermitian_part(coupled(*args)))
+    with pytest.raises(AssertionError, match="coupled Hamiltonian lost Hermiticity"):
+        fuzz._dls_sides(*stack)

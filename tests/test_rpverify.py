@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from hhlab import model, rpverify, thermo
-from hhlab.hilbert import build_basis
+from hhlab.hilbert import HilbertBasis, build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
 
@@ -235,6 +235,31 @@ def test_lr_split_matches_dense_oracle_2x2():
     assert_lr_split_matches_dense_oracle(params, basis, np.random.default_rng(5).standard_normal(4))
 
 
+def test_full_space_annihilator_equals_the_dense_one():
+    basis = build_basis(build_lattice(2, 1), 0)
+    for x in basis.sites:
+        for spin in ("up", "down"):
+            assert np.array_equal(model._annihilator_csr(basis, x, spin).toarray(),
+                                  basis.c(x, spin))
+
+
+def test_lr_split_forms_no_dense_full_space_annihilator(monkeypatch):
+    # the dense c of the full basis is fermion_dim^2 entries: 64 GiB at nu = 3
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    h = np.random.default_rng(5).standard_normal(4)
+    want = [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)]
+    dense_c = HilbertBasis.c
+
+    def c(self, x, spin):
+        if self is basis:
+            raise AssertionError("dense annihilator of the full basis")
+        return dense_c(self, x, spin)
+
+    monkeypatch.setattr(HilbertBasis, "c", c)
+    assert [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)] == want
+
+
 def assert_lr_split_matches_dense_oracle(params, basis, h):
     got = rpverify.verify_lr_split(params, basis, h)
     want = dense_lr_split(params, basis, np.asarray(h))
@@ -384,6 +409,22 @@ def _convexity_lemma_check_per_pair(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
                                 0.0, 0.0, float(worst), bool(worst >= -tol))
 
 
+def assert_dls_records_match(got, want):
+    """Names, statements, pass flags and the lhs of every record identical, rhs
+    and slack within 1e-13 of the checks' scale max(|lhs|, |rhs|, 1): the
+    solver takes Z(A,A,C,C) and Z(B,B,D,D) from real matrices, the oracle from
+    complex ones, and the summary's lhs is the worst of those slacks."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [g[k] for k in ("name", "statement", "pass")] == \
+            [w[k] for k in ("name", "statement", "pass")], (g, w)
+        scale = max(abs(w["lhs"]), abs(w["rhs"]), 1.0)
+        assert g["lhs"] == w["lhs"] or (g["name"] == "dls_fuzz"
+                                        and abs(g["lhs"] - w["lhs"]) <= 1e-13 * scale), (g, w)
+        assert abs(g["rhs"] - w["rhs"]) <= 1e-13 * scale, (g, w)
+        assert abs(g["slack"] - w["slack"]) <= 1e-13 * scale, (g, w)
+
+
 # windows of 256 draws: 255 and 257 leave a partial window; a negative tol fails
 # the instances with slack below -tol (-1e3: all of them), whose dls records must
 # come back one by one in draw order
@@ -395,7 +436,7 @@ def _convexity_lemma_check_per_pair(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
 def test_dls_fuzz_records_identical_to_per_instance_oracle(seed, dim_max, n_instances, tol):
     got = [r.to_record() for r in rpverify.dls_fuzz(n_instances, seed, dim_max, tol)]
     want = [r.to_record() for r in _dls_fuzz_per_instance(n_instances, seed, dim_max, tol)]
-    assert got == want
+    assert_dls_records_match(got, want)
     failed = sum(r["name"] == "dls" for r in got)
     if tol == -1e3:
         assert failed == n_instances
@@ -407,7 +448,8 @@ def test_dls_check_identical_to_per_instance_oracle():
     rng = np.random.default_rng(21)
     for _ in range(30):
         inst = rpverify.random_dls_instance(rng, dim_max=6)
-        assert rpverify.dls_check(inst).to_record() == _dls_check_per_instance(inst).to_record()
+        assert_dls_records_match([rpverify.dls_check(inst).to_record()],
+                                 [_dls_check_per_instance(inst).to_record()])
 
 
 @pytest.mark.parametrize("seed,dim_max,n_pairs", [
