@@ -21,7 +21,10 @@ Bessel-function representation:
 
     (2 pi)^{-nu} Int dp / E(p) = Int_0^inf [e^{-s} I_0(s)]^nu ds,
 
-whose integrand scipy provides directly as i0e.
+which :func:`torus_integral_oracle` evaluates with numpy alone, to about
+1e-15 relative.  At nu = 3 both equal Watson's integral, whose closed form
+sqrt(6) / (96 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24) is due
+to Glasser and Zucker (PNAS 74, 1800 (1977)).
 """
 
 from __future__ import annotations
@@ -118,15 +121,59 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     return value, err
 
 
-def torus_integral_oracle(nu):
-    """Independent evaluation via the exponential-Bessel representation."""
-    from scipy.integrate import quad
-    from scipy.special import i0e
+# sqrt(2 pi s) e^{-s} I_0(s) ~ sum_k a_k s^{-k}, a_k = ((2k - 1)!!)^2 / (k! 8^k): the
+# first eight terms are summed past _I0E_SWITCH, where the remainder is positive
+# and below twice the first omitted term (1.006 times it at s = 700)
+_I0E_SWITCH = 700.0
+_I0E_COEFFS = [math.prod(((2 * j - 1) ** 2 / (8 * j) for j in range(1, k + 1)), start=1.0)
+               for k in range(9)]
+_I0E_SERIES = _I0E_COEFFS[:8]
+_I0E_SERIES_REMAINDER = 2.0 * _I0E_COEFFS[8] / _I0E_SWITCH ** 8
+# relative accuracy of _i0e below the switch: np.i0 (Cephes' i0) times e^{-s} is
+# within 7e-16 of e^{-s} I_0(s) at every node
+_I0E_REL = 1e-15
+# trapezoid nodes in u = ln s: the window and its step
+_U_LO, _U_HI, _U_STEP = -40.0, 80.0, 0.125
 
+
+def _i0e(s):
+    """e^{-s} I_0(s) for an array of s > 0: np.i0 below _I0E_SWITCH, past it
+    the asymptotic series."""
+    out = np.empty_like(s)
+    small = s < _I0E_SWITCH
+    out[small] = np.i0(s[small]) * np.exp(-s[small])
+    big = s[~small]
+    out[~small] = np.polyval(_I0E_SERIES[::-1], 1.0 / big) / np.sqrt(2.0 * np.pi * big)
+    return out
+
+
+def torus_integral_oracle(nu):
+    """Independent evaluation via the exponential-Bessel representation
+    (2 pi)^nu Int_0^inf i0e(s)^nu ds, with numpy alone.
+
+    In u = ln s the integrand e^u i0e(e^u)^nu is analytic in the strip
+    |Im u| < pi/2 and decays exponentially at both ends, so the trapezoid
+    rule converges geometrically, with an error of order exp(-pi^2 / h) at
+    step h (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The rule
+    runs at h = 1/8 on u in [-40, 80].  Returns (value, error_estimate); the
+    estimate adds to |T(h) - T(2h)| bounds on the two tails cut off by the
+    window (i0e <= 1 below it; above it sqrt(2 pi s) i0e(s) decreases to 1,
+    so the tail is at most e^u i0e(e^u)^nu / (nu/2 - 1) at u = 80), on the
+    truncated series and on the rounding of i0e.  Raises ValueError for
+    nu <= 2, where the integral diverges.
+    """
     if nu <= 2:
         raise ValueError(f"integral diverges for nu <= 2 (got nu = {nu})")
-    val, err = quad(lambda s: i0e(s) ** nu, 0.0, np.inf, limit=400)
-    return (2.0 * np.pi) ** nu * val, (2.0 * np.pi) ** nu * err
+    n = round((_U_HI - _U_LO) / _U_STEP)
+    s = np.exp(np.linspace(_U_LO, _U_HI, n + 1))
+    f = s * _i0e(s) ** nu
+    fine = _U_STEP * (np.sum(f) - 0.5 * (f[0] + f[-1]))
+    coarse = 2.0 * _U_STEP * (np.sum(f[::2]) - 0.5 * (f[0] + f[-1]))
+    tails = s[0] + f[-1] / (nu / 2.0 - 1.0)
+    rel = nu * (_I0E_REL + _I0E_SERIES_REMAINDER) + 16.0 * np.finfo(float).eps
+    err = abs(fine - coarse) + tails + rel * fine
+    scale = (2.0 * np.pi) ** nu
+    return float(scale * fine), float(scale * err)
 
 
 @dataclass(frozen=True)

@@ -400,13 +400,14 @@ def cmd_integral(args):
     if args.nu <= 2:
         raise InputError(f"integral diverges for nu <= 2 (got nu = {args.nu})")
     val, err = bounds.torus_integral(args.nu, rel_tol=args.tol)
-    oracle, _ = bounds.torus_integral_oracle(args.nu)
+    oracle, oracle_err = bounds.torus_integral_oracle(args.nu)
     _emit_json(args, {
         "nu": args.nu,
         "value": val,
         "error_estimate": err,
         "oracle": oracle,
         "oracle_relative_deviation": abs(val - oracle) / abs(oracle),
+        "oracle_error_estimate": oracle_err,
     })
     return 0
 

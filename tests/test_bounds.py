@@ -39,6 +39,39 @@ def test_integral_matches_oracle_nu3():
     assert abs(oracle / (2 * np.pi) ** 3 - 0.505462) < 1e-5
 
 
+# Watson's integral Int_0^inf i0e(s)^3 ds, in the closed form of Glasser and
+# Zucker (PNAS 74, 1800 (1977))
+WATSON = (math.sqrt(6) / (96 * math.pi ** 3) * math.gamma(1 / 24) * math.gamma(5 / 24)
+          * math.gamma(7 / 24) * math.gamma(11 / 24))
+
+
+def test_oracle_matches_watson_closed_form():
+    oracle, err = bounds.torus_integral_oracle(3)
+    deviation = abs(oracle / (2 * math.pi) ** 3 - WATSON) / WATSON
+    assert deviation < 1e-12
+    assert math.isfinite(err)
+    assert deviation - 1e-13 <= err / oracle <= 1e-10
+
+
+@pytest.mark.parametrize("nu", range(3, 9))
+def test_oracle_matches_scipy_quad(nu):
+    from scipy.integrate import quad
+    from scipy.special import i0e
+
+    want = (2 * math.pi) ** nu * quad(lambda s: i0e(s) ** nu, 0.0, math.inf, limit=400)[0]
+    oracle, err = bounds.torus_integral_oracle(nu)
+    assert abs(oracle - want) <= 1e-10 * want
+    assert math.isfinite(err) and err <= 1e-10 * oracle
+
+
+def test_i0e_matches_scipy_on_both_sides_of_the_switch():
+    from scipy.special import i0e
+
+    s = np.concatenate([np.geomspace(1e-18, 1e35, 2001),
+                        bounds._I0E_SWITCH + np.linspace(-1.0, 1.0, 101)])
+    assert np.max(np.abs(bounds._i0e(s) / i0e(s) - 1.0)) <= 1e-15
+
+
 def test_integral_stable_across_refinements():
     vals = [bounds.torus_integral(3, grid_n=g, refinements=r)[0]
             for g, r in ((8, 5), (16, 4), (32, 4))]

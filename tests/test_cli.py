@@ -365,6 +365,7 @@ def test_integral_nu3(tmp_path):
     assert run(["--out", str(out), "integral", "--nu", "3"]) == 0
     rec = json.loads(out.read_text())
     assert rec["oracle_relative_deviation"] < 1e-3
+    assert 0.0 < rec["oracle_error_estimate"] <= 1e-10 * rec["oracle"]
 
 
 @pytest.mark.parametrize("argv", [

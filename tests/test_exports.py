@@ -34,9 +34,14 @@ def _fresh_python(code):
 
 
 def test_import_leaves_optional_scipy_unloaded():
-    # only lang_firsov_diagnostic and torus_integral_oracle need these; a fresh
-    # process must not pay for them on import
-    code = ("import sys, hhlab.cli, hhlab.rpverify, hhlab.thermo, hhlab.bounds, hhlab.model; "
+    # only lang_firsov_diagnostic needs scipy.optimize; a fresh process must not
+    # pay for these on import, nor for the bound engine's commands
+    code = ("import contextlib, io, sys, hhlab.cli, hhlab.rpverify, hhlab.thermo, "
+            "hhlab.bounds, hhlab.model\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['integral', '--nu', '3'], ['bound', '--nu', '3'],\n"
+            "                 ['sweep', '--nu', '3', '--vary', 't=0.1,0.2', '--vary', 'V=2,3']):\n"
+            "        assert hhlab.cli.main(argv) == 0\n"
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
             "if m in sys.modules))")
     assert _fresh_python(code) == "[]"

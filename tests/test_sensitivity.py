@@ -7,8 +7,11 @@ thread; the assertions leave room for rounding in borderline instances.
 """
 
 import numpy as np
+import pytest
 
-from hhlab import fuzz, rpverify
+from hhlab import cli, fuzz, model, rpverify
+from hhlab.hilbert import build_basis
+from hhlab.lattice import build_lattice
 
 
 def test_negative_couplings_break_the_dls_inequality():
@@ -39,3 +42,45 @@ def test_linear_theta_breaks_the_dls_suite(monkeypatch):
     monkeypatch.setattr(fuzz, "_reflected", lambda W, X: W @ X @ fuzz._adjoint(W))
     assert passed(rpverify.dls_fuzz(1000, seed=2024)) == {
         "dls_fuzz": True, "dls_equality_lambda0": True, "dls_equality_symmetric": False}
+
+
+def test_linear_theta_breaks_the_symmetric_draws(monkeypatch):
+    """At B = A and D = C the complex H(A,B,C,D) is H(A,A,C,C), whose ln Z the
+    real frame gives without theta.  A linear theta changes only the complex
+    solve, so the two sides part on almost every draw (256 of 256)."""
+    draws = fuzz._draw_dls(np.random.default_rng(2024), 256, 8)
+    symmetric = [(A, A, C, C, lam, W, beta) for A, _, C, _, lam, W, beta in draws]
+    monkeypatch.setattr(fuzz, "_reflected", lambda W, X: W @ X @ fuzz._adjoint(W))
+    lhs, rhs = fuzz._dls_log_sides(symmetric)
+    broken = np.abs(lhs - rhs) > 1e-12 * np.maximum(np.abs(lhs), 1.0)
+    assert np.sum(broken) >= 250, np.sum(broken)
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
+def test_dropped_field_constant_breaks_gaussian_domination(monkeypatch, nu, n_max):
+    """H''(h) = H'' - V sum_bonds (q_x - q_y)(h_x - h_y) + (V/2) sum_bonds
+    (h_x - h_y)^2.  Without the positive constant the field enters linearly,
+    log Z(eps h) is convex in eps, and its slope at eps = 0 is beta V times a
+    sum of <q_x> that vanish at half filling.  So log Z(h) >= log Z(0), and
+    Z(h) <= Z(0) fails on every field that is not constant (20 of 20 here,
+    at the default couplings)."""
+    d = cli.CONFIG_DEFAULTS
+    params = model.ModelParams(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"],
+                               beta=d["beta"], n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    fields = np.random.default_rng(2024).standard_normal((20, basis.n_sites))
+
+    def passed():
+        ens = rpverify.FieldPartition(params, basis)
+        return sum(rpverify.gaussian_domination_check(params, basis, h, ens).passed
+                   for h in fields)
+
+    assert passed() == 20
+    correction = model.field_diagonal_correction
+
+    def without_constant(params, basis, h):
+        const = sum(0.5 * params.V * (h[b.i] - h[b.j]) ** 2 for b in basis.lattice.bonds())
+        return correction(params, basis, h) - const
+
+    monkeypatch.setattr(model, "field_diagonal_correction", without_constant)
+    assert passed() == 0
