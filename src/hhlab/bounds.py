@@ -47,8 +47,20 @@ __all__ = [
 ]
 
 
-# Largest half grid (points per float64 array) torus_integral will build: 1 GiB.
+# Largest finest half grid (points) torus_integral will sum.  The grid is
+# summed slab by slab, so this limits the work, not the memory.
 _MAX_HALF_GRID_POINTS = 2 ** 27
+# Most points of the half grid held at a time: a power of two of at least 128,
+# numpy's pairwise block, so that the slabs are subtrees of np.sum's own tree.
+_SLAB_POINTS = 2 ** 14
+
+
+def _pairwise(sums):
+    """Sum a list by adding neighbours, level by level; an odd one out is
+    carried up.  For 2^k terms this is the order of numpy's pairwise sum."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
+    return sums[0]
 
 
 def _midpoint_value(nu, n):
@@ -58,15 +70,37 @@ def _midpoint_value(nu, n):
     is symmetric under p -> -p and E is even in each p_j, so the sum runs
     over the (n/2)^nu points of the positive orthant and is multiplied by
     2^nu (exact in floating point).
+
+    The half grid is summed in slabs of at most _SLAB_POINTS points, each a
+    run of consecutive points in C order, and the slab sums are added by
+    :func:`_pairwise`.  When (n/2)^nu is a power of two every slab is a
+    subtree of numpy's pairwise summation, so the value has the bits of
+    np.sum(1 / E) over the whole half grid.
     """
     if n % 2:
         raise ValueError("grid size must be even to dodge p = 0")
-    pts = -np.pi + (np.arange(n // 2, n) + 0.5) * (2 * np.pi / n)
+    h = n // 2
+    pts = -np.pi + (np.arange(h, n) + 0.5) * (2 * np.pi / n)
     one_minus_cos = 1.0 - np.cos(pts)
-    E = one_minus_cos
-    for _ in range(nu - 1):
-        E = np.add.outer(E, one_minus_cos)
-    return float(np.sum(1.0 / E) * 2.0 ** nu * (2 * np.pi / n) ** nu)
+    # a slab fixes the leading indices (their partial sum of E is in
+    # `prefix`), takes `run` values of the next index and all of the last
+    # `whole`; E is summed left to right as for the whole grid (0 + x = x,
+    # since 1 - cos > 0 on the grid)
+    whole = 0
+    while whole < nu - 1 and h ** (whole + 1) <= _SLAB_POINTS:
+        whole += 1
+    run = max(d for d in range(1, h + 1) if h % d == 0 and d * h ** whole <= _SLAB_POINTS)
+    prefix = np.zeros(1)
+    for _ in range(nu - whole - 1):
+        prefix = np.add.outer(prefix, one_minus_cos)
+    sums = []
+    for p in prefix.ravel():
+        for start in range(0, h, run):
+            E = p + one_minus_cos[start:start + run]
+            for _ in range(whole):
+                E = np.add.outer(E, one_minus_cos)
+            sums.append(float(np.sum(1.0 / E)))
+    return float(_pairwise(sums) * 2.0 ** nu * (2 * np.pi / n) ** nu)
 
 
 @lru_cache(maxsize=32)
@@ -78,11 +112,13 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     singularity makes the error O(1/n), not spectral).  Returns
     (value, error_estimate); raises ValueError for nu <= 2, where the
     integral diverges, and for a rel_tol that is not finite and > 0.  Each
-    grid is summed on its (n/2)^nu positive-orthant half.
+    grid is summed on its (n/2)^nu positive-orthant half, at most
+    _SLAB_POINTS points at a time, so memory grows only with the number of
+    slabs (one float each), not with the points.
     The default grid shrinks with nu so that the finest half grid has
-    2^18, 2^20 and 2^20 points at nu = 3, 4 and 5.  A finest half grid of
-    more than 2^27 points (1 GiB per float64 array) is refused with a
-    ValueError before anything is allocated: nu = 6 (16^6) runs at the
+    2^18, 2^20 and 2^20 points at nu = 3, 4 and 5.  The work grows with it:
+    a finest half grid of more than 2^27 points is refused with a
+    ValueError before anything is allocated.  nu = 6 (16^6) runs at the
     default grid, nu = 7 (16^7) is refused.
     """
     if nu <= 2:
@@ -98,7 +134,7 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     if half_points > _MAX_HALF_GRID_POINTS:
         raise ValueError(
             f"torus grid too large: the finest half grid has {half_points} points "
-            f"(limit {_MAX_HALF_GRID_POINTS}, 1 GiB per float64 array)")
+            f"(limit {_MAX_HALF_GRID_POINTS}, a bound on the quadrature's work)")
     vals = [_midpoint_value(nu, n) for n in ns]
     extrapolants = []
     for k in range(len(vals) - 2):

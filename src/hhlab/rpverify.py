@@ -750,9 +750,10 @@ def convexity_lemma_check(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
     rng = np.random.default_rng(seed)
     worst = np.inf
     for start in range(0, n_pairs, _WINDOW):
-        pairs = [_hermitian_part(_random_bounded(rng, int(rng.integers(2, dim_max + 1)), 2))
-                 for _ in range(min(_WINDOW, n_pairs - start))]
-        worst = min(worst, *_convexity_slacks(pairs))
+        # the window is a temporary, released before the next one is drawn
+        worst = min(worst, *_convexity_slacks(
+            [_hermitian_part(_random_bounded(rng, int(rng.integers(2, dim_max + 1)), 2))
+             for _ in range(min(_WINDOW, n_pairs - start))]))
     return CheckResult("convexity_lemma", "ln Tr e^-(B+C) <= <-B> + ln Tr e^-C",
                        0.0, 0.0, float(worst), bool(worst >= -tol))
 

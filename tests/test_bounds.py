@@ -104,10 +104,56 @@ def _full_grid_midpoint_value(nu, n):
     return float(np.sum(1.0 / E) * (2 * np.pi / n) ** nu)
 
 
-@pytest.mark.parametrize("nu, n", [(3, 4), (3, 8), (3, 16), (4, 4), (4, 8), (4, 16), (5, 8)])
-def test_half_grid_midpoint_matches_full_grid(nu, n):
+# (n/2)^nu is not a power of two on (3, 6), (3, 12) and (4, 12), so there the
+# slabs do not line up with numpy's pairwise tree
+@pytest.mark.parametrize("nu, n", [(3, 4), (3, 8), (3, 16), (4, 4), (4, 8), (4, 16), (5, 8),
+                                   (3, 6), (3, 12), (4, 12)])
+def test_half_grid_midpoint_matches_full_grid(nu, n, monkeypatch):
     full = _full_grid_midpoint_value(nu, n)
     assert bounds._midpoint_value(nu, n) == pytest.approx(full, rel=1e-13, abs=0)
+    # the smallest slab allowed, so that these small grids are summed in several slabs
+    monkeypatch.setattr(bounds, "_SLAB_POINTS", 128)
+    assert bounds._midpoint_value(nu, n) == pytest.approx(full, rel=1e-13, abs=0)
+
+
+def _whole_half_grid_value(nu, n):
+    """Oracle: the half grid held whole and summed by one np.sum."""
+    pts = -np.pi + (np.arange(n // 2, n) + 0.5) * (2 * np.pi / n)
+    one_minus_cos = 1.0 - np.cos(pts)
+    E = one_minus_cos
+    for _ in range(nu - 1):
+        E = np.add.outer(E, one_minus_cos)
+    return float(np.sum(1.0 / E) * 2.0 ** nu * (2 * np.pi / n) ** nu)
+
+
+@pytest.mark.parametrize("nu", [3, 4, 5])
+def test_slab_sums_have_the_bits_of_the_whole_grid_sum(nu, monkeypatch):
+    # every grid torus_integral(nu) sums by default: (n/2)^nu is a power of
+    # two, so the slab sums combine in numpy's own pairwise order, at the
+    # default slab and at the smallest one allowed
+    grid_n = max(4, 2 ** (7 - nu))
+    for slab in (bounds._SLAB_POINTS, 128):
+        monkeypatch.setattr(bounds, "_SLAB_POINTS", slab)
+        for n in (grid_n * 2 ** k for k in range(4)):
+            assert bounds._midpoint_value(nu, n) == _whole_half_grid_value(nu, n), (slab, n)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_midpoint_memory_does_not_grow_with_the_grid():
+    # the whole half grid of (5, 32) is 2^20 points, 8 MiB per float64 array
+    assert _traced_peak(bounds._midpoint_value, 5, 32) < 2 ** 20
+    # nu = 6 sums half grids of up to 16^6 = 2^24 points, 128 MiB per array
+    # held whole; streamed it stays under 1 MiB
+    bounds.torus_integral.cache_clear()
+    assert _traced_peak(bounds.torus_integral, 6) < 2 ** 20
 
 
 def test_oversize_torus_grid_refused_before_allocation():
