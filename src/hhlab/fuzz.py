@@ -56,6 +56,24 @@ _WINDOW = 256
 _STACK_BYTES = 1 << 20
 
 
+class _Buffers:
+    """Output arrays reused from one stack to the next: one flat array per
+    role, grown to the largest request.  A run of stacks then takes its
+    largest arrays from the allocator once, not once per stack (which the
+    allocator may return to the system and fault back in each time)."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, role, shape, dtype):
+        """An uninitialized array of ``shape``, on the buffer of ``role``."""
+        size = int(np.prod(shape))
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 def _adjoint(M):
     return np.swapaxes(M, -1, -2).conj()
 
@@ -152,9 +170,9 @@ def _reflected(W, X):
     return W @ X.conj() @ _adjoint(W)
 
 
-def _coupled(A, X, C, lam):
+def _coupled(A, X, C, lam, buffers=None):
     """H(A,B,C,D) of m stacked draws, X (m, k + 1, n, n) holding theta B
-    theta^-1 and the theta D_j theta^-1.
+    theta^-1 and the theta D_j theta^-1, on the "H" buffer of ``buffers``.
 
     The identity terms are written onto diagonal views, and the h.c. block
     is the product of the conjugate-transposed factors (conj(z w) =
@@ -162,7 +180,8 @@ def _coupled(A, X, C, lam):
     A (x) 1 + 1 (x) X_0 minus, term by term, lambda_j (K + K^H),
     K = C_j (x) X_j."""
     m, k, n = C.shape[:3]
-    H = np.zeros((m, n, n, n, n), dtype=complex)
+    H = (buffers or _Buffers()).take("H", (m, n, n, n, n), complex)
+    H.fill(0.0)
     np.einsum("mabcb->mabc", H)[...] = A[:, :, None, :]          # A (x) 1
     np.einsum("mabad->mabd", H)[...] += X[:, 0, None]            # 1 (x) X_0
     H = H.reshape(m, n * n, n * n)
@@ -175,28 +194,33 @@ def _coupled(A, X, C, lam):
     return H
 
 
-def _real_frame(A, C, lam):
+def _real_frame(A, C, lam, buffers=None):
     """The real symmetric R = Re H' + (Im H') Pi of H(A,A,C,C) for m stacked
-    pairs (A, C), C (m, k, n, n): see the module docstring."""
+    pairs (A, C), C (m, k, n, n), on the "R" buffer of ``buffers``: see the
+    module docstring."""
     m, k, n = C.shape[:3]
+    buffers = buffers or _Buffers()
     P = np.concatenate([C, _adjoint(C)], axis=1).reshape(m, 2 * k, n * n)
     weights = -np.concatenate([lam, lam], axis=1)[:, :, None]
     # -sum_p lambda_p P_ac conj(P_bd), indexed [a, c, b, d]
-    G = (np.swapaxes(weights * P, -1, -2) @ P.conj()).reshape(m, n, n, n, n)
+    G = np.matmul(np.swapaxes(weights * P, -1, -2), P.conj(),
+                  out=buffers.take("G", (m, n * n, n * n), complex)).reshape(m, n, n, n, n)
     np.einsum("macbb->macb", G)[...] += A[:, :, :, None]        # A (x) 1
     np.einsum("maabd->mabd", G)[...] += A.conj()[:, None]       # 1 (x) conj(A)
-    R = np.empty((m, n, n, n, n))
+    R = buffers.take("R", (m, n, n, n, n), float)
     # R[ab, cd] = Re H'[ab, cd] + Im H'[ab, dc]
     np.add(G.real.transpose(0, 1, 3, 2, 4), G.imag.transpose(0, 1, 3, 4, 2), out=R)
     return R.reshape(m, n * n, n * n)
 
 
-def _dls_sides(A, B, C, D, lam, W, beta):
+def _dls_sides(A, B, C, D, lam, W, beta, buffers=None):
     """2 ln Z(A,B,C,D) and ln Z(A,A,C,C) + ln Z(B,B,D,D) of m stacked draws,
     C and D (m, k, n, n): H(A,B,C,D) in one complex stack, and the two
-    symmetric ones in one real stack."""
-    H = _coupled(A, _reflected(W[:, None], np.concatenate([B[:, None], D], axis=1)), C, lam)
-    R = _real_frame(np.concatenate([A, B]), np.concatenate([C, D]), np.tile(lam, (2, 1)))
+    symmetric ones in one real stack, both on ``buffers``."""
+    H = _coupled(A, _reflected(W[:, None], np.concatenate([B[:, None], D], axis=1)), C, lam,
+                 buffers)
+    R = _real_frame(np.concatenate([A, B]), np.concatenate([C, D]), np.tile(lam, (2, 1)),
+                    buffers)
     for M in (H, R):
         if not _hermitian(M, 1e-10):
             raise AssertionError("coupled Hamiltonian lost Hermiticity")
@@ -204,12 +228,14 @@ def _dls_sides(A, B, C, D, lam, W, beta):
     return 2.0 * _log_partition(beta, np.linalg.eigvalsh(H)), lz[0] + lz[1]
 
 
-def _dls_log_sides(draws):
+def _dls_log_sides(draws, buffers=None):
     """(2 ln Z(A,B,C,D), ln Z(A,A,C,C) + ln Z(B,B,D,D)) of each draw, in draw
-    order, solved in stacks of one (k, n)."""
+    order, solved in stacks of one (k, n) on ``buffers`` (reused by every
+    stack; new ones without it)."""
+    buffers = buffers or _Buffers()
     lhs, rhs = np.empty((2, len(draws)))
     for idx, stack in _stacks(draws, lambda n: 48 * n ** 4):
-        lhs[idx], rhs[idx] = _dls_sides(*stack)
+        lhs[idx], rhs[idx] = _dls_sides(*stack, buffers)
     return lhs, rhs
 
 

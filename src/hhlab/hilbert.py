@@ -296,9 +296,19 @@ def adjoint(a):
 
 
 def hermiticity_residual(a):
-    """Max-entry deviation of a (dense or scipy.sparse) from its adjoint."""
+    """Max-entry deviation of a (dense or scipy.sparse) from its adjoint.
+
+    A sparse a whose transpose has its pattern (every Hermitian operator the
+    models build) is compared entry by entry, with no union pattern formed.
+    """
     if not sparse.issparse(a):
         a = np.asarray(a)
         if not a.size:
             return 0.0
-    return float(abs(a - a.conj().T).max())
+        return float(abs(a - a.conj().T).max())
+    a = sparse.csr_array(a)
+    t = a.T.tocsr()
+    if (a.has_canonical_format and np.array_equal(a.indptr, t.indptr)
+            and np.array_equal(a.indices, t.indices)):
+        return float(np.max(np.abs(a.data - t.data.conj()), initial=0.0))
+    return float(abs(a - t.conj()).max())

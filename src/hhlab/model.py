@@ -392,9 +392,15 @@ def pairing_bond_terms(params, basis):
     Their sum is T''.  For L = 1 the eps = +/- terms coincide pairwise
     (doubled wrap bonds, intended).
     """
+    return list(_pairing_bond_terms(params, basis))
+
+
+def _pairing_bond_terms(params, basis):
+    """The (instance, term) pairs of :func:`pairing_bond_terms`, each term
+    built as it is consumed."""
     lat = _require_lattice(basis)
-    return [(inst, _sparse_sum(basis, _bond_entries(basis, -params.t, fermions, boson)))
-            for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params)]
+    for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params):
+        yield inst, _sparse_sum(basis, _bond_entries(basis, -params.t, fermions, boson))
 
 
 def _mode_occupations(basis):

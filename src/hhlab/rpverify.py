@@ -27,7 +27,7 @@ from scipy import sparse
 
 from . import model as _model
 from . import thermo as _thermo
-from .fuzz import (_WINDOW, _check_dls_inputs, _check_unitary, _convexity_slacks,
+from .fuzz import (_WINDOW, _Buffers, _check_dls_inputs, _check_unitary, _convexity_slacks,
                    _dls_log_sides, _draw_dls, _hermitian_part, _random_bounded)
 from .hilbert import HilbertBasis, Monomial
 
@@ -465,11 +465,12 @@ class DLSInstance:
                 np.asarray(self.lambdas, dtype=float), self.theta.W, self.beta)
 
 
-def _dls_results(draws, tol):
+def _dls_results(draws, tol, buffers=None):
     """The ``dls`` check of each draw, in draw order.  ``fuzz`` solves
     H(A,B,C,D) as a complex matrix and the two symmetric Hamiltonians, which
-    do not depend on theta, as real symmetric ones (derived in its docstring)."""
-    lhs, rhs = _dls_log_sides(draws)
+    do not depend on theta, as real symmetric ones (derived in its docstring),
+    on ``buffers`` if given."""
+    lhs, rhs = _dls_log_sides(draws, buffers)
     slack = (rhs - lhs) / 2.0
     return [CheckResult("dls", "Z(A,B,C,D)^2 <= Z(A,A,C,C) Z(B,B,D,D)", l, r, float(s),
                         bool(s >= -tol)) for l, r, s in zip(lhs, rhs, slack)]
@@ -486,15 +487,29 @@ def random_dls_instance(rng, dim_max=8):
                        theta=AntiunitaryMap(W))
 
 
+def _check_fuzz_size(name, n, dim_max):
+    """Refuse, with ValueError, a fuzz of no draws (its record would pass with
+    slack inf), ``name`` being the argument n, or of matrices below 2 x 2."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    if dim_max < 2:
+        raise ValueError(f"dim_max must be at least 2, got {dim_max}")
+
+
 def dls_fuzz(n_instances=1000, seed=2024, dim_max=8, tol=1e-10):
     """Random-instance fuzz of the partition-function inequality, plus the
     exact equality cases lambda = 0 and (A, C) = (B, D); the second compares
-    the complex solve of H(A,A,C,C) (lhs) with its real frame (rhs)."""
+    the complex solve of H(A,A,C,C) (lhs) with its real frame (rhs).
+    Refuses, with ValueError and before any draw, n_instances < 1 and
+    dim_max < 2."""
+    _check_fuzz_size("n_instances", n_instances, dim_max)
     rng = np.random.default_rng(seed)
     out = []
     worst = np.inf
+    buffers = _Buffers()            # every window's stacks are solved on these
     for start in range(0, n_instances, _WINDOW):
-        for res in _dls_results(_draw_dls(rng, min(_WINDOW, n_instances - start), dim_max), tol):
+        for res in _dls_results(_draw_dls(rng, min(_WINDOW, n_instances - start), dim_max), tol,
+                                buffers):
             worst = min(worst, res.slack)
             if not res.passed:
                 out.append(res)
@@ -746,7 +761,9 @@ def half_filling_check(params, basis, tol=1e-10, mechanism=False):
 
 def convexity_lemma_check(n_pairs=500, dim_max=32, seed=77, tol=1e-9):
     """ln Tr e^{-(B+C)} <= <-B> + ln Tr e^{-C} for random Hermitian pairs,
-    with <.> the Gibbs average of B + C."""
+    with <.> the Gibbs average of B + C.  Refuses, with ValueError and before
+    any draw, n_pairs < 1 and dim_max < 2."""
+    _check_fuzz_size("n_pairs", n_pairs, dim_max)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for start in range(0, n_pairs, _WINDOW):

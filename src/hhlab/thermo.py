@@ -3,36 +3,24 @@ charge correlations.
 
 A Hamiltonian (a CSR array of hhlab.model, or a dense oracle) is split
 into the connected components of its exact sparsity pattern
-(H[i, j] != 0.0), read from its nonzero entries by :func:`_gauged_sparse`.
-The entries of each component are scattered into one stack of equal-size
-dense blocks per component size (:func:`_block_stacks`), each block is
-eigendecomposed exactly with dense LAPACK, and all thermal sums run
-blockwise.  Components are detected from exact zeros only, so a "dirty"
-matrix degrades to one big block, never to a wrong answer.  The Gibbs state
-is kept as its diagonal blocks: an observable (dense, scipy.sparse or a 1-d
-diagonal) enters a thermal average only through its nonzero entries inside
-the components.
+(H[i, j] != 0.0), read from its nonzero entries by :func:`_gauged_sparse`,
+and scattered into stacks of equal-size dense blocks
+(:func:`_block_stacks`), each eigendecomposed exactly with dense LAPACK.
+A "dirty" matrix degrades to one big block, never to a wrong answer.  The
+Gibbs state is kept as its diagonal blocks: an observable enters a thermal
+average only through its nonzero entries inside the components.
 
 The same pass reads off a diagonal unitary gauge d from a maximum-modulus
 spanning forest of the pattern (_phase_gauge), in which every component
 without flux is real symmetric (H'', H, H' and V H V^-1 all are) and is
 solved by a real ``eigh``.  The two engines share this split:
-``SpectralData`` and ``highest_weight_sectors``.  The second reduces H'',
-for the Z(h) of ``rpverify.FieldPartition``, to the highest-weight states
-of the spin SU(2) of the zigzag frame, and once more by the reflection
-Theta: a sector that Theta maps onto another is kept once
-with twice its weight, and one mapped onto itself is split into the +-1
-eigenspaces of Theta.  These mirror sectors serve exactly the fields with
-np.array_equal(h, h o r); any other field takes the first set.
-An H'' that Theta does not leave invariant is refused after every refusal
-of the SU(2) reduction.  At 2x2, n_max = 1 (dim 4096) the two sets hold 60
-sectors (sum n^3 = 1.23e8) and 35 (5.04e7).
+``SpectralData`` and ``highest_weight_sectors``, which reduces H'' for the
+Z(h) of ``rpverify.FieldPartition`` by the spin SU(2) of the zigzag frame
+and by the reflection Theta.
 
-The infrared forms g, b and c are built once per spectral data, from the
-spectral data alone (see quadratic_form_quantities): ``SpectralData`` keeps
-the gauged off-diagonal entries of H, grouped by component, from its one
-read of H, so the forms never read H again.  All exponentials are shifted
-by the ground energy so beta can be large.
+The infrared forms g, b and c are built from the spectral data alone
+(:func:`quadratic_form_quantities`).  All exponentials are shifted by the
+ground energy so beta can be large.
 """
 
 from __future__ import annotations
@@ -58,6 +46,8 @@ __all__ = [
 
 _GAP_SERIES_CUTOFF = 1e-6
 _GAUGE_IMAG_TOL = 1e-12
+# SpectralData solves the blocks of one size in stacks of at most this
+_STACK_BYTES = 1 << 20
 
 
 class SpectralData:
@@ -75,15 +65,16 @@ class SpectralData:
     elementwise bound |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the
     imaginary part the real ``eigh`` discards is charged to the check.
 
-    The gauged off-diagonal entries of H that the split reads are kept for
-    the infrared forms, grouped by component (``_entries``, as
-    :meth:`_by_component` gives them): at dim 4096 (2x2, n_max = 1) about
-    7 ms of the 0.3 s build, and 5.2 MB.
+    H's gauged off-diagonal entries are kept for the infrared forms, grouped
+    by component (``_entries``) before any block is solved.  At its peak the
+    build holds H's entries twice (as read and as kept), the eigenvectors
+    solved so far (the largest blocks first, so the fewest then), and one
+    stack of at most _STACK_BYTES or one block, gauged in place, with its
+    eigenvectors and two one-block temporaries.  At 2x2, n_max = 1 that is
+    23 MiB traced, 15 MiB of it kept; at n_max = 2, 576 MiB, 371 MiB kept.
 
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
-    ``blocks`` (list of (index array, eigenvalues, eigenvectors Q of H's
-    component), built on each access) and ``real_blocks`` (one flag per
-    component, True where a real ``eigh`` solved it).  Immutable once built.
+    ``blocks`` and ``real_blocks``.  Immutable once built.
     """
 
     def __init__(self, H, beta):
@@ -91,15 +82,21 @@ class SpectralData:
         if H.shape != (n, n):
             raise ValueError("H must be square")
         labels, phase, entries, flux = _gauged_sparse(H)
-        eig = [None] * len(flux)
-        self._block_of = labels                         # component of each basis index
-        self._position = np.empty(n, dtype=np.intp)     # its index inside the component
-        scale, res = 1e-300, 0.0
-        for labs, idx, (blk,) in _block_stacks(labels, [entries]):   # one stack per size
-            self._position[idx] = np.arange(idx.shape[1])
-            scale = max(scale, float(np.abs(blk).max()))
-            g = _gauged(blk, phase[idx], phase[idx])
+        self.dim = n
+        self._block_of = labels                 # component of each basis index
+        self._position = _positions(labels)[3]  # its index inside the component
+        self._phase = phase                     # the gauge d on the full space
+        self._eig = eig = [None] * len(flux)    # (indices, w, q) with q in the gauge
+        # H's off-diagonal entries (the diagonal is the last n), for the forms
+        self._entries = self._by_component(*(a[:-n] for a in entries))
+        scale, res = max(1e-300, float(np.abs(entries[2]).max())), 0.0
+        for labs, idx, (blk,) in _block_stacks(labels, [entries], _STACK_BYTES):
             real = flux[labs] == 0.0
+            if real.all():              # gauged in place, in the order of _gauged
+                np.multiply(phase[idx].conj()[..., None], blk, out=blk)
+                g = np.multiply(blk, phase[idx][:, None], out=blk)
+            else:
+                g = _gauged(blk, phase[idx], phase[idx])
             for sel, a, target in ((real, g.real, g), (~real, blk, blk)):
                 if not sel.any():
                     continue
@@ -109,25 +106,22 @@ class SpectralData:
                 res = max(res, _block_residual(w, q, target))
                 for lab, i, wi, qi in zip(labs[sel], idx[sel], w, q):
                     eig[lab] = (i, wi, qi)
+            del blk, g, a, target       # released before the next stack is scattered
         if res > 1e-9 * scale:
             raise AssertionError(f"eigendecomposition residual {res} too large")
-        self.dim = n
         self.beta = float(beta)
-        self._eig = eig          # (indices, w, q) with q in the gauge
-        self._phase = phase      # the gauge d on the full space
         self.e0 = min(float(w[0]) for _, w, _ in eig)
         self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in eig]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
-        # H's off-diagonal entries (the diagonal is the last n), for the forms
-        self._entries = self._by_component(*(a[:-n] for a in entries))
         self._rho_diag = None
         self._gibbs = None
         self._forms = None
 
     @property
     def blocks(self):
-        """[(indices, w, Q)] with Q the unitary eigenvectors of H's component."""
+        """[(indices, w, Q)] with Q the unitary eigenvectors of H's component,
+        built on each access."""
         return [(idx, w, self._phase[idx, None] * q) for idx, w, q in self._eig]
 
     @property
@@ -155,11 +149,13 @@ class SpectralData:
     def _gibbs_blocks(self):
         """Per-component Gibbs blocks in the gauge, q diag(e^{-beta w}) q^H / Z; cached."""
         if self._gibbs is None:
-            self._gibbs = [(q * wt) @ q.conj().T / self.z_shifted
-                           for (_, _, q), wt in zip(self._eig, self._weights)]
+            gibbs = [(q * wt) @ q.conj().T for (_, _, q), wt in zip(self._eig, self._weights)]
+            for r in gibbs:
+                r /= self.z_shifted
+            self._gibbs = gibbs
         return self._gibbs
 
-    # -- thermal averages ----------------------------------------------------
+    # -- thermal averages --
 
     def expectation(self, A):
         """<A> = Tr[A e^{-beta H}] / Z.  A may be a dense matrix, a
@@ -168,11 +164,9 @@ class SpectralData:
         and discarded then.
 
         Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
-        nonzero entries of a matrix A inside the components only (dense A is
-        read as a sparse one): the entries of rho between components are
-        exact zeros, so the entries of A there contribute exactly 0.  In the
-        gauge, conj(rho_ij) A_ij = conj(r_ij) (conj(d_i) A_ij d_j) with r the
-        gauged Gibbs block.
+        nonzero entries of A inside the components only: rho is exactly 0
+        between them.  In the gauge, conj(rho_ij) A_ij = conj(r_ij)
+        (conj(d_i) A_ij d_j) with r the gauged Gibbs block.
         """
         A = A if issparse(A) else np.asarray(A)
         val = complex(np.dot(A, self.rho_diag())) if A.ndim == 1 else self._sparse_trace(A)
@@ -195,10 +189,11 @@ class SpectralData:
         comp = self._block_of[rows]
         inside = np.flatnonzero(comp == self._block_of[cols])
         inside = inside[np.argsort(comp[inside], kind="stable")]
-        rows, cols = rows[inside], cols[inside]
         ends = np.searchsorted(comp[inside], np.arange(len(self._eig) + 1))
-        return (self._position[rows], self._position[cols],
-                self._gauge(vals[inside], rows, cols), ends)
+        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+        del comp, inside
+        vals = self._gauge(vals, rows, cols)
+        return self._position[rows], self._position[cols], vals, ends
 
 
 def _realize_if_hermitian(val, A):
@@ -304,8 +299,8 @@ def _phase_gauge(H, entries=None):
 
 
 def _gauged_sparse(H):
-    """H split into the components of its exact sparsity pattern, read from
-    its nonzero entries (H dense or scipy.sparse): no dense block is gathered.
+    """H (dense or scipy.sparse) split into the components of its exact
+    sparsity pattern, read from its nonzero entries.
 
     Returns (labels, phase, (rows, cols, values), flux).  ``labels`` and the
     gauge ``phase`` are those of :func:`_phase_gauge`; the entries are H's
@@ -328,53 +323,77 @@ def _gauged_sparse(H):
     return labels, phase, (rows, cols, vals), flux
 
 
-def _block_stacks(labels, entries):
+def _positions(labels):
+    """(order, sizes, start, position): the labelled indices by label, each
+    label's size and start there, and each index's position in its label."""
+    inside = np.flatnonzero(labels >= 0)
+    order = inside[np.argsort(labels[inside], kind="stable")]
+    sizes = np.bincount(labels[inside])
+    start = np.cumsum(sizes) - sizes
+    position = np.zeros(len(labels), dtype=np.intp)
+    position[order] = np.arange(len(order)) - start[labels[order]]
+    return order, sizes, start, position
+
+
+def _block_stacks(labels, entries, max_bytes=None):
     """The entries of operators that are block-diagonal over ``labels``,
     scattered into one stack of equal-size dense blocks per block size.
 
     ``labels`` names the block of every index (-1: none, and the entries
     there are dropped); ``entries`` is a list of (rows, cols, values), one
     per operator, none between two blocks.  Yields, by ascending block size
-    n, (labs, idx, stacks): the labels of the m blocks of that size, their
+    n, (labs, idx, stacks): the labels of the m blocks of that stack, their
     indices idx (m, n), ascending in each block, and per operator its blocks
-    (m, n, n) in the dtype of its values, +0.0 off its entries.
+    (m, n, n) in the dtype of its values, +0.0 off its entries; none is kept
+    here.  ``max_bytes`` splits a size into stacks of at most that (or one
+    block), and the largest size comes first.
     """
-    inside = np.flatnonzero(labels >= 0)
-    order = inside[np.argsort(labels[inside], kind="stable")]
-    sizes = np.bincount(labels[inside])
-    start = np.cumsum(sizes) - sizes
-    position = np.zeros(len(labels), dtype=np.intp)   # index inside its block
-    position[order] = np.arange(len(order)) - start[labels[order]]
-    for n in np.unique(sizes[sizes > 0]):
+    order, sizes, start, position = _positions(labels)
+    itemsize = sum(v.itemsize for _, _, v in entries)
+    for n in np.unique(sizes[sizes > 0])[::1 if max_bytes is None else -1]:
         labs = np.flatnonzero(sizes == n)
-        slot = np.full(len(sizes) + 1, -1)      # slot[-1] stays -1, for the label -1
-        slot[labs] = np.arange(len(labs))
-        stacks = []
-        for r, c, v in entries:
-            k = slot[labels[r]]
-            sel = k >= 0
-            blocks = np.zeros((len(labs), n, n), dtype=v.dtype)
-            blocks[k[sel], position[r[sel]], position[c[sel]]] = v[sel]
-            stacks.append(blocks)
-        yield labs, order[start[labs][:, None] + np.arange(n)], stacks
+        step = len(labs) if max_bytes is None else max(1, max_bytes // (itemsize * n * n))
+        for chunk in (labs[s:s + step] for s in range(0, len(labs), step)):
+            slot = np.full(len(sizes) + 1, -1)      # slot[-1] stays -1, for the label -1
+            slot[chunk] = np.arange(len(chunk))
+            yield (chunk, order[start[chunk][:, None] + np.arange(n)],
+                   [_scatter(slot[labels[r]], position, r, c, v, (len(chunk), n, n))
+                    for r, c, v in entries])
+
+
+def _scatter(k, position, r, c, v, shape):
+    """v at (k, position[r], position[c]) of a stack of +0.0, k < 0 dropped."""
+    sel = k >= 0
+    blocks = np.zeros(shape, dtype=v.dtype)
+    blocks[k[sel], position[r[sel]], position[c[sel]]] = v[sel]
+    return blocks
 
 
 def _gauged(a, row_phase, col_phase):
     """conj(row_phase) a col_phase, for a matrix or a stack of them (outer
     product), or for entries a of a sparse matrix (as many as the phases)."""
     if a.ndim == row_phase.ndim:
-        return row_phase.conj() * a * col_phase
+        out = row_phase.conj() * a
+        out *= col_phase
+        return out
     return row_phase.conj()[..., :, None] * a * col_phase[..., None, :]
 
 
 def _block_residual(w, q, g):
     """Largest entry of |q w q^H - g| over a block or a stack of blocks, with
     Re g in place of g and |Im g| added where q is real: an elementwise
-    bound on |Q W Q^H - H_blk|."""
-    back = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2).conj()
-    if np.isrealobj(q) and np.iscomplexobj(g):
-        return float(np.max(np.abs(back - g.real) + np.abs(g.imag)))
-    return float(np.max(np.abs(back - g)))
+    bound on |Q W Q^H - H_blk|.  Taken one block at a time, in place."""
+    n, res = q.shape[-1], 0.0
+    for wi, qi, gi in zip(w.reshape(-1, n), q.reshape(-1, n, n), g.reshape(-1, n, n)):
+        back = (qi * wi) @ qi.T.conj()
+        if np.isrealobj(qi) and np.iscomplexobj(gi):
+            back -= gi.real
+            np.abs(back, out=back)
+            back += np.abs(gi.imag)
+        else:
+            back = np.abs(back - gi)
+        res = max(res, float(back.max()))
+    return res
 
 
 def spectral(H, beta):
@@ -382,7 +401,7 @@ def spectral(H, beta):
     return SpectralData(H, beta)
 
 
-# -- the spin SU(2) of H'' --------------------------------------------------------
+# -- the spin SU(2) of H'' --
 
 
 # largest entry of [H'', S'+] and of Theta H'' Theta^-1 - H'' relative to that of H'';
@@ -397,8 +416,8 @@ def _check_commutes(basis, G, raising, phase):
     """Refuse, with ValueError, an H'' that does not commute with S'+ (x) 1.
 
     G is H'' in the gauge d as a sparse matrix, and S = conj(d) (S'+ (x) 1) d
-    is formed as one too: conj(d) [H'', S'+] d = [G, S], so no dense
-    full-space product is formed.
+    is formed as one too: conj(d) [H'', S'+] d = [G, S], so nothing dense
+    is formed.
     """
     nb = basis.boson_dim
     up = raising.tocoo()
@@ -418,10 +437,10 @@ def _highest_weight_vectors(basis, raising, twice_m):
 
     S'+ keeps the pattern and raises 2M by 2, so S'- S'+ = S^2 - S'z (S'z + 1)
     is block-diagonal over the groups.  Its kernel on a group is spanned by
-    the highest-weight states, S = M.  The blocks of each size are solved as
-    one stack.  Yields (states, vectors): ``states`` (g, n) holds the fermion
-    states of g groups of n states each, ascending, and ``vectors`` (g, n, k)
-    an orthonormal real basis of the kernel on each, of one dimension k.
+    the highest-weight states, S = M.  Yields (states, vectors): ``states``
+    (g, n) holds the fermion states of g groups of n states each, ascending,
+    and ``vectors`` (g, n, k) an orthonormal real basis of the kernel on
+    each, of one dimension k.
     """
     occ = _model._mode_occupations(basis)
     pattern = ((occ[0::2] + occ[1::2]) * 3 ** np.arange(basis.n_sites)[:, None]).sum(axis=0)
@@ -560,11 +579,10 @@ def highest_weight_sectors(basis, H2, reflection):
     (``model.zigzag_spin_operators``), commutes with H'' and keeps every site
     occupation, so it commutes with every field term too.  H''(h) is then
     fixed by its restriction to the highest-weight states (ker S'+) of each
-    component with S'z = M >= 0, counted 2M + 1 times.  The gauged H'' is
-    kept as one sparse matrix: no dense block or full-space product is
-    formed.  Each idx holds one representative basis index per column; the
-    field correction of H''(h) is constant on its group, or for h = h o r
-    on its charge orbit (:func:`_mirror_sectors`).  ``reflection`` is M, a
+    component with S'z = M >= 0, counted 2M + 1 times.  Each idx holds one
+    representative basis index per column; the field correction of H''(h)
+    is constant on its group, or for h = h o r on its charge orbit
+    (:func:`_mirror_sectors`).  ``reflection`` is M, a
     ``hilbert.Monomial`` that keeps S'z and sends S'+ to -S'+.  Refuses,
     with ValueError, in this order: a component with flux; an H'' whose
     commutator with S'+ exceeds 1e-12 times its largest entry; a component
@@ -588,7 +606,7 @@ def highest_weight_sectors(basis, H2, reflection):
             _sector_stacks(U.T @ (B @ U), *mirror))
 
 
-# -- charge correlations ------------------------------------------------------
+# -- charge correlations --
 
 
 @lru_cache(maxsize=8)
@@ -617,7 +635,7 @@ def charge_correlation(params, basis, x, y, which="original"):
     return spec.expectation(diag)
 
 
-# -- the g, b, c quantities of the infrared bound -------------------------------
+# -- the g, b, c quantities of the infrared bound --
 
 
 def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
@@ -625,11 +643,8 @@ def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
 
     g = <A* A>, b = the Duhamel (A, A), c = beta <[A, [H'', A*]]>: forms in
     f = (-Delta) h, g = f^H G f, b = f^H B f, c = beta f^H C f, with G, B, C
-    of :func:`_quadratic_forms`, cached on ``spec`` (a build of about 90 ms
-    at dim 4096 on one BLAS thread, Gibbs blocks included, that reads no
-    entry of H''); then a field costs one product of N x N forms.
-    f = ``laplacian_matrix() @ h``, as in ``rpverify.infrared_chain_check``:
-    the two give the same (g, b, c) to the bit.
+    of :func:`_quadratic_forms`, cached on ``spec`` (built without reading
+    H''); then a field costs one product of N x N forms.
 
     The nested commutator is evaluated two ways -- from the Hamiltonian
     matrix (A is diagonal, so [A, [H, A*]] = -H o |a_k - a_l|^2, which is
@@ -717,9 +732,8 @@ def _build_quadratic_forms(spec, basis):
     conj(rho_i) o H_blk = conj(r_i) o G with r_i the gauged Gibbs block and
     G = conj(d) H_blk d.  The M_x are combinations of a few P_j and I
     (:func:`_charge_products`): B takes their kappa-Gram matrix.  D_x runs
-    over the off-diagonal nonzeros of G, kept by ``spec`` from its one read
-    of H (``SpectralData._entries``).  The forms are mirrored from the upper
-    triangle: exactly symmetric.
+    over the off-diagonal nonzeros of G (``SpectralData._entries``).  The
+    forms are mirrored from the upper triangle: exactly symmetric.
     """
     qd = _model.charge_diagonals(basis)
     centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
@@ -785,11 +799,13 @@ def _charge_products(q, qb, stag):
 
 
 def pairing_bond_expectations(params, basis, spec):
-    """Thermal expectation of each pairing bond term of T''.
+    """Thermal expectation of each pairing bond term of T'', the terms built
+    and read one at a time.
 
     Returns [((x, y, j, eps), <term>), ...]; the closed form of the nested
     commutator is a reweighting of exactly these numbers, so computing them
     once per spectral data makes the g/b/c evaluation O(1) per field h.
     """
-    return [(key, spec.expectation(term)) for key, term in _model.pairing_bond_terms(params, basis)]
+    return [(key, spec.expectation(term))
+            for key, term in _model._pairing_bond_terms(params, basis)]
 

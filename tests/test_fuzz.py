@@ -95,3 +95,42 @@ def test_symmetric_draws_give_equal_sides():
     lhs, rhs = fuzz._dls_log_sides([(A, A, C, C, lam, W, beta)
                                     for A, _, C, _, lam, W, beta in draws])
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(np.abs(lhs), 1.0))
+
+
+def kron_coupled(A, X, C, lam):
+    """H(A,B,C,D) of one draw by np.kron, X[0] = theta B theta^-1 and
+    X[j + 1] = theta D_j theta^-1."""
+    eye = np.eye(len(A))
+    H = np.kron(A, eye) + np.kron(eye, X[0])
+    for l, c, x in zip(lam, C, X[1:]):
+        K = np.kron(c, x)
+        H = H - l * (K + K.conj().T)
+    return H
+
+
+def coupled_inputs(rng, n, m, k):
+    A, C, lam = random_pairs(rng, n, m, k)
+    return A, fuzz._random_bounded(rng, n, m * (k + 1)).reshape(m, k + 1, n, n), C, lam
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coupled_on_a_dirty_reused_buffer_matches_the_kron_oracle(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    buffers = fuzz._Buffers()
+    dirty = fuzz._coupled(*coupled_inputs(rng, 9, 3, 3), buffers)   # a larger stack first
+    A, X, C, lam = coupled_inputs(rng, n, 4, k)
+    H = fuzz._coupled(A, X, C, lam, buffers)
+    assert np.shares_memory(H, dirty)
+    for a, x, c, l, h in zip(A, X, C, lam, H):
+        assert np.array_equal(h, kron_coupled(a, x, c, l))
+
+
+def test_reused_buffers_keep_the_bits_of_fresh_ones():
+    # one window of draws of every shape, solved on one set of buffers, against
+    # each stack solved on arrays of its own
+    draws = fuzz._draw_dls(np.random.default_rng(31), 256, 8)
+    lhs, rhs = fuzz._dls_log_sides(draws, fuzz._Buffers())
+    for idx, stack in fuzz._stacks(draws, lambda n: 48 * n ** 4):
+        want_lhs, want_rhs = fuzz._dls_sides(*stack)
+        assert np.array_equal(lhs[idx], want_lhs) and np.array_equal(rhs[idx], want_rhs)

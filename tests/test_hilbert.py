@@ -149,6 +149,30 @@ def test_algebra_helpers():
     assert hermiticity_residual(a) > 0.1
 
 
+def _sparse_pattern(pattern, rng, n=12):
+    """A non-Hermitian CSR array: with a symmetric pattern, a one-sided one,
+    or a symmetric one stored with duplicate entries."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mask = rng.random((n, n)) < 0.3
+    mask = mask | mask.T if pattern != "one_sided" else mask
+    a = sparse.csr_array(x * mask)
+    if pattern == "duplicates":
+        a = sparse.csr_array((np.repeat(a.data / 2, 2), np.repeat(a.indices, 2), 2 * a.indptr),
+                             shape=a.shape)
+        assert not a.has_canonical_format
+    return a
+
+
+@pytest.mark.parametrize("pattern", ["symmetric", "one_sided", "duplicates"])
+def test_sparse_hermiticity_residual_matches_the_dense_one(pattern):
+    rng = np.random.default_rng(12)
+    a = _sparse_pattern(pattern, rng)
+    herm = a + a.conj().T
+    for m in (a, herm, herm * (1 + 1e-9j)):
+        assert hermiticity_residual(m) == hermiticity_residual(m.toarray())
+    assert hermiticity_residual(herm) == 0.0
+
+
 def test_embeddings_commute_between_factors():
     basis = build_basis(build_lattice(1, 1), 1)
     f = basis.embed_fermion(basis.charge((0,)))

@@ -531,6 +531,26 @@ def test_convexity_lemma_memory_does_not_grow_with_count(n_pairs):
     assert peak < FUZZ_PEAK_BOUND, peak
 
 
+@pytest.mark.parametrize("check,kwargs,name", [
+    (rpverify.dls_fuzz, {"n_instances": 0}, "n_instances"),
+    (rpverify.dls_fuzz, {"n_instances": -3}, "n_instances"),
+    (rpverify.dls_fuzz, {"dim_max": 1}, "dim_max"),
+    (rpverify.convexity_lemma_check, {"n_pairs": 0}, "n_pairs"),
+    (rpverify.convexity_lemma_check, {"n_pairs": -3}, "n_pairs"),
+    (rpverify.convexity_lemma_check, {"dim_max": 1}, "dim_max"),
+], ids=["dls_none", "dls_negative", "dls_dim_1", "convexity_none", "convexity_negative",
+        "convexity_dim_1"])
+def test_fuzz_without_draws_or_below_2x2_refused_before_any_draw(monkeypatch, check, kwargs,
+                                                                 name):
+    # an empty fuzz used to pass with slack inf (written as Infinity)
+    def refuse(*args, **kw):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(rpverify.np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        check(**kwargs)
+
+
 def test_trace_product_identity():
     assert rpverify.trace_product_check().passed
 

@@ -549,6 +549,33 @@ def test_form_build_memory_is_bounded(state_2x2):
     assert peak < 25 * 2 ** 20
 
 
+def test_spectral_build_memory_is_bounded(state_2x2):
+    # a build holding a whole stack of every block size, a gauged copy of it and
+    # five stack-sized residual temporaries peaked at 47.1 MiB here; one stack
+    # per size, gauged in place, at 29.9 MiB.  In stacks of at most
+    # _STACK_BYTES, largest first, it peaks at 22.8 MiB, of which it keeps
+    # 15 MiB (the eigenvectors and the entries kept for the forms)
+    params, basis, H2, _ = state_2x2
+    assert traced_peak(lambda: thermo.spectral(H2, params.beta)) < 26 * 2 ** 20
+
+
+def test_bond_expectations_memory_is_bounded(state_2x2):
+    # the eight terms are built and read one at a time: about 7 MiB at the peak
+    # here, against 15.1 MiB when all eight were held at once
+    params, basis, _, spec = state_2x2
+    spec._gibbs_blocks()
+    assert traced_peak(lambda: thermo.pairing_bond_expectations(params, basis, spec)) < 10 * 2 ** 20
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_quadratic_form_zero_and_constant_field(state):
     lat, params, basis, H2, spec = state
     for h in (np.zeros(2), 0.8 * np.ones(2)):
@@ -860,3 +887,81 @@ def test_reconstruction_residual_charges_the_discarded_imaginary_part():
     assert actual > 1e-13
     (_, _, q), = spec._eig
     assert thermo._block_residual(w, q, thermo._gauged(H, spec._phase, spec._phase)) >= actual
+
+
+# -- the bounded build against one stack per size -----------------------------------------
+
+
+def per_size_stack_oracle(H, beta):
+    """(eig, logZ) as built with one stack per component size, gauged out of
+    place and solved whole: eig[c] = (w, q) of component c."""
+    labels, phase, (rows, cols, vals), flux = thermo._gauged_sparse(H)
+    sizes = np.bincount(labels)
+    position = np.empty(len(labels), dtype=np.intp)
+    for lab in range(len(sizes)):
+        position[labels == lab] = np.arange(sizes[lab])
+    eig = [None] * len(sizes)
+    for n in np.unique(sizes):
+        labs = np.flatnonzero(sizes == n)
+        idx = np.array([np.flatnonzero(labels == lab) for lab in labs])
+        slot = np.full(len(sizes), -1)
+        slot[labs] = np.arange(len(labs))
+        k = slot[labels[rows]]
+        sel = k >= 0
+        blk = np.zeros((len(labs), n, n), dtype=vals.dtype)
+        blk[k[sel], position[rows[sel]], position[cols[sel]]] = vals[sel]
+        g = thermo._gauged(blk, phase[idx], phase[idx])
+        real = flux[labs] == 0.0
+        for which, a in ((real, g.real), (~real, blk)):
+            if which.any():
+                w, q = np.linalg.eigh(a if which.all() else a[which])
+                for lab, wi, qi in zip(labs[which], w, q):
+                    eig[lab] = (wi, qi)
+    e0 = min(float(w[0]) for w, _ in eig)
+    z = float(sum(np.exp(-beta * (w - e0)).sum() for w, _ in eig))
+    return eig, -beta * e0 + float(np.log(z))
+
+
+def flux_pair_matrix():
+    """Two 3-state components, one with flux pi/3 and one without, and a
+    4-state one: a stack of one size that mixes the two paths."""
+    rng = np.random.default_rng(11)
+    H = np.zeros((10, 10), dtype=complex)
+    H[:3, :3] = [[0.3, 1.0, 0.8], [1.0, -0.2, 1.1 * np.exp(1j * np.pi / 3)],
+                 [0.8, 1.1 * np.exp(-1j * np.pi / 3), 0.5]]
+    H[3:6, 3:6] = gauged_real_matrix(rng, 3)
+    H[6:, 6:] = gauged_real_matrix(rng, 4)
+    return H
+
+
+def default_doubleprime():
+    from hhlab.cli import CONFIG_DEFAULTS as d
+    params = P(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"], beta=d["beta"],
+               n_max=d["n_max"])
+    basis = build_basis(build_lattice(d["nu"], d["ell"]), d["n_max"])
+    return model.build_doubleprime_csr(params, basis), params.beta
+
+
+@pytest.mark.parametrize("stack_bytes", [thermo._STACK_BYTES, 1], ids=["default", "one_block"])
+@pytest.mark.parametrize("case", ["nu1_default", "2x2", "flux"])
+def test_bounded_build_has_the_bits_of_one_stack_per_size(monkeypatch, state_2x2, case,
+                                                          stack_bytes):
+    # stack_bytes = 1 splits every size into stacks of one block
+    if case == "nu1_default":
+        H, beta = default_doubleprime()
+    elif case == "2x2":
+        params, _, H, _ = state_2x2
+        beta = params.beta
+    else:
+        H, beta = flux_pair_matrix(), 1.3
+    monkeypatch.setattr(thermo, "_STACK_BYTES", stack_bytes)
+    spec = thermo.spectral(H, beta)
+    eig, logz = per_size_stack_oracle(H, beta)
+    assert len(spec._eig) == len(eig)
+    for (_, w, q), (w_want, q_want) in zip(spec._eig, eig):
+        assert q.dtype == q_want.dtype
+        assert np.array_equal(w, w_want) and np.array_equal(q, q_want)
+    assert spec.logZ == logz
+    assert spec.real_blocks == [np.isrealobj(q) for _, q in eig]
+    if case == "flux":
+        assert spec.real_blocks == [False, True, True]
