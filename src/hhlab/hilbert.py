@@ -19,18 +19,20 @@ exact finite-dimensional statements (the truncated position operator is
 still Hermitian, so its phase exponentials are exactly unitary).  The only
 deliberately truncated relation is the CCR,
 [b, b*] = 1 - (n_max + 1) P_top, with P_top the projector onto the top
-rung.  Operators on each factor are dense complex matrices; the embeddings
-here form dense full-space Kronecker products for small-size diagnostics
-and test oracles only.  hhlab.model reads each bond term's fermion factor
-off :meth:`HilbertBasis.mode_tables` as a partial signed permutation and
-sums its entries, with those of the small boson factor, into a CSR array,
-and hhlab.rpverify compares the reflection split as sparse Kronecker
-products and diagonal vectors.  A hard dimension cap keeps sizes at desk
-scale.  The exact unitaries of hhlab.model are signed permutations, held as
-a :class:`Monomial` and applied by re-indexing, to a CSR array or to a
-diagonal given as a 1-d vector (a dense matrix is refused); only the truly
-dense Lang-Firsov unitary and theta (whose checks also take dense random
-unitaries) stay dense matrices.
+rung.  Every fermion-factor operator is read off
+:meth:`HilbertBasis.mode_tables` by bit arithmetic: c is a CSR signed
+partial permutation, and the parity and the occupations are 1-d diagonals.
+hhlab.model sums each bond term's fermion factor, read off the same tables,
+with the entries of its small dense boson factor into a CSR array, and
+hhlab.rpverify compares the reflection split as sparse Kronecker products
+and diagonal vectors.  The boson-factor operators are small dense matrices,
+and the dense full-space embeddings are for small-size diagnostics only.  A
+hard dimension cap keeps sizes at desk scale.  The exact unitaries of
+hhlab.model are signed permutations, held as a :class:`Monomial` and
+applied by re-indexing, to a CSR array or to a diagonal given as a 1-d
+vector (a dense matrix is refused); only the truly dense Lang-Firsov
+unitary and theta (whose checks also take dense random unitaries) stay
+dense matrices.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 16384
-
-_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
-_SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)       # (-1)^n
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +115,21 @@ class HilbertBasis:
                 f"total dimension {self.total_dim} exceeds the cap {cap}; "
                 "reduce the lattice size or n_max (or raise cap= explicitly)"
             )
-        self._fermion_cache = {}
+        self._mode_tables = None
         self._boson_cache = {}
 
     # -- index arithmetic -----------------------------------------------------
 
-    def mode_index(self, x, spin):
-        if spin not in ("up", "down"):
-            raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
+    def _site_slot(self, x):
         x = tuple(x)
         if x not in self.site_index:
             raise ValueError(f"unknown site {x}")
-        return 2 * self.site_index[x] + (0 if spin == "up" else 1)
+        return self.site_index[x]
+
+    def mode_index(self, x, spin):
+        if spin not in ("up", "down"):
+            raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
+        return 2 * self._site_slot(x) + (0 if spin == "up" else 1)
 
     def boson_tuple(self, boson_index):
         """Per-site phonon occupations of boson basis state ``boson_index``."""
@@ -140,72 +142,45 @@ class HilbertBasis:
 
     # -- fermion operators (on the fermion factor) ------------------------------
 
-    def _fermion_kron(self, slot, block):
-        mats = [_SIGN] * slot + [block] + [np.eye(2, dtype=complex)] * (self.n_modes - slot - 1)
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
     def mode_tables(self):
         """(occupations, strings) on the fermion factor, each (n_modes, fermion_dim):
         the occupation n_m of every mode m in every fermion state, and the sign
         (-1)^(n_0 + ... + n_(m-1)) of the Jordan-Wigner string of c_m there.
 
-        Built once per basis and read-only.  hhlab.model reads every fermion
-        factor of the full space off these by bit arithmetic.
+        Built once per basis and read-only.  Every fermion-factor operator
+        is read off these by bit arithmetic.
         """
-        if "tables" not in self._fermion_cache:
+        if self._mode_tables is None:
             shift = self.n_modes - 1 - np.arange(self.n_modes)
             occ = (np.arange(self.fermion_dim) >> shift[:, None]) & 1
             strings = 1.0 - 2.0 * ((np.cumsum(occ, axis=0) - occ) % 2)
             occ.flags.writeable = strings.flags.writeable = False
-            self._fermion_cache["tables"] = occ, strings
-        return self._fermion_cache["tables"]
+            self._mode_tables = occ, strings
+        return self._mode_tables
 
     def c(self, x, spin):
-        """Annihilator c_{x sigma} with Jordan-Wigner signs, as a dense
-        fermion_dim x fermion_dim matrix.
-
-        Dense, so only for half-space bases (theta, the a operators, the
-        left/right identification checks), the Lang-Firsov diagnostic and
-        test oracles; the Hamiltonian builders never form it.
-        """
+        """Annihilator c_{x sigma} with Jordan-Wigner signs on the fermion
+        factor, as a CSR signed partial permutation: each state j with
+        n_m = 1 goes to j ^ bit_m with the sign strings[m, j] of
+        :meth:`mode_tables`.  Row i holds one entry if n_m = 0 at i, and none
+        otherwise, so the CSR arrays are written down directly."""
         m = self.mode_index(x, spin)
-        if ("c", m) not in self._fermion_cache:
-            self._fermion_cache[("c", m)] = self._fermion_kron(m, _ANNIHILATE)
-        return self._fermion_cache[("c", m)]
+        occ, strings = self.mode_tables()
+        empty = 1 - occ[m]
+        cols = np.flatnonzero(empty) ^ (1 << (self.n_modes - 1 - m))
+        indptr = np.concatenate(([0], np.cumsum(empty)))
+        return sparse.csr_array((strings[m, cols], cols, indptr), shape=(self.fermion_dim,) * 2)
 
     def cdag(self, x, spin):
-        return self.c(x, spin).conj().T
-
-    def n_spin(self, x, spin):
-        """Number operator n_{x sigma} (diagonal)."""
-        cd = self.cdag(x, spin)
-        return cd @ self.c(x, spin)
-
-    def n_site(self, x):
-        """n_x = n_{x up} + n_{x down} (diagonal)."""
-        return self.n_spin(x, "up") + self.n_spin(x, "down")
-
-    def charge(self, x):
-        """q_x = n_x - 1 (diagonal, eigenvalues -1, 0, 0, +1 per site)."""
-        return self.n_site(x) - np.eye(self.fermion_dim)
-
-    def spin_z(self, x):
-        """s_x = n_{x up} - n_{x down} (diagonal)."""
-        return self.n_spin(x, "up") - self.n_spin(x, "down")
+        """c*_{x sigma}: the transpose of the real :meth:`c`."""
+        return self.c(x, spin).T
 
     def fermion_parity(self, sites=None):
-        """(-1)^(N over sites) as a diagonal matrix on the fermion factor."""
+        """The diagonal of (-1)^(N over sites) on the fermion factor, as a 1-d vector."""
         sites = self.sites if sites is None else sites
-        diag = np.ones(self.fermion_dim)
-        for x in sites:
-            for spin in ("up", "down"):
-                m = self.mode_index(x, spin)
-                occ = (np.arange(self.fermion_dim) >> (self.n_modes - 1 - m)) & 1
-                diag = diag * np.where(occ, -1.0, 1.0)
-        return np.diag(diag.astype(complex))
+        occ = self.mode_tables()[0]
+        modes = [self.mode_index(x, spin) for x in sites for spin in ("up", "down")]
+        return 1.0 - 2.0 * (occ[modes].sum(axis=0) % 2)
 
     def fermion_vacuum(self):
         v = np.zeros(self.fermion_dim, dtype=complex)
@@ -238,7 +213,7 @@ class HilbertBasis:
         position = (b* + b)/sqrt(2 omega), momentum = i sqrt(omega/2)(b* - b);
         both Hermitian, require ``omega``.
         """
-        s = self.site_index[tuple(x)]
+        s = self._site_slot(x)
         key = (kind, s, omega)
         if key in self._boson_cache:
             return self._boson_cache[key]

@@ -11,19 +11,17 @@ diagonal vectors.  One assembly, ``_sparse_sum``, sums the entries into a
 CSR array, so no full-space Kronecker product, no dense fermion_dim x
 fermion_dim product and no dense full-space matrix is formed.
 ``build_original_csr``, ``build_doubleprime_csr`` and ``hamiltonian_set``
-return CSR arrays; the dense ``build_*`` densify the same sums, as
-small-size oracles:
+return CSR arrays (``build_doubleprime`` densifies H''):
 
-* ``build_original``     H  = T + P + I + K: hopping, on-site U and
-  nearest-neighbor V charge repulsion, linear electron-phonon coupling g,
-  dispersionless phonons omega.
-* ``build_transformed``  H' = T' + P' + K: hopping dressed with phonon
-  phase factors exp(-i alpha (phi_x - phi_y)), alpha = sqrt(2) omega^-3/2 g,
-  and U replaced by u_eff = U - 2 g^2 / omega.
-* ``build_doubleprime``  H'' = T'' + P'' + K: the zigzag image of H', with
-  hopping turned into same-spin pairing on even-site bonds and the V term
-  sign-flipped.  ``build_field_hamiltonian`` adds the external field h that
-  the Gaussian-domination argument differentiates through:
+* H  = T + P + I + K: hopping, on-site U and nearest-neighbor V charge
+  repulsion, linear electron-phonon coupling g, dispersionless phonons omega.
+* H' = T' + P' + K: hopping dressed with phonon phase factors
+  exp(-i alpha (phi_x - phi_y)), alpha = sqrt(2) omega^-3/2 g, and U
+  replaced by u_eff = U - 2 g^2 / omega.
+* H'' = T'' + P'' + K: the zigzag image of H', with hopping turned into
+  same-spin pairing on even-site bonds and the V term sign-flipped.
+  ``field_diagonal_correction`` gives the external field h that the
+  Gaussian-domination argument differentiates through:
   P''(h) = (u_eff - nu V) sum_x q_x^2 + (V/2) sum_bonds (q_x - h_x - q_y + h_y)^2,
   so H''(0) = H'' entrywise and h enters only through differences.
 
@@ -54,12 +52,9 @@ from .hilbert import Monomial, adjoint, hermiticity_residual
 __all__ = [
     "ModelParams",
     "HamiltonianSet",
-    "build_original",
     "build_original_csr",
-    "build_transformed",
     "build_doubleprime",
     "build_doubleprime_csr",
-    "build_field_hamiltonian",
     "field_diagonal_correction",
     "hamiltonian_set",
     "lang_firsov",
@@ -165,19 +160,6 @@ def _pairing_instances(lat):
     """(x, y, j, eps) for every even site x and partner y = x + eps delta_j."""
     return [(x, lat.shift(x, j, eps), j, eps)
             for x in lat.even_sites for j in range(1, lat.nu + 1) for eps in (+1, -1)]
-
-
-def _annihilator_csr(basis, x, spin):
-    """c_{x spin} on the fermion factor as a CSR signed partial permutation,
-    equal to the dense :meth:`HilbertBasis.c`: each state j with n_m = 1 goes
-    to j ^ bit_m with the Jordan-Wigner sign strings[m, j], the bits that
-    :func:`_fermion_pair` reads.  For full-space callers, where the dense c
-    would be fermion_dim^2 entries (64 GiB at nu = 3)."""
-    m = basis.mode_index(x, spin)
-    occ, strings = basis.mode_tables()
-    cols = np.flatnonzero(occ[m])
-    rows = cols ^ (1 << (basis.n_modes - 1 - m))
-    return sparse.csr_array((strings[m, cols], (rows, cols)), shape=(basis.fermion_dim,) * 2)
 
 
 def _fermion_pair(basis, a, b, pairing):
@@ -342,11 +324,6 @@ def build_original_csr(params, basis):
     return _original(params, basis, charge_diagonals(basis))
 
 
-def build_original(params, basis):
-    """H of :func:`build_original_csr` as a dense matrix (a small-size oracle)."""
-    return build_original_csr(params, basis).toarray()
-
-
 def _dressed(params, basis, pairing):
     """The entries of -t sum (bond term (x) phase + h.c.), term by term, then
     the diagonal u_eff sum q^2 + v sum q q + K: H' with the hopping terms and
@@ -357,16 +334,6 @@ def _dressed(params, basis, pairing):
     p = _charge_products(charge_diagonals(basis), _onsite_terms(lat, params.u_eff)
                          + _bond_terms(lat, -params.V if pairing else params.V))
     yield _diagonal(basis, p, _phonon_energy(basis, params.omega))
-
-
-def build_transformed(params, basis):
-    """H' = T' + P' + K from its defining formula (not by conjugation), as a
-    dense matrix (a small-size oracle).
-
-    T' is summed from the Kronecker factors of its phase-dressed hopping
-    terms; P' and K are diagonal and added as vectors.
-    """
-    return _sparse_sum(basis, _dressed(params, basis, False)).toarray()
 
 
 def build_doubleprime_csr(params, basis):
@@ -385,33 +352,23 @@ def build_doubleprime(params, basis):
 
 
 def pairing_bond_terms(params, basis):
-    """The pairing terms of T'': one matrix per (even site, direction, eps).
+    """The pairing terms of T'': yields one (instance, term) pair per even
+    site x, direction j and eps, with instance (x, y, j, eps) and
+    y = x + eps delta_j.
 
-    Each entry is -t (c*_{x s} c*_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.)
-    summed over spin, with y = x + eps delta_j, as a scipy.sparse CSR array.
-    Their sum is T''.  For L = 1 the eps = +/- terms coincide pairwise
-    (doubled wrap bonds, intended).
+    Each term is -t sum_s (c*_{x s} c*_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.),
+    a scipy.sparse CSR array built as it is consumed.  Their sum is T''.
+    For L = 1 the eps = +/- terms coincide pairwise (doubled wrap bonds,
+    intended).
     """
-    return list(_pairing_bond_terms(params, basis))
-
-
-def _pairing_bond_terms(params, basis):
-    """The (instance, term) pairs of :func:`pairing_bond_terms`, each term
-    built as it is consumed."""
     lat = _require_lattice(basis)
     for inst, fermions, boson in _bond_factors(basis, _pairing_instances(lat), True, params):
         yield inst, _sparse_sum(basis, _bond_entries(basis, -params.t, fermions, boson))
 
 
-def _mode_occupations(basis):
-    """Occupation of every mode on the fermion factor, shape (n_modes, fermion_dim),
-    cached on the basis and read-only (:meth:`HilbertBasis.mode_tables`)."""
-    return basis.mode_tables()[0]
-
-
 def _occupations(basis, spin):
     """Diagonal of every n_{x spin} on the fermion factor, shape (n_sites, fermion_dim)."""
-    return _mode_occupations(basis)[[basis.mode_index(x, spin) for x in basis.sites]]
+    return basis.mode_tables()[0][[basis.mode_index(x, spin) for x in basis.sites]]
 
 
 def charge_diagonals(basis):
@@ -441,15 +398,6 @@ def field_diagonal_correction(params, basis, h):
         diag += -params.V * (q[b.i] - q[b.j]) * dh
         const += 0.5 * params.V * dh * dh
     return diag + const
-
-
-def build_field_hamiltonian(params, basis, h):
-    """H''(h) = T'' + P''(h) + K; equals H'' entrywise at h = 0."""
-    h = np.asarray(h, dtype=float)
-    H = build_doubleprime(params, basis)
-    H[np.diag_indices_from(H)] += np.repeat(field_diagonal_correction(params, basis, h),
-                                            basis.boson_dim)
-    return H
 
 
 def hamiltonian_set(params, basis):
@@ -518,7 +466,7 @@ def _mode_flip(basis, x, spin):
     other mode Y (a same-spin string would add a global sign per factor).
     """
     m = basis.mode_index(x, spin)
-    occ = _mode_occupations(basis)
+    occ = basis.mode_tables()[0]
     jw, string = occ[:m].sum(axis=0), occ.sum(axis=0) - occ[m]
     return Monomial(np.arange(basis.fermion_dim) ^ (1 << (basis.n_modes - 1 - m)),
                     _parity_sign(jw + string))
@@ -546,7 +494,7 @@ def zigzag_spin_operators(basis):
     returned as a scipy.sparse CSR array with entries +-1.  2 S'z is an integer
     vector, and S'+ raises it by 2.
     """
-    occ = _mode_occupations(basis)
+    occ = basis.mode_tables()[0]
     site, f = np.nonzero((occ[0::2] == 0) & (occ[1::2] == 1))
     bit = 1 << (basis.n_modes - 1 - np.arange(basis.n_modes))
     raised = f + bit[2 * site] - bit[2 * site + 1]
@@ -569,7 +517,7 @@ def fermion_mode_permutation(basis, perm):
     """
     M = basis.n_modes
     p = np.array([perm[m] for m in range(M)])
-    occ = _mode_occupations(basis)
+    occ = basis.mode_tables()[0]
     crossed = np.triu(p[:, None] > p[None, :], 1).astype(int)  # a < b with perm[a] > perm[b]
     inversions = np.sum(occ * (crossed @ occ), axis=0)
     return Monomial(np.sum(occ << (M - 1 - p)[:, None], axis=0), _parity_sign(inversions))
@@ -625,12 +573,17 @@ def build_a_operators(basis):
     """Left-half annihilators a_{x s} = c_{x s} (-1)^{N_L}, fermion factor.
 
     N_L counts fermions on sites with x_1 < 0 (for a half-space basis that
-    is every site).  Returns {(site, spin): matrix}; the a's satisfy the
+    is every site).  Returns {(site, spin): CSR array}; the a's satisfy the
     canonical anticommutation relations exactly.
     """
     left = [x for x in basis.sites if x[0] < 0]
     par = basis.fermion_parity(left)
-    return {(x, s): basis.c(x, s) @ par for x in left for s in ("up", "down")}
+    out = {}
+    for x in left:
+        for s in ("up", "down"):
+            a = out[(x, s)] = basis.c(x, s)
+            a.data *= par[a.indices]  # c diag(par): column j times par[j]
+    return out
 
 
 # -- Lang-Firsov constant diagnostics ----------------------------------------------
@@ -654,7 +607,7 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     x = basis.sites[0]
 
     b_full = basis.embed_boson(basis.boson(x, "annihilate"))
-    q_full = basis.embed_fermion(basis.charge(x))
+    q_full = basis.embed_fermion(np.diag(charge_diagonals(basis)[0]))
     target = U @ b_full @ Ui
 
     # fit away from the truncation boundary: the top phonon rungs carry O(1)
@@ -675,8 +628,8 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     resid = (target - zeta * b_full + d * q_full)[window]
     disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target[window]), 1e-300))
 
-    c_full = basis.embed_fermion(basis.c(x, "up"))
-    cd_full = basis.embed_fermion(basis.cdag(x, "up"))
+    c_full = basis.embed_fermion(basis.c(x, "up").toarray())
+    cd_full = basis.embed_fermion(basis.cdag(x, "up").toarray())
     conj_c = U @ c_full @ Ui
     phase_op = conj_c @ cd_full + cd_full @ conj_c
     # phi_x acts on the boson factor only: eigendecompose it there once, so

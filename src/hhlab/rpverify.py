@@ -210,8 +210,9 @@ def build_theta(basis_or_split):
     lat = split.basis.lattice
     bl, br = split.basis_L, split.basis_R
 
-    a_ops = _model.build_a_operators(bl)
-    adags = {k: m.conj().T for k, m in a_ops.items()}
+    # the half-space factors, densified once: one small product per state and mode
+    adags = {k: m.T.toarray() for k, m in _model.build_a_operators(bl).items()}
+    cdags = [br.cdag(x, spin).toarray() for x, spin in br.modes]
 
     W_xi = np.zeros((br.fermion_dim, bl.fermion_dim), dtype=complex)
     for i in range(br.fermion_dim):
@@ -220,7 +221,7 @@ def build_theta(basis_or_split):
         f_vec = bl.fermion_vacuum()
         for m in reversed(ms):
             x, spin = br.modes[m]
-            e_vec = br.cdag(x, spin) @ e_vec
+            e_vec = cdags[m] @ e_vec
             f_vec = adags[(lat.reflect(x), spin)] @ f_vec
         W_xi += np.outer(e_vec, f_vec)
 
@@ -261,8 +262,8 @@ def theta_relations_check(params, basis, tol=1e-10, seed=0):
 
     for x in br.sites:
         for spin in ("up", "down"):
-            a_full = np.kron(a_ops[(lat.reflect(x), spin)], np.eye(bl.boson_dim))
-            c_full = np.kron(br.c(x, spin), np.eye(br.boson_dim))
+            a_full = np.kron(a_ops[(lat.reflect(x), spin)].toarray(), np.eye(bl.boson_dim))
+            c_full = np.kron(br.c(x, spin).toarray(), np.eye(br.boson_dim))
             out.append(_matrix_eq(
                 "theta_fermion", f"theta a_(r{x},{spin}) theta^-1 = c_({x},{spin})",
                 theta.conjugate(a_full), c_full, tol))
@@ -350,14 +351,17 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
 
     # identification of elementary operators under the factorization
     x_l, x_r = lat.left_sites[0], lat.right_sites[0]
+
+    def c_up(b, x):
+        return _sparse_kron(b.c(x, "up"), sparse.eye_array(b.boson_dim))
+
     for x, side in ((x_l, "L"), (x_r, "R")):
-        c_full = split.to_lr(_sparse_kron(_model._annihilator_csr(basis, x, "up"),
-                                          sparse.eye_array(basis.boson_dim)))
+        c_full = split.to_lr(c_up(basis, x))
         if side == "L":
-            expected = split.kron_l(np.kron(bl.c(x, "up"), np.eye(bl.boson_dim)))
+            expected = split.kron_l(c_up(bl, x))
         else:
-            par = np.kron(bl.fermion_parity(), np.eye(bl.boson_dim))
-            expected = _sparse_kron(par, np.kron(br.c(x, "up"), np.eye(br.boson_dim)))
+            par = sparse.diags_array(np.repeat(bl.fermion_parity(), bl.boson_dim))
+            expected = _sparse_kron(par, c_up(br, x))
         out.append(_matrix_eq("lr_fermion_embed", f"c_({x},up) factorizes ({side})",
                               c_full, expected, tol))
     pi_full = split.to_lr(_sparse_kron(sparse.eye_array(basis.fermion_dim),
@@ -396,7 +400,7 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
         phi_l = bl.boson(ell, "position", omega=params.omega)
         phase = _model.expm_i_hermitian(sgn_alpha * params.alpha * phi_l)
         for spin in ("up", "down"):
-            C = np.kron(a_ops[(ell, spin)].conj().T, np.eye(bl.boson_dim))
+            C = np.kron(a_ops[(ell, spin)].T.toarray(), np.eye(bl.boson_dim))
             C = C @ np.kron(np.eye(bl.fermion_dim), phase)
             block = _sparse_kron(C, theta.conjugate(C))
             crossing = crossing + coeff * (block + block.conj().T)

@@ -442,7 +442,7 @@ def _highest_weight_vectors(basis, raising, twice_m):
     and ``vectors`` (g, n, k) an orthonormal real basis of the kernel on
     each, of one dimension k.
     """
-    occ = _model._mode_occupations(basis)
+    occ = basis.mode_tables()[0]
     pattern = ((occ[0::2] + occ[1::2]) * 3 ** np.arange(basis.n_sites)[:, None]).sum(axis=0)
     states = np.flatnonzero(twice_m >= 0)
     group_of = np.full(basis.fermion_dim, -1)
@@ -807,5 +807,5 @@ def pairing_bond_expectations(params, basis, spec):
     once per spectral data makes the g/b/c evaluation O(1) per field h.
     """
     return [(key, spec.expectation(term))
-            for key, term in _model._pairing_bond_terms(params, basis)]
+            for key, term in _model.pairing_bond_terms(params, basis)]
 

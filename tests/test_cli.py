@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import oracles
 from hhlab import build_basis, build_lattice, cli, model, thermo
 from hhlab.cli import CONFIG_DEFAULTS, main
 
@@ -67,7 +68,7 @@ def test_matrix_dump_layout(tmp_path):
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
     params = model.ModelParams(**{k: CONFIG_DEFAULTS[k] for k in ("t", "U", "V", "g", "omega", "beta")},
                                n_max=0)
-    assert np.array_equal(H, model.build_original(params, build_basis(build_lattice(1, 1), 0)))
+    assert np.array_equal(H, oracles.build_original(params, build_basis(build_lattice(1, 1), 0)))
 
 
 def test_dump_strips_give_dense_layout(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import oracles
 from hhlab.hilbert import HilbertBasis, Monomial, adjoint, build_basis, hermiticity_residual
 from hhlab.lattice import Lattice, build_lattice
-from hhlab.model import build_a_operators
+from hhlab.model import build_a_operators, charge_diagonals
 
 
 def commutator(a, b):
@@ -54,28 +56,31 @@ def test_unknown_mode_rejected():
         basis.c((7,), "up")
     with pytest.raises(ValueError):
         basis.c((0,), "sideways")
+    with pytest.raises(ValueError, match="unknown site"):
+        basis.boson((7,), "annihilate")
 
 
 def test_car_single_mode():
     basis = HilbertBasis(Lattice.single_site().sites, 0)
-    c = basis.c((0,), "up")
+    c = basis.c((0,), "up").toarray()
     assert np.allclose(anticommutator(c, adjoint(c)), np.eye(4))
     assert np.allclose(c @ basis.fermion_vacuum(), 0.0)
 
 
 def test_car_all_modes():
     basis = build_basis(build_lattice(1, 1), 0)
+    c = {X: basis.c(*X).toarray() for X in basis.modes}
     for X in basis.modes:
         for Y in basis.modes:
-            ac = anticommutator(basis.c(*X), adjoint(basis.c(*Y)))
+            ac = anticommutator(c[X], adjoint(c[Y]))
             expected = np.eye(basis.fermion_dim) if X == Y else 0.0
             assert np.allclose(ac, expected), (X, Y)
-            assert np.allclose(anticommutator(basis.c(*X), basis.c(*Y)), 0.0)
+            assert np.allclose(anticommutator(c[X], c[Y]), 0.0)
 
 
 def test_a_operators_satisfy_car():
     basis = build_basis(build_lattice(1, 1), 0)
-    a = build_a_operators(basis)
+    a = {k: m.toarray() for k, m in build_a_operators(basis).items()}
     keys = list(a)
     for X in keys:
         for Y in keys:
@@ -83,6 +88,51 @@ def test_a_operators_satisfy_car():
             expected = np.eye(basis.fermion_dim) if X == Y else 0.0
             assert np.allclose(ac, expected), (X, Y)
             assert np.allclose(anticommutator(a[X], a[Y]), 0.0)
+
+
+# the bases whose fermion factor the annihilator property test draws from
+SMALL_BASES = {
+    "single_site": lambda: HilbertBasis(Lattice.single_site().sites, 0),
+    "ring": lambda: build_basis(build_lattice(1, 1), 0),
+    "2x2_left": lambda: HilbertBasis(build_lattice(2, 1).left_sites, 0),
+    "2x2_right": lambda: HilbertBasis(build_lattice(2, 1).right_sites, 0),
+}
+
+
+def _is_zero(a):
+    return sparse.csr_array(a).count_nonzero() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL_BASES)), st.data())
+def test_csr_annihilators_equal_the_kron_chain_and_satisfy_car(name, data):
+    """c and c* are CSR arrays equal, entry for entry, to the dense
+    Kronecker-chain oracle, and {c_X, c*_Y} = delta_XY, {c_X, c_Y} = 0 hold
+    as sparse products."""
+    basis = SMALL_BASES[name]()
+    modes = st.sampled_from(basis.modes)
+    X, Y = data.draw(modes), data.draw(modes)
+    cX, cY, cdY = basis.c(*X), basis.c(*Y), basis.cdag(*Y)
+    assert isinstance(cX, sparse.csr_array) and cX.nnz == basis.fermion_dim // 2
+    assert np.array_equal(cX.toarray(), oracles.c(basis, *X))
+    assert np.array_equal(cdY.toarray(), oracles.cdag(basis, *Y))
+    mixed = cX @ cdY + cdY @ cX
+    assert _is_zero(mixed - sparse.eye_array(basis.fermion_dim) if X == Y else mixed)
+    assert _is_zero(cX @ cY + cY @ cX)
+    assert np.array_equal(np.diag(oracles.n_spin(basis, *X)), (cX.T @ cX).diagonal())
+
+
+def test_fermion_parity_is_the_diagonal_of_the_kron_chain():
+    basis = build_basis(build_lattice(1, 1), 0)
+    for sites in ([], basis.sites[:1], basis.sites):
+        dense = np.eye(basis.fermion_dim)
+        for x in sites:
+            for spin in ("up", "down"):
+                dense = dense @ (np.eye(basis.fermion_dim) - 2 * oracles.n_spin(basis, x, spin))
+        parity = basis.fermion_parity(sites)
+        assert parity.shape == (basis.fermion_dim,)
+        assert np.array_equal(np.diag(dense), parity)
+        assert np.array_equal(dense, np.diag(parity))
 
 
 def test_ladder_matrix_n_max_one():
@@ -123,17 +173,18 @@ def test_ccr_between_sites():
 
 def test_charge_and_numbers_diagonal():
     basis = build_basis(build_lattice(1, 1), 0)
-    for x in basis.sites:
-        q = basis.charge(x)
+    for x, diag in zip(basis.sites, charge_diagonals(basis)):
+        q = oracles.charge(basis, x)
         assert np.allclose(q, np.diag(np.diag(q)))
         vals = np.unique(np.real(np.diag(q)))
         assert set(np.round(vals).astype(int)) == {-1, 0, 1}
+        assert np.array_equal(np.diag(q), diag)
 
 
 def test_charges_commute():
     basis = build_basis(build_lattice(1, 1), 0)
-    q0 = basis.charge((-1,))
-    q1 = basis.charge((0,))
+    q0 = oracles.charge(basis, (-1,))
+    q1 = oracles.charge(basis, (0,))
     assert np.allclose(commutator(q0, q1), 0.0)
 
 
@@ -175,7 +226,7 @@ def test_sparse_hermiticity_residual_matches_the_dense_one(pattern):
 
 def test_embeddings_commute_between_factors():
     basis = build_basis(build_lattice(1, 1), 1)
-    f = basis.embed_fermion(basis.charge((0,)))
+    f = basis.embed_fermion(oracles.charge(basis, (0,)))
     b = basis.embed_boson(basis.boson((0,), "annihilate"))
     assert np.allclose(commutator(f, b), 0.0)
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import oracles
 from hhlab import model, rpverify, thermo
-from hhlab.hilbert import HilbertBasis, build_basis
+from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
 
@@ -141,12 +142,12 @@ def dense_lr_split(params, basis, h, tol=1e-10):
     pairs = []
     x_l, x_r = lat.left_sites[0], lat.right_sites[0]
     for x, side in ((x_l, "L"), (x_r, "R")):
-        c_full = to_lr(basis.embed_fermion(basis.c(x, "up")))
+        c_full = to_lr(basis.embed_fermion(oracles.c(basis, x, "up")))
         if side == "L":
-            expected = kron_l(np.kron(bl.c(x, "up"), np.eye(bl.boson_dim)))
+            expected = kron_l(np.kron(oracles.c(bl, x, "up"), np.eye(bl.boson_dim)))
         else:
-            par = np.kron(bl.fermion_parity(), np.eye(bl.boson_dim))
-            expected = np.kron(par, np.kron(br.c(x, "up"), np.eye(br.boson_dim)))
+            par = np.kron(np.diag(bl.fermion_parity()), np.eye(bl.boson_dim))
+            expected = np.kron(par, np.kron(oracles.c(br, x, "up"), np.eye(br.boson_dim)))
         pairs.append(("lr_fermion_embed", c_full, expected))
     pi = basis.boson(x_l, "momentum", omega=params.omega)
     pairs.append(("lr_boson_embed", to_lr(basis.embed_boson(pi)),
@@ -168,7 +169,7 @@ def dense_lr_split(params, basis, h, tol=1e-10):
             phase = model.expm_i_hermitian(-params.alpha * (b.boson(x, "position", omega=params.omega)
                                                             - b.boson(y, "position", omega=params.omega)))
             for spin in ("up", "down"):
-                pair = np.kron(b.cdag(x, spin) @ b.cdag(y, spin), phase)
+                pair = np.kron(oracles.cdag(b, x, spin) @ oracles.cdag(b, y, spin), phase)
                 out += -params.t * (pair + pair.conj().T)
         return out
 
@@ -184,7 +185,7 @@ def dense_lr_split(params, basis, h, tol=1e-10):
         phase = model.expm_i_hermitian(
             sgn_alpha * params.alpha * bl.boson(ell, "position", omega=params.omega))
         for spin in ("up", "down"):
-            C = np.kron(a_ops[(ell, spin)].conj().T, np.eye(bl.boson_dim))
+            C = np.kron(a_ops[(ell, spin)].toarray().conj().T, np.eye(bl.boson_dim))
             C = C @ np.kron(np.eye(bl.fermion_dim), phase)
             block = np.kron(C, theta.conjugate(C))
             cross += coeff * (block + block.conj().T)
@@ -239,25 +240,7 @@ def test_full_space_annihilator_equals_the_dense_one():
     basis = build_basis(build_lattice(2, 1), 0)
     for x in basis.sites:
         for spin in ("up", "down"):
-            assert np.array_equal(model._annihilator_csr(basis, x, spin).toarray(),
-                                  basis.c(x, spin))
-
-
-def test_lr_split_forms_no_dense_full_space_annihilator(monkeypatch):
-    # the dense c of the full basis is fermion_dim^2 entries: 64 GiB at nu = 3
-    params = small_params(n_max=0)
-    basis = build_basis(build_lattice(2, 1), 0)
-    h = np.random.default_rng(5).standard_normal(4)
-    want = [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)]
-    dense_c = HilbertBasis.c
-
-    def c(self, x, spin):
-        if self is basis:
-            raise AssertionError("dense annihilator of the full basis")
-        return dense_c(self, x, spin)
-
-    monkeypatch.setattr(HilbertBasis, "c", c)
-    assert [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)] == want
+            assert np.array_equal(basis.c(x, spin).toarray(), oracles.c(basis, x, spin))
 
 
 def assert_lr_split_matches_dense_oracle(params, basis, h):
@@ -570,13 +553,13 @@ def field_state():
 def test_field_partition_matches_dense_logz(field_state):
     lat, params, basis, ens = field_state
     h = np.array([0.3, -1.1])
-    Hh = model.build_field_hamiltonian(params, basis, h)
+    Hh = oracles.build_field_hamiltonian(params, basis, h)
     dense = thermo.spectral(Hh, params.beta).logZ
     assert np.isclose(ens.log_partition(h), dense, rtol=0, atol=1e-10)
 
 
 def _dense_log_partition(params, basis, h):
-    return thermo.spectral(model.build_field_hamiltonian(params, basis, h), params.beta).logZ
+    return thermo.spectral(oracles.build_field_hamiltonian(params, basis, h), params.beta).logZ
 
 
 def _assert_rel_close(got, want, rtol=1e-12):
@@ -739,7 +722,7 @@ def test_field_partition_sector_sizes_match_counting_formula_2x2():
     basis = build_basis(build_lattice(2, 1), params.n_max)
     ens = rpverify.FieldPartition(params, basis)
     parity = np.array([basis.lattice.staggered_sign(x) for x in basis.sites])
-    occ = model._mode_occupations(basis)
+    occ = basis.mode_tables()[0]
     d_up, d_down = parity @ occ[0::2], parity @ occ[1::2]
     _, twice_m = model.zigzag_spin_operators(basis)
     assert np.array_equal(twice_m, d_up - d_down)
@@ -997,28 +980,26 @@ def test_q2_chain_out_of_regime():
 # -- no dense fermion factor on the full space -------------------------------------------
 
 
-def _refuse_dense_fermions(monkeypatch, basis):
-    def refuse(*args):
-        raise AssertionError("dense fermion operator on the full space")
-
-    monkeypatch.setattr(basis, "c", refuse, raising=False)
-    monkeypatch.setattr(basis, "cdag", refuse, raising=False)
-
-
-def test_full_space_builders_form_no_dense_fermion_operator_2x2(monkeypatch):
-    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=1)
-    basis = build_basis(build_lattice(2, 1), params.n_max)
-    _refuse_dense_fermions(monkeypatch, basis)
-    with pytest.raises(AssertionError, match="dense fermion"):
-        basis.c(basis.sites[0], "up")
-    for build in (model.build_original, model.build_transformed, model.build_doubleprime):
-        assert build(params, basis).shape == (basis.total_dim,) * 2
-    assert len(model.pairing_bond_terms(params, basis)) == 8
-    ens = rpverify.FieldPartition(params, basis)   # its half-space theta stays dense
-    assert np.isfinite(ens.log_partition(np.zeros(basis.n_sites)))
+def test_annihilators_at_nu3_stay_sparse_and_small():
+    """At nu = 3, n_max = 0 (dim 65536) a dense complex c would take
+    65536^2 * 16 B = 64 GiB.  Read off the cached mode tables, c and c* are
+    sparse with 32768 entries each; their traced peak measured 1.75 MiB, and
+    the bound here is 4 MiB."""
+    basis = build_basis(build_lattice(3, 1), 0, cap=65536)
+    basis.mode_tables()
+    for x, spin in (basis.modes[0], basis.modes[-1]):
+        for op in (basis.c, basis.cdag):
+            tracemalloc.start()
+            try:
+                a = op(x, spin)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sparse.issparse(a) and a.nnz == basis.fermion_dim // 2
+            assert peak < 4 * 2 ** 20, peak
 
 
-@pytest.mark.parametrize("build", [lambda p, b: model.pairing_bond_terms(p, b)],
+@pytest.mark.parametrize("build", [lambda p, b: list(model.pairing_bond_terms(p, b))],
                          ids=["pairing_bond_terms"])
 def test_six_site_ring_terms_stay_small(build):
     """On the 6-site ring (dim 4096) one dense complex fermion factor would be

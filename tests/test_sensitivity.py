@@ -84,3 +84,30 @@ def test_dropped_field_constant_breaks_gaussian_domination(monkeypatch, nu, n_ma
 
     monkeypatch.setattr(model, "field_diagonal_correction", without_constant)
     assert passed() == 0
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
+def test_negated_a_operators_break_only_the_crossing_split(monkeypatch, nu, n_max):
+    """The crossing pairing terms of T'' factor as -t (C (x) theta C theta^-1 + h.c.),
+    C = exp(i alpha phi_l) a*_{l s}.  With every a -> -a the left factor C
+    changes sign.  theta is built from the same a's, so its fermion part is
+    re-signed by the left fermion parity; a anticommutes with that parity,
+    so theta (-a) theta^-1 = c still holds, and theta C theta^-1 does not
+    change.  So lr_T_cross fails against the crossing terms read off the
+    mode tables, while every theta_* record still passes: the relations that
+    define theta cannot see a global sign of the a's they are built from."""
+    d = cli.CONFIG_DEFAULTS
+    params = model.ModelParams(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"],
+                               beta=d["beta"], n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+
+    def failed():
+        records = (rpverify.theta_relations_check(params, basis)
+                   + rpverify.verify_lr_split(params, basis))
+        return {res.name for res in records if not res.passed}
+
+    assert failed() == set()
+    build = model.build_a_operators
+    monkeypatch.setattr(model, "build_a_operators",
+                        lambda basis: {k: -a for k, a in build(basis).items()})
+    assert failed() == {"lr_T_cross"}
