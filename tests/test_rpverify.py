@@ -7,7 +7,7 @@ from scipy import sparse
 
 import oracles
 from hhlab import model, rpverify, thermo
-from hhlab.hilbert import build_basis
+from hhlab.hilbert import HilbertBasis, build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
 
@@ -241,6 +241,27 @@ def test_full_space_annihilator_equals_the_dense_one():
     for x in basis.sites:
         for spin in ("up", "down"):
             assert np.array_equal(basis.c(x, spin).toarray(), oracles.c(basis, x, spin))
+
+
+def test_lr_split_forms_no_dense_full_space_annihilator(monkeypatch):
+    # a dense c of the full basis is fermion_dim^2 entries: 64 GiB at nu = 3
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    h = np.random.default_rng(5).standard_normal(4)
+    want = [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)]
+    sparse_c = HilbertBasis.c
+    full_space_calls = []
+
+    def c(self, x, spin):
+        a = sparse_c(self, x, spin)
+        if self is basis:
+            assert sparse.issparse(a), "dense annihilator of the full basis"
+            full_space_calls.append((x, spin))
+        return a
+
+    monkeypatch.setattr(HilbertBasis, "c", c)
+    assert [r.to_record() for r in rpverify.verify_lr_split(params, basis, h)] == want
+    assert full_space_calls
 
 
 def assert_lr_split_matches_dense_oracle(params, basis, h):
@@ -997,6 +1018,30 @@ def test_annihilators_at_nu3_stay_sparse_and_small():
                 tracemalloc.stop()
             assert sparse.issparse(a) and a.nnz == basis.fermion_dim // 2
             assert peak < 4 * 2 ** 20, peak
+
+
+def _refuse_fermion_operators(monkeypatch, basis):
+    def refuse(*args):
+        raise AssertionError("fermion operator on the full space")
+
+    monkeypatch.setattr(basis, "c", refuse, raising=False)
+    monkeypatch.setattr(basis, "cdag", refuse, raising=False)
+
+
+def test_full_space_builders_form_no_dense_fermion_operator_2x2(monkeypatch):
+    """H, H' and H'' and the pairing terms are built from the mode tables by
+    bit arithmetic, so they ask the full basis for no c or c* at all."""
+    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    _refuse_fermion_operators(monkeypatch, basis)
+    with pytest.raises(AssertionError, match="fermion operator"):
+        basis.c(basis.sites[0], "up")
+    hs = model.hamiltonian_set(params, basis)
+    for m in (hs.H, hs.H1, hs.H2, model.build_doubleprime(params, basis)):
+        assert m.shape == (basis.total_dim,) * 2
+    assert len(list(model.pairing_bond_terms(params, basis))) == 8
+    ens = rpverify.FieldPartition(params, basis)   # its half-space theta stays dense
+    assert np.isfinite(ens.log_partition(np.zeros(basis.n_sites)))
 
 
 @pytest.mark.parametrize("build", [lambda p, b: list(model.pairing_bond_terms(p, b))],
