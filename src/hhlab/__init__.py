@@ -8,6 +8,8 @@ Modules:
   and ``Monomial``, the signed permutations that hold the exact unitaries.
 * ``model``    -- the Hamiltonian, its phase-dressed and zigzag images, the
   external-field family, and the explicit unitary transformations.
+* ``sectors``  -- the split of a Hamiltonian into connected components and
+  their real gauge, and the spin-SU(2) and reflection sectors of H''.
 * ``thermo``   -- spectral data, thermal expectations, the infrared
   quadratic forms, charge correlations.
 * ``rpverify`` -- the antiunitary reflection, left/right factorization,

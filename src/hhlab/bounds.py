@@ -111,8 +111,9 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
     extrapolated with an empirically estimated leading order (the
     singularity makes the error O(1/n), not spectral).  Returns
     (value, error_estimate); raises ValueError for nu <= 2, where the
-    integral diverges, and for a rel_tol that is not finite and > 0.  Each
-    grid is summed on its (n/2)^nu positive-orthant half, at most
+    integral diverges, for a rel_tol that is not finite and > 0, and for a
+    grid_n that is not a positive even integer, before any grid is summed.
+    Each grid is summed on its (n/2)^nu positive-orthant half, at most
     _SLAB_POINTS points at a time, so memory grows only with the number of
     slabs (one float each), not with the points.
     The default grid shrinks with nu so that the finest half grid has
@@ -129,6 +130,8 @@ def torus_integral(nu, grid_n=None, refinements=4, rel_tol=1e-4):
         raise ValueError("need at least 3 refinements to extrapolate")
     if grid_n is None:
         grid_n = max(4, 2 ** (7 - nu))
+    if not (isinstance(grid_n, (int, np.integer)) and grid_n > 0 and grid_n % 2 == 0):
+        raise ValueError(f"grid_n must be a positive even integer, got {grid_n!r}")
     ns = [grid_n * 2 ** k for k in range(refinements)]
     half_points = (ns[-1] // 2) ** nu
     if half_points > _MAX_HALF_GRID_POINTS:

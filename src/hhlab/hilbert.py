@@ -30,9 +30,10 @@ and the dense full-space embeddings are for small-size diagnostics only.  A
 hard dimension cap keeps sizes at desk scale.  The exact unitaries of
 hhlab.model are signed permutations, held as a :class:`Monomial` and
 applied by re-indexing, to a CSR array or to a diagonal given as a 1-d
-vector (a dense matrix is refused); only the truly dense Lang-Firsov
-unitary and theta (whose checks also take dense random unitaries) stay
-dense matrices.
+vector (a dense matrix is refused).  The reflection theta of hhlab.rpverify
+is one too, read off the mode tables of the half spaces, and densified only
+for its antiunitary map, whose checks also take dense random unitaries;
+the truly dense Lang-Firsov unitary stays a dense matrix.
 """
 
 from __future__ import annotations

@@ -381,15 +381,24 @@ def spin_diagonals(basis):
     return (_occupations(basis, "up") - _occupations(basis, "down")).astype(float)
 
 
+def _site_field(h, n_sites):
+    """h as a float vector, refused with ValueError unless its shape is (n_sites,)."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (n_sites,):
+        raise ValueError(f"h must have shape (n_sites,) = ({n_sites},), got {h.shape}")
+    return h
+
+
 def field_diagonal_correction(params, basis, h):
     """Diagonal vector d(h) on the fermion factor with H''(h) = H'' + d(h).
 
     Expanding P''(h) - P''(0) = -V sum_bonds (q_x - q_y)(h_x - h_y)
     + (V/2) sum_bonds (h_x - h_y)^2; both pieces are diagonal in the
-    occupancy basis because the q_x are.
+    occupancy basis because the q_x are.  An h whose shape is not
+    (n_sites,) is refused with ValueError.
     """
     lat = _require_lattice(basis)
-    h = np.asarray(h, dtype=float)
+    h = _site_field(h, basis.n_sites)
     q = charge_diagonals(basis)
     diag = np.zeros(basis.fermion_dim)
     const = 0.0

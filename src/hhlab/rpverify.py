@@ -26,6 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from . import model as _model
+from . import sectors as _sectors
 from . import thermo as _thermo
 from .fuzz import (_WINDOW, _Buffers, _check_dls_inputs, _check_unitary, _convexity_slacks,
                    _dls_log_sides, _draw_dls, _hermitian_part, _random_bounded)
@@ -196,45 +197,42 @@ def build_lr_split(basis):
     return LRSplit(basis=basis, basis_L=bl, basis_R=br, perm=perm)
 
 
+def _theta_monomial(split):
+    """theta's W as a signed permutation of the half spaces, W e_a = sign[a] e_perm[a].
+
+    A left fermion state with modes l_1 < ... < l_k occupied is
+    +-a*_{l_1} ... a*_{l_k} Omega_L, and theta sends it to the right state
+    whose modes are the reflections of the l_i.  The sign is
+    (-1)^(k(k+1)/2 + inversions): the (-1)^{N_L} of each a* gives
+    (-1)^(k(k+1)/2), and the Jordan-Wigner reordering of the reflected modes
+    gives the inversions that ``model.fermion_mode_permutation`` counts.
+    The phonon factor relabels the digit of each site y by r(y).
+    """
+    lat, bl, br = split.basis.lattice, split.basis_L, split.basis_R
+    modes = [br.mode_index(lat.reflect_inv(x), spin) for x, spin in bl.modes]
+    fermions = _model.fermion_mode_permutation(bl, modes)
+    k = bl.mode_tables()[0].sum(axis=0)
+    fermions = Monomial(fermions.perm, fermions.sign * _model._parity_sign(k * (k + 1) // 2))
+    d = bl.n_max + 1
+    digits = _model._phonon_digits(bl)[:, ::-1]                 # (boson state, site)
+    relabel = digits[:, [bl.site_index[lat.reflect(y)] for y in br.sites]]
+    phonons = Monomial(relabel @ d ** np.arange(br.n_sites)[::-1], np.ones(bl.boson_dim))
+    return fermions.kron(phonons)
+
+
 def build_theta(basis_or_split):
-    """The antiunitary reflection theta: H_L -> H_R.
+    """The antiunitary reflection theta: H_L -> H_R, and the split it is taken on.
 
     Fermion part: the antilinear map sending the left CONS built from
     a*-strings over reflected modes to the right CONS built from c*-strings
     (both in canonical increasing-mode order; the definition is independent
     of the representative since both sides flip sign together under
     permutations).  Phonon part: site relabeling y -> r(y) composed with
-    conjugation.
+    conjugation.  W is the signed permutation of :func:`_theta_monomial`,
+    densified.
     """
     split = basis_or_split if isinstance(basis_or_split, LRSplit) else build_lr_split(basis_or_split)
-    lat = split.basis.lattice
-    bl, br = split.basis_L, split.basis_R
-
-    # the half-space factors, densified once: one small product per state and mode
-    adags = {k: m.T.toarray() for k, m in _model.build_a_operators(bl).items()}
-    cdags = [br.cdag(x, spin).toarray() for x, spin in br.modes]
-
-    W_xi = np.zeros((br.fermion_dim, bl.fermion_dim), dtype=complex)
-    for i in range(br.fermion_dim):
-        ms = [m for m in range(br.n_modes) if (i >> (br.n_modes - 1 - m)) & 1]
-        e_vec = br.fermion_vacuum()
-        f_vec = bl.fermion_vacuum()
-        for m in reversed(ms):
-            x, spin = br.modes[m]
-            e_vec = cdags[m] @ e_vec
-            f_vec = adags[(lat.reflect(x), spin)] @ f_vec
-        W_xi += np.outer(e_vec, f_vec)
-
-    P = np.zeros((br.boson_dim, bl.boson_dim))
-    for i in range(bl.boson_dim):
-        n_l = bl.boson_tuple(i)
-        m_r = tuple(n_l[bl.site_index[lat.reflect(y)]] for y in br.sites)
-        j = 0
-        for v in m_r:
-            j = j * (br.n_max + 1) + v
-        P[j, i] = 1.0
-
-    return AntiunitaryMap(np.kron(W_xi, P)), split
+    return AntiunitaryMap(_theta_monomial(split).to_dense()), split
 
 
 def theta_relations_check(params, basis, tol=1e-10, seed=0):
@@ -556,14 +554,12 @@ def _mirror_symmetry(basis):
     In the layout of :func:`build_lr_split`, Theta (u (x) v) =
     theta^-1 v (x) theta u, followed by ``model.spin_swap``: M conj(H'') M^T
     = H'', M keeps S'z and sends S'+ to -S'+, and M commutes with the field
-    term of every h with h = h o r.  theta's W is a +-1 monomial, so M is one.
+    term of every h with h = h o r.  theta's W is a signed permutation
+    (:func:`_theta_monomial`), so M is one.
     """
-    theta, split = build_theta(basis)
-    n = len(theta.W)
-    w = np.argmax(np.abs(theta.W), axis=0)              # theta e_a = s[a] e_w[a]
-    s = theta.W[w, np.arange(n)].real
-    if not np.array_equal(theta.W, Monomial(w, s).to_dense()):
-        raise AssertionError("theta is not a signed permutation")
+    split = build_lr_split(basis)
+    theta = _theta_monomial(split)
+    w, s, n = theta.perm, theta.sign, len(theta.perm)   # theta e_a = s[a] e_w[a]
     a, b = np.divmod(np.arange(n * n), n)               # the LR index a n + b
     c = np.argsort(w)[b]                                # theta^-1 e_b = s[c] e_c
     perm, sign = np.empty(n * n, dtype=np.intp), np.empty(n * n)
@@ -579,7 +575,7 @@ class FieldPartition:
     """Fast Z(h) evaluation for the field family H''(h) = H'' + diag(h-terms).
 
     The field only shifts the diagonal and commutes with the spin SU(2) of
-    the zigzag frame, so ``thermo.highest_weight_sectors`` reduces H'' once
+    the zigzag frame, so ``sectors.highest_weight_sectors`` reduces H'' once
     to real blocks on its highest-weight states.  ``sectors`` holds (idx,
     real block, weight 2M + 1), idx one representative basis index per
     column.  At 2x2, n_max = 1 (dim 4096) the largest block is 320 and the
@@ -594,7 +590,7 @@ class FieldPartition:
     sum n^3 = 5.04e7, so a log Z costs about half as much.
 
     Construction refuses, with ValueError, every H'' that
-    ``thermo.highest_weight_sectors`` refuses.  log Z values are cached per
+    ``sectors.highest_weight_sectors`` refuses.  log Z values are cached per
     configuration rounded to 12 digits, keeping the LOG_Z_CACHE_SIZE most
     recently used.
     """
@@ -606,7 +602,7 @@ class FieldPartition:
             H2 = _model.build_doubleprime_csr(params, basis)
         reflection, self._mirror_sites = _mirror_symmetry(basis)
         # the sectors of one size are solved as one stack; ``sectors`` views the stacks
-        self._stacks, self._mirror_stacks = _thermo.highest_weight_sectors(basis, H2, reflection)
+        self._stacks, self._mirror_stacks = _sectors.highest_weight_sectors(basis, H2, reflection)
         self.sectors = [(idx, blk, int(weight)) for stack in self._stacks
                         for idx, blk, weight in zip(*stack)]
         self._cache = OrderedDict()
@@ -637,8 +633,9 @@ class FieldPartition:
 
 
 def reflected_configs(lat, h):
-    """((h_L, r^-1(h_L)), (r(h_R), h_R)) for a field configuration h."""
-    h = np.asarray(h, dtype=float)
+    """((h_L, r^-1(h_L)), (r(h_R), h_R)) for a field configuration h; an h
+    whose shape is not (n_sites,) is refused with ValueError."""
+    h = _model._site_field(h, lat.n_sites)
     keep_left = np.array(h)
     for x in lat.right_sites:
         keep_left[lat.site_index[x]] = h[lat.site_index[lat.reflect(x)]]

@@ -5,8 +5,8 @@ hhlab reads every fermion operator off the mode tables of
 array.  The oracles here are the textbook constructions they are checked
 against: each annihilator as a dense Kronecker chain, the occupation
 diagonals as products of those, the Hamiltonians H' and H'' as sums of dense
-Kronecker products, and H, H' and H''(h) as the library's CSR sums
-densified.
+Kronecker products, H, H' and H''(h) as the library's CSR sums
+densified, and theta's W built state by state from a*- and c*-strings.
 """
 
 from functools import reduce
@@ -133,3 +133,34 @@ def build_field_hamiltonian(params, basis, h):
     H[np.diag_indices_from(H)] += np.repeat(model.field_diagonal_correction(params, basis, h),
                                             basis.boson_dim)
     return H
+
+
+# -- the reflection theta ----------------------------------------------------------------
+
+
+def theta_matrix(split):
+    """theta's W (H_L -> H_R) for an ``rpverify.LRSplit``, state by state:
+    each right state c*_{m_1} ... c*_{m_k} Omega_R (modes ascending) is the
+    image of a*_{r m_1} ... a*_{r m_k} Omega_L, both built from the dense
+    half-space operators; the phonon factor relabels the occupation of each
+    site y by r(y)."""
+    lat, bl, br = split.basis.lattice, split.basis_L, split.basis_R
+    adags = {k: a.T.toarray() for k, a in model.build_a_operators(bl).items()}
+    cdags = [br.cdag(x, spin).toarray() for x, spin in br.modes]
+    W_xi = np.zeros((br.fermion_dim, bl.fermion_dim), dtype=complex)
+    for i in range(br.fermion_dim):
+        ms = [m for m in range(br.n_modes) if (i >> (br.n_modes - 1 - m)) & 1]
+        e_vec, f_vec = br.fermion_vacuum(), bl.fermion_vacuum()
+        for m in reversed(ms):
+            x, spin = br.modes[m]
+            e_vec = cdags[m] @ e_vec
+            f_vec = adags[(lat.reflect(x), spin)] @ f_vec
+        W_xi += np.outer(e_vec, f_vec)
+    P = np.zeros((br.boson_dim, bl.boson_dim))
+    for i in range(bl.boson_dim):
+        n_l = bl.boson_tuple(i)
+        j = 0
+        for y in br.sites:
+            j = j * (br.n_max + 1) + n_l[bl.site_index[lat.reflect(y)]]
+        P[j, i] = 1.0
+    return np.kron(W_xi, P)

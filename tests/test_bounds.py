@@ -85,9 +85,14 @@ def test_integral_per_mode_monotone_in_dimension():
     assert v4 < v3
 
 
-def test_midpoint_rejects_odd_grids():
-    with pytest.raises(ValueError):
-        bounds._midpoint_value(3, 9)
+@pytest.mark.parametrize("n", [9, 0, -4, 3])
+def test_midpoint_rejects_odd_grids(n):
+    # the engine refuses a grid that is not a positive even integer before any sum
+    with pytest.raises(ValueError, match="positive even integer"):
+        bounds.torus_integral(3, grid_n=n)
+    if n % 2:
+        with pytest.raises(ValueError):
+            bounds._midpoint_value(3, n)
 
 
 def _full_grid_midpoint_value(nu, n):

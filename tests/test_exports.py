@@ -47,10 +47,12 @@ def test_import_leaves_optional_scipy_unloaded():
     assert _fresh_python(code) == "[]"
 
 
-@pytest.mark.parametrize("first,second", [("fuzz", "rpverify"), ("rpverify", "fuzz")])
+# (module, a module it must not load, since that one imports it and the two would
+# form a cycle); ("rpverify", "fuzz") checks the other order, where it must load
+@pytest.mark.parametrize("first,second", [("fuzz", "rpverify"), ("rpverify", "fuzz"),
+                                          ("sectors", "thermo"), ("sectors", "rpverify")])
 def test_fuzz_and_rpverify_import_in_either_order(first, second):
-    # rpverify imports fuzz; fuzz must not import rpverify, or the two form a cycle
-    code = (f"import sys, hhlab.{first}; loaded = 'hhlab.rpverify' in sys.modules; "
+    code = (f"import sys, hhlab.{first}; loaded = 'hhlab.{second}' in sys.modules; "
             f"import hhlab.{second}; print(loaded)")
     assert _fresh_python(code) == str(first == "rpverify")
 

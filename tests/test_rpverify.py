@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import oracles
-from hhlab import model, rpverify, thermo
+from hhlab import model, rpverify, sectors, thermo
 from hhlab.hilbert import HilbertBasis, build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
@@ -107,6 +107,18 @@ def test_theta_relations(nu):
     basis = build_basis(build_lattice(nu, 1), params.n_max)
     for res in rpverify.theta_relations_check(params, basis):
         assert res.passed, res
+
+
+@pytest.mark.parametrize("nu,ell,n_max", [(1, 1, 0), (1, 1, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2),
+                                          (3, 1, 0), (1, 3, 0)])
+def test_theta_equals_the_state_by_state_oracle(nu, ell, n_max):
+    # W is read off the mode tables; the oracle builds each right state and its
+    # preimage from dense c*- and a*-strings.  Only on the 6-site ring does the
+    # reflection reverse the order of the modes, so only there do the
+    # Jordan-Wigner inversions enter the signs
+    basis = build_basis(build_lattice(nu, ell), n_max, cap=65536)
+    theta, split = rpverify.build_theta(basis)
+    assert np.array_equal(theta.W, oracles.theta_matrix(split))
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -705,6 +717,22 @@ def test_field_partition_refuses_gauge_not_one_phase_on_a_group():
         rpverify.FieldPartition(params, basis, twisted)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_field_of_the_wrong_length_is_refused(n):
+    # at nu = 1 there are 2 sites: a field of 3 used to be cached under its own
+    # key, and a field of 1 raised a bare IndexError
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    ens = rpverify.FieldPartition(params, basis)
+    h = np.zeros(n)
+    for check in (ens.log_partition,
+                  lambda h: rpverify.gaussian_domination_check(params, basis, h, ens),
+                  lambda h: rpverify.rp_reflection_check(params, basis, h, ens)):
+        with pytest.raises(ValueError, match=r"shape \(n_sites,\) = \(2,\)"):
+            check(h)
+    assert not ens._cache
+
+
 def test_field_partition_refuses_group_split_over_components():
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
@@ -716,8 +744,8 @@ def test_field_partition_refuses_group_split_over_components():
 def test_field_partition_refuses_sectors_that_miss_states(monkeypatch):
     params = small_params(n_max=1)
     basis = build_basis(build_lattice(1, 1), params.n_max)
-    vectors = thermo._highest_weight_vectors
-    monkeypatch.setattr(thermo, "_highest_weight_vectors",
+    vectors = sectors._highest_weight_vectors
+    monkeypatch.setattr(sectors, "_highest_weight_vectors",
                         lambda *a: ((s, v[:, :, 1:]) for s, v in vectors(*a)))
     with pytest.raises(ValueError, match="not total_dim"):
         rpverify.FieldPartition(params, basis)
@@ -1040,7 +1068,7 @@ def test_full_space_builders_form_no_dense_fermion_operator_2x2(monkeypatch):
     for m in (hs.H, hs.H1, hs.H2, model.build_doubleprime(params, basis)):
         assert m.shape == (basis.total_dim,) * 2
     assert len(list(model.pairing_bond_terms(params, basis))) == 8
-    ens = rpverify.FieldPartition(params, basis)   # its half-space theta stays dense
+    ens = rpverify.FieldPartition(params, basis)   # theta from the half-space mode tables
     assert np.isfinite(ens.log_partition(np.zeros(basis.n_sites)))
 
 

@@ -8,8 +8,9 @@ thread; the assertions leave room for rounding in borderline instances.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from hhlab import cli, fuzz, model, rpverify
+from hhlab import cli, fuzz, model, rpverify, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
 
@@ -56,6 +57,12 @@ def test_linear_theta_breaks_the_symmetric_draws(monkeypatch):
     assert np.sum(broken) >= 250, np.sum(broken)
 
 
+def default_params(n_max):
+    d = cli.CONFIG_DEFAULTS
+    return model.ModelParams(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"],
+                             beta=d["beta"], n_max=n_max)
+
+
 @pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
 def test_dropped_field_constant_breaks_gaussian_domination(monkeypatch, nu, n_max):
     """H''(h) = H'' - V sum_bonds (q_x - q_y)(h_x - h_y) + (V/2) sum_bonds
@@ -64,9 +71,7 @@ def test_dropped_field_constant_breaks_gaussian_domination(monkeypatch, nu, n_ma
     sum of <q_x> that vanish at half filling.  So log Z(h) >= log Z(0), and
     Z(h) <= Z(0) fails on every field that is not constant (20 of 20 here,
     at the default couplings)."""
-    d = cli.CONFIG_DEFAULTS
-    params = model.ModelParams(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"],
-                               beta=d["beta"], n_max=n_max)
+    params = default_params(n_max)
     basis = build_basis(build_lattice(nu, 1), n_max)
     fields = np.random.default_rng(2024).standard_normal((20, basis.n_sites))
 
@@ -87,18 +92,14 @@ def test_dropped_field_constant_breaks_gaussian_domination(monkeypatch, nu, n_ma
 
 
 @pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
-def test_negated_a_operators_break_only_the_crossing_split(monkeypatch, nu, n_max):
-    """The crossing pairing terms of T'' factor as -t (C (x) theta C theta^-1 + h.c.),
-    C = exp(i alpha phi_l) a*_{l s}.  With every a -> -a the left factor C
-    changes sign.  theta is built from the same a's, so its fermion part is
-    re-signed by the left fermion parity; a anticommutes with that parity,
-    so theta (-a) theta^-1 = c still holds, and theta C theta^-1 does not
-    change.  So lr_T_cross fails against the crossing terms read off the
-    mode tables, while every theta_* record still passes: the relations that
-    define theta cannot see a global sign of the a's they are built from."""
-    d = cli.CONFIG_DEFAULTS
-    params = model.ModelParams(t=d["t"], U=d["U"], V=d["V"], g=d["g"], omega=d["omega"],
-                               beta=d["beta"], n_max=n_max)
+def test_negated_a_operators_break_only_theta_fermion(monkeypatch, nu, n_max):
+    """theta is read off the mode tables, not built from the a's, so with
+    every a -> -a the relation theta a_(r x) theta^-1 = c_x reads -c_x and
+    theta_fermion fails.  The crossing pairing terms of T'' factor as
+    -t (C (x) theta C theta^-1 + h.c.), C = exp(i alpha phi_l) a*_{l s}: C
+    enters twice, so its sign cancels and lr_T_cross still passes, as does
+    every other record."""
+    params = default_params(n_max)
     basis = build_basis(build_lattice(nu, 1), n_max)
 
     def failed():
@@ -110,4 +111,59 @@ def test_negated_a_operators_break_only_the_crossing_split(monkeypatch, nu, n_ma
     build = model.build_a_operators
     monkeypatch.setattr(model, "build_a_operators",
                         lambda basis: {k: -a for k, a in build(basis).items()})
-    assert failed() == {"lr_T_cross"}
+    assert failed() == {"theta_fermion"}
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.1])
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0)])
+def test_chemical_potential_breaks_half_filling(monkeypatch, nu, n_max, mu):
+    """<n_x> = 1 holds because the hole-particle map u takes H to T + K + W,
+    with W even in the s_x, and the spin flip D flips every s_x and keeps
+    u H u^-1.  A chemical potential -mu N = -mu sum_x (q_x + 1) becomes
+    -mu sum_x (s_x + 1) under u, which D does not keep, so half_filling must
+    fail on every draw of the verify suite's couplings (5 of 5, with
+    deviations from 1e-6 to 1e-2 against the tolerance 1e-10)."""
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    rng = np.random.default_rng(2024)
+    draws = [model.ModelParams(t=rng.uniform(0.1, 2.0), U=rng.uniform(0.1, 3.0),
+                               V=rng.uniform(0.1, 3.0), g=rng.uniform(-2.0, 2.0),
+                               omega=rng.uniform(0.3, 2.0), beta=rng.uniform(0.0, 4.0),
+                               n_max=n_max) for _ in range(5)]
+
+    def failed():
+        return sum(not res.passed for params in draws
+                   for res in rpverify.half_filling_check(params, basis))
+
+    assert failed() == 0
+    build = model.build_original_csr
+    number = np.repeat((model.charge_diagonals(basis) + 1.0).sum(axis=0), basis.boson_dim)
+    monkeypatch.setattr(model, "build_original_csr",
+                        lambda params, basis: build(params, basis)
+                        - mu * sparse.diags_array(number))
+    assert failed() == 5
+
+
+def test_scaled_bond_terms_break_the_nested_commutator_2x2(monkeypatch):
+    """c = beta <[A, [H'', A*]]> is taken two ways: from the entries of H''
+    that the spectral data keep, and in closed form from the expectations of
+    the terms that model.pairing_bond_terms yields.  Scaling those terms by
+    1.001 with H'' unchanged parts the two, and infrared_chain_check must
+    raise the mismatch on every field (5 of 5).  The row runs at 2x2: at
+    nu = 1 the two sites carry f_1 = -f_0, since f = (-Delta) h sums to zero,
+    so every bond weight |f_x + f_y|^2 is 0, c = 0 both ways, and all 5
+    fields pass under the mutation."""
+    params = default_params(0)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    H2 = model.build_doubleprime_csr(params, basis)
+    rng = np.random.default_rng(2024)
+    fields = rng.standard_normal((5, basis.n_sites)) + 1j * rng.standard_normal((5, basis.n_sites))
+    spec = thermo.spectral(H2, params.beta)
+    for h in fields:
+        assert len(rpverify.infrared_chain_check(params, basis, h, spec, H2)) == 5
+    terms = model.pairing_bond_terms
+    monkeypatch.setattr(model, "pairing_bond_terms", lambda params, basis: (
+        (key, 1.001 * term) for key, term in terms(params, basis)))
+    spec = thermo.spectral(H2, params.beta)     # a fresh spec: it keeps the bond expectations
+    for h in fields:
+        with pytest.raises(AssertionError, match="nested commutator mismatch"):
+            rpverify.infrared_chain_check(params, basis, h, spec, H2)

@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 import oracles
-from hhlab import model, rpverify, thermo
+from hhlab import model, rpverify, sectors, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
 from test_model import ORACLE_GEOMETRIES
@@ -291,6 +291,23 @@ def test_charge_correlation_refuses_unknown_hamiltonian_before_building(monkeypa
         thermo.charge_correlation(small_params(n_max=0), basis, (0,), (0,), which="doubleprime")
 
 
+def test_correlation_cache_entry_holds_only_the_diagonals():
+    # <q_x q_y> reads only rho's diagonal and the charge diagonals, so a cache
+    # entry holds those two vectors (0.04 MiB here), not H's eigenvectors
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    entry = thermo._correlation_state(params, basis, "original")
+    assert len(entry) == 2 and all(isinstance(a, np.ndarray) and a.base is None for a in entry)
+    assert sum(a.nbytes for a in entry) == 8 * (basis.total_dim + basis.n_sites * basis.fermion_dim)
+    rho, qd = entry
+    spec = thermo.spectral(model.build_original_csr(params, basis), params.beta)
+    assert np.array_equal(rho, spec.rho_diag())
+    assert np.array_equal(qd, model.charge_diagonals(basis))
+    x, y = basis.sites[0], basis.sites[1]
+    want = spec.expectation(np.repeat(qd[0] * qd[1], basis.boson_dim))
+    assert thermo.charge_correlation(params, basis, x, y) == want
+
+
 def test_zigzag_sign_relation_exact():
     params = small_params()
     lat = build_lattice(1, 1)
@@ -455,7 +472,7 @@ def test_forms_read_no_hamiltonian_entries_after_the_spectral_build(monkeypatch,
         spec = thermo.spectral(H2, params.beta)
         bonds = thermo.pairing_bond_expectations(params, basis, spec)
         with monkeypatch.context() as patch:
-            patch.setattr(thermo, "_offdiagonal_pattern", refuse_to_read)
+            patch.setattr(sectors, "_offdiagonal_pattern", refuse_to_read)
             g, b, c = thermo.quadratic_form_quantities(params, basis, h, spec, bonds)
             records = rpverify.infrared_chain_check(params, basis, h, spec, H2, bonds)
         assert c > 0.0 and len(records) == 5
@@ -793,7 +810,7 @@ def test_every_model_component_is_solved_real(nu, n_max, which):
     params = small_params(n_max=n_max)
     basis = build_basis(build_lattice(nu, 1), n_max)
     H = HAMILTONIANS[which](params, basis)
-    labels, phase = thermo._phase_gauge(H)
+    labels, phase = sectors._phase_gauge(H)
     assert np.array_equal(labels, component_labels(H))
     assert np.array_equal(np.abs(phase), np.ones(basis.total_dim))
     spec = thermo.spectral(H, params.beta)
@@ -808,9 +825,9 @@ def test_split_of_sparse_input_equals_split_of_dense(nu, n_max, which):
     basis = build_basis(build_lattice(nu, 1), n_max)
     H = HAMILTONIANS[which](params, basis)
     S = sparse.csr_array(H)
-    for got, want in zip(thermo._phase_gauge(S), thermo._phase_gauge(H)):
+    for got, want in zip(sectors._phase_gauge(S), sectors._phase_gauge(H)):
         assert np.array_equal(got, want)
-    (labels, phase, entries, flux), want = thermo._gauged_sparse(S), thermo._gauged_sparse(H)
+    (labels, phase, entries, flux), want = sectors._gauged_sparse(S), sectors._gauged_sparse(H)
     assert np.array_equal(labels, want[0]) and np.array_equal(phase, want[1])
     assert all(np.array_equal(a, b) for a, b in zip(entries, want[2]))
     assert np.array_equal(flux, want[3]) and not flux.any()
@@ -848,7 +865,7 @@ def test_subnormal_links_get_unit_phases():
     n = 5
     H = gauged_real_matrix(rng, n) * 1e-310
     H[np.diag_indices(n)] = rng.standard_normal(n)
-    _, phase = thermo._phase_gauge(H)
+    _, phase = sectors._phase_gauge(H)
     assert np.all(np.isfinite(phase))
     assert np.allclose(np.abs(phase), 1.0)
     spec = thermo.spectral(H, 0.9)
@@ -887,7 +904,7 @@ def test_reconstruction_residual_charges_the_discarded_imaginary_part():
     actual = np.max(np.abs((Q * w) @ Q.conj().T - H))
     assert actual > 1e-13
     (_, _, q), = spec._eig
-    assert thermo._block_residual(w, q, thermo._gauged(H, spec._phase, spec._phase)) >= actual
+    assert thermo._block_residual(w, q, sectors._gauged(H, spec._phase, spec._phase)) >= actual
 
 
 # -- the bounded build against one stack per size -----------------------------------------
@@ -896,7 +913,7 @@ def test_reconstruction_residual_charges_the_discarded_imaginary_part():
 def per_size_stack_oracle(H, beta):
     """(eig, logZ) as built with one stack per component size, gauged out of
     place and solved whole: eig[c] = (w, q) of component c."""
-    labels, phase, (rows, cols, vals), flux = thermo._gauged_sparse(H)
+    labels, phase, (rows, cols, vals), flux = sectors._gauged_sparse(H)
     sizes = np.bincount(labels)
     position = np.empty(len(labels), dtype=np.intp)
     for lab in range(len(sizes)):
@@ -911,7 +928,7 @@ def per_size_stack_oracle(H, beta):
         sel = k >= 0
         blk = np.zeros((len(labs), n, n), dtype=vals.dtype)
         blk[k[sel], position[rows[sel]], position[cols[sel]]] = vals[sel]
-        g = thermo._gauged(blk, phase[idx], phase[idx])
+        g = sectors._gauged(blk, phase[idx], phase[idx])
         real = flux[labs] == 0.0
         for which, a in ((real, g.real), (~real, blk)):
             if which.any():
