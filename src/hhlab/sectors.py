@@ -26,17 +26,25 @@ from .hilbert import Monomial
 __all__ = ["highest_weight_sectors"]
 
 _GAUGE_IMAG_TOL = 1e-12
+# a dense H is read for its pattern in row slabs of at most this (or one row)
+_PATTERN_SLAB_BYTES = 1 << 20
 
 
 def _offdiagonal_pattern(H):
     """Rows, columns and values of H's nonzero off-diagonal entries, row by
-    row: of a dense H, or of the stored entries of a scipy.sparse H."""
+    row: of a dense H, read in row slabs of at most _PATTERN_SLAB_BYTES, or
+    of the stored entries of a scipy.sparse H."""
     if issparse(H):
         H = H.tocoo().tocsr()               # duplicates summed, each row sorted
         rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
         keep = (rows != H.indices) & (H.data != 0)
         return rows[keep], H.indices[keep], H.data[keep]
-    rows, cols = np.divmod(np.flatnonzero(H != 0.0), H.shape[0])   # 3x faster than np.nonzero(H)
+    n = H.shape[0]
+    step = max(1, _PATTERN_SLAB_BYTES // (H.itemsize * n))
+    flat = np.concatenate([np.flatnonzero(H[r0:r0 + step] != 0.0) + r0 * n   # 3x faster
+                           for r0 in range(0, n, step)])                     # than np.nonzero
+    rows, cols = np.divmod(flat, n)
+    del flat
     off = rows != cols
     rows, cols = rows[off], cols[off]
     return rows, cols, H[rows, cols]

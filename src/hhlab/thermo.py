@@ -6,9 +6,10 @@ sparsity pattern, and into a gauge in which each component without flux is
 real, by ``sectors._gauged_sparse``; its entries are scattered into stacks
 of equal-size dense blocks (``sectors._block_stacks``), each
 eigendecomposed exactly with dense LAPACK.  A "dirty" matrix degrades to
-one big block, never to a wrong answer.  The Gibbs state is kept as its
-diagonal blocks: an observable enters a thermal average only through its
-nonzero entries inside the components.
+one big block, never to a wrong answer.  The Gibbs state is block-diagonal
+over the components, and it is kept only at H's entries: an observable
+enters a thermal average only through its nonzero entries inside the
+components, and each Gibbs block is dropped as soon as it is read.
 
 The infrared forms g, b and c are built from the spectral data alone
 (:func:`quadratic_form_quantities`).  All exponentials are shifted by the
@@ -17,6 +18,7 @@ ground energy so beta can be large.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +40,9 @@ __all__ = [
 _GAP_SERIES_CUTOFF = 1e-6
 # SpectralData solves the blocks of one size in stacks of at most this
 _STACK_BYTES = 1 << 20
+# _kernel_gram holds a block's charge products and Duhamel kernel in tiles of
+# at most this (or one entry); a block of 576 real states is one tile
+_TILE_BYTES = 16 << 20
 
 
 class SpectralData:
@@ -47,8 +52,9 @@ class SpectralData:
     ``sectors._gauged_sparse``: by a real ``eigh`` of G = conj(d) H_blk d where
     it carries no flux, else by a complex ``eigh`` of H_blk (d = 1 there).
     The eigenvectors are stored in the gauge (those of H are Q = diag(d) q),
-    and the Gibbs blocks, thermal sums and infrared forms are taken there,
-    in real arithmetic on the real blocks.
+    and the Gibbs state, thermal sums and infrared forms are taken there,
+    in real arithmetic on the real blocks.  beta must be finite and >= 0,
+    or construction raises ValueError before any block is solved.
 
     The eigenpairs must reproduce H to 1e-9 times its largest entry, or
     construction raises AssertionError.  On a real block the residual is the
@@ -61,7 +67,10 @@ class SpectralData:
     solved so far (the largest blocks first, so the fewest then), and one
     stack of at most _STACK_BYTES or one block, gauged in place, with its
     eigenvectors and two one-block temporaries.  At 2x2, n_max = 1 that is
-    23 MiB traced, 15 MiB of it kept; at n_max = 2, 576 MiB, 371 MiB kept.
+    22 MiB traced, 14 MiB of it kept; at n_max = 2, 545 MiB, 340 MiB kept.
+    The Gibbs state is read once, on first use, at those entries
+    (:meth:`_rho_entries`, one more value per entry: 31 MiB at n_max = 2),
+    one component's Gibbs block at a time; no Gibbs block is kept.
 
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
     ``blocks`` and ``real_blocks``.  Immutable once built.
@@ -71,10 +80,14 @@ class SpectralData:
         n = H.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be square")
+        beta = float(beta)
+        if not 0.0 <= beta < np.inf:        # nan fails both
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
         labels, phase, entries, flux = _sectors._gauged_sparse(H)
         self.dim = n
         self._block_of = labels                 # component of each basis index
-        self._position = _sectors._positions(labels)[3]     # its index in the component
+        # each component's size, and each basis index's position in its component
+        _, self._size, _, self._position = _sectors._positions(labels)
         self._phase = phase                     # the gauge d on the full space
         self._eig = eig = [None] * len(flux)    # (indices, w, q) with q in the gauge
         # H's off-diagonal entries (the diagonal is the last n), for the forms
@@ -99,13 +112,13 @@ class SpectralData:
             del blk, g, a, target       # released before the next stack is scattered
         if res > 1e-9 * scale:
             raise AssertionError(f"eigendecomposition residual {res} too large")
-        self.beta = float(beta)
+        self.beta = beta
         self.e0 = min(float(w[0]) for _, w, _ in eig)
         self._weights = [np.exp(-self.beta * (w - self.e0)) for _, w, _ in eig]
         self.z_shifted = float(sum(wt.sum() for wt in self._weights))
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
         self._rho_diag = None
-        self._gibbs = None
+        self._rho_at = None
         self._forms = None
 
     @property
@@ -136,14 +149,25 @@ class SpectralData:
             self._rho_diag = d / self.z_shifted
         return self._rho_diag
 
-    def _gibbs_blocks(self):
-        """Per-component Gibbs blocks in the gauge, q diag(e^{-beta w}) q^H / Z; cached."""
-        if self._gibbs is None:
-            gibbs = [(q * wt) @ q.conj().T for (_, _, q), wt in zip(self._eig, self._weights)]
-            for r in gibbs:
-                r /= self.z_shifted
-            self._gibbs = gibbs
-        return self._gibbs
+    def _gibbs_block(self, c):
+        """Component c's Gibbs block in the gauge, q diag(e^{-beta w}) q^H / Z; not kept."""
+        (_, _, q), wt = self._eig[c], self._weights[c]
+        r = (q * wt) @ q.conj().T
+        r /= self.z_shifted
+        return r
+
+    def _rho_entries(self):
+        """The gauged Gibbs state at H's off-diagonal entries, aligned with
+        ``_entries``: built once, each component's Gibbs block dropped once read."""
+        if self._rho_at is None:
+            key, _, ends = self._entries
+            real = all(np.isrealobj(q) for _, _, q in self._eig)
+            rho = np.empty(len(key), dtype=float if real else complex)
+            for c in np.flatnonzero(np.diff(ends)):
+                s = slice(ends[c], ends[c + 1])
+                rho[s] = self._gibbs_block(c).take(key[s])
+            self._rho_at = rho
+        return self._rho_at
 
     # -- thermal averages --
 
@@ -159,23 +183,40 @@ class SpectralData:
         (conj(d_i) A_ij d_j) with r the gauged Gibbs block.
         """
         A = A if issparse(A) else np.asarray(A)
+        if A.ndim not in (1, 2) or A.shape != (self.dim,) * A.ndim:
+            raise ValueError(f"operator has shape {A.shape}, not the dimension {self.dim} "
+                             f"of the spectral data")
         val = complex(np.dot(A, self.rho_diag())) if A.ndim == 1 else self._sparse_trace(A)
         return _realize_if_hermitian(val, A)
 
     def _sparse_trace(self, A):
-        """Tr(rho A) from the nonzero entries of A inside one component."""
+        """Tr(rho A) from the nonzero entries of A inside one component.
+
+        rho is read at H's entries (:meth:`_rho_entries`, first, so that no
+        Gibbs block is formed beside A's entries), whose keys rise within
+        each component; a component where A has an entry off them (on its
+        diagonal, say) forms its Gibbs block for this call.
+        """
+        rho = self._rho_entries()
         A = coo_array(A)
-        k, l, data, ends = self._by_component(A.row, A.col, A.data)
-        rho = self._gibbs_blocks()
+        key, data, ends = self._by_component(A.row, A.col, A.data)
+        keys, _, at = self._entries
         total = 0.0 + 0.0j
         for c in np.flatnonzero(np.diff(ends)):
-            s = slice(ends[c], ends[c + 1])
-            total += np.vdot(rho[c][k[s], l[s]], data[s])
+            s, h = slice(ends[c], ends[c + 1]), slice(at[c], at[c + 1])
+            pattern = keys[h]
+            pos = np.searchsorted(pattern, key[s])
+            if pos.max() < len(pattern) and np.array_equal(pattern[pos], key[s]):
+                r = rho[h][pos]
+            else:
+                r = self._gibbs_block(c).take(key[s])
+            total += np.vdot(r.real if np.isrealobj(self._eig[c][2]) else r, data[s])
         return complex(total)
 
     def _by_component(self, rows, cols, vals):
-        """(k, l, vals, ends): the entries inside the components, gauged, k
-        and l positions in them; component c at ends[c]:ends[c + 1]."""
+        """(key, vals, ends): the entries inside the components, gauged, at
+        key = k n + l with k and l their positions in a component of n
+        states; component c at ends[c]:ends[c + 1]."""
         comp = self._block_of[rows]
         inside = np.flatnonzero(comp == self._block_of[cols])
         inside = inside[np.argsort(comp[inside], kind="stable")]
@@ -183,7 +224,10 @@ class SpectralData:
         rows, cols, vals = rows[inside], cols[inside], vals[inside]
         del comp, inside
         vals = self._gauge(vals, rows, cols)
-        return self._position[rows], self._position[cols], vals, ends
+        key = self._size[self._block_of[rows]]
+        key *= self._position[rows]
+        key += self._position[cols]
+        return key, vals, ends
 
 
 def _realize_if_hermitian(val, A):
@@ -307,9 +351,7 @@ def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
 
 def _form_values(params, basis, f, spec, bond_expectations=None):
     """(g, b, c) of :func:`quadratic_form_quantities` at f = (-Delta) h."""
-    if spec.dim != basis.total_dim:
-        raise ValueError(f"spec has dimension {spec.dim}, not the basis dimension "
-                         f"{basis.total_dim}")
+    _check_dimension(spec, basis)
     _quadratic_forms(spec, basis)
     slot = spec._forms
     own = bond_expectations is None
@@ -329,6 +371,12 @@ def _form_values(params, basis, f, spec, bond_expectations=None):
         raise AssertionError(
             f"nested commutator mismatch: direct {c_direct}, closed form {c_closed}")
     return g_q.real, b_q.real, c_direct
+
+
+def _check_dimension(spec, basis):
+    if spec.dim != basis.total_dim:
+        raise ValueError(f"spec has dimension {spec.dim}, not the basis dimension "
+                         f"{basis.total_dim}")
 
 
 def _bond_form(basis, bond_expectations):
@@ -359,11 +407,11 @@ def _build_quadratic_forms(spec, basis):
 
     With q_x(k) the centred charge of basis state k (below), M_x =
     Q^H diag(q_x) Q on a block with eigenvectors Q, kappa the Duhamel kernel
-    of the block, rho_i its Gibbs block and D_x,kl = q_x(k) - q_x(l):
+    of the block, rho the Gibbs state and D_x,kl = q_x(k) - q_x(l):
 
         G_xy = sum_k rho_kk q_x(k) q_y(k)
         B_xy = Z^-1 sum_blocks sum_nm kappa_nm conj(M_x)_nm (M_y)_nm
-        C_xy = -sum_blocks sum_kl conj(rho_i)_kl H_kl D_x,kl D_y,kl
+        C_xy = -sum_kl conj(rho)_kl H_kl D_x,kl D_y,kl
 
     The charges are centred, q_x - N^-1 sum_y q_y: f = (-Delta) h sums to
     zero, so A is unchanged, and the forms lose the total-charge mode whose
@@ -372,11 +420,13 @@ def _build_quadratic_forms(spec, basis):
 
     Everything is taken in the gauge of ``spec``: diag(q_x) commutes with it,
     so M_x = q^H diag(q_x) q with the gauged eigenvectors q, and
-    conj(rho_i) o H_blk = conj(r_i) o G with r_i the gauged Gibbs block and
-    G = conj(d) H_blk d.  The M_x are combinations of a few P_j and I
-    (:func:`_charge_products`): B takes their kappa-Gram matrix.  D_x runs
-    over the off-diagonal nonzeros of G (``SpectralData._entries``).  The
-    forms are mirrored from the upper triangle: exactly symmetric.
+    conj(rho) o H = conj(r) o G with r the gauged Gibbs state and
+    G = conj(d) H d.  The M_x are combinations of a few p_j and I
+    (:func:`_charge_differences`): B takes their kappa-Gram matrix, built
+    in tiles of bounded size (:func:`_kernel_gram`).  C runs over the
+    off-diagonal nonzeros of G (``SpectralData._entries``), where r is read
+    once (``SpectralData._rho_entries``): no Gibbs block is kept.  The forms
+    are mirrored from the upper triangle: exactly symmetric.
     """
     qd = _model.charge_diagonals(basis)
     centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
@@ -385,24 +435,17 @@ def _build_quadratic_forms(spec, basis):
     B, C = np.zeros((2,) + G.shape)
     stag = basis.lattice.staggered_signs
     # a state alone in its component has M_x = q_x and no entry off the diagonal
-    lone = np.bincount(spec._block_of)[spec._block_of] == 1
-    k_all, l_all, h_all, ends = spec._entries
+    lone = spec._size[spec._block_of] == 1
+    key, h_all, ends = spec._entries
+    rho_at = spec._rho_entries()
     for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
         if len(idx) == 1:
             continue
-        p, coef = _charge_products(q, qd[:, idx // basis.boson_dim], stag)
-        kern = _duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
-        p *= np.sqrt(kern, out=kern)
-        d = np.vstack([np.diagonal(p, 0, 1, 2).real, np.sqrt(wt)])   # kappa_nn = wt: I last
-        p = p.reshape(len(p), len(idx) ** 2)
-        gram = d @ d.T              # the triangles of p count each off-diagonal pair once
-        gram[:-1, :-1] += 2.0 * (((p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T)
-                                 - gram[:-1, :-1])
-        B += coef @ gram @ coef.T
+        diff, coef = _charge_differences(qd[:, idx // basis.boson_dim], stag)
+        B += coef @ _kernel_gram(q, w - spec.e0, wt, diff, spec.beta) @ coef.T
         s = slice(ends[c], ends[c + 1])
-        k, l, h_kl = k_all[s], l_all[s], h_all[s]
-        r = spec._gibbs_blocks()[c].take(k * len(idx) + l)     # take: 1.6x [k, l]
-        nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
+        (k, l), h_kl, r = np.divmod(key[s], len(idx)), h_all[s], rho_at[s]
+        nested = -(r.conj() * h_kl).real if np.iscomplexobj(q) else r.real * -h_kl.real
         cb = centred[:, idx]
         d = cb.take(k, axis=1) - cb.take(l, axis=1)
         C += (d * nested) @ d.T
@@ -413,18 +456,17 @@ def _build_quadratic_forms(spec, basis):
     return G, B, C
 
 
-def _charge_products(q, qb, stag):
-    """The centred M_x = q^H diag(q_x - N^-1 sum_y q_y) q of a block (q its
-    eigenvectors, qb (N, n) the charges of its states) as (p, coef):
-    M_x = sum_j coef[x, j] p[j] + coef[x, -1] I.
+def _charge_differences(qb, stag):
+    """The centred M_x = q^H diag(q_x - N^-1 sum_y q_y) q of a block (qb
+    (N, n) the charges of its states) as (diff, coef): with p[j] =
+    q^H diag(diff[j]) q, M_x = sum_j coef[x, j] p[j] + coef[x, -1] I.
 
-    p[j] = q^H diag(q_j - q_0) q (j >= 1; differences in -2..2, free of the
-    total-charge mode) in its lower triangle (+0.0 above), one rank-k
-    update (syrk, or herk if complex) per value.  Where sum_x stag_x = 0 and
-    the staggered charge sum_x stag_x q_x is one c on the block (H''
-    conserves it), the last difference follows from the others and c I.
+    diff[j] = q_{j+1} - q_0 (differences in -2..2, free of the total-charge
+    mode).  Where sum_x stag_x = 0 and the staggered charge sum_x stag_x q_x
+    is one c on the block (H'' conserves it), the last difference follows
+    from the others and c I.
     """
-    n_sites, n = qb.shape
+    n_sites = len(qb)
     diff = qb[1:] - qb[0]
     coef = np.zeros((n_sites, n_sites))
     coef[1:, :-1] = np.eye(n_sites - 1)
@@ -432,13 +474,67 @@ def _charge_products(q, qb, stag):
     if n_sites > 1 and stag.sum() == 0 and charge.min() == charge.max():
         diff = diff[:-1]
         coef[-1] = np.r_[-stag[-1] * stag[1:-1], 0.0, stag[-1] * charge[0]]
-    coef = (coef - coef.mean(axis=0))[:, np.r_[:len(diff), -1]]
+    return diff, (coef - coef.mean(axis=0))[:, np.r_[:len(diff), -1]]
+
+
+def _kernel_gram(q, w, wt, diff, beta):
+    """gram[i, j] = sum_nm kappa_nm conj(p_i)_nm (p_j)_nm over the products
+    p_j = q^H diag(diff[j]) q of a block and p_-1 = I (kappa_nn = wt), with
+    kappa the Duhamel kernel of the shifted energies w.
+
+    The p_j are taken in their lower triangles, in tiles of the eigen-index
+    that hold at most _TILE_BYTES of products and kernel: row slabs, each a
+    square on the diagonal (one rank-k update, syrk or herk, per charge
+    value, of the slab's columns of q) and the squares left of it (one
+    product per j over the states where diff[j] is not 0).  The Gram matrix
+    counts each off-diagonal pair of the triangles twice.  A block within
+    the budget is one tile, with one update per value over the whole of q.
+    """
+    n, m = len(w), len(diff)
+    step = max(1, math.isqrt(_TILE_BYTES // ((m + 2) * q.itemsize)))
+    slabs = [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+    nonzero = [np.flatnonzero(dj) for dj in diff]
+    diag = np.empty((m + 1, n))
+    diag[-1] = np.sqrt(wt)
+    cross = None
+    for i, rows in enumerate(slabs):
+        p = _charge_products(q[:, rows], diff)
+        p *= _root_kernel(beta, w[rows], w[rows])
+        diag[:-1, rows] = np.diagonal(p, 0, 1, 2).real
+        cross = _gram(p) if cross is None else cross + _gram(p)
+        for cols in slabs[:i]:
+            p = np.empty((m, rows.stop - rows.start, cols.stop - cols.start), dtype=q.dtype)
+            for j, (dj, nz) in enumerate(zip(diff, nonzero)):
+                left = q[nz, rows].T * dj[nz]
+                np.matmul(left.conj() if np.iscomplexobj(left) else left, q[nz, cols], out=p[j])
+            p *= _root_kernel(beta, w[rows], w[cols])
+            cross += _gram(p)
+    gram = diag @ diag.T
+    gram[:-1, :-1] += 2.0 * (cross - gram[:-1, :-1])
+    return gram
+
+
+def _root_kernel(beta, w_row, w_col):
+    """The square root of :func:`_duhamel_kernel`, taken in place."""
+    kern = _duhamel_kernel(beta, w_row, w_col)
+    return np.sqrt(kern, out=kern)
+
+
+def _gram(p):
+    """sum_kl conj(p_i)_kl (p_j)_kl for a stack p of matrices."""
+    p = p.reshape(len(p), p.shape[1] * p.shape[2])
+    return (p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T
+
+
+def _charge_products(q, diff):
+    """p[j] = q^H diag(diff[j]) q in its lower triangle (+0.0 above), one
+    rank-k update (syrk, or herk if complex) per value of diff[j]."""
     update = blas.zherk if np.iscomplexobj(q) else blas.dsyrk
-    p = np.zeros((len(diff), n, n), dtype=q.dtype)
+    p = np.zeros((len(diff),) + (q.shape[1],) * 2, dtype=q.dtype)
     for j, dj in enumerate(diff):
         for v in np.unique(dj[dj != 0]):
             update(v, q[dj == v].T, beta=1.0, c=p[j].T, overwrite_c=1)
-    return p, coef
+    return p
 
 
 def pairing_bond_expectations(params, basis, spec):
@@ -448,7 +544,10 @@ def pairing_bond_expectations(params, basis, spec):
     Returns [((x, y, j, eps), <term>), ...]; the closed form of the nested
     commutator is a reweighting of exactly these numbers, so computing them
     once per spectral data makes the g/b/c evaluation O(1) per field h.
+    A ``spec`` whose dimension is not ``basis.total_dim`` is refused with
+    ValueError before any term is built.
     """
+    _check_dimension(spec, basis)
     return [(key, spec.expectation(term))
             for key, term in _model.pairing_bond_terms(params, basis)]
 

@@ -6,14 +6,17 @@ array.  The oracles here are the textbook constructions they are checked
 against: each annihilator as a dense Kronecker chain, the occupation
 diagonals as products of those, the Hamiltonians H' and H'' as sums of dense
 Kronecker products, H, H' and H''(h) as the library's CSR sums
-densified, and theta's W built state by state from a*- and c*-strings.
+densified, theta's W built state by state from a*- and c*-strings, and the
+bond expectations and infrared forms read off whole Gibbs blocks.
 """
 
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import blas
+from scipy.sparse import coo_array
 
-from hhlab import model
+from hhlab import model, sectors, thermo
 
 _ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
 _SIGN = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)       # (-1)^n
@@ -164,3 +167,99 @@ def theta_matrix(split):
             j = j * (br.n_max + 1) + n_l[bl.site_index[lat.reflect(y)]]
         P[j, i] = 1.0
     return np.kron(W_xi, P)
+
+
+# -- thermal sums over whole Gibbs blocks ------------------------------------------------
+
+
+def gibbs_blocks(spec):
+    """Every component's Gibbs block in the gauge of ``spec``, q diag(e^{-beta w}) q^H / Z."""
+    blocks = [(q * wt) @ q.conj().T for (_, _, q), wt in zip(spec._eig, spec._weights)]
+    for r in blocks:
+        r /= spec.z_shifted
+    return blocks
+
+
+def _by_component(spec, rows, cols, vals):
+    """(k, l, gauged vals, ends) of the entries inside the components of ``spec``."""
+    comp = spec._block_of[rows]
+    inside = np.flatnonzero(comp == spec._block_of[cols])
+    inside = inside[np.argsort(comp[inside], kind="stable")]
+    ends = np.searchsorted(comp[inside], np.arange(len(spec._eig) + 1))
+    rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    vals = sectors._gauged(vals, spec._phase[rows], spec._phase[cols])
+    return spec._position[rows], spec._position[cols], vals, ends
+
+
+def bond_expectations(params, basis, spec):
+    """[(key, <term>)] of the pairing bond terms, each trace summed over the
+    term's entries inside a component against that component's whole Gibbs block."""
+    rho = gibbs_blocks(spec)
+    out = []
+    for key, term in model.pairing_bond_terms(params, basis):
+        A = coo_array(term)
+        k, l, data, ends = _by_component(spec, A.row, A.col, A.data)
+        total = 0.0 + 0.0j
+        for c in np.flatnonzero(np.diff(ends)):
+            s = slice(ends[c], ends[c + 1])
+            total += np.vdot(rho[c][k[s], l[s]], data[s])
+        out.append((key, thermo._realize_if_hermitian(complex(total), term)))
+    return out
+
+
+def quadratic_forms(spec, basis):
+    """(G, B, C) of ``thermo._build_quadratic_forms`` with every block's charge
+    products and Duhamel kernel held whole, and C read off its Gibbs block."""
+    qd = model.charge_diagonals(basis)
+    centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
+    rho = spec.rho_diag()
+    G = (centred * rho) @ centred.T
+    B, C = np.zeros((2,) + G.shape)
+    stag = basis.lattice.staggered_signs
+    lone = np.bincount(spec._block_of)[spec._block_of] == 1
+    keys, h_all, ends = spec._entries
+    gibbs = gibbs_blocks(spec)
+    for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
+        if len(idx) == 1:
+            continue
+        p, coef = _charge_products(q, qd[:, idx // basis.boson_dim], stag)
+        kern = thermo._duhamel_kernel(spec.beta, w - spec.e0, w - spec.e0)
+        p *= np.sqrt(kern, out=kern)
+        d = np.vstack([np.diagonal(p, 0, 1, 2).real, np.sqrt(wt)])
+        p = p.reshape(len(p), len(idx) ** 2)
+        gram = d @ d.T
+        gram[:-1, :-1] += 2.0 * (((p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T)
+                                 - gram[:-1, :-1])
+        B += coef @ gram @ coef.T
+        s = slice(ends[c], ends[c + 1])
+        (k, l), h_kl = np.divmod(keys[s], len(idx)), h_all[s]
+        r = gibbs[c].take(k * len(idx) + l)
+        nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
+        cb = centred[:, idx]
+        d = cb.take(k, axis=1) - cb.take(l, axis=1)
+        C += (d * nested) @ d.T
+    B = B / spec.z_shifted + (centred[:, lone] * rho[lone]) @ centred[:, lone].T
+    lower = np.tril_indices(len(qd), -1)
+    for M in (G, B, C):
+        M[lower] = M.T[lower]
+    return G, B, C
+
+
+def _charge_products(q, qb, stag):
+    """(p, coef), M_x = sum_j coef[x, j] p[j] + coef[x, -1] I, with each
+    p[j] = q^H diag(q_j - q_0) q held whole in its lower triangle."""
+    n_sites, n = qb.shape
+    diff = qb[1:] - qb[0]
+    coef = np.zeros((n_sites, n_sites))
+    coef[1:, :-1] = np.eye(n_sites - 1)
+    charge = stag @ qb
+    if n_sites > 1 and stag.sum() == 0 and charge.min() == charge.max():
+        diff = diff[:-1]
+        coef[-1] = np.r_[-stag[-1] * stag[1:-1], 0.0, stag[-1] * charge[0]]
+    coef = (coef - coef.mean(axis=0))[:, np.r_[:len(diff), -1]]
+    update = blas.zherk if np.iscomplexobj(q) else blas.dsyrk
+    p = np.zeros((len(diff), n, n), dtype=q.dtype)
+    for j, dj in enumerate(diff):
+        for v in np.unique(dj[dj != 0]):
+            update(v, q[dj == v].T, beta=1.0, c=p[j].T, overwrite_c=1)
+    return p, coef

@@ -72,6 +72,17 @@ def test_large_beta_logz_is_finite():
     assert np.isfinite(spec.logZ)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0])
+def test_spectral_refuses_a_beta_of_no_gibbs_state_before_any_block(monkeypatch, beta):
+    # nan and inf gave log Z = nan, and -1 a finite log Z of no Gibbs state
+    def refuse(*args):
+        raise AssertionError("a block was scattered")
+
+    monkeypatch.setattr(sectors, "_block_stacks", refuse)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        thermo.spectral(np.diag([0.5, 1.0, 2.0]), beta)
+
+
 # -- thermal expectation ---------------------------------------------------------------
 
 
@@ -135,6 +146,27 @@ def test_pairing_bond_expectations_match_dense_trace(nu, n_max):
         want = np.trace(rho @ term.toarray())
         assert isinstance(val, float)
         assert abs(val - want) <= 1e-12 * abs(want)
+
+
+def test_another_dimension_is_refused_before_any_term(monkeypatch):
+    # a nu=1 spec of dim 64 against a 2x2 basis of dim 256: each raised a bare
+    # IndexError, or numpy's "shapes not aligned"
+    params = small_params(n_max=1)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, build_basis(build_lattice(1, 1), 1)),
+                           params.beta)
+    basis = build_basis(build_lattice(2, 1), 0)
+    assert (spec.dim, basis.total_dim) == (64, 256)
+
+    def refuse(*args):
+        raise AssertionError("a bond term was built")
+
+    monkeypatch.setattr(model, "pairing_bond_terms", refuse)
+    with pytest.raises(ValueError, match="dimension 64, not the basis dimension 256"):
+        thermo.pairing_bond_expectations(params, basis, spec)
+    with pytest.raises(ValueError, match=r"shape \(256, 256\), not the dimension 64"):
+        spec.expectation(sparse.eye_array(256, format="csr"))
+    with pytest.raises(ValueError, match=r"shape \(5,\), not the dimension 64"):
+        spec.expectation(np.ones(5))
 
 
 def test_sparse_expectation_matches_dense_trace(state):
@@ -525,18 +557,25 @@ def test_forms_of_the_original_hamiltonian_match_the_oracle():
                            np.random.default_rng(8))
 
 
-def test_forms_on_a_component_with_flux_match_the_oracle():
-    # a phase on one entry of a cycle of H'' sends its component down the complex path
-    params = small_params(n_max=0)
-    basis = build_basis(build_lattice(2, 1), 0)
+def doubleprime_with_flux(params, basis):
+    """H'' with a phase on the first entry, in order, that lies on a cycle: its
+    component goes down the complex path."""
     H = model.build_doubleprime(params, basis).astype(complex)
     for k, l in zip(*np.nonzero(np.triu(H, 1))):
         F = H.copy()
         F[k, l] *= np.exp(0.7j)
         F[l, k] = np.conj(F[k, l])
-        spec = thermo.spectral(F, params.beta)
-        if not all(spec.real_blocks):
-            break
+        if not all(thermo.spectral(F, params.beta).real_blocks):
+            return F
+    raise AssertionError("no entry of H'' lies on a cycle")
+
+
+def test_forms_on_a_component_with_flux_match_the_oracle():
+    # a phase on one entry of a cycle of H'' sends its component down the complex path
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    F = doubleprime_with_flux(params, basis)
+    spec = thermo.spectral(F, params.beta)
     assert not all(spec.real_blocks) and any(spec.real_blocks)
     assert_raw_forms_match(basis, spec, Oracle(F, params.beta), np.random.default_rng(9))
 
@@ -553,18 +592,29 @@ def assert_raw_forms_match(basis, spec, oracle, rng):
 
 
 def test_form_build_memory_is_bounded(state_2x2):
-    # the build holds a few n x n arrays of one block at a time (about 19 MiB at
-    # its peak here); the bound keeps speed from being bought with memory
+    # the build holds a few n x n arrays of one block at a time (10.8 MiB at
+    # its peak here, every block one tile); the bound keeps speed from being
+    # bought with memory
     params, basis, H2, spec = state_2x2
     spec.rho_diag()
-    spec._gibbs_blocks()
+    spec._rho_entries()
     tracemalloc.start()
     try:
         thermo._build_quadratic_forms(spec, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2 ** 20
+    assert peak < 16 * 2 ** 20
+
+
+def test_tiled_form_build_memory_follows_the_budget(monkeypatch, state_2x2):
+    # in tiles of 1 MiB the build peaks at 3.3 MiB here, against 10.8 MiB for
+    # whole blocks: the tiles, not the blocks, set the peak
+    params, basis, H2, spec = state_2x2
+    spec.rho_diag()
+    spec._rho_entries()
+    monkeypatch.setattr(thermo, "_TILE_BYTES", 1 << 20)
+    assert traced_peak(lambda: thermo._build_quadratic_forms(spec, basis)) < 4 * 2 ** 20
 
 
 def test_spectral_build_memory_is_bounded(state_2x2):
@@ -581,8 +631,107 @@ def test_bond_expectations_memory_is_bounded(state_2x2):
     # the eight terms are built and read one at a time: about 7 MiB at the peak
     # here, against 15.1 MiB when all eight were held at once
     params, basis, _, spec = state_2x2
-    spec._gibbs_blocks()
+    spec._rho_entries()
     assert traced_peak(lambda: thermo.pairing_bond_expectations(params, basis, spec)) < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0), (2, 1)])
+def test_bonds_and_forms_have_the_bits_of_whole_gibbs_blocks(nu, n_max):
+    # rho is read once at the entries of H'' and B's Gram matrix is built in
+    # tiles; every block here is one tile, so both keep the bits of the sums
+    # over whole Gibbs blocks and whole charge products
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
+    assert (thermo.pairing_bond_expectations(params, basis, spec)
+            == oracles.bond_expectations(params, basis, spec))
+    for got, want in zip(thermo._build_quadratic_forms(spec, basis),
+                         oracles.quadratic_forms(spec, basis)):
+        assert np.array_equal(got, want)
+
+
+def tiled_case(case):
+    """(H, beta, basis, tile budget) with blocks past the budget."""
+    if case == "flux":
+        params, basis = small_params(n_max=0), build_basis(build_lattice(2, 1), 0)
+        return doubleprime_with_flux(params, basis), params.beta, basis, 1
+    nu, n_max = (2, 1) if case == "2x2" else (1, 2)
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    build = oracles.build_original if case == "original" else model.build_doubleprime_csr
+    # 1 << 17: tiles of 64 states at 2x2, where tiles of one state take minutes
+    return build(params, basis), params.beta, basis, 1 << 17 if case == "2x2" else 1
+
+
+@pytest.mark.parametrize("case", ["nu1", "2x2", "original", "flux"])
+def test_tiled_gram_matches_one_tile(monkeypatch, case):
+    # a block past the tile budget sums its Gram matrix tile by tile, in
+    # another order: B, and b with it, move within 1e-13 relative; G and C not
+    H, beta, basis, budget = tiled_case(case)
+    spec = thermo.spectral(H, beta)
+    whole = thermo._quadratic_forms(spec, basis)
+    monkeypatch.setattr(thermo, "_TILE_BYTES", budget)
+    spec = thermo.spectral(H, beta)
+    if case == "flux":
+        assert not all(spec.real_blocks)
+    tiled = thermo._quadratic_forms(spec, basis)
+    assert np.array_equal(tiled[0], whole[0]) and np.array_equal(tiled[2], whole[2])
+    assert np.max(np.abs(tiled[1] - whole[1])) <= 1e-13 * np.max(np.abs(whole[1]))
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        h = rng.standard_normal(basis.n_sites) + 1j * rng.standard_normal(basis.n_sites)
+        f = basis.lattice.laplacian_matrix() @ h
+        for got, want in zip(tiled, whole):
+            assert abs(np.vdot(f, got @ f) - np.vdot(f, want @ f)) <= 1e-13 * abs(np.vdot(f, want @ f))
+
+
+def test_spec_keeps_no_gibbs_block_after_bonds_and_forms(state_2x2):
+    # the Gibbs state is kept only at the entries of H'': no attribute holds an
+    # array of n^2 entries (n the largest component) but the eigenvectors
+    params, basis, H2, _ = state_2x2
+    spec = thermo.spectral(H2, params.beta)
+    thermo.quadratic_form_quantities(params, basis, np.ones(4), spec)
+    assert spec._forms[2] is not None       # the bond expectations were taken too
+    n = max(len(idx) for idx, _, _ in spec._eig)
+    eigenvectors = {id(q) for _, _, q in spec._eig}
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+
+    kept = [a for value in vars(spec).values() for a in arrays(value)]
+    assert sum(id(a) in eigenvectors for a in kept) == len(spec._eig)
+    assert [a.shape for a in kept if a.size >= n * n and id(a) not in eigenvectors] == []
+
+
+def whole_matrix_pattern(H):
+    """The off-diagonal nonzeros of a dense H read through one n x n bool."""
+    rows, cols = np.divmod(np.flatnonzero(H != 0.0), H.shape[0])
+    off = rows != cols
+    return rows[off], cols[off], H[rows[off], cols[off]]
+
+
+@pytest.mark.parametrize("slab_bytes", [sectors._PATTERN_SLAB_BYTES, 3000],
+                         ids=["default", "uneven"])
+def test_dense_pattern_read_in_row_slabs_equals_the_whole_read(monkeypatch, state_2x2,
+                                                               slab_bytes):
+    # 3000 B: slabs of one row at 2x2, and of 11 rows (not dividing 144) at nu=1
+    monkeypatch.setattr(sectors, "_PATTERN_SLAB_BYTES", slab_bytes)
+    _, _, H2, _ = state_2x2
+    H1 = model.build_doubleprime(small_params(), build_basis(build_lattice(1, 1), 2)).real
+    for H in (H2, H1):
+        for got, want in zip(sectors._offdiagonal_pattern(H), whole_matrix_pattern(H)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dense_pattern_read_memory_is_bounded(state_2x2):
+    # the n x n bool of H'' != 0 peaked at 17.3 MiB here; in row slabs of
+    # 1 MiB the read peaks at 5.1 MiB, 4.9 MiB of it the returned entries
+    _, _, H2, _ = state_2x2
+    assert traced_peak(lambda: sectors._offdiagonal_pattern(H2)) < 10 * 2 ** 20
 
 
 def traced_peak(fn):
