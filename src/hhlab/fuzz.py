@@ -159,12 +159,6 @@ def _log_partition(beta, w):
     return -beta * w0 + np.log(np.sum(np.exp(-beta[:, None] * (w - w0[:, None])), axis=1))
 
 
-def _kron(X, Y):
-    """np.kron of each pair of two broadcast stacks of square matrices."""
-    n, m = X.shape[-1], Y.shape[-1]
-    return (X[..., :, None, :, None] * Y[..., None, :, None, :]).reshape(-1, n * m, n * m)
-
-
 def _reflected(W, X):
     """theta X theta^-1 = W conj(X) W^H for each W (m, 1, n, n) and X (m, p, n, n)."""
     return W @ X.conj() @ _adjoint(W)
@@ -174,21 +168,25 @@ def _coupled(A, X, C, lam, buffers=None):
     """H(A,B,C,D) of m stacked draws, X (m, k + 1, n, n) holding theta B
     theta^-1 and the theta D_j theta^-1, on the "H" buffer of ``buffers``.
 
-    The identity terms are written onto diagonal views, and the h.c. block
-    is the product of the conjugate-transposed factors (conj(z w) =
-    conj(z) conj(w) exactly), so every entry has the bits of
-    A (x) 1 + 1 (x) X_0 minus, term by term, lambda_j (K + K^H),
-    K = C_j (x) X_j."""
+    The identity terms are written onto diagonal views.  K = C_j (x) X_j is
+    formed once per term, on the "K" buffer, and K^H is its conjugate
+    transpose, taken on the "KH" buffer: the product of the
+    conjugate-transposed factors has the same bits (conj(z w) = conj(z)
+    conj(w) exactly).  So every entry has the bits of A (x) 1 + 1 (x) X_0
+    minus, term by term, lambda_j (K + K^H)."""
     m, k, n = C.shape[:3]
-    H = (buffers or _Buffers()).take("H", (m, n, n, n, n), complex)
+    buffers = buffers or _Buffers()
+    H = buffers.take("H", (m, n, n, n, n), complex)
     H.fill(0.0)
     np.einsum("mabcb->mabc", H)[...] = A[:, :, None, :]          # A (x) 1
     np.einsum("mabad->mabd", H)[...] += X[:, 0, None]            # 1 (x) X_0
     H = H.reshape(m, n * n, n * n)
-    Ch, Xh = _adjoint(C), _adjoint(X)
+    K = buffers.take("K", (m, n, n, n, n), complex)
+    block = buffers.take("KH", (m, n * n, n * n), complex)
     for j in range(k):
-        block = _kron(C[:, j], X[:, j + 1])
-        block += _kron(Ch[:, j], Xh[:, j + 1])
+        np.multiply(C[:, j, :, None, :, None], X[:, j + 1, None, :, None, :], out=K)
+        np.conjugate(np.swapaxes(K.reshape(m, n * n, n * n), 1, 2), out=block)   # K^H
+        block += K.reshape(m, n * n, n * n)
         block *= lam[:, j, None, None]
         H -= block
     return H

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -66,6 +67,8 @@ __all__ = [
     "hole_particle_fermion",
     "build_spin_flip",
     "spin_swap",
+    "particle_hole_translation",
+    "particle_hole_symmetry",
     "build_a_operators",
     "expm_i_hermitian",
     "fermion_mode_permutation",
@@ -381,11 +384,14 @@ def spin_diagonals(basis):
     return (_occupations(basis, "up") - _occupations(basis, "down")).astype(float)
 
 
-def _site_field(h, n_sites):
-    """h as a float vector, refused with ValueError unless its shape is (n_sites,)."""
-    h = np.asarray(h, dtype=float)
+def _site_field(h, n_sites, dtype=float):
+    """h as a vector of ``dtype``, refused with ValueError unless its shape is
+    (n_sites,) and every entry is finite."""
+    h = np.asarray(h, dtype=dtype)
     if h.shape != (n_sites,):
         raise ValueError(f"h must have shape (n_sites,) = ({n_sites},), got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"h must be finite, got h = {h}")
     return h
 
 
@@ -395,18 +401,23 @@ def field_diagonal_correction(params, basis, h):
     Expanding P''(h) - P''(0) = -V sum_bonds (q_x - q_y)(h_x - h_y)
     + (V/2) sum_bonds (h_x - h_y)^2; both pieces are diagonal in the
     occupancy basis because the q_x are.  An h whose shape is not
-    (n_sites,) is refused with ValueError.
+    (n_sites,), an h with an entry that is not finite, and an h whose
+    correction overflows are refused with ValueError.
     """
     lat = _require_lattice(basis)
     h = _site_field(h, basis.n_sites)
     q = charge_diagonals(basis)
     diag = np.zeros(basis.fermion_dim)
     const = 0.0
-    for b in lat.bonds():
-        dh = h[b.i] - h[b.j]
-        diag += -params.V * (q[b.i] - q[b.j]) * dh
-        const += 0.5 * params.V * dh * dh
-    return diag + const
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in lat.bonds():
+            dh = h[b.i] - h[b.j]
+            diag += -params.V * (q[b.i] - q[b.j]) * dh
+            const += 0.5 * params.V * dh * dh
+        out = diag + const
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the field correction of h = {h} is not finite")
+    return out
 
 
 def hamiltonian_set(params, basis):
@@ -576,6 +587,73 @@ def spin_swap(basis):
     is invariant under it, so it commutes with the field term.
     """
     return _spin_swap(basis).kron(_on_phonons(basis))
+
+
+def _even_translations(lat):
+    """The site permutation x -> x + a of every translation a of the torus
+    with sum_j a_j even (it keeps the sublattices), a = 0 first."""
+    for a in product(range(2 * lat.ell), repeat=lat.nu):
+        if sum(a) % 2 == 0:
+            yield np.array([lat.site_index[lat.wrap(tuple(c + s for c, s in zip(x, a)))]
+                            for x in lat.sites])
+
+
+def _translation_residual(lat, sites):
+    """(N I - sigma sigma^T)(I + P)(-Delta) in integers, for the translation P
+    sending site x to sites[x] and sigma the staggered signs: zero iff, for
+    every field, q -> -P q maps the field term onto itself plus a multiple
+    of the staggered charge sum_x sigma_x q_x."""
+    n = lat.n_sites
+    lap = lat.laplacian_matrix().astype(np.int64)
+    sigma = lat.staggered_signs.astype(np.int64)
+    shift = np.zeros((n, n), dtype=np.int64)
+    shift[sites, np.arange(n)] = 1
+    eye = np.eye(n, dtype=np.int64)
+    return (n * eye - np.outer(sigma, sigma)) @ (eye + shift) @ lap
+
+
+def particle_hole_translation(lat):
+    """The sites x + a of the first even translation a whose residual
+    (:func:`_translation_residual`) vanishes, or None if none does.
+
+    It exists on the two-site ring (a = 0) and on the 2x2 torus
+    (a = (1, 1)); on the 2x2x2 torus every even translation leaves a
+    residual.  Only with it does :func:`particle_hole_symmetry` relate
+    H''(h) to itself at every field h.
+    """
+    for sites in _even_translations(lat):
+        if not np.any(_translation_residual(lat, sites)):
+            return sites
+    return None
+
+
+def particle_hole_symmetry(basis, sites):
+    """Pi = S T C as a signed permutation of the full space, for the
+    translation x -> sites[x] of :func:`particle_hole_translation`.
+
+    C is particle-hole on every mode (``_mode_flip``), twisted by (-1)^n on
+    the odd sites for both spins, times phonon parity, so C q_x C^-1 = -q_x
+    and C b_x C^-1 = -b_x; T is the translation of the fermion modes
+    (``fermion_mode_permutation``) and of the phonon digits; S is the spin
+    swap.  Pi is an involution that commutes with H'' and with the mirror of
+    the reflection Theta, and sends S'+ to -S'+.  It maps q_x to -q_{x+a}:
+    the staggered charge Q_st = sum_x sigma_x q_x to -Q_st, and the field
+    term of H''(h) to itself plus a multiple of Q_st.
+    """
+    lat = _require_lattice(basis)
+    occ = basis.mode_tables()[0]
+    flips = reduce(Monomial.compose, [_mode_flip(basis, x, s) for x in basis.sites
+                                      for s in ("up", "down")])
+    odd = [2 * lat.site_index[x] + s for x in lat.odd_sites for s in (0, 1)]
+    twist = Monomial(np.arange(basis.fermion_dim), _parity_sign(occ[odd].sum(axis=0)))
+    modes = (2 * np.asarray(sites)[:, None] + np.arange(2)).ravel()
+    fermion = _spin_swap(basis).compose(fermion_mode_permutation(basis, modes)).compose(
+        twist.compose(flips))
+    n = basis.n_sites
+    digits = _phonon_digits(basis)[:, ::-1]                   # site order
+    boson = Monomial((digits * (basis.n_max + 1) ** (n - 1 - np.asarray(sites))).sum(axis=1),
+                     _parity_sign(digits.sum(axis=1)))
+    return fermion.kron(boson)
 
 
 def build_a_operators(basis):

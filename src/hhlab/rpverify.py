@@ -576,23 +576,30 @@ class FieldPartition:
 
     The field only shifts the diagonal and commutes with the spin SU(2) of
     the zigzag frame, so ``sectors.highest_weight_sectors`` reduces H'' once
-    to real blocks on its highest-weight states.  ``sectors`` holds (idx,
+    to real blocks on its highest-weight states: ``sectors`` holds (idx,
     real block, weight 2M + 1), idx one representative basis index per
-    column.  At 2x2, n_max = 1 (dim 4096) the largest block is 320 and the
-    sum of n^3 is 1.23e8.  A log Z costs one real eigvalsh per sector, the
-    sectors of one size solved as one stack, and equals the complex one up
-    to rounding.
+    column.  At 2x2, n_max = 1 (dim 4096) the largest is 320 and the sum of
+    n^3 is 1.23e8.  Where ``model.particle_hole_translation`` finds the site
+    condition (the two-site ring and the 2x2 torus, not the 2x2x2 one), the
+    particle-hole symmetry Pi of ``model.particle_hole_symmetry`` reduces
+    them further (``uses_particle_hole``): of two sectors with staggered
+    charge +-Q one is solved and the other counted as e^{-beta s} times it,
+    s read off the field correction, and one with Q = 0 is split in two; at
+    2x2 the sum of n^3 is 4.996e7.  A log Z costs one real eigvalsh per
+    sector, the sectors of one size solved as one stack, and equals the
+    complex one up to rounding.
 
     A field with np.array_equal(h, h o r), r the reflection of the lattice
     (both fields of :func:`reflected_configs`, h = 0 and every constant
     field), is solved on the mirror sectors instead, as Theta = M K of
-    :func:`_mirror_symmetry` commutes with H''(h): at 2x2, 35 sectors with
-    sum n^3 = 5.04e7, so a log Z costs about half as much.
+    :func:`_mirror_symmetry` commutes with H''(h), and so does Pi: at 2x2
+    the sum of n^3 is 1.264e7 and the largest block 160 (5.04e7 and 320
+    with Theta alone).
 
     Construction refuses, with ValueError, every H'' that
-    ``sectors.highest_weight_sectors`` refuses.  log Z values are cached per
-    configuration rounded to 12 digits, keeping the LOG_Z_CACHE_SIZE most
-    recently used.
+    ``sectors.highest_weight_sectors`` refuses; one that Pi does not keep
+    is solved without Pi.  log Z values are cached per configuration rounded
+    to 12 digits, keeping the LOG_Z_CACHE_SIZE most recently used.
     """
 
     def __init__(self, params, basis, H2=None):
@@ -601,11 +608,23 @@ class FieldPartition:
         if H2 is None:
             H2 = _model.build_doubleprime_csr(params, basis)
         reflection, self._mirror_sites = _mirror_symmetry(basis)
-        # the sectors of one size are solved as one stack; ``sectors`` views the stacks
-        self._stacks, self._mirror_stacks = _sectors.highest_weight_sectors(basis, H2, reflection)
-        self.sectors = [(idx, blk, int(weight)) for stack in self._stacks
-                        for idx, blk, weight in zip(*stack)]
+        sites = _model.particle_hole_translation(basis.lattice)
+        pi = None if sites is None else _model.particle_hole_symmetry(basis, sites)
+        self._sectors = _sectors.highest_weight_sectors(basis, H2, reflection, pi)
+        # the sectors of one size are solved as one stack
+        self._stacks, self._mirror_stacks = self._sectors.stacks, self._sectors.mirror_stacks
         self._cache = OrderedDict()
+
+    @property
+    def sectors(self):
+        """(idx, real block, weight) of each spin-SU(2) highest-weight sector."""
+        return [(idx, blk, int(weight)) for stack in self._sectors.highest_weight_stacks()
+                for idx, blk, weight in zip(*stack[:3])]
+
+    @property
+    def uses_particle_hole(self):
+        """Whether Pi reduces the sectors that a log Z solves."""
+        return self._sectors.uses_particle_hole
 
     def log_partition(self, h):
         h = np.asarray(h, dtype=float)
@@ -617,11 +636,13 @@ class FieldPartition:
                          self.basis.boson_dim)
         ws = []
         mirrored = np.array_equal(h, h[self._mirror_sites])
-        for idx, blk, weight in self._mirror_stacks if mirrored else self._stacks:
+        for idx, blk, weight, *pair in self._mirror_stacks if mirrored else self._stacks:
             a = blk.copy()
             diag = np.arange(a.shape[1])
             a[:, diag, diag] += corr[idx]
             ws.append((weight, np.linalg.eigvalsh(a)))
+            if pair:                    # (partner, partner_weight) of the sectors Pi pairs
+                ws.append((pair[1], ws[-1][1] + _sectors._pair_shift(corr, idx, pair[0])))
         w0 = min(float(w[:, 0].min()) for _, w in ws)
         beta = self.params.beta
         z = sum(float(weight @ np.exp(-beta * (w - w0)).sum(axis=1)) for weight, w in ws)
@@ -695,12 +716,13 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
     fails numerically in a corner of parameter space (small t, beta V ~ 1).
 
     The forms read the entries of H'' from ``spec``: ``H2`` is only checked
-    to have spec's shape, and one of another shape is refused with ValueError.
+    to have spec's shape, and one of another shape is refused with ValueError,
+    as is an h whose shape is not (n_sites,) or with an entry that is not finite.
     """
     if H2.shape != (spec.dim, spec.dim):
         raise ValueError(f"H2 has shape {H2.shape}, not the dimension {spec.dim} of spec")
     lat = basis.lattice
-    h = np.asarray(h, dtype=complex)
+    h = _model._site_field(h, basis.n_sites, complex)
     lap, stag = lat.laplacian_matrix(), lat.staggered_signs
     f = lap @ h                                          # (-Delta) h
     g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, bond_expectations)

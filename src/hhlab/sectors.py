@@ -11,13 +11,14 @@ which every component without flux is real symmetric (H'', H, H' and
 V H V^-1 all are).  Both spectral engines take this split:
 ``thermo.SpectralData``, and :func:`highest_weight_sectors`, which reduces
 H'' for the Z(h) of ``rpverify.FieldPartition`` by the spin SU(2) of the
-zigzag frame and by the reflection Theta.
+zigzag frame, by the particle-hole symmetry Pi and by the reflection Theta;
+one reducer (:func:`_involution_sectors`) serves Pi and Theta.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix, eye_array, issparse
+from scipy.sparse import csr_array, csr_matrix, eye_array, issparse, kron
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
@@ -190,6 +191,8 @@ def _gauged(a, row_phase, col_phase):
 _SYMMETRY_TOL = 1e-12
 # eigenvalues of S'- S'+ below this are zeros: the others are S(S + 1) - M(M + 1) >= 2
 _KERNEL_CUT = 0.5
+# largest spread of a paired sector's shift over its columns, relative to the field correction
+_SHIFT_TOL = 1e-12
 
 
 def _check_commutes(basis, G, raising, phase):
@@ -293,40 +296,95 @@ def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
     return P, col_lab[order], col_rep[order], comp_m
 
 
-def _sector_stacks(B, col_lab, col_rep, weight):
-    """The sparse B as one stack (idx = col_rep, real blocks, weight[labs]) per
-    block size of the labels ``col_lab``, without the entries between two
-    labels: rounding, between the eigenspaces of Theta."""
+def _sector_stacks(B, col_lab, col_rep, weight, partner=None, partner_weight=None):
+    """The sparse B as one stack (idx, real blocks, weight) per block size of
+    the labels ``col_lab``, without the entries between two labels:
+    rounding, between the eigenspaces of an involution.
+
+    idx = col_rep of the columns and ``weight`` is per label.  With
+    ``partner``, a representative of each column's image in the sector
+    paired with its own, each stack also holds (partner[idx],
+    partner_weight per block): the paired sector has the spectrum of the
+    block shifted by a constant, and is counted partner_weight times.
+    """
     B = B.tocoo()
     keep = col_lab[B.row] == col_lab[B.col]
-    return [(col_rep[idx], blocks, weight[labs]) for labs, idx, (blocks,)
-            in _block_stacks(col_lab, [(B.row[keep], B.col[keep], B.data[keep])])]
+    return [(col_rep[idx], blocks, weight[labs])
+            + (() if partner is None else (partner[idx], partner_weight[labs]))
+            for labs, idx, (blocks,) in _block_stacks(col_lab, [(B.row[keep], B.col[keep],
+                                                                 B.data[keep])])]
 
 
-def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
-    """The sectors reduced by Theta = M K (K conjugates), for h = h o r.
+def _pair_shift(corr, idx, partner):
+    """The constant s by which the field correction ``corr`` shifts the
+    spectrum of each block's paired sector: corr[partner] - corr[idx], as
+    (m, 1), refused with AssertionError unless it is one constant per block
+    to _SHIFT_TOL times the largest |corr|."""
+    s = corr[partner] - corr[idx]
+    dev = float(np.max(np.abs(s - s[:, :1])))
+    if dev > _SHIFT_TOL * max(1.0, float(np.max(np.abs(corr)))):
+        raise AssertionError(f"the field correction shifts a paired sector by no one constant "
+                             f"(spread {dev:.3e})")
+    return s[:, :1]
 
-    In the gauge, M conj(H'') M^T = H'' reads O G O^T = G, O the signed
-    permutation conj(d[perm]) sign conj(d) up to one phase per component.
-    A sector that O maps onto another is kept once.  One mapped onto itself
-    is split into the +-1 eigenspaces of R = P^T O P, solved on each
-    connected component of R's pattern: it lies on one charge orbit
-    {q, q o r}, where the field correction of an invariant h is constant.
-    Returns (U, with P U the sectors, labels 2c, or 2c + 1 on the -1 eigenspace, their
-    representatives, weight per label).
-    """
-    perm = reflection.perm
+
+def _gauged_symmetry(labels, phase, symmetry, antiunitary):
+    """A signed permutation of H'' (or the M of an antiunitary M K) in the
+    gauge d, as a real Monomial: conj(d[perm]) sign d (conj(d) for M K), up
+    to one phase per component, which is divided out."""
     _, first = np.unique(labels, return_index=True)
-    o = phase[perm].conj() * reflection.sign * phase.conj()
-    sign = np.sign((o * o[first[labels]].conj()).real)
-    dev = float(np.max(np.abs((Monomial(perm, sign).conjugate(G) - G).data), initial=0.0))
-    if dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0)):
-        raise ValueError(f"H'' is not invariant under the reflection Theta: largest change "
-                         f"of an entry {dev:.3e}")
-    image = labels[perm[first]]                     # O maps c onto image[c]
-    p = P.tocoo()
-    R = P.T @ csr_array((sign[p.row] * p.data, (perm[p.row], p.col)), shape=P.shape)
-    dev = float(np.max(np.abs((R.T @ R - eye_array(R.shape[0])).data), initial=0.0))
+    o = phase[symmetry.perm].conj() * symmetry.sign * (phase.conj() if antiunitary else phase)
+    return Monomial(symmetry.perm, np.sign((o * o[first[labels]].conj()).real))
+
+
+def _changed(G, O):
+    """The largest entry of O G O^T - G, and whether it exceeds _SYMMETRY_TOL
+    times the largest entry of G."""
+    dev = float(np.max(np.abs((O.conjugate(G) - G).data), initial=0.0))
+    return dev, dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0))
+
+
+def _same(a, b):
+    return np.array_equal(a.perm, b.perm) and np.array_equal(a.sign, b.sign)
+
+
+def _involution_sectors(X, O, col_lab, col_rep, weight):
+    """Sectors reduced by an involution O, a real Monomial of the gauged
+    space: the one reducer of Theta and of Pi.
+
+    The columns of the sparse X are the orthonormal real basis of the
+    sectors in the full space, labelled by ``col_lab``, with a
+    representative basis state ``col_rep`` each, and ``weight`` per label.
+    R = X^T O X is O on the columns.  The largest entry of each column of R
+    names the sector it is mapped to, which must be one per sector; the
+    other entries between two sectors are dropped as rounding.  A sector L
+    that O maps onto another is kept once, as 2L, if L is the lower label.
+    One mapped onto itself is split into the +-1 eigenspaces of R, 2L and
+    2L + 1, by one eigh per connected piece of R's pattern, so each new
+    column lies on the states of its piece.
+
+    Returns (U, labels, reps, partner, weight, paired, dev): X U are the
+    new columns; ``partner`` is O's image of the representative of each
+    kept column, and the representative itself for a split one; the new
+    weight is the old one, and paired[2L] is True for a kept pair; dev is
+    the largest deviation of R from an orthogonal involution, inf if O does
+    not map sectors onto sectors.
+    """
+    x = X.tocoo()
+    R = (X.T @ csr_array((O.sign[x.row] * x.data, (O.perm[x.row], x.col)), shape=X.shape)).tocoo()
+    n = X.shape[1]
+    order = np.lexsort((-np.abs(R.data), R.col))
+    cols, top = np.unique(R.col[order], return_index=True)
+    if len(cols) < n:
+        return (None,) * 6 + (np.inf,)
+    to = col_lab[R.row[order[top]]]                 # the sector each column is mapped to
+    image = np.full(len(weight), -1)
+    image[col_lab] = to
+    if not (np.array_equal(image[col_lab], to) and np.array_equal(image[to], col_lab)):
+        return (None,) * 6 + (np.inf,)
+    keep = col_lab[R.row] == image[col_lab[R.col]]
+    R = csr_array((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n))
+    dev = float(np.max(np.abs((R.T @ R - eye_array(n)).data), initial=0.0))
     piece = np.where(image[col_lab] == col_lab, connected_components(R, directed=False)[1], -1)
     kept = np.flatnonzero(col_lab < image[col_lab])
     rows, cols, vecs = [kept], [np.arange(len(kept))], [np.ones(len(kept))]
@@ -341,35 +399,112 @@ def _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m):
         vecs.append(np.swapaxes(v, 1, 2).ravel())
         new_lab.append((2 * col_lab[idx[:, :1]] + (w < 0)).ravel())
         new_rep.append(np.repeat(col_rep[idx[:, 0]], k))
-    if dev > _SYMMETRY_TOL:
-        raise ValueError(f"the reflection Theta is not an orthogonal involution on the "
-                         f"sectors (deviation {dev:.3e})")
     rows, cols, vecs, new_lab, new_rep = map(np.concatenate, (rows, cols, vecs, new_lab, new_rep))
-    U = csr_array((vecs, (rows, cols)), shape=(P.shape[1], len(new_lab)))
-    weight = (comp_m + 1) * np.where(image == np.arange(len(image)), 1, 2)
-    return U, new_lab, new_rep, np.repeat(weight, 2)
+    paired = np.zeros(2 * len(image), dtype=bool)
+    paired[2 * col_lab[kept]] = True
+    U = csr_array((vecs, (rows, cols)), shape=(n, len(new_lab)))
+    partner = np.where(paired[new_lab], O.perm[new_rep], new_rep)
+    return U, new_lab, new_rep, partner, np.repeat(weight, 2), paired, dev
 
 
-def highest_weight_sectors(basis, H2, reflection):
-    """H'' reduced by the spin SU(2) of the zigzag frame, for Z(h) of the
-    field family H''(h): one stack (idx, real blocks, weights 2M + 1) per
-    block size, and the same reduced further by Theta = M K, for h = h o r.
+class FieldSectors:
+    """The sectors of H'' that FieldPartition solves: ``stacks`` for every
+    field and ``mirror_stacks`` for h = h o r, each a list of the stacks of
+    :func:`_sector_stacks`, and whether Pi reduces them
+    (``uses_particle_hole``).  ``highest_weight`` holds the arguments of
+    :func:`_sector_stacks` for the spin-SU(2) sectors alone when Pi reduces
+    the others, which :meth:`highest_weight_stacks` builds on each call."""
+
+    def __init__(self, stacks, mirror_stacks, highest_weight=None):
+        self.stacks, self.mirror_stacks = stacks, mirror_stacks
+        self.uses_particle_hole = highest_weight is not None
+        self._highest_weight = highest_weight
+
+    def highest_weight_stacks(self):
+        if self.uses_particle_hole:
+            return _sector_stacks(*self._highest_weight)
+        return self.stacks
+
+
+def _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta, reflection, particle_hole):
+    """The sectors of every field reduced by Pi, and those of h = h o r by
+    Theta and Pi together, or None if Pi fails a check.
+
+    Pi must be an involution that commutes with the mirror M of Theta, keep
+    S'+ up to sign, leave G unchanged to _SYMMETRY_TOL and be an orthogonal
+    involution on the highest-weight sectors.  Theta then acts on the
+    sectors Pi keeps as Theta, or as Pi Theta where Theta leads to the
+    partner that Pi drops: an involution that commutes with H''(h) for
+    h = h o r, where sigma . f = 0.
+    """
+    P, A, col_lab, col_rep, weight = hw
+    n = len(labels)
+    up = kron(raising, eye_array(basis.boson_dim), format="csr")
+    image = particle_hole.conjugate(up)
+    if not (_same(particle_hole.compose(particle_hole), Monomial(np.arange(n), np.ones(n)))
+            and _same(reflection.compose(particle_hole), particle_hole.compose(reflection))
+            and min(abs(image - up).max(), abs(image + up).max()) == 0):
+        return None
+    pi = _gauged_symmetry(labels, phase, particle_hole, antiunitary=False)
+    if _changed(G, pi)[1]:
+        return None
+    U1, lab1, rep1, partner, w1, paired1, dev = _involution_sectors(P, pi, col_lab, col_rep, weight)
+    if dev > _SYMMETRY_TOL:
+        return None
+    kept = np.zeros(labels.max() + 1, dtype=bool)
+    kept[labels[rep1]] = True
+    swap = ~kept[labels[theta.perm]]
+    pi_theta = pi.compose(theta)
+    mixed = Monomial(np.where(swap, pi_theta.perm, theta.perm),
+                     np.where(swap, pi_theta.sign, theta.sign))
+    U2, lab2, rep2, _, w2, paired2, dev = _involution_sectors(P @ U1, mixed, lab1, rep1,
+                                                             w1 * (1 + paired1))
+    if dev > _SYMMETRY_TOL:
+        return None
+    A1 = U1.T @ (A @ U1)
+    return (_sector_stacks(A1, lab1, rep1, w1, partner, w1 * paired1),
+            _sector_stacks(U2.T @ (A1 @ U2), lab2, rep2, w2 * (1 + paired2)))
+
+
+def highest_weight_sectors(basis, H2, reflection, particle_hole=None):
+    """H'' reduced for Z(h) of the field family H''(h) = H'' + d(h): by the
+    spin SU(2) of the zigzag frame, then by Pi, and for h = h o r by Theta
+    as well.  Returns a :class:`FieldSectors`.
 
     S'+ = V S+ V^-1, the zigzag image of S+ = sum_x c*_{x up} c_{x down}
     (``model.zigzag_spin_operators``), commutes with H'' and keeps every site
     occupation, so it commutes with every field term too.  H''(h) is then
     fixed by its restriction to the highest-weight states (ker S'+) of each
     component with S'z = M >= 0, counted 2M + 1 times.  Each idx holds one
-    representative basis index per column; the field correction of H''(h)
-    is constant on its group, or for h = h o r on its charge orbit
-    (:func:`_mirror_sectors`).  ``reflection`` is M, a
-    ``hilbert.Monomial`` that keeps S'z and sends S'+ to -S'+.  Refuses,
-    with ValueError, in this order: a component with flux; an H'' whose
-    commutator with S'+ exceeds 1e-12 times its largest entry; a component
-    with two values of S'z; a group split over components or with a gauge
-    that is not +-1 times one phase; multiplets that miss total_dim; an H''
-    that Theta changes by over 1e-12 times its largest entry; a Theta that
-    is not an orthogonal involution on the sectors.
+    representative basis index per column; the field correction d(h) is
+    constant on its group.  ``reflection`` is the M of Theta = M K, a
+    ``hilbert.Monomial`` that keeps S'z and sends S'+ to -S'+; Theta
+    commutes with H''(h) for h = h o r, whose correction is constant on each
+    charge orbit {q, q o r}.
+
+    ``particle_hole`` is Pi of ``model.particle_hole_symmetry`` or None.
+    Pi maps q_x to -q_{x+a} and the staggered charge Q_st, which H'' keeps
+    and each component carries one value of, to -Q_st.  Given the site
+    condition of ``model.particle_hole_translation`` it sends
+    d(h) to d(h) + c(h) Q_st, c(h) = 2 V sigma . f / N, f = (-Delta) h.  So
+    a component with Q_st = Q != 0 has the spectrum of its partner -Q
+    shifted by c(h) Q: one is kept, its partner counted by that shift (read
+    off d(h) at matched representatives, and checked constant); a
+    component with Q_st = 0 is split into its Pi = +-1 halves.  For h = h o r,
+    sigma . f = 0 and Theta and Pi both commute with H''(h): the sectors Pi
+    keeps are split again by Theta or Pi Theta, and those with Q_st = 0 in
+    four.  At 2x2, n_max = 1 this takes the sum of n^3 from 1.231e8 to
+    4.996e7 for a general field and from 5.04e7 to 1.264e7 for h = h o r,
+    whose largest block falls from 320 to 160.  If Pi fails a check of
+    :func:`_particle_hole_sectors`, nothing is refused: the sectors are those
+    of the spin SU(2) and Theta alone.
+
+    Refuses, with ValueError, in this order: a component with flux; an H''
+    whose commutator with S'+ exceeds 1e-12 times its largest entry; a
+    component with two values of S'z; a group split over components or with
+    a gauge that is not +-1 times one phase; multiplets that miss
+    total_dim; an H'' that Theta changes by over 1e-12 times its largest
+    entry; a Theta that is not an orthogonal involution on the sectors.
     """
     labels, phase, (rows, cols, vals), flux = _gauged_sparse(H2)
     if flux.any():
@@ -380,7 +515,22 @@ def highest_weight_sectors(basis, H2, reflection):
     raising, twice_m = _model.zigzag_spin_operators(basis)
     _check_commutes(basis, G, raising, phase)
     P, col_lab, col_rep, comp_m = _project_highest_weight(basis, labels, phase, G, raising, twice_m)
-    B = P.T @ (G @ P)
-    U, *mirror = _mirror_sectors(labels, phase, G, reflection, P, col_lab, col_rep, comp_m)
-    return (_sector_stacks(B, col_lab, col_rep, comp_m + 1),
-            _sector_stacks(U.T @ (B @ U), *mirror))
+    A = P.T @ (G @ P)
+    theta = _gauged_symmetry(labels, phase, reflection, antiunitary=True)
+    dev, changed = _changed(G, theta)
+    if changed:
+        raise ValueError(f"H'' is not invariant under the reflection Theta: largest change "
+                         f"of an entry {dev:.3e}")
+    hw = (P, A, col_lab, col_rep, comp_m + 1)
+    if particle_hole is not None:
+        reduced = _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta,
+                                         reflection, particle_hole)
+        if reduced is not None:
+            return FieldSectors(*reduced, (A, col_lab, col_rep, comp_m + 1))
+    U, lab, rep, _, weight, paired, dev = _involution_sectors(P, theta, col_lab, col_rep,
+                                                              comp_m + 1)
+    if dev > _SYMMETRY_TOL:
+        raise ValueError(f"the reflection Theta is not an orthogonal involution on the "
+                         f"sectors (deviation {dev:.3e})")
+    return FieldSectors(_sector_stacks(A, col_lab, col_rep, comp_m + 1),
+                        _sector_stacks(U.T @ (A @ U), lab, rep, weight * (1 + paired)))

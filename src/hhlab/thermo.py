@@ -341,11 +341,13 @@ def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
 
     ``spec`` must be the spectral data of H'', whose entries it keeps; one
     whose dimension is not ``basis.total_dim`` is refused with ValueError
-    before any block is read.  ``bond_expectations`` are those of
+    before any block is read, as is an h whose shape is not (n_sites,) or
+    with an entry that is not finite.  ``bond_expectations`` are those of
     :func:`pairing_bond_expectations`; without them they are computed once
     per ``params`` and kept on ``spec``.
     """
-    f = basis.lattice.laplacian_matrix() @ np.asarray(h, dtype=complex)    # f = (-Delta) h
+    h = _model._site_field(h, basis.n_sites, complex)
+    f = basis.lattice.laplacian_matrix() @ h                              # f = (-Delta) h
     return _form_values(params, basis, f, spec, bond_expectations)
 
 

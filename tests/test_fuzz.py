@@ -126,6 +126,37 @@ def test_coupled_on_a_dirty_reused_buffer_matches_the_kron_oracle(n, k):
         assert np.array_equal(h, kron_coupled(a, x, c, l))
 
 
+def two_product_coupled(A, X, C, lam):
+    """H(A,B,C,D) of m stacked draws with the h.c. block of each term formed
+    as a second broadcast product of the conjugate-transposed factors."""
+    m, k, n = C.shape[:3]
+
+    def kron(P, Q):
+        return (P[:, :, None, :, None] * Q[:, None, :, None, :]).reshape(m, n * n, n * n)
+
+    H = np.zeros((m, n, n, n, n), complex)
+    np.einsum("mabcb->mabc", H)[...] = A[:, :, None, :]
+    np.einsum("mabad->mabd", H)[...] += X[:, 0, None]
+    H = H.reshape(m, n * n, n * n)
+    Ch, Xh = fuzz._adjoint(C), fuzz._adjoint(X)
+    for j in range(k):
+        block = kron(C[:, j], X[:, j + 1])
+        block += kron(Ch[:, j], Xh[:, j + 1])
+        block *= lam[:, j, None, None]
+        H -= block
+    return H
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coupled_has_the_bits_of_the_two_product_assembly(n, k):
+    """K^H taken as the conjugate transpose of K = C_j (x) X_j, not as the
+    product of the conjugate-transposed factors, changes no bit of H."""
+    rng = np.random.default_rng(20 * n + k)
+    inputs = coupled_inputs(rng, n, 5, k)
+    assert np.array_equal(fuzz._coupled(*inputs), two_product_coupled(*inputs))
+
+
 def test_reused_buffers_keep_the_bits_of_fresh_ones():
     # one window of draws of every shape, solved on one set of buffers, against
     # each stack solved on arrays of its own
