@@ -384,12 +384,18 @@ def spin_diagonals(basis):
     return (_occupations(basis, "up") - _occupations(basis, "down")).astype(float)
 
 
-def _site_field(h, n_sites, dtype=float):
-    """h as a vector of ``dtype``, refused with ValueError unless its shape is
-    (n_sites,) and every entry is finite."""
+def _site_vector(h, n_sites, dtype=float):
+    """h as a vector of ``dtype``, refused with ValueError unless its shape is (n_sites,)."""
     h = np.asarray(h, dtype=dtype)
     if h.shape != (n_sites,):
         raise ValueError(f"h must have shape (n_sites,) = ({n_sites},), got {h.shape}")
+    return h
+
+
+def _site_field(h, n_sites, dtype=float):
+    """h as a vector of ``dtype``, refused with ValueError unless its shape is
+    (n_sites,) and every entry is finite."""
+    h = _site_vector(h, n_sites, dtype)
     if not np.all(np.isfinite(h)):
         raise ValueError(f"h must be finite, got h = {h}")
     return h

@@ -717,16 +717,20 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
 
     The forms read the entries of H'' from ``spec``: ``H2`` is only checked
     to have spec's shape, and one of another shape is refused with ValueError,
-    as is an h whose shape is not (n_sites,) or with an entry that is not finite.
+    as is, before any form is read, an h whose shape is not (n_sites,), with
+    an entry that is not finite, or whose <h|(-Delta)h> overflows.
     """
     if H2.shape != (spec.dim, spec.dim):
         raise ValueError(f"H2 has shape {H2.shape}, not the dimension {spec.dim} of spec")
     lat = basis.lattice
-    h = _model._site_field(h, basis.n_sites, complex)
+    h = _model._site_vector(h, basis.n_sites, complex)
     lap, stag = lat.laplacian_matrix(), lat.staggered_signs
     f = lap @ h                                          # (-Delta) h
-    g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, bond_expectations)
     X = float(np.vdot(h, f).real)                        # <h|(-Delta)h>
+    if not math.isfinite(X):        # every h with an entry that is not finite lands here
+        _model._site_field(h, basis.n_sites, complex)
+        raise ValueError(f"<h|(-Delta)h> is not finite for h = {h}")
+    g_q, b_q, c_q = _thermo._form_values(params, basis, f, spec, bond_expectations)
     sf = stag * f
     Y = float(np.vdot(sf, lap @ sf).real)
     b0 = X / (2.0 * params.beta * params.V)
