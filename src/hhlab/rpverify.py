@@ -608,23 +608,24 @@ class FieldPartition:
         if H2 is None:
             H2 = _model.build_doubleprime_csr(params, basis)
         reflection, self._mirror_sites = _mirror_symmetry(basis)
-        sites = _model.particle_hole_translation(basis.lattice)
-        pi = None if sites is None else _model.particle_hole_symmetry(basis, sites)
-        self._sectors = _sectors.highest_weight_sectors(basis, H2, reflection, pi)
         # the sectors of one size are solved as one stack
-        self._stacks, self._mirror_stacks = self._sectors.stacks, self._sectors.mirror_stacks
+        self._stacks, self._mirror_stacks, self._highest_weight = \
+            _sectors.highest_weight_sectors(basis, H2, reflection)
         self._cache = OrderedDict()
 
     @property
     def sectors(self):
-        """(idx, real block, weight) of each spin-SU(2) highest-weight sector."""
-        return [(idx, blk, int(weight)) for stack in self._sectors.highest_weight_stacks()
+        """(idx, real block, weight) of each spin-SU(2) highest-weight sector,
+        built on each call where Pi reduces the stacks a log Z solves."""
+        stacks = (self._stacks if self._highest_weight is None
+                  else _sectors._sector_stacks(*self._highest_weight))
+        return [(idx, blk, int(weight)) for stack in stacks
                 for idx, blk, weight in zip(*stack[:3])]
 
     @property
     def uses_particle_hole(self):
         """Whether Pi reduces the sectors that a log Z solves."""
-        return self._sectors.uses_particle_hole
+        return self._highest_weight is not None
 
     def log_partition(self, h):
         h = np.asarray(h, dtype=float)

@@ -303,16 +303,20 @@ def _sector_stacks(B, col_lab, col_rep, weight, partner=None, partner_weight=Non
 
     idx = col_rep of the columns and ``weight`` is per label.  With
     ``partner``, a representative of each column's image in the sector
-    paired with its own, each stack also holds (partner[idx],
-    partner_weight per block): the paired sector has the spectrum of the
-    block shifted by a constant, and is counted partner_weight times.
+    paired with its own, a stack that holds a paired block also holds
+    (partner[idx], partner_weight per block): the paired sector has the
+    spectrum of the block shifted by a constant, and is counted
+    partner_weight times.
     """
     B = B.tocoo()
     keep = col_lab[B.row] == col_lab[B.col]
-    return [(col_rep[idx], blocks, weight[labs])
-            + (() if partner is None else (partner[idx], partner_weight[labs]))
-            for labs, idx, (blocks,) in _block_stacks(col_lab, [(B.row[keep], B.col[keep],
-                                                                 B.data[keep])])]
+    stacks = []
+    for labs, idx, (blocks,) in _block_stacks(col_lab, [(B.row[keep], B.col[keep], B.data[keep])]):
+        stack = (col_rep[idx], blocks, weight[labs])
+        if partner is not None and partner_weight[labs].any():
+            stack += (partner[idx], partner_weight[labs])
+        stacks.append(stack)
+    return stacks
 
 
 def _pair_shift(corr, idx, partner):
@@ -407,36 +411,23 @@ def _involution_sectors(X, O, col_lab, col_rep, weight):
     return U, new_lab, new_rep, partner, np.repeat(weight, 2), paired, dev
 
 
-class FieldSectors:
-    """The sectors of H'' that FieldPartition solves: ``stacks`` for every
-    field and ``mirror_stacks`` for h = h o r, each a list of the stacks of
-    :func:`_sector_stacks`, and whether Pi reduces them
-    (``uses_particle_hole``).  ``highest_weight`` holds the arguments of
-    :func:`_sector_stacks` for the spin-SU(2) sectors alone when Pi reduces
-    the others, which :meth:`highest_weight_stacks` builds on each call."""
-
-    def __init__(self, stacks, mirror_stacks, highest_weight=None):
-        self.stacks, self.mirror_stacks = stacks, mirror_stacks
-        self.uses_particle_hole = highest_weight is not None
-        self._highest_weight = highest_weight
-
-    def highest_weight_stacks(self):
-        if self.uses_particle_hole:
-            return _sector_stacks(*self._highest_weight)
-        return self.stacks
-
-
-def _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta, reflection, particle_hole):
+def _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta, reflection):
     """The sectors of every field reduced by Pi, and those of h = h o r by
-    Theta and Pi together, or None if Pi fails a check.
+    Theta and Pi together, or None where the lattice fails the site
+    condition of ``model.particle_hole_translation`` or Pi fails a check.
 
-    Pi must be an involution that commutes with the mirror M of Theta, keep
-    S'+ up to sign, leave G unchanged to _SYMMETRY_TOL and be an orthogonal
-    involution on the highest-weight sectors.  Theta then acts on the
-    sectors Pi keeps as Theta, or as Pi Theta where Theta leads to the
-    partner that Pi drops: an involution that commutes with H''(h) for
-    h = h o r, where sigma . f = 0.
+    Pi is ``model.particle_hole_symmetry`` of that translation.  It must be
+    an involution that commutes with the mirror M of Theta, keep S'+ up to
+    sign, leave G unchanged to _SYMMETRY_TOL and be an orthogonal involution
+    on the highest-weight sectors.  Theta then acts on the sectors Pi keeps
+    as Theta, or as Pi Theta where Theta leads to the partner that Pi
+    drops: an involution that commutes with H''(h) for h = h o r, where
+    sigma . f = 0.
     """
+    sites = _model.particle_hole_translation(basis.lattice)
+    if sites is None:
+        return None
+    particle_hole = _model.particle_hole_symmetry(basis, sites)
     P, A, col_lab, col_rep, weight = hw
     n = len(labels)
     up = kron(raising, eye_array(basis.boson_dim), format="csr")
@@ -466,10 +457,17 @@ def _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta, reflecti
             _sector_stacks(U2.T @ (A1 @ U2), lab2, rep2, w2 * (1 + paired2)))
 
 
-def highest_weight_sectors(basis, H2, reflection, particle_hole=None):
+def highest_weight_sectors(basis, H2, reflection):
     """H'' reduced for Z(h) of the field family H''(h) = H'' + d(h): by the
-    spin SU(2) of the zigzag frame, then by Pi, and for h = h o r by Theta
-    as well.  Returns a :class:`FieldSectors`.
+    spin SU(2) of the zigzag frame, then by Pi where it applies, and for
+    h = h o r by Theta as well.
+
+    Returns (stacks, mirror_stacks, highest_weight): the stacks of
+    :func:`_sector_stacks` for every field and for h = h o r, and, where Pi
+    reduces them, the arguments of :func:`_sector_stacks` that build the
+    spin-SU(2) sectors alone (the sparse block-diagonal H'' on the
+    highest-weight columns, their labels, representatives and weights);
+    None where it does not, as ``stacks`` are those sectors then.
 
     S'+ = V S+ V^-1, the zigzag image of S+ = sum_x c*_{x up} c_{x down}
     (``model.zigzag_spin_operators``), commutes with H'' and keeps every site
@@ -482,11 +480,13 @@ def highest_weight_sectors(basis, H2, reflection, particle_hole=None):
     commutes with H''(h) for h = h o r, whose correction is constant on each
     charge orbit {q, q o r}.
 
-    ``particle_hole`` is Pi of ``model.particle_hole_symmetry`` or None.
-    Pi maps q_x to -q_{x+a} and the staggered charge Q_st, which H'' keeps
-    and each component carries one value of, to -Q_st.  Given the site
-    condition of ``model.particle_hole_translation`` it sends
-    d(h) to d(h) + c(h) Q_st, c(h) = 2 V sigma . f / N, f = (-Delta) h.  So
+    Pi is ``model.particle_hole_symmetry``, built where
+    ``model.particle_hole_translation`` finds an even translation a that
+    meets the site condition on the lattice alone: the two-site ring and
+    the 2x2 torus, not the 2x2x2 one.  Pi maps q_x to -q_{x+a} and the
+    staggered charge Q_st, which H'' keeps and each component carries one
+    value of, to -Q_st, and by the site condition it sends d(h) to
+    d(h) + c(h) Q_st, c(h) = 2 V sigma . f / N, f = (-Delta) h.  So
     a component with Q_st = Q != 0 has the spectrum of its partner -Q
     shifted by c(h) Q: one is kept, its partner counted by that shift (read
     off d(h) at matched representatives, and checked constant); a
@@ -521,16 +521,14 @@ def highest_weight_sectors(basis, H2, reflection, particle_hole=None):
     if changed:
         raise ValueError(f"H'' is not invariant under the reflection Theta: largest change "
                          f"of an entry {dev:.3e}")
-    hw = (P, A, col_lab, col_rep, comp_m + 1)
-    if particle_hole is not None:
-        reduced = _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta,
-                                         reflection, particle_hole)
-        if reduced is not None:
-            return FieldSectors(*reduced, (A, col_lab, col_rep, comp_m + 1))
+    reduced = _particle_hole_sectors(basis, labels, phase, G, raising,
+                                     (P, A, col_lab, col_rep, comp_m + 1), theta, reflection)
+    if reduced is not None:
+        return (*reduced, (A, col_lab, col_rep, comp_m + 1))
     U, lab, rep, _, weight, paired, dev = _involution_sectors(P, theta, col_lab, col_rep,
                                                               comp_m + 1)
     if dev > _SYMMETRY_TOL:
         raise ValueError(f"the reflection Theta is not an orthogonal involution on the "
                          f"sectors (deviation {dev:.3e})")
-    return FieldSectors(_sector_stacks(A, col_lab, col_rep, comp_m + 1),
-                        _sector_stacks(U.T @ (A @ U), lab, rep, weight * (1 + paired)))
+    return (_sector_stacks(A, col_lab, col_rep, comp_m + 1),
+            _sector_stacks(U.T @ (A @ U), lab, rep, weight * (1 + paired)), None)

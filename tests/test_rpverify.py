@@ -816,21 +816,26 @@ def _field_partition_sizes(stacks):
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
-def test_particle_hole_sectors_match_dense_logz_2x2(n_max):
+def test_particle_hole_sectors_match_dense_logz_2x2(n_max, monkeypatch):
     """General fields take the sectors of the spin SU(2) reduced by Pi, with
     the partner of each +-Q pair counted by its shift, and reflected fields
-    those reduced by Theta and Pi; ``sectors`` stays the SU(2) reduction."""
+    those reduced by Theta and Pi; ``sectors`` stays the SU(2) reduction,
+    that of a FieldPartition built with no translation for Pi."""
     params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=n_max)
     basis = build_basis(build_lattice(2, 1), n_max)
     ens = rpverify.FieldPartition(params, basis)
     assert ens.uses_particle_hole
-    plain = sectors.highest_weight_sectors(basis, model.build_doubleprime_csr(params, basis),
-                                           rpverify._mirror_symmetry(basis)[0])
+    with monkeypatch.context() as m:
+        m.setattr(model, "particle_hole_translation", lambda lat: None)
+        plain = rpverify.FieldPartition(params, basis)
     assert not plain.uses_particle_hole
+    assert len(ens.sectors) == len(plain.sectors)
     assert all(np.array_equal(i, j) and np.array_equal(a, b) and v == w for (i, a, v), (j, b, w)
-               in zip(ens.sectors, [s for st in plain.stacks for s in zip(*st)]))
-    counted = sum(int((w + pw).sum()) * blk.shape[1] for _, blk, w, _, pw in ens._stacks)
+               in zip(ens.sectors, plain.sectors))
+    counted = sum(int((w + (pair[1] if pair else 0)).sum()) * blk.shape[1]
+                  for _, blk, w, *pair in ens._stacks)
     assert counted == basis.total_dim
+    assert all(np.any(stack[4]) for stack in ens._stacks if len(stack) > 3)
     sizes = np.array(_field_partition_sizes(ens._stacks), dtype=np.int64)
     if n_max == 1:
         assert np.sum(sizes ** 3) == 49_962_330 and sizes.max() == 320
