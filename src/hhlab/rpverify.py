@@ -719,7 +719,8 @@ def infrared_chain_check(params, basis, h, spec, H2, bond_expectations=None, tol
     The forms read the entries of H'' from ``spec``: ``H2`` is only checked
     to have spec's shape, and one of another shape is refused with ValueError,
     as is, before any form is read, an h whose shape is not (n_sites,), with
-    an entry that is not finite, or whose <h|(-Delta)h> overflows.
+    an entry that is not finite, or whose <h|(-Delta)h> overflows, and a
+    spec whose beta is not ``params.beta``.
     """
     if H2.shape != (spec.dim, spec.dim):
         raise ValueError(f"H2 has shape {H2.shape}, not the dimension {spec.dim} of spec")

@@ -7,9 +7,10 @@ real, by ``sectors._gauged_sparse``; its entries are scattered into stacks
 of equal-size dense blocks (``sectors._block_stacks``), each
 eigendecomposed exactly with dense LAPACK.  A "dirty" matrix degrades to
 one big block, never to a wrong answer.  The Gibbs state is block-diagonal
-over the components, and it is kept only at H's entries: an observable
-enters a thermal average only through its nonzero entries inside the
-components, and each Gibbs block is dropped as soon as it is read.
+over the components.  Its diagonal serves the thermal averages of diagonal
+observables; off the diagonal it is kept only at H's own entries, which is
+all the infrared forms and the pairing-bond expectations read, and each
+Gibbs block is dropped as soon as it is read there.
 
 The infrared forms g, b and c are built from the spectral data alone
 (:func:`quadratic_form_quantities`).  All exponentials are shifted by the
@@ -23,11 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.sparse import coo_array, issparse
 
 from . import model as _model
 from . import sectors as _sectors
-from .hilbert import hermiticity_residual
 
 __all__ = [
     "SpectralData",
@@ -61,16 +60,19 @@ class SpectralData:
     elementwise bound |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the
     imaginary part the real ``eigh`` discards is charged to the check.
 
-    H's gauged off-diagonal entries are kept for the infrared forms, grouped
-    by component (``_entries``) before any block is solved.  At its peak the
-    build holds H's entries twice (as read and as kept), the eigenvectors
-    solved so far (the largest blocks first, so the fewest then), and one
-    stack of at most _STACK_BYTES or one block, gauged in place, with its
-    eigenvectors and two one-block temporaries.  At 2x2, n_max = 1 that is
-    22 MiB traced, 14 MiB of it kept; at n_max = 2, 545 MiB, 340 MiB kept.
+    H's gauged off-diagonal entries are kept for the infrared forms and the
+    pairing-bond expectations, grouped by component (``_entries``) before
+    any block is solved.  At its peak the build holds H's entries twice (as
+    read and as kept), the eigenvectors solved so far (the largest blocks
+    first, so the fewest then), and one stack of at most _STACK_BYTES or one
+    block, gauged in place, with its eigenvectors and two one-block
+    temporaries.  At 2x2, n_max = 1 that is 22 MiB traced, 14 MiB of it
+    kept; at n_max = 2, 545 MiB, 340 MiB kept.
     The Gibbs state is read once, on first use, at those entries
     (:meth:`_rho_entries`, one more value per entry: 31 MiB at n_max = 2),
-    one component's Gibbs block at a time; no Gibbs block is kept.
+    one component's Gibbs block at a time; no Gibbs block is kept.  Thermal
+    averages of other observables are taken of diagonals only
+    (:meth:`expectation`).
 
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
     ``blocks`` and ``real_blocks``.  Immutable once built.
@@ -90,7 +92,7 @@ class SpectralData:
         _, self._size, _, self._position = _sectors._positions(labels)
         self._phase = phase                     # the gauge d on the full space
         self._eig = eig = [None] * len(flux)    # (indices, w, q) with q in the gauge
-        # H's off-diagonal entries (the diagonal is the last n), for the forms
+        # H's off-diagonal entries (the diagonal is the last n), for the forms and bonds
         self._entries = self._by_component(*(a[:-n] for a in entries))
         scale, res = max(1e-300, float(np.abs(entries[2]).max())), 0.0
         for labs, idx, (blk,) in _sectors._block_stacks(labels, [entries], _STACK_BYTES):
@@ -136,10 +138,6 @@ class SpectralData:
     def eigenvalues(self):
         return np.sort(np.concatenate([w for _, w, _ in self._eig]))
 
-    def _gauge(self, a, rows, cols):
-        """conj(d[rows]) a d[cols]: the rows x cols part a of an operator, in the gauge."""
-        return _sectors._gauged(a, self._phase[rows], self._phase[cols])
-
     def rho_diag(self):
         """Diagonal of the Gibbs state in the original basis."""
         if self._rho_diag is None:
@@ -149,98 +147,54 @@ class SpectralData:
             self._rho_diag = d / self.z_shifted
         return self._rho_diag
 
-    def _gibbs_block(self, c):
-        """Component c's Gibbs block in the gauge, q diag(e^{-beta w}) q^H / Z; not kept."""
-        (_, _, q), wt = self._eig[c], self._weights[c]
-        r = (q * wt) @ q.conj().T
-        r /= self.z_shifted
-        return r
-
     def _rho_entries(self):
         """The gauged Gibbs state at H's off-diagonal entries, aligned with
-        ``_entries``: built once, each component's Gibbs block dropped once read."""
+        ``_entries``: built once, each component's Gibbs block
+        q diag(e^{-beta w}) q^H / Z formed, read and dropped in turn."""
         if self._rho_at is None:
             key, _, ends = self._entries
             real = all(np.isrealobj(q) for _, _, q in self._eig)
             rho = np.empty(len(key), dtype=float if real else complex)
             for c in np.flatnonzero(np.diff(ends)):
+                (_, _, q), wt = self._eig[c], self._weights[c]
                 s = slice(ends[c], ends[c + 1])
-                rho[s] = self._gibbs_block(c).take(key[s])
+                rho[s] = ((q * wt) @ q.conj().T).take(key[s]) / self.z_shifted
             self._rho_at = rho
         return self._rho_at
 
     # -- thermal averages --
 
     def expectation(self, A):
-        """<A> = Tr[A e^{-beta H}] / Z.  A may be a dense matrix, a
-        scipy.sparse matrix or a diagonal (1-d array).  Hermitian input gives
-        a real result; the imaginary part is checked to be < 1e-10 relative
-        and discarded then.
-
-        Tr(rho A) = sum_ij conj(rho_ij) A_ij (rho is Hermitian) runs over the
-        nonzero entries of A inside the components only: rho is exactly 0
-        between them.  In the gauge, conj(rho_ij) A_ij = conj(r_ij)
-        (conj(d_i) A_ij d_j) with r the gauged Gibbs block.
+        """<A> = Tr[A e^{-beta H}] / Z = sum_k A_k rho_kk for a diagonal
+        operator, given as the 1-d array A of its diagonal.  A Hermitian one
+        (every |Im A_k| < 1e-14) gives a float, any other a complex number.
+        A 2-d operand (a matrix, dense or sparse) is refused with ValueError,
+        as is a diagonal of another length than the dimension.
         """
-        A = A if issparse(A) else np.asarray(A)
-        if A.ndim not in (1, 2) or A.shape != (self.dim,) * A.ndim:
+        if np.ndim(A) != 1:
+            raise ValueError(f"expectation takes a diagonal (a 1-d array), got shape "
+                             f"{np.shape(A)}")
+        A = np.asarray(A)
+        if A.shape != (self.dim,):
             raise ValueError(f"operator has shape {A.shape}, not the dimension {self.dim} "
                              f"of the spectral data")
-        val = complex(np.dot(A, self.rho_diag())) if A.ndim == 1 else self._sparse_trace(A)
-        return _realize_if_hermitian(val, A)
-
-    def _sparse_trace(self, A):
-        """Tr(rho A) from the nonzero entries of A inside one component.
-
-        rho is read at H's entries (:meth:`_rho_entries`, first, so that no
-        Gibbs block is formed beside A's entries), whose keys rise within
-        each component; a component where A has an entry off them (on its
-        diagonal, say) forms its Gibbs block for this call.
-        """
-        rho = self._rho_entries()
-        A = coo_array(A)
-        key, data, ends = self._by_component(A.row, A.col, A.data)
-        keys, _, at = self._entries
-        total = 0.0 + 0.0j
-        for c in np.flatnonzero(np.diff(ends)):
-            s, h = slice(ends[c], ends[c + 1]), slice(at[c], at[c + 1])
-            pattern = keys[h]
-            pos = np.searchsorted(pattern, key[s])
-            if pos.max() < len(pattern) and np.array_equal(pattern[pos], key[s]):
-                r = rho[h][pos]
-            else:
-                r = self._gibbs_block(c).take(key[s])
-            total += np.vdot(r.real if np.isrealobj(self._eig[c][2]) else r, data[s])
-        return complex(total)
+        val = complex(np.dot(A, self.rho_diag()))
+        return val if np.iscomplexobj(A) and np.any(np.abs(A.imag) >= 1e-14) else val.real
 
     def _by_component(self, rows, cols, vals):
-        """(key, vals, ends): the entries inside the components, gauged, at
+        """(key, vals, ends): H's entries, gauged and ordered by component, at
         key = k n + l with k and l their positions in a component of n
         states; component c at ends[c]:ends[c + 1]."""
         comp = self._block_of[rows]
-        inside = np.flatnonzero(comp == self._block_of[cols])
-        inside = inside[np.argsort(comp[inside], kind="stable")]
-        ends = np.searchsorted(comp[inside], np.arange(len(self._eig) + 1))
-        rows, cols, vals = rows[inside], cols[inside], vals[inside]
-        del comp, inside
-        vals = self._gauge(vals, rows, cols)
+        order = np.argsort(comp, kind="stable")
+        ends = np.searchsorted(comp[order], np.arange(len(self._eig) + 1))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        del comp, order
+        vals = _sectors._gauged(vals, self._phase[rows], self._phase[cols])
         key = self._size[self._block_of[rows]]
         key *= self._position[rows]
         key += self._position[cols]
         return key, vals, ends
-
-
-def _realize_if_hermitian(val, A):
-    if A.ndim == 1:
-        herm = np.all(np.abs(A.imag) < 1e-14) if np.iscomplexobj(A) else True
-    else:
-        herm = hermiticity_residual(A) < 1e-12 * max(1.0, float(abs(A).max()))
-    if herm:
-        scale = max(abs(val), 1.0)
-        if abs(val.imag) > 1e-10 * scale:
-            raise AssertionError(f"Hermitian observable returned imag part {val.imag}")
-        return val.real
-    return val
 
 
 def _duhamel_kernel(beta, w_row, w_col):
@@ -290,8 +244,6 @@ def spectral(H, beta):
     return SpectralData(H, beta)
 
 
-
-
 # -- charge correlations --
 
 
@@ -336,15 +288,17 @@ def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
     The nested commutator is evaluated two ways -- from the Hamiltonian
     matrix (A is diagonal, so [A, [H, A*]] = -H o |a_k - a_l|^2, which is
     what C holds) and from the closed-form bond expansion with coefficients
-    t |f_x + f_y|^2 (:func:`_bond_form`) -- and the two must agree to 1e-9
-    relative.
+    t |f_x + f_y|^2 (:func:`_bond_form`) over the pairing-bond expectations,
+    which are the same entries of H'' summed by site pair -- and the two
+    must agree to 1e-9 relative.
 
-    ``spec`` must be the spectral data of H'', whose entries it keeps; one
-    whose dimension is not ``basis.total_dim`` is refused with ValueError
-    before any block is read, as is an h whose shape is not (n_sites,) or
-    with an entry that is not finite.  ``bond_expectations`` are those of
-    :func:`pairing_bond_expectations`; without them they are computed once
-    per ``params`` and kept on ``spec``.
+    ``spec`` must be the spectral data of H'' at ``params.beta``, whose
+    entries it keeps.  One whose dimension is not ``basis.total_dim`` or
+    whose beta is not ``params.beta`` is refused with ValueError before any
+    form is read, as is an h whose shape is not (n_sites,) or with an entry
+    that is not finite.  ``bond_expectations`` are those of
+    :func:`pairing_bond_expectations`, and are kept on ``spec`` for calls
+    without them; with none kept, they are computed there.
     """
     h = _model._site_field(h, basis.n_sites, complex)
     f = basis.lattice.laplacian_matrix() @ h                              # f = (-Delta) h
@@ -354,15 +308,16 @@ def quadratic_form_quantities(params, basis, h, spec, bond_expectations=None):
 def _form_values(params, basis, f, spec, bond_expectations=None):
     """(g, b, c) of :func:`quadratic_form_quantities` at f = (-Delta) h."""
     _check_dimension(spec, basis)
+    if params.beta != spec.beta:
+        raise ValueError(f"params.beta = {params.beta} is not the beta {spec.beta} of spec")
     _quadratic_forms(spec, basis)
     slot = spec._forms
-    own = bond_expectations is None
-    if own:
-        bond_expectations = slot[2] if slot[3] == params else pairing_bond_expectations(
-            params, basis, spec)
+    if bond_expectations is None:
+        bond_expectations = (slot[2] if slot[2] is not None
+                             else pairing_bond_expectations(params, basis, spec))
     if slot[2] is not bond_expectations:
         slot[1][3] = _bond_form(basis, bond_expectations)
-        slot[2], slot[3] = bond_expectations, params if own else None
+        slot[2] = bond_expectations
     g_q, b_q, c_direct, c_closed = ((slot[1] @ f) @ f.conj()).tolist()
     if abs(b_q.imag) > 1e-9 * max(1.0, abs(b_q)):
         raise AssertionError(f"(A, A) should be real, got {b_q}")
@@ -370,6 +325,7 @@ def _form_values(params, basis, f, spec, bond_expectations=None):
         raise AssertionError(f"<[A, [H, A*]]> should be real, got {c_direct}")
     c_direct, c_closed = params.beta * c_direct.real, -params.beta * c_closed.real
     if abs(c_direct - c_closed) > 1e-9 * max(abs(c_direct), abs(c_closed), 1.0):
+        slot[2] = None              # not the bonds of spec: none is kept for the next call
         raise AssertionError(
             f"nested commutator mismatch: direct {c_direct}, closed form {c_closed}")
     return g_q.real, b_q.real, c_direct
@@ -393,14 +349,14 @@ def _bond_form(basis, bond_expectations):
 
 def _quadratic_forms(spec, basis):
     """(G, B, C), built on first use into the single slot ``spec._forms`` =
-    [basis, (G, B, C, W), the bonds of W, the params they were computed here
-    for or None], keyed by the identity of ``basis``: it keeps the basis
-    alive, so a recycled id cannot hit a stale entry."""
+    [basis, (G, B, C, W), the bonds of W or None], keyed by the identity of
+    ``basis``: it keeps the basis alive, so a recycled id cannot hit a stale
+    entry."""
     slot = spec._forms
     if slot is None or slot[0] is not basis:
         forms = np.zeros((4, basis.n_sites, basis.n_sites), complex)   # as f: no cast
         forms[:3] = _build_quadratic_forms(spec, basis)
-        slot = spec._forms = [basis, forms, None, None]
+        slot = spec._forms = [basis, forms, None]
     return slot[1][:3].real
 
 
@@ -438,19 +394,15 @@ def _build_quadratic_forms(spec, basis):
     stag = basis.lattice.staggered_signs
     # a state alone in its component has M_x = q_x and no entry off the diagonal
     lone = spec._size[spec._block_of] == 1
-    key, h_all, ends = spec._entries
-    rho_at = spec._rho_entries()
     for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
         if len(idx) == 1:
             continue
         diff, coef = _charge_differences(qd[:, idx // basis.boson_dim], stag)
         B += coef @ _kernel_gram(q, w - spec.e0, wt, diff, spec.beta) @ coef.T
-        s = slice(ends[c], ends[c + 1])
-        (k, l), h_kl, r = np.divmod(key[s], len(idx)), h_all[s], rho_at[s]
-        nested = -(r.conj() * h_kl).real if np.iscomplexobj(q) else r.real * -h_kl.real
+        k, l, p = _entry_products(spec, c)
         cb = centred[:, idx]
         d = cb.take(k, axis=1) - cb.take(l, axis=1)
-        C += (d * nested) @ d.T
+        C -= (d * p) @ d.T
     B = B / spec.z_shifted + (centred[:, lone] * rho[lone]) @ centred[:, lone].T
     lower = np.tril_indices(len(qd), -1)
     for M in (G, B, C):
@@ -539,17 +491,60 @@ def _charge_products(q, diff):
     return p
 
 
-def pairing_bond_expectations(params, basis, spec):
-    """Thermal expectation of each pairing bond term of T'', the terms built
-    and read one at a time.
+def _entry_products(spec, c):
+    """(k, l, p) of component c of ``spec``: the positions in it of H's kept
+    off-diagonal entries, and p = Re(conj(rho_kl) H_kl) at each, taken in
+    the gauge as Re(conj(r_kl) G_kl)."""
+    key, g, ends = spec._entries
+    s = slice(ends[c], ends[c + 1])
+    (k, l), r, g = np.divmod(key[s], len(spec._eig[c][0])), spec._rho_entries()[s], g[s]
+    return k, l, (r.conj() * g).real if np.iscomplexobj(spec._eig[c][2]) else r.real * g.real
 
-    Returns [((x, y, j, eps), <term>), ...]; the closed form of the nested
-    commutator is a reweighting of exactly these numbers, so computing them
-    once per spectral data makes the g/b/c evaluation O(1) per field h.
-    A ``spec`` whose dimension is not ``basis.total_dim`` is refused with
-    ValueError before any term is built.
+
+def _pair_flips(basis, instances):
+    """(flips, pair_of_flip, pair_of, counts) of the pairing ``instances``
+    (x, y, j, eps): the fermion-index XOR of each pair flip c*_{x s} c*_{y s},
+    ascending, and the site pair {x, y} it flips; the site pair of each
+    instance; and the number of instances on each site pair."""
+    pairs = {}
+    pair_of = np.array([pairs.setdefault(frozenset(inst[:2]), len(pairs)) for inst in instances])
+    bit = {(x, s): 1 << (basis.n_modes - 1 - basis.mode_index(x, s))
+           for pair in pairs for x in pair for s in ("up", "down")}
+    flips = np.array([bit[x, s] | bit[y, s] for x, y in pairs for s in ("up", "down")])
+    order = np.argsort(flips)
+    return flips[order], np.repeat(np.arange(len(pairs)), 2)[order], pair_of, np.bincount(pair_of)
+
+
+def pairing_bond_expectations(params, basis, spec):
+    """Thermal expectation of each pairing bond term of T'', read off the
+    entries of H'' that ``spec`` keeps: no term is built.
+
+    Returns [((x, y, j, eps), <term>), ...] in the order of
+    ``model.pairing_bond_terms``; the closed form of the nested commutator
+    is a reweighting of exactly these numbers, so computing them once per
+    spectral data makes the g/b/c evaluation O(1) per field h.
+
+    Each off-diagonal entry (k, l) of H'' flips one pair c*_{x s} c*_{y s},
+    read from the XOR of the fermion indices of k and l.  The term of each
+    instance on {x, y} is H'' on the entries of that pair over the number m
+    of instances there (2 on the L = 1 tori, where eps = +-1 coincide), so
+    <term> = sum Re(conj(rho_kl) H_kl) / m over those entries: ``params`` is
+    not read.  A spec with an entry that is no such flip (one of H or H',
+    say) is refused with ValueError, as is, before any entry is read, one
+    whose dimension is not ``basis.total_dim``.
     """
     _check_dimension(spec, basis)
-    return [(key, spec.expectation(term))
-            for key, term in _model.pairing_bond_terms(params, basis)]
-
+    instances = _model._pairing_instances(_model._require_lattice(basis))
+    flips, pair_of_flip, pair_of, counts = _pair_flips(basis, instances)
+    sums = np.zeros(len(counts))
+    for c, (idx, _, _) in enumerate(spec._eig):
+        k, l, p = _entry_products(spec, c)
+        row, col = idx[k] // basis.boson_dim, idx[l] // basis.boson_dim
+        flip = row ^ col
+        at = np.minimum(np.searchsorted(flips, flip), len(flips) - 1)
+        made = row & flip               # both modes filled in row, or both empty
+        if not np.all((flips[at] == flip) & ((made == flip) | (made == 0))):
+            raise ValueError("spec has an entry that flips no pairing pair of the basis: "
+                             "it is not the spectral data of H''")
+        sums += np.bincount(pair_of_flip[at], weights=p, minlength=len(counts))
+    return [(inst, float(sums[pair] / counts[pair])) for inst, pair in zip(instances, pair_of)]

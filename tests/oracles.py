@@ -6,10 +6,12 @@ array.  The oracles here are the textbook constructions they are checked
 against: each annihilator as a dense Kronecker chain, the occupation
 diagonals as products of those, the Hamiltonians H' and H'' as sums of dense
 Kronecker products, H, H' and H''(h) as the library's CSR sums
-densified, theta's W built state by state from a*- and c*-strings, and the
-bond expectations and infrared forms read off whole Gibbs blocks.
+densified, theta's W built state by state from a*- and c*-strings, the
+bond expectations and infrared forms read off whole Gibbs blocks, and each
+bond term set against H'' on the entries of its site pair.
 """
 
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -191,20 +193,47 @@ def _by_component(spec, rows, cols, vals):
     return spec._position[rows], spec._position[cols], vals, ends
 
 
-def bond_expectations(params, basis, spec):
-    """[(key, <term>)] of the pairing bond terms, each trace summed over the
-    term's entries inside a component against that component's whole Gibbs block."""
+def bond_expectations(params, basis, spec, terms=None):
+    """[(key, <term>)] of the pairing bond terms (those of
+    ``model.pairing_bond_terms``, or ``terms``), each trace summed over the
+    term's entries inside a component against that component's whole Gibbs
+    block.  Each term is Hermitian, so its trace must be real to 1e-10
+    relative; the real part is returned."""
     rho = gibbs_blocks(spec)
     out = []
-    for key, term in model.pairing_bond_terms(params, basis):
+    for key, term in terms or model.pairing_bond_terms(params, basis):
         A = coo_array(term)
         k, l, data, ends = _by_component(spec, A.row, A.col, A.data)
         total = 0.0 + 0.0j
         for c in np.flatnonzero(np.diff(ends)):
             s = slice(ends[c], ends[c + 1])
             total += np.vdot(rho[c][k[s], l[s]], data[s])
-        out.append((key, thermo._realize_if_hermitian(complex(total), term)))
+        if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
+            raise AssertionError(f"<{key}> of a Hermitian term has imaginary part {total.imag}")
+        out.append((key, total.real))
     return out
+
+
+def terms_off_doubleprime(params, basis):
+    """The keys of the terms of ``model.pairing_bond_terms`` that are not,
+    bit for bit, H'' (``model.build_doubleprime_csr``) on the entries that
+    flip the term's site pair, divided by the number of terms on that pair.
+    An entry (k, l) flips {x, y} when the XOR of the fermion indices of k
+    and l has the bits of modes (x, s) and (y, s) set, for s up or down."""
+    H = model.build_doubleprime_csr(params, basis).tocoo()
+    flip = (H.row // basis.boson_dim) ^ (H.col // basis.boson_dim)
+    terms = list(model.pairing_bond_terms(params, basis))
+    count = Counter(frozenset(key[:2]) for key, _ in terms)
+    off = []
+    for key, term in terms:
+        bit = {(x, s): 1 << (basis.n_modes - 1 - basis.mode_index(x, s))
+               for x in key[:2] for s in ("up", "down")}
+        on = np.isin(flip, [bit[key[0], s] | bit[key[1], s] for s in ("up", "down")])
+        got = term.tocoo()
+        if not (np.array_equal(got.row, H.row[on]) and np.array_equal(got.col, H.col[on])
+                and np.array_equal(got.data, H.data[on] / count[frozenset(key[:2])])):
+            off.append(key)
+    return off
 
 
 def quadratic_forms(spec, basis):

@@ -280,6 +280,16 @@ def test_doubleprime_equals_dense_oracle(nu, n_max):
     _assert_matches_dense_oracle(small_params(n_max=n_max), nu)
 
 
+@pytest.mark.parametrize("nu,ell,n_max", [(nu, 1, n_max) for nu, n_max in ORACLE_GEOMETRIES]
+                         + [(1, 3, 0), (3, 1, 0)])
+def test_each_bond_term_is_doubleprime_on_its_site_pair(nu, ell, n_max):
+    # the identity thermo.pairing_bond_expectations reads the bonds by: H'' on
+    # the entries that flip a site pair, over the terms on it (two on the L = 1
+    # tori, one on the six-site ring)
+    basis = build_basis(build_lattice(nu, ell), n_max, cap=2 ** 16)
+    assert oracles.terms_off_doubleprime(small_params(n_max=n_max), basis) == []
+
+
 @pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(1, 6)])
 def test_transformed_equals_dense_oracle(nu, n_max):
     params = small_params(n_max=n_max)

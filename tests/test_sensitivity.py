@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import oracles
 from hhlab import cli, fuzz, model, rpverify, thermo
 from hhlab.hilbert import build_basis
 from hhlab.lattice import build_lattice
@@ -143,15 +144,17 @@ def test_chemical_potential_breaks_half_filling(monkeypatch, nu, n_max, mu):
     assert failed() == 5
 
 
-def test_scaled_bond_terms_break_the_nested_commutator_2x2(monkeypatch):
+def test_single_counted_pair_instances_break_the_nested_commutator_2x2(monkeypatch):
     """c = beta <[A, [H'', A*]]> is taken two ways: from the entries of H''
-    that the spectral data keep, and in closed form from the expectations of
-    the terms that model.pairing_bond_terms yields.  Scaling those terms by
-    1.001 with H'' unchanged parts the two, and infrared_chain_check must
-    raise the mismatch on every field (5 of 5).  The row runs at 2x2: at
-    nu = 1 the two sites carry f_1 = -f_0, since f = (-Delta) h sums to zero,
-    so every bond weight |f_x + f_y|^2 is 0, c = 0 both ways, and all 5
-    fields pass under the mutation."""
+    that the spectral data keep, and in closed form from the pairing-bond
+    expectations, which are the same entries summed by site pair and
+    divided by the number of instances on the pair (2 on the 2x2 torus,
+    where eps = +1 and -1 give one pair).  Counting 1 instance for 2 doubles
+    every bond with H'' unchanged, and infrared_chain_check must raise the
+    mismatch on every field (5 of 5).  The row runs at 2x2: at nu = 1 the
+    two sites carry f_1 = -f_0, since f = (-Delta) h sums to zero, so every
+    bond weight |f_x + f_y|^2 is 0, c = 0 both ways, and all 5 fields pass
+    under the mutation."""
     params = default_params(0)
     basis = build_basis(build_lattice(2, 1), params.n_max)
     H2 = model.build_doubleprime_csr(params, basis)
@@ -160,10 +163,29 @@ def test_scaled_bond_terms_break_the_nested_commutator_2x2(monkeypatch):
     spec = thermo.spectral(H2, params.beta)
     for h in fields:
         assert len(rpverify.infrared_chain_check(params, basis, h, spec, H2)) == 5
-    terms = model.pairing_bond_terms
-    monkeypatch.setattr(model, "pairing_bond_terms", lambda params, basis: (
-        (key, 1.001 * term) for key, term in terms(params, basis)))
+    flips = thermo._pair_flips
+
+    def single_counted(basis, instances):
+        *labels, counts = flips(basis, instances)
+        assert counts.tolist() == [2] * 4
+        return *labels, np.where(counts == 2, 1, counts)
+
+    monkeypatch.setattr(thermo, "_pair_flips", single_counted)
     spec = thermo.spectral(H2, params.beta)     # a fresh spec: it keeps the bond expectations
     for h in fields:
         with pytest.raises(AssertionError, match="nested commutator mismatch"):
             rpverify.infrared_chain_check(params, basis, h, spec, H2)
+
+
+def test_scaled_bond_terms_break_the_label_identity(monkeypatch):
+    """Every term of model.pairing_bond_terms is, bit for bit, H'' on the
+    entries of its site pair over the instances there: the identity the
+    bond expectations are read by (tests/oracles.terms_off_doubleprime).
+    Scaling the terms by 1.001 with H'' unchanged must break it for all 8."""
+    params = default_params(0)
+    basis = build_basis(build_lattice(2, 1), params.n_max)
+    assert oracles.terms_off_doubleprime(params, basis) == []
+    terms = model.pairing_bond_terms
+    monkeypatch.setattr(model, "pairing_bond_terms", lambda params, basis: (
+        (key, 1.001 * term) for key, term in terms(params, basis)))
+    assert len(oracles.terms_off_doubleprime(params, basis)) == 8

@@ -88,7 +88,7 @@ def test_spectral_refuses_a_beta_of_no_gibbs_state_before_any_block(monkeypatch,
 
 def test_expectation_identity(state):
     _, _, basis, _, spec = state
-    assert np.isclose(spec.expectation(np.eye(basis.total_dim, dtype=complex)), 1.0)
+    assert np.isclose(spec.expectation(np.ones(basis.total_dim, dtype=complex)), 1.0)
     assert np.isclose(spec.expectation(np.ones(basis.total_dim)), 1.0)
 
 
@@ -98,10 +98,8 @@ def test_expectation_beta_zero():
     basis = build_basis(lat, params.n_max)
     H = oracles.build_original(params, basis)
     spec = thermo.spectral(H, 0.0)
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((basis.total_dim, basis.total_dim))
-    A = A + A.T
-    assert np.isclose(spec.expectation(A), np.trace(A) / basis.total_dim)
+    a = np.random.default_rng(0).standard_normal(basis.total_dim)
+    assert np.isclose(spec.expectation(a), a.mean())
 
 
 def test_half_filling_under_original():
@@ -158,36 +156,28 @@ def test_another_dimension_is_refused_before_any_term(monkeypatch):
     assert (spec.dim, basis.total_dim) == (64, 256)
 
     def refuse(*args):
-        raise AssertionError("a bond term was built")
+        raise AssertionError("an entry was read")
 
-    monkeypatch.setattr(model, "pairing_bond_terms", refuse)
+    monkeypatch.setattr(thermo, "_entry_products", refuse)
     with pytest.raises(ValueError, match="dimension 64, not the basis dimension 256"):
         thermo.pairing_bond_expectations(params, basis, spec)
-    with pytest.raises(ValueError, match=r"shape \(256, 256\), not the dimension 64"):
-        spec.expectation(sparse.eye_array(256, format="csr"))
     with pytest.raises(ValueError, match=r"shape \(5,\), not the dimension 64"):
         spec.expectation(np.ones(5))
 
 
-def test_sparse_expectation_matches_dense_trace(state):
-    # rho is block-diagonal, so entries of A between components add exactly 0
+def test_expectation_refuses_a_matrix(state):
+    # a matrix, dense or sparse, was traced against the Gibbs state; only a
+    # diagonal is taken now, with a Hermitian one giving a float
     _, params, basis, H2, spec = state
-    rho = dense_gibbs_state(H2, params.beta)
-    block_of = np.empty(basis.total_dim, dtype=int)
-    for k, (idx, _, _) in enumerate(spec.blocks):
-        block_of[idx] = k
-    rng = np.random.default_rng(8)
-    A = sparse.random_array((basis.total_dim, basis.total_dim), density=0.05, rng=rng,
-                            dtype=complex, format="csr")
-    rows, cols = A.nonzero()
-    assert np.any(block_of[rows] != block_of[cols])
-    for obs in (A, A + A.conj().T):
-        want = np.trace(rho @ obs.toarray())
-        got = spec.expectation(obs)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        assert abs(spec.expectation(obs.toarray()) - want) <= 1e-12 * abs(want)
-    assert isinstance(spec.expectation(A + A.conj().T), float)
-    assert isinstance(spec.expectation(A), complex)
+    n = basis.total_dim
+    for A in (np.eye(n), sparse.eye_array(n, format="csr"), np.ones((n, 1))):
+        with pytest.raises(ValueError, match=r"takes a diagonal \(a 1-d array\), got shape"):
+            spec.expectation(A)
+    a = np.random.default_rng(8).standard_normal(n)
+    assert spec.expectation(a) == np.dot(a, spec.rho_diag())
+    assert isinstance(spec.expectation(a + 0j), float)
+    val = spec.expectation(1j * a)
+    assert isinstance(val, complex) and close(val, 1j * np.dot(a, spec.rho_diag()))
 
 
 # -- Duhamel two-point function -----------------------------------------------------------
@@ -202,7 +192,7 @@ def test_duhamel_identity_is_one(state, oracle):
 def test_duhamel_commuting_equals_static(state, oracle):
     _, _, basis, H2, spec = state
     # A = H commutes with H: (A, A) = <A* A>
-    assert np.isclose(oracle.duhamel(H2, H2), spec.expectation(H2 @ H2))
+    assert np.isclose(oracle.duhamel(H2, H2), oracle.expectation(H2 @ H2))
 
 
 def test_duhamel_positive_and_symmetric(state, oracle):
@@ -238,7 +228,7 @@ def test_duhamel_bogoliubov_sandwich(state, oracle):
     for _ in range(5):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         aa = complex(oracle.duhamel(A, A)).real
-        sym = spec.expectation(A.conj().T @ A + A @ A.conj().T).real / 2
+        sym = oracle.expectation(A.conj().T @ A + A @ A.conj().T).real / 2
         assert -1e-12 <= aa <= sym * (1 + 1e-12)
 
 
@@ -399,7 +389,9 @@ def test_quadratic_forms_match_oracle_random_couplings(n_max, t, U, V, g, omega,
     params = P(t=t, U=U, V=V, g=g, omega=omega, beta=beta, n_max=n_max)
     basis = build_basis(build_lattice(1, 1), n_max)
     H2 = model.build_doubleprime(params, basis)
-    assert_forms_match(params, basis, thermo.spectral(H2, beta), Oracle(H2, beta), [np.array(h)])
+    spec = thermo.spectral(H2, beta)
+    assert_bonds_match_gibbs_oracle(params, basis, spec)
+    assert_forms_match(params, basis, spec, Oracle(H2, beta), [np.array(h)])
 
 
 def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
@@ -425,7 +417,9 @@ def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
     # doubled bond terms double the closed form, which must match the entries spec keeps
     with pytest.raises(AssertionError, match="nested commutator mismatch"):
         run(bonds=[(key, 2.0 * w) for key, w in bond_exp])
-    assert len(built) == 1
+    assert len(built) == 1 and spec._forms[2] is None
+    # the refused bonds are not kept: without bonds, spec's own are read
+    assert thermo.quadratic_form_quantities(params, basis, h, spec) == (g0, b0, c0)
     # a diagonal shift of H'' has its own spectral data and forms; c keeps its
     # value, as D_x vanishes on the diagonal
     shifted = thermo.spectral(H2 + 0.5 * np.eye(basis.total_dim), params.beta)
@@ -455,17 +449,36 @@ def test_bond_expectations_computed_once_without_them(monkeypatch):
         assert [thermo.quadratic_form_quantities(params, basis, h, spec)
                 for h in np.eye(4)] == want
     assert len(calls) == 1
-    # bonds handed in take over, and the ones computed here come back after them
+    # bonds handed in take over, and are kept: the bonds are those of spec and basis
     given = bonds(params, basis, spec)
     thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec, given)
     assert spec._forms[2] is given and len(calls) == 1
     thermo.quadratic_form_quantities(params, basis, np.eye(4)[0], spec)
-    assert len(calls) == 2
-    # another params is another set of bond terms
-    other = P(**{**params.__dict__, "t": 2 * params.t})
-    with pytest.raises(AssertionError, match="nested commutator mismatch"):
-        thermo.quadratic_form_quantities(other, basis, np.eye(4)[0], spec)
-    assert len(calls) == 3
+    assert spec._forms[2] is given and len(calls) == 1
+
+
+@pytest.mark.parametrize("beta", [2.4, 0.0])
+def test_forms_refuse_a_beta_that_is_not_the_spec_beta(monkeypatch, beta):
+    # c was beta <[A, [H'', A*]]> with the beta of params, and b and g those of
+    # spec's Gibbs state: a mismatch mixed two temperatures in one record
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    H2 = model.build_doubleprime_csr(params, basis)
+    spec = thermo.spectral(H2, params.beta)
+    other = P(**{**params.__dict__, "beta": beta})
+
+    def refuse(*args):
+        raise AssertionError("a form or bond was read")
+
+    monkeypatch.setattr(thermo, "_build_quadratic_forms", refuse)
+    monkeypatch.setattr(thermo, "pairing_bond_expectations", refuse)
+    h = np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.5j, 0.1 - 0.9j])
+    match = f"params.beta = {beta} is not the beta 1.2 of spec"
+    with pytest.raises(ValueError, match=match):
+        thermo.quadratic_form_quantities(other, basis, h, spec)
+    with pytest.raises(ValueError, match=match):
+        rpverify.infrared_chain_check(other, basis, h, spec, H2)
+    assert spec._forms is None
 
 
 @pytest.mark.parametrize("wrong", ["spec", "H"])
@@ -557,17 +570,27 @@ def test_forms_of_the_original_hamiltonian_match_the_oracle():
                            np.random.default_rng(8))
 
 
-def doubleprime_with_flux(params, basis):
-    """H'' with a phase on the first entry, in order, that lies on a cycle: its
-    component goes down the complex path."""
-    H = model.build_doubleprime(params, basis).astype(complex)
+def with_flux(H, k, l):
+    """A complex copy of the dense H with a phase on its entries (k, l) and (l, k)."""
+    F = H.astype(complex)
+    F[k, l] *= np.exp(0.7j)
+    F[l, k] = np.conj(F[k, l])
+    return F
+
+
+def flux_entry(params, basis):
+    """(k, l): the first entry of H'', in order, that lies on a cycle, so that a
+    phase on it sends its component down the complex path."""
+    H = model.build_doubleprime(params, basis)
     for k, l in zip(*np.nonzero(np.triu(H, 1))):
-        F = H.copy()
-        F[k, l] *= np.exp(0.7j)
-        F[l, k] = np.conj(F[k, l])
-        if not all(thermo.spectral(F, params.beta).real_blocks):
-            return F
+        if not all(thermo.spectral(with_flux(H, k, l), params.beta).real_blocks):
+            return k, l
     raise AssertionError("no entry of H'' lies on a cycle")
+
+
+def doubleprime_with_flux(params, basis):
+    """H'' with a phase on the entry of :func:`flux_entry`."""
+    return with_flux(model.build_doubleprime(params, basis), *flux_entry(params, basis))
 
 
 def test_forms_on_a_component_with_flux_match_the_oracle():
@@ -628,26 +651,61 @@ def test_spectral_build_memory_is_bounded(state_2x2):
 
 
 def test_bond_expectations_memory_is_bounded(state_2x2):
-    # the eight terms are built and read one at a time: about 7 MiB at the peak
-    # here, against 15.1 MiB when all eight were held at once
+    # the bonds are summed over H'''s kept entries one component at a time, with
+    # no term built: 2.2 MiB at the peak here, against 7.1 MiB when each of the
+    # eight terms was built as a CSR array and its entries searched for
     params, basis, _, spec = state_2x2
     spec._rho_entries()
-    assert traced_peak(lambda: thermo.pairing_bond_expectations(params, basis, spec)) < 10 * 2 ** 20
+    assert traced_peak(lambda: thermo.pairing_bond_expectations(params, basis, spec)) < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 0), (2, 1)])
 def test_bonds_and_forms_have_the_bits_of_whole_gibbs_blocks(nu, n_max):
     # rho is read once at the entries of H'' and B's Gram matrix is built in
-    # tiles; every block here is one tile, so both keep the bits of the sums
-    # over whole Gibbs blocks and whole charge products
+    # tiles; every block here is one tile, so the forms keep the bits of the
+    # sums over whole Gibbs blocks and whole charge products.  The bonds are
+    # summed by site pair over H'''s entries, not term by term: 1e-13 relative
     params = small_params(n_max=n_max)
     basis = build_basis(build_lattice(nu, 1), n_max)
     spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
-    assert (thermo.pairing_bond_expectations(params, basis, spec)
-            == oracles.bond_expectations(params, basis, spec))
+    assert_bonds_match_gibbs_oracle(params, basis, spec)
     for got, want in zip(thermo._build_quadratic_forms(spec, basis),
                          oracles.quadratic_forms(spec, basis)):
         assert np.array_equal(got, want)
+
+
+def test_bonds_of_the_six_site_ring_match_the_gibbs_oracle():
+    # L = 3: each site pair carries one instance, where the L = 1 tori carry two
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(1, 3), 0, cap=4096)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
+    assert len(assert_bonds_match_gibbs_oracle(params, basis, spec)) == 6
+
+
+def test_bonds_of_a_field_hamiltonian_tell_the_site_pairs_apart():
+    # at h = 0 the eight bonds are equal by symmetry, and a permuted pair label
+    # goes unseen; under H''(h) the four site pairs read four values
+    params = P(t=1.0, U=1.0, V=2.0, g=0.8, omega=1.2, beta=2.0, n_max=1)
+    basis = build_basis(build_lattice(2, 1), 1)
+    h = np.array([0.7, -1.1, 0.3, 0.9])
+    H = model.build_doubleprime_csr(params, basis) + sparse.diags_array(
+        np.repeat(model.field_diagonal_correction(params, basis, h), basis.boson_dim))
+    got = [val for _, val in assert_bonds_match_gibbs_oracle(
+        params, basis, thermo.spectral(H, params.beta))]
+    assert got[::2] == got[1::2]            # eps = +1 and -1 share their pair
+    assert np.round(got[::2], 3).tolist() == [-0.838, -0.058, -0.049, -0.712]
+
+
+def test_bonds_on_a_component_with_flux_match_the_gibbs_oracle():
+    # the phase on one entry of H'' goes into the term that holds the entry
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    k, l = flux_entry(params, basis)
+    spec = thermo.spectral(with_flux(model.build_doubleprime(params, basis), k, l), params.beta)
+    assert not all(spec.real_blocks)
+    terms = [(key, with_flux(term.toarray(), k, l))
+             for key, term in model.pairing_bond_terms(params, basis)]
+    assert_bonds_match_gibbs_oracle(params, basis, spec, terms)
 
 
 def tiled_case(case):
@@ -892,6 +950,31 @@ def assert_bonds_match(params, basis, spec, oracle):
     got = thermo.pairing_bond_expectations(params, basis, spec)
     for (_, val), (_, term) in zip(got, model.pairing_bond_terms(params, basis)):
         assert close(val, oracle.expectation(term).real)
+    assert_bonds_match_gibbs_oracle(params, basis, spec)
+
+
+def assert_bonds_match_gibbs_oracle(params, basis, spec, terms=None):
+    """The bonds read off H'''s entries against the traces of the terms
+    (model.pairing_bond_terms, or ``terms``) over whole Gibbs blocks, to
+    1e-13 relative on each."""
+    got = thermo.pairing_bond_expectations(params, basis, spec)
+    want = oracles.bond_expectations(params, basis, spec, terms)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (_, val), (_, w) in zip(got, want):
+        assert isinstance(val, float) and abs(val - w) <= 1e-13 * abs(w)
+    return got
+
+
+def assert_bonds_match_or_refused(params, basis, spec, oracle, which):
+    """The bonds of H'' match both oracles; a spec of H or H' is refused: its
+    hopping entries flip two modes in opposite directions, and H's phonon
+    coupling flips none.  V H V^-1 is neither: at n_max = 0 its entries are
+    those of H'' off the diagonal."""
+    if which in ("H", "H1"):
+        with pytest.raises(ValueError, match="not the spectral data of H''"):
+            thermo.pairing_bond_expectations(params, basis, spec)
+    elif which == "H2":
+        assert_bonds_match(params, basis, spec, oracle)
 
 
 def assert_forms_match(params, basis, spec, oracle, fields):
@@ -911,7 +994,7 @@ def test_engine_matches_dense_eigh(nu, n_max, which):
     spec = thermo.spectral(H, params.beta)
     oracle = Oracle(H, params.beta)
     assert_engine_matches(spec, oracle, H)
-    assert_bonds_match(params, basis, spec, oracle)
+    assert_bonds_match_or_refused(params, basis, spec, oracle, which)
     if which == "H2":
         rng = np.random.default_rng(100 * nu + n_max)
         fields = rng.standard_normal((3, basis.n_sites)) + 1j * rng.standard_normal((3, basis.n_sites))
@@ -945,7 +1028,7 @@ def test_engine_matches_dense_eigh_random_couplings(n_max, which, t, U, V, g, om
     assert all(spec.real_blocks)
     oracle = Oracle(H, beta)
     assert_engine_matches(spec, oracle, H)
-    assert_bonds_match(params, basis, spec, oracle)
+    assert_bonds_match_or_refused(params, basis, spec, oracle, which)
     if which == "H2":
         assert_forms_match(params, basis, spec, oracle, [np.array(h)])
 
@@ -1032,11 +1115,13 @@ def test_flux_component_takes_the_complex_path():
     assert spec.real_blocks == [False, True]
     oracle = Oracle(H, 1.3)
     assert_engine_matches(spec, oracle, H)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    A = A + A.conj().T
-    rho = oracle.rhos[0]
-    assert close(spec.expectation(A), np.vdot(rho, A).real)
-    assert close(spec.expectation(sparse.csr_array(A)), np.vdot(rho, A).real)
+    # the Gibbs state at the entries of the flux component, where the forms
+    # and the bonds read it, in the gauge d: rho_kl = d_k r_kl conj(d_l)
+    key, _, ends = spec._entries
+    k, l = np.divmod(key[ends[0]:ends[1]], 3)
+    rows, cols = spec._eig[0][0][k], spec._eig[0][0][l]
+    got = spec._phase[rows] * spec._rho_entries()[ends[0]:ends[1]] * spec._phase[cols].conj()
+    assert len(got) == 6 and np.max(np.abs(got - oracle.rhos[0][rows, cols])) <= 1e-12
 
 
 def test_reconstruction_residual_charges_the_discarded_imaginary_part():
