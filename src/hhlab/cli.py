@@ -203,10 +203,14 @@ def _dump_matrix(H, path):
             fh.write(H[start:start + rows].toarray().astype("<c16").tobytes())
 
 
-def _rng_for(cfg, suite):
+def _require_seed(cfg, suite):
     if cfg.seed is None:
         raise InputError(f"suite {suite!r} is randomized: a seed is mandatory "
                          "(--seed or seed= in the config)")
+
+
+def _rng_for(cfg, suite):
+    _require_seed(cfg, suite)
     return np.random.default_rng(cfg.seed)
 
 
@@ -251,6 +255,8 @@ def _field_records(cfg, suite, count, params, basis):
 
 
 def _verify_records(cfg, suite, count):
+    if suite != "theta":   # every other suite draws random instances
+        _require_seed(cfg, suite)    # refused before the basis is built
     params = cfg.params()
     checks = []
     if suite != "dls":   # built once per run; the DLS suite needs no basis

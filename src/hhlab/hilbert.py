@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+
+from ._lazy import LazyModule
 
 __all__ = [
     "Monomial",
@@ -50,6 +51,8 @@ __all__ = [
     "adjoint",
     "hermiticity_residual",
 ]
+
+sparse = LazyModule("scipy.sparse")
 
 DEFAULT_DIM_CAP = 16384
 

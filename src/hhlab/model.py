@@ -46,8 +46,8 @@ from functools import reduce
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import LazyModule
 from .hilbert import Monomial, adjoint, hermiticity_residual
 
 __all__ = [
@@ -74,6 +74,8 @@ __all__ = [
     "fermion_mode_permutation",
     "lang_firsov_diagnostic",
 ]
+
+sparse = LazyModule("scipy.sparse")
 
 
 @dataclass(frozen=True)

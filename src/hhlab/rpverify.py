@@ -23,14 +23,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import model as _model
 from . import sectors as _sectors
 from . import thermo as _thermo
+from ._lazy import LazyModule
 from .fuzz import (_WINDOW, _Buffers, _check_dls_inputs, _check_unitary, _convexity_slacks,
                    _dls_log_sides, _draw_dls, _hermitian_part, _random_bounded)
 from .hilbert import HilbertBasis, Monomial
+
+sparse = LazyModule("scipy.sparse")
 
 __all__ = [
     "CheckResult",

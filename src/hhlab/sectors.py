@@ -18,11 +18,13 @@ one reducer (:func:`_involution_sectors`) serves Pi and Theta.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix, eye_array, issparse, kron
-from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from . import model as _model
+from ._lazy import LazyModule
 from .hilbert import Monomial
+
+sparse = LazyModule("scipy.sparse")
+csgraph = LazyModule("scipy.sparse.csgraph")
 
 __all__ = ["highest_weight_sectors"]
 
@@ -35,7 +37,7 @@ def _offdiagonal_pattern(H):
     """Rows, columns and values of H's nonzero off-diagonal entries, row by
     row: of a dense H, read in row slabs of at most _PATTERN_SLAB_BYTES, or
     of the stored entries of a scipy.sparse H."""
-    if issparse(H):
+    if sparse.issparse(H):
         H = H.tocoo().tocsr()               # duplicates summed, each row sorted
         rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
         keep = (rows != H.indices) & (H.data != 0)
@@ -74,9 +76,10 @@ def _phase_gauge(H, entries=None):
     rows, cols, vals = _offdiagonal_pattern(H) if entries is None else entries
     weights = np.concatenate([-np.abs(vals), np.ones(n)])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)), [len(weights)]])
-    tree = minimum_spanning_tree(csr_matrix((weights, np.concatenate([cols, np.arange(n)]), indptr),
-                                            shape=(n + 1, n + 1)))
-    _, up = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+    tree = csgraph.minimum_spanning_tree(
+        sparse.csr_matrix((weights, np.concatenate([cols, np.arange(n)]), indptr),
+                          shape=(n + 1, n + 1)))
+    _, up = csgraph.breadth_first_order(tree, n, directed=False, return_predecessors=True)
     up = up[:n]
     roots = np.flatnonzero(up == n)
     up[roots] = roots
@@ -206,7 +209,7 @@ def _check_commutes(basis, G, raising, phase):
     up = raising.tocoo()
     rows = (up.row[:, None] * nb + np.arange(nb)).ravel()
     cols = (up.col[:, None] * nb + np.arange(nb)).ravel()
-    S = csr_array((_gauged(np.repeat(up.data, nb), phase[rows], phase[cols]),
+    S = sparse.csr_array((_gauged(np.repeat(up.data, nb), phase[rows], phase[cols]),
                           (rows, cols)), shape=G.shape)
     dev = float(np.max(np.abs((G @ S - S @ G).data), initial=0.0))
     if dev > _SYMMETRY_TOL * float(np.max(np.abs(G.data), initial=0.0)):
@@ -292,7 +295,7 @@ def _project_highest_weight(basis, labels, phase, G, raising, twice_m):
     order = np.lexsort((np.arange(len(col_lab)), col_rep, col_lab))
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
-    P = csr_array((vals, (rows, rank[cols])), shape=(basis.total_dim, len(order)))
+    P = sparse.csr_array((vals, (rows, rank[cols])), shape=(basis.total_dim, len(order)))
     return P, col_lab[order], col_rep[order], comp_m
 
 
@@ -375,7 +378,8 @@ def _involution_sectors(X, O, col_lab, col_rep, weight):
     not map sectors onto sectors.
     """
     x = X.tocoo()
-    R = (X.T @ csr_array((O.sign[x.row] * x.data, (O.perm[x.row], x.col)), shape=X.shape)).tocoo()
+    R = (X.T @ sparse.csr_array((O.sign[x.row] * x.data, (O.perm[x.row], x.col)),
+                                shape=X.shape)).tocoo()
     n = X.shape[1]
     order = np.lexsort((-np.abs(R.data), R.col))
     cols, top = np.unique(R.col[order], return_index=True)
@@ -387,9 +391,10 @@ def _involution_sectors(X, O, col_lab, col_rep, weight):
     if not (np.array_equal(image[col_lab], to) and np.array_equal(image[to], col_lab)):
         return (None,) * 6 + (np.inf,)
     keep = col_lab[R.row] == image[col_lab[R.col]]
-    R = csr_array((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n))
-    dev = float(np.max(np.abs((R.T @ R - eye_array(n)).data), initial=0.0))
-    piece = np.where(image[col_lab] == col_lab, connected_components(R, directed=False)[1], -1)
+    R = sparse.csr_array((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n))
+    dev = float(np.max(np.abs((R.T @ R - sparse.eye_array(n)).data), initial=0.0))
+    piece = np.where(image[col_lab] == col_lab,
+                     csgraph.connected_components(R, directed=False)[1], -1)
     kept = np.flatnonzero(col_lab < image[col_lab])
     rows, cols, vecs = [kept], [np.arange(len(kept))], [np.ones(len(kept))]
     new_lab, new_rep = [2 * col_lab[kept]], [col_rep[kept]]
@@ -406,7 +411,7 @@ def _involution_sectors(X, O, col_lab, col_rep, weight):
     rows, cols, vecs, new_lab, new_rep = map(np.concatenate, (rows, cols, vecs, new_lab, new_rep))
     paired = np.zeros(2 * len(image), dtype=bool)
     paired[2 * col_lab[kept]] = True
-    U = csr_array((vecs, (rows, cols)), shape=(n, len(new_lab)))
+    U = sparse.csr_array((vecs, (rows, cols)), shape=(n, len(new_lab)))
     partner = np.where(paired[new_lab], O.perm[new_rep], new_rep)
     return U, new_lab, new_rep, partner, np.repeat(weight, 2), paired, dev
 
@@ -430,7 +435,7 @@ def _particle_hole_sectors(basis, labels, phase, G, raising, hw, theta, reflecti
     particle_hole = _model.particle_hole_symmetry(basis, sites)
     P, A, col_lab, col_rep, weight = hw
     n = len(labels)
-    up = kron(raising, eye_array(basis.boson_dim), format="csr")
+    up = sparse.kron(raising, sparse.eye_array(basis.boson_dim), format="csr")
     image = particle_hole.conjugate(up)
     if not (_same(particle_hole.compose(particle_hole), Monomial(np.arange(n), np.ones(n)))
             and _same(reflection.compose(particle_hole), particle_hole.compose(reflection))
@@ -510,7 +515,8 @@ def highest_weight_sectors(basis, H2, reflection):
     if flux.any():
         raise ValueError(f"block of H'' carries flux: it is not real in the gauge read off "
                          f"H'' (largest imaginary entry {flux[flux > 0.0][0]:.3e})")
-    G = csr_array((_gauged(vals, phase[rows], phase[cols]).real, (rows, cols)), shape=H2.shape)
+    G = sparse.csr_array((_gauged(vals, phase[rows], phase[cols]).real, (rows, cols)),
+                         shape=H2.shape)
     del rows, cols, vals                      # G holds them from here on
     raising, twice_m = _model.zigzag_spin_operators(basis)
     _check_commutes(basis, G, raising, phase)

@@ -23,10 +23,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import model as _model
 from . import sectors as _sectors
+from ._lazy import LazyModule
+
+blas = LazyModule("scipy.linalg.blas")
 
 __all__ = [
     "SpectralData",

@@ -81,9 +81,21 @@ def test_dump_strips_give_dense_layout(tmp_path):
     assert dump.read_bytes() == np.array(1000, dtype="<u8").tobytes() + A.astype("<c16").tobytes()
 
 
-def test_verify_requires_seed_for_randomized_suites(tmp_path):
+def test_verify_requires_seed_for_randomized_suites(tmp_path, capsys, monkeypatch):
+    # refused before any work: the basis is never built
+    built = []
+
+    def build_basis(*args, **kwargs):
+        built.append(args)
+        raise RuntimeError("basis built before the seed was checked")
+
+    monkeypatch.setattr(cli, "build_basis", build_basis)
     out = tmp_path / "r.jsonl"
-    assert run(["--out", str(out), "verify", "--suite", "dls"]) == 2
+    for suite in ("dls", "rp", "gauss", "infrared", "halffill", "q2", "fourier", "all"):
+        assert run(["--out", str(out), "verify", "--suite", suite]) == 2
+        assert capsys.readouterr().err == (f"error: suite {suite!r} is randomized: a seed is "
+                                           "mandatory (--seed or seed= in the config)\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("suite", ["gauss", "dls"])
