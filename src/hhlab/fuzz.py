@@ -79,9 +79,10 @@ def _adjoint(M):
 
 
 def _check_unitary(W):
-    """Refuse, with ValueError, a W (or a stack of them) not unitary to 1e-10."""
+    """Refuse, with ValueError, a W (or a stack of them) not unitary to 1e-10,
+    or with an entry that is not finite (nan fails the comparison)."""
     dev = np.max(np.abs(W @ _adjoint(W) - np.eye(W.shape[-1])), axis=(-2, -1))
-    if np.any(dev > 1e-10):
+    if not np.all(dev <= 1e-10):
         raise ValueError(f"unitary part is not unitary (deviation {np.max(dev)})")
 
 
@@ -109,9 +110,29 @@ def _hermitian(M, tol):
 
 
 def _check_dls_inputs(draws):
-    """Refuse, with ValueError, draws (A, B, C, D, lambdas, W, beta) with a
-    lambda_j < 0, A or B not Hermitian to 1e-12 or W not unitary."""
-    for _, (A, B, _, _, lam, W, _) in _stacks(draws, lambda n: 16 * n * n):
+    """Refuse, with ValueError that names the field and before any solve,
+    draws (A, B, C, D, lambdas, W, beta) with: B or W not of A's square
+    shape; C or D not a stack of such matrices, or of another count than
+    each other or than the lambdas; an entry that is not finite; beta < 0;
+    a lambda_j < 0; A or B not Hermitian to 1e-12; or W not unitary."""
+    for _, (A, B, C, D, lam, W, beta) in _stacks(draws, lambda n: 16 * n * n):
+        n = A.shape[-1]
+        for M, nm, shape in ((A, "A", (n, n)), (B, "B", (n, n)), (W, "W", (n, n)),
+                             (C, "Cs", (C.shape[1], n, n)), (D, "Ds", (D.shape[1], n, n))):
+            if M.shape[1:] != shape:
+                raise ValueError(f"{nm} must be {'matrices ' if M.ndim == 4 else ''}"
+                                 f"{n} x {n} (A has {n} columns), got shape {M.shape[1:]}")
+        if D.shape[1] != C.shape[1]:
+            raise ValueError(f"Ds must hold as many matrices as Cs, {C.shape[1]}, got {D.shape[1]}")
+        if lam.shape[1:] != C.shape[1:2]:
+            raise ValueError(f"lambdas must hold one value per C, {C.shape[1]}, got "
+                             f"{lam.shape[1:]}")
+        for M, nm in ((A, "A"), (B, "B"), (C, "Cs"), (D, "Ds"), (lam, "lambdas"), (W, "W")):
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{nm} has an entry that is not finite")
+        bad = ~((0.0 <= beta) & (beta < np.inf))            # nan fails both
+        if bad.any():
+            raise ValueError(f"beta must be finite and >= 0, got {beta[bad][0]}")
         if np.any(lam < 0):
             raise ValueError("lambda_j must be nonnegative")
         for M, nm in ((A, "A"), (B, "B")):
@@ -239,15 +260,17 @@ def _dls_log_sides(draws, buffers=None):
 
 def _convexity_slacks(pairs):
     """(rhs - lhs) / max(|lhs|, |rhs|, 1) of the convexity lemma for each
-    Hermitian pair (B, C), in draw order, solved in stacks of one n."""
+    Hermitian pair (B, C), in draw order, solved in stacks of one n.
+
+    <B> = sum_n e^{-w_n} (q^H B q)_nn / Z over the eigenpairs (w, q) of
+    B + C: the diagonal of q^H B q, with no Gibbs matrix formed."""
     slack = np.empty(len(pairs))
     for idx, (B, C) in _stacks(pairs, lambda n: 16 * n * n):
         w, q = np.linalg.eigh(B + C)
         e = np.exp(-(w - w[:, :1]))
         zs = np.sum(e, axis=1)
         lhs = -w[:, 0] + np.log(zs)
-        gibbs = (q * e[:, None, :]) @ np.swapaxes(q.conj(), -1, -2) / zs[:, None, None]
-        mean_b = np.array([np.vdot(g, b).real for g, b in zip(gibbs, B)])
+        mean_b = np.sum(np.sum(q.conj() * (B @ q), axis=1).real * e, axis=1) / zs
         rhs = -mean_b + _log_partition(np.ones(len(idx)), np.linalg.eigvalsh(C))
         slack[idx] = (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     return slack

@@ -461,6 +461,12 @@ class DLSInstance:
     theta: AntiunitaryMap
 
     def __post_init__(self):
+        n = np.shape(self.A)[-1]
+        for name in ("Cs", "Ds"):       # checked before _draw cuts them to A's shape
+            for M in getattr(self, name):
+                if np.shape(M) != (n, n):
+                    raise ValueError(f"{name} must be matrices {n} x {n} (A has {n} columns), "
+                                     f"got shape {np.shape(M)}")
         _check_dls_inputs([self._draw()])
 
     def _draw(self):

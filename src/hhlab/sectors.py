@@ -114,13 +114,17 @@ def _gauged_sparse(H):
     diagonal.  ``flux`` holds, per component, the largest imaginary part of
     conj(d) H d where it exceeds _GAUGE_IMAG_TOL times the component's
     largest entry (the component carries flux), else 0.  The gauge is reset
-    to 1 on every component with flux.
+    to 1 on every component with flux.  An H with an entry that is not
+    finite is refused with ValueError, before the gauge is read.
     """
     n = H.shape[0]
     rows, cols, vals = _offdiagonal_pattern(H)
+    diagonal = H.diagonal()
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(diagonal))):
+        raise ValueError("H has an entry that is not finite")
     labels, phase = _phase_gauge(H, (rows, cols, vals))
     rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
-    vals = np.concatenate([vals, H.diagonal()])
+    vals = np.concatenate([vals, diagonal])
     imag, top = np.zeros((2, labels.max() + 1))
     np.maximum.at(imag, labels[rows], np.abs(_gauged(vals, phase[rows], phase[cols]).imag))
     np.maximum.at(top, labels[rows], np.abs(vals))

@@ -10,7 +10,9 @@ one big block, never to a wrong answer.  The Gibbs state is block-diagonal
 over the components.  Its diagonal serves the thermal averages of diagonal
 observables; off the diagonal it is kept only at H's own entries, which is
 all the infrared forms and the pairing-bond expectations read, and each
-Gibbs block is dropped as soon as it is read there.
+Gibbs block is dropped as soon as it is read there.  Those two reads visit
+one component per orbit of Pi_0 and the spin swap, which map H'' onto
+itself (:func:`_component_orbits`).
 
 The infrared forms g, b and c are built from the spectral data alone
 (:func:`quadratic_form_quantities`).  All exponentials are shifted by the
@@ -27,6 +29,7 @@ import numpy as np
 from . import model as _model
 from . import sectors as _sectors
 from ._lazy import LazyModule
+from .hilbert import Monomial
 
 blas = LazyModule("scipy.linalg.blas")
 
@@ -70,11 +73,16 @@ class SpectralData:
     block, gauged in place, with its eigenvectors and two one-block
     temporaries.  At 2x2, n_max = 1 that is 22 MiB traced, 14 MiB of it
     kept; at n_max = 2, 545 MiB, 340 MiB kept.
-    The Gibbs state is read once, on first use, at those entries
+    The Gibbs state is read on first use at those entries
     (:meth:`_rho_entries`, one more value per entry: 31 MiB at n_max = 2),
-    one component's Gibbs block at a time; no Gibbs block is kept.  Thermal
-    averages of other observables are taken of diagonals only
-    (:meth:`expectation`).
+    one component's Gibbs block at a time; no Gibbs block is kept.  The
+    reads that take a basis (the forms and the bonds) read it, and the
+    entries, on one component per orbit of Pi_0 and the spin swap only
+    (:func:`_component_orbits`, cached on the spec with its basis): 39 of
+    the 85 components at 2x2, n_max = 1, holding 0.58 of the sum of n^3.
+    Where either symmetry fails its check in the gauge, every component is
+    read.  Thermal averages of other observables are taken of diagonals
+    only (:meth:`expectation`), over every component.
 
     Attributes of interest: ``beta``, ``e0`` (ground energy), ``logZ``,
     ``blocks`` and ``real_blocks``.  Immutable once built.
@@ -89,6 +97,7 @@ class SpectralData:
             raise ValueError(f"beta must be finite and >= 0, got {beta}")
         labels, phase, entries, flux = _sectors._gauged_sparse(H)
         self.dim = n
+        self._diagonal = entries[2][-n:].copy()  # H's diagonal, for the orbit checks
         self._block_of = labels                 # component of each basis index
         # each component's size, and each basis index's position in its component
         _, self._size, _, self._position = _sectors._positions(labels)
@@ -123,6 +132,8 @@ class SpectralData:
         self.logZ = -self.beta * self.e0 + float(np.log(self.z_shifted))
         self._rho_diag = None
         self._rho_at = None
+        self._rho_read = np.zeros(len(eig), dtype=bool)
+        self._orbits = None
         self._forms = None
 
     @property
@@ -149,19 +160,22 @@ class SpectralData:
             self._rho_diag = d / self.z_shifted
         return self._rho_diag
 
-    def _rho_entries(self):
+    def _rho_entries(self, components=None):
         """The gauged Gibbs state at H's off-diagonal entries, aligned with
-        ``_entries``: built once, each component's Gibbs block
-        q diag(e^{-beta w}) q^H / Z formed, read and dropped in turn."""
+        ``_entries``, read on ``components`` (every component by default) and
+        nan on a component not read yet.  Each component is read once: its
+        Gibbs block q diag(e^{-beta w}) q^H / Z formed, read and dropped."""
+        key, _, ends = self._entries
         if self._rho_at is None:
-            key, _, ends = self._entries
             real = all(np.isrealobj(q) for _, _, q in self._eig)
-            rho = np.empty(len(key), dtype=float if real else complex)
-            for c in np.flatnonzero(np.diff(ends)):
-                (_, _, q), wt = self._eig[c], self._weights[c]
-                s = slice(ends[c], ends[c + 1])
-                rho[s] = ((q * wt) @ q.conj().T).take(key[s]) / self.z_shifted
-            self._rho_at = rho
+            self._rho_at = np.full(len(key), np.nan, dtype=float if real else complex)
+        todo = np.arange(len(self._eig)) if components is None else np.asarray(components)
+        for c in todo[~self._rho_read[todo]]:
+            (_, _, q), wt = self._eig[c], self._weights[c]
+            s = slice(ends[c], ends[c + 1])
+            if s.stop > s.start:
+                self._rho_at[s] = ((q * wt) @ q.conj().T).take(key[s]) / self.z_shifted
+        self._rho_read[todo] = True
         return self._rho_at
 
     # -- thermal averages --
@@ -387,6 +401,14 @@ def _build_quadratic_forms(spec, basis):
     off-diagonal nonzeros of G (``SpectralData._entries``), where r is read
     once (``SpectralData._rho_entries``): no Gibbs block is kept.  The forms
     are mirrored from the upper triangle: exactly symmetric.
+
+    B and C are summed over one component per orbit of Pi_0 and the spin
+    swap (:func:`_component_orbits`), each counted by the size of its
+    orbit: both symmetries keep q_x q_y, so every image contributes what
+    its representative does, up to rounding (B moves by 3.7e-16 relative
+    at 2x2, n_max = 1, against the sum over every component).  Where either
+    symmetry fails its check, every component is summed.  G and the lone
+    states are read off rho's diagonal, over every state.
     """
     qd = _model.charge_diagonals(basis)
     centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
@@ -396,15 +418,16 @@ def _build_quadratic_forms(spec, basis):
     stag = basis.lattice.staggered_signs
     # a state alone in its component has M_x = q_x and no entry off the diagonal
     lone = spec._size[spec._block_of] == 1
-    for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
+    for c, weight in zip(*_component_orbits(spec, basis)):
+        (idx, w, q), wt = spec._eig[c], spec._weights[c]
         if len(idx) == 1:
             continue
         diff, coef = _charge_differences(qd[:, idx // basis.boson_dim], stag)
-        B += coef @ _kernel_gram(q, w - spec.e0, wt, diff, spec.beta) @ coef.T
-        k, l, p = _entry_products(spec, c)
+        B += weight * (coef @ _kernel_gram(q, w - spec.e0, wt, diff, spec.beta) @ coef.T)
+        (k, l), p = _entry_positions(spec, c), _entry_products(spec, c)
         cb = centred[:, idx]
         d = cb.take(k, axis=1) - cb.take(l, axis=1)
-        C -= (d * p) @ d.T
+        C -= weight * ((d * p) @ d.T)
     B = B / spec.z_shifted + (centred[:, lone] * rho[lone]) @ centred[:, lone].T
     lower = np.tril_indices(len(qd), -1)
     for M in (G, B, C):
@@ -493,14 +516,98 @@ def _charge_products(q, diff):
     return p
 
 
+def _entry_positions(spec, c):
+    """(k, l): the positions in component c of ``spec`` of H's kept
+    off-diagonal entries there."""
+    key, _, ends = spec._entries
+    return np.divmod(key[ends[c]:ends[c + 1]], len(spec._eig[c][0]))
+
+
 def _entry_products(spec, c):
-    """(k, l, p) of component c of ``spec``: the positions in it of H's kept
-    off-diagonal entries, and p = Re(conj(rho_kl) H_kl) at each, taken in
-    the gauge as Re(conj(r_kl) G_kl)."""
-    key, g, ends = spec._entries
+    """p = Re(conj(rho_kl) H_kl) at H's kept off-diagonal entries in
+    component c of ``spec``, taken in the gauge as Re(conj(r_kl) G_kl)."""
+    _, g, ends = spec._entries
     s = slice(ends[c], ends[c + 1])
-    (k, l), r, g = np.divmod(key[s], len(spec._eig[c][0])), spec._rho_entries()[s], g[s]
-    return k, l, (r.conj() * g).real if np.iscomplexobj(spec._eig[c][2]) else r.real * g.real
+    r, g = spec._rho_entries((c,))[s], g[s]
+    return (r.conj() * g).real if np.iscomplexobj(spec._eig[c][2]) else r.real * g.real
+
+
+def _component_orbits(spec, basis):
+    """(reps, weight): one representative component of ``spec`` per orbit of
+    the group generated by Pi_0 (``model.particle_hole_symmetry`` with the
+    identity translation) and the spin swap (``model.spin_swap``), ascending,
+    and the size of its orbit.  Built on first use into the slot
+    ``spec._orbits`` = [basis, reps, weight], keyed by the identity of
+    ``basis`` as ``spec._forms`` is.
+
+    Pi_0 sends every q_x to -q_x and keeps the site pair each pairing flip
+    changes, and the swap keeps every q_x and maps the flip of one spin on a
+    site pair to that of the other: a component and its image contribute
+    the same to G, B, C and the bond sums, up to rounding, wherever H is
+    mapped onto itself.  If either symmetry fails :func:`_component_image`,
+    every orbit is a singleton: nothing is refused.
+    """
+    slot = spec._orbits
+    if slot is None or slot[0] is not basis:
+        n = len(spec._eig)
+        images = [_component_image(spec, symmetry) for symmetry in (
+            _model.particle_hole_symmetry(basis, np.arange(basis.n_sites)),
+            _model.spin_swap(basis))]
+        least = np.arange(n)
+        if all(image is not None for image in images):
+            # the least component of each orbit, spread along the images (both
+            # involutions) until it stops moving
+            while True:
+                spread = np.minimum.reduce([least] + [least[image] for image in images])
+                if np.array_equal(spread, least):
+                    break
+                least = spread
+        reps = np.flatnonzero(least == np.arange(n))
+        slot = spec._orbits = [basis, reps, np.bincount(least)[reps].astype(float)]
+    return slot[1], slot[2]
+
+
+def _component_image(spec, symmetry):
+    """The component that the signed permutation ``symmetry``, an involution,
+    maps each component of ``spec`` onto, or None unless it maps H onto
+    itself.
+
+    The symmetry is taken in the gauge of ``spec`` (``sectors._gauged_symmetry``,
+    a real signed permutation O).  Each component must map onto one
+    component of equal size, and O G O^T = G must hold on H's kept entries
+    and its diagonal to _SYMMETRY_TOL times their largest modulus: the
+    entries of a component, moved by O, must be those of its image.  O is
+    an involution up to one sign per component, so a component mapped onto
+    a later one is checked one way only.  One component at a time, in
+    O(nnz log nnz).
+    """
+    n = len(symmetry.perm)
+    if not _sectors._same(symmetry.compose(symmetry), Monomial(np.arange(n), np.ones(n))):
+        return None
+    labels, size, position = spec._block_of, spec._size, spec._position
+    O = _sectors._gauged_symmetry(labels, spec._phase, symmetry, antiunitary=False)
+    image = labels[O.perm]
+    to = image[[idx[0] for idx, _, _ in spec._eig]]
+    if not (np.array_equal(image, to[labels]) and np.array_equal(size[to], size)):
+        return None
+    key, g, ends = spec._entries
+    tol = _sectors._SYMMETRY_TOL * max(float(np.max(np.abs(g), initial=0.0)),
+                                       float(np.max(np.abs(spec._diagonal), initial=0.0)))
+    if np.max(np.abs(spec._diagonal[O.perm] - spec._diagonal), initial=0.0) > tol:
+        return None
+    for c in np.flatnonzero((np.diff(ends) > 0) & (to >= np.arange(len(to)))):
+        idx = spec._eig[c][0]
+        s, t = slice(ends[c], ends[c + 1]), slice(ends[to[c]], ends[to[c] + 1])
+        if s.stop - s.start != t.stop - t.start:
+            return None
+        (k, l), at, sign = _entry_positions(spec, c), position[O.perm[idx]], O.sign[idx]
+        moved = at[k] * len(idx) + at[l]
+        order = np.argsort(moved)
+        # each component's keys ascend: its entries run row by row
+        if not (np.array_equal(moved[order], key[t])
+                and np.max(np.abs((sign[k] * sign[l] * g[s])[order] - g[t])) <= tol):
+            return None
+    return to
 
 
 def _pair_flips(basis, instances):
@@ -531,16 +638,24 @@ def pairing_bond_expectations(params, basis, spec):
     instance on {x, y} is H'' on the entries of that pair over the number m
     of instances there (2 on the L = 1 tori, where eps = +-1 coincide), so
     <term> = sum Re(conj(rho_kl) H_kl) / m over those entries: ``params`` is
-    not read.  A spec with an entry that is no such flip (one of H or H',
-    say) is refused with ValueError, as is, before any entry is read, one
-    whose dimension is not ``basis.total_dim``.
+    not read.  The sums run over one component per orbit of Pi_0 and the
+    spin swap (:func:`_component_orbits`), counted by the size of its
+    orbit: Pi_0 keeps the site pair each entry flips, and the swap maps
+    the flip of one spin onto that of the other on the same pair.  Where
+    either symmetry fails its check, every component is summed.  Every
+    entry is still checked to be a pair flip: a spec with an entry that is
+    no such flip (one of H or H', say) is refused with ValueError, as is,
+    before any entry is read, one whose dimension is not ``basis.total_dim``.
     """
     _check_dimension(spec, basis)
     instances = _model._pairing_instances(_model._require_lattice(basis))
     flips, pair_of_flip, pair_of, counts = _pair_flips(basis, instances)
+    reps, orbit_size = _component_orbits(spec, basis)
+    weight = np.zeros(len(spec._eig))
+    weight[reps] = orbit_size
     sums = np.zeros(len(counts))
     for c, (idx, _, _) in enumerate(spec._eig):
-        k, l, p = _entry_products(spec, c)
+        k, l = _entry_positions(spec, c)
         row, col = idx[k] // basis.boson_dim, idx[l] // basis.boson_dim
         flip = row ^ col
         at = np.minimum(np.searchsorted(flips, flip), len(flips) - 1)
@@ -548,5 +663,7 @@ def pairing_bond_expectations(params, basis, spec):
         if not np.all((flips[at] == flip) & ((made == flip) | (made == 0))):
             raise ValueError("spec has an entry that flips no pairing pair of the basis: "
                              "it is not the spectral data of H''")
-        sums += np.bincount(pair_of_flip[at], weights=p, minlength=len(counts))
+        if weight[c]:
+            sums += weight[c] * np.bincount(pair_of_flip[at], weights=_entry_products(spec, c),
+                                            minlength=len(counts))
     return [(inst, float(sums[pair] / counts[pair])) for inst, pair in zip(instances, pair_of)]

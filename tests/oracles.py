@@ -238,7 +238,9 @@ def terms_off_doubleprime(params, basis):
 
 def quadratic_forms(spec, basis):
     """(G, B, C) of ``thermo._build_quadratic_forms`` with every block's charge
-    products and Duhamel kernel held whole, and C read off its Gibbs block."""
+    products and Duhamel kernel held whole, and C read off its Gibbs block,
+    summed over the engine's orbit representatives with their weights
+    (``thermo._component_orbits``), so that the two sums take one order."""
     qd = model.charge_diagonals(basis)
     centred = (qd - qd.mean(axis=0))[:, np.arange(spec.dim) // basis.boson_dim]
     rho = spec.rho_diag()
@@ -248,7 +250,8 @@ def quadratic_forms(spec, basis):
     lone = np.bincount(spec._block_of)[spec._block_of] == 1
     keys, h_all, ends = spec._entries
     gibbs = gibbs_blocks(spec)
-    for c, ((idx, w, q), wt) in enumerate(zip(spec._eig, spec._weights)):
+    for c, weight in zip(*thermo._component_orbits(spec, basis)):
+        (idx, w, q), wt = spec._eig[c], spec._weights[c]
         if len(idx) == 1:
             continue
         p, coef = _charge_products(q, qd[:, idx // basis.boson_dim], stag)
@@ -259,14 +262,14 @@ def quadratic_forms(spec, basis):
         gram = d @ d.T
         gram[:-1, :-1] += 2.0 * (((p.conj() @ p.T).real if np.iscomplexobj(p) else p @ p.T)
                                  - gram[:-1, :-1])
-        B += coef @ gram @ coef.T
+        B += weight * (coef @ gram @ coef.T)
         s = slice(ends[c], ends[c + 1])
         (k, l), h_kl = np.divmod(keys[s], len(idx)), h_all[s]
         r = gibbs[c].take(k * len(idx) + l)
         nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
         cb = centred[:, idx]
         d = cb.take(k, axis=1) - cb.take(l, axis=1)
-        C += (d * nested) @ d.T
+        C += weight * ((d * nested) @ d.T)
     B = B / spec.z_shifted + (centred[:, lone] * rho[lone]) @ centred[:, lone].T
     lower = np.tril_indices(len(qd), -1)
     for M in (G, B, C):

@@ -55,6 +55,12 @@ def test_antiunitary_rejects_nonunitary():
         rpverify.AntiunitaryMap(np.diag([1.0, 2.0]))
 
 
+def test_antiunitary_rejects_a_non_finite_map():
+    # nan > 1e-10 is False: a W of nan passed as unitary
+    with pytest.raises(ValueError, match=r"not unitary \(deviation nan\)"):
+        rpverify.AntiunitaryMap(np.full((2, 2), np.nan))
+
+
 def test_lr_split_reorders_kron_products():
     lat = build_lattice(1, 1)
     basis = build_basis(lat, 1)
@@ -473,9 +479,13 @@ def test_dls_check_identical_to_per_instance_oracle():
     (77, 32, 500), (707, 32, 257), (8, 16, 80), (5, 2, 255), (5, 5, 1), (9, 8, 600),
 ])
 def test_convexity_lemma_identical_to_per_pair_oracle(seed, dim_max, n_pairs):
-    got = rpverify.convexity_lemma_check(n_pairs=n_pairs, dim_max=dim_max, seed=seed)
-    want = _convexity_lemma_check_per_pair(n_pairs=n_pairs, dim_max=dim_max, seed=seed)
-    assert got.to_record() == want.to_record()
+    # <B> is summed off the diagonal of q^H B q, the oracle's off a Gibbs matrix:
+    # the record is identical but for the slack (relative to max(|lhs|, |rhs|, 1)),
+    # which moves by rounding only, 2.8e-16 at most over 500 pairs
+    got = rpverify.convexity_lemma_check(n_pairs=n_pairs, dim_max=dim_max, seed=seed).to_record()
+    want = _convexity_lemma_check_per_pair(n_pairs=n_pairs, dim_max=dim_max, seed=seed).to_record()
+    assert abs(got.pop("slack") - want.pop("slack")) <= 1e-14
+    assert got == want
 
 
 def _off_hermitian(M):
@@ -492,9 +502,42 @@ _BAD_DLS_INPUTS = [
     (4, lambda lam: np.concatenate([lam[:-1], [-0.5]]), "lambda_j must be nonnegative"),
 ]
 
+# each of these raised LinAlgError, numpy's concatenate, IndexError or a matmul error,
+# or gave a record: a nan one at beta = nan, a failing one (slack -6.65) at beta = -1
+_UNFIT_DLS_INPUTS = [
+    (0, lambda A: np.where(np.eye(len(A)) == 1, np.nan, A), "A has an entry that is not finite"),
+    (2, lambda C: np.concatenate([C[:-1], np.full((1,) + C.shape[1:], np.nan)]),
+     "Cs has an entry that is not finite"),
+    (4, lambda lam: np.concatenate([lam[:-1], [np.nan]]), "lambdas has an entry that is not finite"),
+    (6, lambda beta: np.nan, "beta must be finite and >= 0, got nan"),
+    (6, lambda beta: -1.0, "beta must be finite and >= 0, got -1.0"),
+    (1, lambda B: np.eye(3), r"B must be 2 x 2 \(A has 2 columns\), got shape \(3, 3\)"),
+    (4, lambda lam: lam[:-1], "lambdas must hold one value per C"),
+    (3, lambda D: D[:-1], "Ds must hold as many matrices as Cs"),
+    (5, lambda W: np.eye(3), r"W must be 2 x 2 \(A has 2 columns\), got shape \(3, 3\)"),
+    # 4 x 4 matrices were cut into four of A's 2 x 2 each
+    (2, lambda C: np.tile(C, (1, 2, 2)), r"Cs must be matrices 2 x 2 \(A has 2 columns\)"),
+]
+
 
 @pytest.mark.parametrize("field,spoil,match", _BAD_DLS_INPUTS)
 def test_dls_inputs_refused_in_a_batch_and_alone(field, spoil, match):
+    assert_dls_draw_refused(field, spoil, match)
+
+
+@pytest.mark.parametrize("field,spoil,match", _UNFIT_DLS_INPUTS,
+                         ids=["A_nan", "C_nan", "lambda_nan", "beta_nan", "beta_negative",
+                              "B_size", "lambdas_short", "Ds_short", "W_size", "C_size"])
+def test_dls_inputs_of_no_instance_refused_before_any_solve(monkeypatch, field, spoil, match):
+    def refuse(*args):
+        raise AssertionError("a draw was solved")
+
+    monkeypatch.setattr(rpverify, "_dls_log_sides", refuse)
+    assert_dls_draw_refused(field, spoil, match)
+
+
+def assert_dls_draw_refused(field, spoil, match):
+    """The draw 7 of 12 with one field spoiled is refused in a batch and alone."""
     # dim_max=2: every draw has n = 2, so the spoiled one shares a stack with others
     draws = rpverify._draw_dls(np.random.default_rng(4), 12, dim_max=2)
     draw = list(draws[7])
@@ -632,6 +675,26 @@ def test_field_partition_refuses_block_not_real_in_gauge():
     assert np.array_equal(H2, H2.conj().T)
     with pytest.raises(ValueError, match="not real in the gauge read off H''"):
         rpverify.FieldPartition(params, basis, H2)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "offdiagonal"])
+def test_field_partition_refuses_a_non_finite_entry_before_any_block(monkeypatch, where,
+                                                                    value, form):
+    # such an H'' died in LAPACK with LinAlgError
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    H2 = model.build_doubleprime(params, basis)
+    i, j = (0, 0) if where == "diagonal" else np.argwhere(np.triu(H2, 1) != 0)[0]
+    H2[i, j] = H2[j, i] = value
+
+    def refuse(*args):
+        raise AssertionError("a block was scattered")
+
+    monkeypatch.setattr(sectors, "_block_stacks", refuse)
+    with pytest.raises(ValueError, match="H has an entry that is not finite"):
+        rpverify.FieldPartition(params, basis, H2 if form == "dense" else sparse.csr_array(H2))
 
 
 def test_field_partition_refuses_diagonal_shift_breaking_spin_raising():

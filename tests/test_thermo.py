@@ -83,6 +83,27 @@ def test_spectral_refuses_a_beta_of_no_gibbs_state_before_any_block(monkeypatch,
         thermo.spectral(np.diag([0.5, 1.0, 2.0]), beta)
 
 
+def non_finite(case):
+    """A Hermitian 2 x 2 H with a NaN off the diagonal, a NaN on it, or an inf entry."""
+    return {"offdiagonal_nan": np.array([[0.0, np.nan], [np.nan, 0.0]]),
+            "diagonal_nan": np.array([[np.nan, 1.0], [1.0, 0.0]]),
+            "inf": np.array([[0.0, np.inf], [np.inf, 1.0]])}[case]
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("case", ["offdiagonal_nan", "diagonal_nan", "inf"])
+def test_spectral_refuses_a_non_finite_entry_before_any_block(monkeypatch, case, form):
+    # these gave log Z = ln 2, 1.47 and nan: the residual check's scale was nan,
+    # and res > 1e-9 * nan is False
+    def refuse(*args):
+        raise AssertionError("a block was scattered")
+
+    H = non_finite(case)
+    monkeypatch.setattr(sectors, "_block_stacks", refuse)
+    with pytest.raises(ValueError, match="H has an entry that is not finite"):
+        thermo.spectral(H if form == "dense" else sparse.csr_array(H), 1.0)
+
+
 # -- thermal expectation ---------------------------------------------------------------
 
 
@@ -392,6 +413,7 @@ def test_quadratic_forms_match_oracle_random_couplings(n_max, t, U, V, g, omega,
     spec = thermo.spectral(H2, beta)
     assert_bonds_match_gibbs_oracle(params, basis, spec)
     assert_forms_match(params, basis, spec, Oracle(H2, beta), [np.array(h)])
+    assert_orbit_reads_match_every_component(params, basis, H2, spec)
 
 
 def test_quadratic_forms_cached_for_one_hamiltonian(monkeypatch):
@@ -672,6 +694,100 @@ def test_bonds_and_forms_have_the_bits_of_whole_gibbs_blocks(nu, n_max):
     for got, want in zip(thermo._build_quadratic_forms(spec, basis),
                          oracles.quadratic_forms(spec, basis)):
         assert np.array_equal(got, want)
+
+
+# -- reads on one component per orbit of Pi_0 and the spin swap ---------------------------
+
+
+def every_component_reads(params, basis, H):
+    """(G, B, C) and the bonds of a fresh spectral data of H, read on every
+    component: both symmetry checks made to fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermo, "_component_image", lambda spec, symmetry: None)
+        spec = thermo.spectral(H, params.beta)
+        reps, weight = thermo._component_orbits(spec, basis)
+        assert np.array_equal(reps, np.arange(len(spec._eig))) and np.all(weight == 1.0)
+        return (thermo._build_quadratic_forms(spec, basis),
+                thermo.pairing_bond_expectations(params, basis, spec))
+
+
+def assert_orbit_reads_match_every_component(params, basis, H, spec=None):
+    """G, B, C and the bonds read on the orbit representatives against those
+    read on every component, to 1e-12 of each form's and each bond's size."""
+    spec = spec or thermo.spectral(H, params.beta)
+    forms, bonds = every_component_reads(params, basis, H)
+    for got, want in zip(thermo._build_quadratic_forms(spec, basis), forms):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got = thermo.pairing_bond_expectations(params, basis, spec)
+    assert [key for key, _ in got] == [key for key, _ in bonds]
+    for (_, val), (_, want) in zip(got, bonds):
+        assert abs(val - want) <= 1e-12 * abs(want)
+    return spec
+
+
+@pytest.mark.parametrize("nu,n_max", ORACLE_GEOMETRIES + [(2, 1)])
+def test_orbit_reads_match_every_component(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    spec = assert_orbit_reads_match_every_component(
+        params, basis, model.build_doubleprime_csr(params, basis))
+    reps, weight = thermo._component_orbits(spec, basis)
+    assert len(reps) < len(spec._eig) and weight.sum() == len(spec._eig)
+
+
+@pytest.mark.parametrize("nu,n_max,reps,components", [(2, 1, 39, 85), (1, 2, 20, 41)])
+def test_orbit_representatives_are_pinned(nu, n_max, reps, components):
+    # a symmetry check that fails in silence would read every component: pinned
+    # here, so that such a fallback fails
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
+    got, weight = thermo._component_orbits(spec, basis)
+    assert (len(got), len(spec._eig)) == (reps, components)
+    assert set(weight.tolist()) <= {1.0, 2.0, 4.0} and weight.sum() == components
+    # the orbit map is kept with its basis: an equal basis is another key
+    assert thermo._component_orbits(spec, basis)[0] is got
+    assert thermo._component_orbits(spec, build_basis(build_lattice(nu, 1), n_max))[0] is not got
+    # rho is read on the representatives only
+    thermo.pairing_bond_expectations(params, basis, spec)
+    assert np.array_equal(np.flatnonzero(spec._rho_read), got)
+
+
+@pytest.mark.parametrize("broken", ["particle_hole", "spin_swap"])
+def test_orbit_reads_fall_back_where_a_symmetry_breaks(broken):
+    # eps sum_x q_x is odd under Pi_0 and even under the swap; eps sum_x s_x
+    # the other way round.  Either leaves every orbit a singleton, and nothing
+    # is refused
+    params = small_params(n_max=1)
+    basis = build_basis(build_lattice(2, 1), 1)
+    diagonals = model.charge_diagonals(basis) if broken == "particle_hole" else \
+        model.spin_diagonals(basis)
+    H = model.build_doubleprime_csr(params, basis) + sparse.diags_array(
+        np.repeat(1e-3 * diagonals.sum(axis=0), basis.boson_dim))
+    spec = thermo.spectral(H, params.beta)
+    symmetries = {"particle_hole": model.particle_hole_symmetry(basis, np.arange(4)),
+                  "spin_swap": model.spin_swap(basis)}
+    for name, symmetry in symmetries.items():
+        assert (thermo._component_image(spec, symmetry) is None) == (name == broken)
+    reps, weight = thermo._component_orbits(spec, basis)
+    assert len(reps) == len(spec._eig) == 85 and np.all(weight == 1.0)
+    assert_orbit_reads_match_every_component(params, basis, H, spec)
+    assert_bonds_match_gibbs_oracle(params, basis, spec)
+
+
+def test_orbit_check_refuses_an_entry_moved_off_its_image():
+    # one off-diagonal pair of H'' scaled by 1 + 1e-9: its image under each
+    # symmetry no longer matches it, so both checks fail
+    params = small_params(n_max=0)
+    basis = build_basis(build_lattice(2, 1), 0)
+    H = model.build_doubleprime(params, basis)
+    k, l = np.argwhere(np.triu(H, 1) != 0)[0]
+    H[k, l] *= 1 + 1e-9
+    H[l, k] = H[k, l]
+    spec = thermo.spectral(H, params.beta)
+    assert thermo._component_image(spec, model.spin_swap(basis)) is None
+    assert thermo._component_image(spec, model.particle_hole_symmetry(basis, np.arange(4))) is None
+    assert_orbit_reads_match_every_component(params, basis, H, spec)
 
 
 def test_bonds_of_the_six_site_ring_match_the_gibbs_oracle():
