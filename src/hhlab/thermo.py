@@ -1,11 +1,11 @@
 """Spectral decomposition, thermal expectations, the infrared forms and
 charge correlations.
 
-A Hamiltonian is split into the connected components of its exact
-sparsity pattern, and into a gauge in which each component without flux is
-real, by ``sectors._gauged_sparse``; its entries are scattered into stacks
-of equal-size dense blocks (``sectors._block_stacks``), each
-eigendecomposed exactly with dense LAPACK.  A "dirty" matrix degrades to
+A Hamiltonian is read once by ``sectors._gauged_sparse``, as a stream of
+its entries, component by component of its exact sparsity pattern and in a
+gauge in which each component without flux is real; the stream is
+scattered into stacks of equal-size dense blocks (:func:`_stream_stacks`),
+each eigendecomposed exactly with dense LAPACK.  A "dirty" matrix degrades to
 one big block, never to a wrong answer.  The Gibbs state is block-diagonal
 over the components.  Its diagonal serves the thermal averages of diagonal
 observables; off the diagonal it is kept only at H's own entries, which is
@@ -47,6 +47,9 @@ _STACK_BYTES = 1 << 20
 # _kernel_gram holds a block's charge products and Duhamel kernel in tiles of
 # at most this (or one entry); a block of 576 real states is one tile
 _TILE_BYTES = 16 << 20
+# _rho_entries reads a Gibbs block in row slabs of at most this (or one row);
+# a block of up to 724 real states is one slab, with the bits of the whole block
+_RHO_SLAB_BYTES = 4 << 20
 
 
 class SpectralData:
@@ -61,21 +64,24 @@ class SpectralData:
     or construction raises ValueError before any block is solved.
 
     The eigenpairs must reproduce H to 1e-9 times its largest entry, or
-    construction raises AssertionError.  On a real block the residual is the
-    elementwise bound |q w q^T - Re G| + |Im G| >= |Q W Q^H - H_blk|: the
-    imaginary part the real ``eigh`` discards is charged to the check.
+    construction raises AssertionError.  On a real block the residual is
+    max |q w q^T - Re G| plus the component's largest |Im G| (of the
+    stream), >= |Q W Q^H - H_blk|: the imaginary part the real ``eigh``
+    discards is charged to the check.
 
-    H's gauged off-diagonal entries are kept for the infrared forms and the
-    pairing-bond expectations, grouped by component (``_entries``) before
-    any block is solved.  At its peak the build holds H's entries twice (as
-    read and as kept), the eigenvectors solved so far (the largest blocks
-    first, so the fewest then), and one stack of at most _STACK_BYTES or one
-    block, gauged in place, with its eigenvectors and two one-block
-    temporaries.  At 2x2, n_max = 1 that is 22 MiB traced, 14 MiB of it
-    kept; at n_max = 2, 545 MiB, 340 MiB kept.
-    The Gibbs state is read on first use at those entries
-    (:meth:`_rho_entries`, one more value per entry: 31 MiB at n_max = 2),
-    one component's Gibbs block at a time; no Gibbs block is kept.  The
+    H's gauged off-diagonal entries are kept, grouped by component, for the
+    infrared forms and the pairing-bond expectations: the stream itself
+    (``_stream``, ``_entries``), real where no component carries flux.  A
+    block is scattered from it as float64 (or complex where its component
+    carries flux), solved and released.  At its peak the build holds H's
+    entries as read, the stream, the eigenvectors solved so far (the
+    largest blocks first, so the fewest then), and one stack of at most
+    _STACK_BYTES or one block, with its eigenvectors and a one-block
+    residual temporary.  At 2x2, n_max = 1 that is 14 MiB traced, 12 MiB
+    of it kept; at n_max = 2 (CSR H''), 322 MiB, 294 MiB kept.  The Gibbs
+    state is read on first use at those entries (:meth:`_rho_entries`, one
+    more value per entry: 31 MiB at n_max = 2), in row slabs of one
+    component's Gibbs block at a time; no whole Gibbs block is formed.  The
     reads that take a basis (the forms and the bonds) read it, and the
     entries, on one component per orbit of Pi_0 and the spin swap only
     (:func:`_component_orbits`, cached on the spec with its basis): 39 of
@@ -90,40 +96,30 @@ class SpectralData:
 
     def __init__(self, H, beta):
         n = H.shape[0]
-        if H.shape != (n, n):
-            raise ValueError("H must be square")
+        if H.shape != (n, n) or n == 0:
+            raise ValueError(f"H must be square and not empty, got shape {H.shape}")
         beta = float(beta)
         if not 0.0 <= beta < np.inf:        # nan fails both
             raise ValueError(f"beta must be finite and >= 0, got {beta}")
-        labels, phase, entries, flux = _sectors._gauged_sparse(H)
+        stream = _sectors._gauged_sparse(H)
         self.dim = n
-        self._diagonal = entries[2][-n:].copy()  # H's diagonal, for the orbit checks
-        self._block_of = labels                 # component of each basis index
+        self._stream = stream                   # H's gauged entries, for the orbit checks
+        self._block_of = stream.labels          # component of each basis index
         # each component's size, and each basis index's position in its component
-        _, self._size, _, self._position = _sectors._positions(labels)
-        self._phase = phase                     # the gauge d on the full space
-        self._eig = eig = [None] * len(flux)    # (indices, w, q) with q in the gauge
-        # H's off-diagonal entries (the diagonal is the last n), for the forms and bonds
-        self._entries = self._by_component(*(a[:-n] for a in entries))
-        scale, res = max(1e-300, float(np.abs(entries[2]).max())), 0.0
-        for labs, idx, (blk,) in _sectors._block_stacks(labels, [entries], _STACK_BYTES):
-            real = flux[labs] == 0.0
-            if real.all():              # gauged in place, in the order of sectors._gauged
-                np.multiply(phase[idx].conj()[..., None], blk, out=blk)
-                g = np.multiply(blk, phase[idx][:, None], out=blk)
-            else:
-                g = _sectors._gauged(blk, phase[idx], phase[idx])
-            for sel, a, target in ((real, g.real, g), (~real, blk, blk)):
-                if not sel.any():
-                    continue
-                if not sel.all():               # a copy only for a mixed stack
-                    a, target = a[sel], target[sel]
-                w, q = np.linalg.eigh(a)
-                res = max(res, _block_residual(w, q, target))
-                for lab, i, wi, qi in zip(labs[sel], idx[sel], w, q):
-                    eig[lab] = (i, wi, qi)
-            del blk, g, a, target       # released before the next stack is scattered
-        if res > 1e-9 * scale:
+        self._size, self._position = stream.sizes, stream.position
+        self._phase = stream.phase              # the gauge d on the full space
+        self._eig = eig = [None] * len(stream.sizes)    # (indices, w, q) with q in the gauge
+        # H's off-diagonal entries by component, for the forms and bonds
+        self._entries = (stream.key, stream.vals, stream.ends)
+        res = 0.0
+        for labs, idx, blk in _stream_stacks(stream, _STACK_BYTES):
+            w, q = np.linalg.eigh(blk)
+            res = max(res, _block_residual(w, q, blk, 0.0 if np.iscomplexobj(blk)
+                                           else stream.imag[labs]))
+            for lab, i, wi, qi in zip(labs, idx, w, q):
+                eig[lab] = (i, wi, qi)
+            del blk                     # released before the next stack is scattered
+        if res > 1e-9 * max(1e-300, float(stream.peak.max())):
             raise AssertionError(f"eigendecomposition residual {res} too large")
         self.beta = beta
         self.e0 = min(float(w[0]) for _, w, _ in eig)
@@ -163,8 +159,11 @@ class SpectralData:
     def _rho_entries(self, components=None):
         """The gauged Gibbs state at H's off-diagonal entries, aligned with
         ``_entries``, read on ``components`` (every component by default) and
-        nan on a component not read yet.  Each component is read once: its
-        Gibbs block q diag(e^{-beta w}) q^H / Z formed, read and dropped."""
+        nan on a component not read yet.  Each component is read once, from
+        row slabs of its Gibbs block q diag(e^{-beta w}) q^H / Z of at most
+        _RHO_SLAB_BYTES (or one row), each dropped when read: neither the whole
+        block nor a scaled copy of q is formed (a complex q is conjugated
+        once)."""
         key, _, ends = self._entries
         if self._rho_at is None:
             real = all(np.isrealobj(q) for _, _, q in self._eig)
@@ -172,9 +171,16 @@ class SpectralData:
         todo = np.arange(len(self._eig)) if components is None else np.asarray(components)
         for c in todo[~self._rho_read[todo]]:
             (_, _, q), wt = self._eig[c], self._weights[c]
-            s = slice(ends[c], ends[c + 1])
-            if s.stop > s.start:
-                self._rho_at[s] = ((q * wt) @ q.conj().T).take(key[s]) / self.z_shifted
+            local = key[ends[c]:ends[c + 1]] - self._stream.offset[c]
+            n = len(wt)
+            step = max(1, _RHO_SLAB_BYTES // (q.itemsize * n))
+            cuts = np.searchsorted(local, np.arange(0, n + step, step) * n)
+            qh = q.conj().T
+            for r0, lo, hi in zip(range(0, n, step), cuts, cuts[1:]):
+                if hi > lo:
+                    slab = (q[r0:r0 + step] * wt) @ qh
+                    self._rho_at[ends[c] + lo:ends[c] + hi] = \
+                        slab.take(local[lo:hi] - r0 * n) / self.z_shifted
         self._rho_read[todo] = True
         return self._rho_at
 
@@ -196,21 +202,6 @@ class SpectralData:
                              f"of the spectral data")
         val = complex(np.dot(A, self.rho_diag()))
         return val if np.iscomplexobj(A) and np.any(np.abs(A.imag) >= 1e-14) else val.real
-
-    def _by_component(self, rows, cols, vals):
-        """(key, vals, ends): H's entries, gauged and ordered by component, at
-        key = k n + l with k and l their positions in a component of n
-        states; component c at ends[c]:ends[c + 1]."""
-        comp = self._block_of[rows]
-        order = np.argsort(comp, kind="stable")
-        ends = np.searchsorted(comp[order], np.arange(len(self._eig) + 1))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        del comp, order
-        vals = _sectors._gauged(vals, self._phase[rows], self._phase[cols])
-        key = self._size[self._block_of[rows]]
-        key *= self._position[rows]
-        key += self._position[cols]
-        return key, vals, ends
 
 
 def _duhamel_kernel(beta, w_row, w_col):
@@ -238,20 +229,58 @@ def _duhamel_kernel(beta, w_row, w_col):
     return kern
 
 
-def _block_residual(w, q, g):
-    """Largest entry of |q w q^H - g| over a block or a stack of blocks, with
-    Re g in place of g and |Im g| added where q is real: an elementwise
-    bound on |Q W Q^H - H_blk|.  Taken one block at a time, in place."""
+def _stream_stacks(stream, max_bytes):
+    """Each component's block of the entry stream of ``sectors._gauged_sparse``,
+    in stacks of equal-size blocks of at most ``max_bytes`` (or one block),
+    the largest first: yields (labs, idx, blocks), idx (m, n) each block's
+    indices, ascending.  A block is real where its component carries no
+    flux, else complex (H's own entries); off the entries it holds the
+    signed zeros that gauging leaves (:func:`_gauged_zeros`)."""
+    s = stream
+    for n in np.unique(s.sizes)[::-1]:
+        for flux in (False, True):
+            labs = np.flatnonzero((s.sizes == n) & ((s.flux > 0.0) == flux))
+            step = max(1, max_bytes // ((16 if flux else 8) * n * n))
+            for chunk in (labs[i:i + step] for i in range(0, len(labs), step)):
+                idx = s.order[s.start[chunk][:, None] + np.arange(n)]
+                m = len(chunk)
+                blocks = (np.zeros((m, n, n), dtype=complex) if flux
+                          else _gauged_zeros(s.phase[idx]))
+                count = s.ends[chunk + 1] - s.ends[chunk]
+                at = _sectors._ranges(s.ends[chunk], count)
+                vals, diagonal = s.vals[at], s.diagonal[idx]
+                if not flux:
+                    vals, diagonal = vals.real, diagonal.real
+                blocks.reshape(-1)[s.key[at] + np.repeat(np.arange(m) * n * n - s.offset[chunk],
+                                                         count)] = vals
+                blocks[:, np.arange(n), np.arange(n)] = diagonal
+                yield chunk, idx, blocks
+
+
+def _gauged_zeros(phase):
+    """The real parts of conj(d_k) 0 d_l over a stack of blocks with gauge
+    ``phase`` (m, n), in the order of ``sectors._gauged``: the signed zeros
+    that gauging leaves off a block's entries, which LAPACK reads."""
+    zero = phase.conj() * np.zeros((), dtype=phase.dtype)
+    if not np.iscomplexobj(phase):
+        return zero[..., :, None] * phase[..., None, :]
+    out = zero.real[..., :, None] * phase.real[..., None, :]
+    out -= zero.imag[..., :, None] * phase.imag[..., None, :]
+    return out
+
+
+def _block_residual(w, q, g, imag):
+    """Largest entry of |q w q^H - g| + imag over a stack of blocks g, with
+    ``imag`` per block (or one for all): on a real block, the largest
+    imaginary part that the real ``eigh`` discards, so the sum bounds
+    |Q W Q^H - H_blk|.  Taken one block at a time, in place."""
     n, res = q.shape[-1], 0.0
-    for wi, qi, gi in zip(w.reshape(-1, n), q.reshape(-1, n, n), g.reshape(-1, n, n)):
+    imag = np.broadcast_to(imag, w.shape[:-1])
+    for wi, qi, gi, ii in zip(w.reshape(-1, n), q.reshape(-1, n, n), g.reshape(-1, n, n),
+                              imag.reshape(-1)):
         back = (qi * wi) @ qi.T.conj()
-        if np.isrealobj(qi) and np.iscomplexobj(gi):
-            back -= gi.real
-            np.abs(back, out=back)
-            back += np.abs(gi.imag)
-        else:
-            back = np.abs(back - gi)
-        res = max(res, float(back.max()))
+        back -= gi
+        res = max(res, float(np.abs(back).max()) + float(ii))
     return res
 
 
@@ -520,7 +549,7 @@ def _entry_positions(spec, c):
     """(k, l): the positions in component c of ``spec`` of H's kept
     off-diagonal entries there."""
     key, _, ends = spec._entries
-    return np.divmod(key[ends[c]:ends[c + 1]], len(spec._eig[c][0]))
+    return np.divmod(key[ends[c]:ends[c + 1]] - spec._stream.offset[c], len(spec._eig[c][0]))
 
 
 def _entry_products(spec, c):
@@ -573,41 +602,18 @@ def _component_image(spec, symmetry):
     itself.
 
     The symmetry is taken in the gauge of ``spec`` (``sectors._gauged_symmetry``,
-    a real signed permutation O).  Each component must map onto one
-    component of equal size, and O G O^T = G must hold on H's kept entries
-    and its diagonal to _SYMMETRY_TOL times their largest modulus: the
-    entries of a component, moved by O, must be those of its image.  O is
-    an involution up to one sign per component, so a component mapped onto
-    a later one is checked one way only.  One component at a time, in
-    O(nnz log nnz).
+    a real signed permutation O) and checked on H's kept entries by
+    ``sectors._invariance``: each component must map onto one component of
+    equal size, and O G O^T - G, the diagonal included, must stay within
+    _SYMMETRY_TOL times the largest entry of G.
     """
     n = len(symmetry.perm)
     if not _sectors._same(symmetry.compose(symmetry), Monomial(np.arange(n), np.ones(n))):
         return None
-    labels, size, position = spec._block_of, spec._size, spec._position
-    O = _sectors._gauged_symmetry(labels, spec._phase, symmetry, antiunitary=False)
-    image = labels[O.perm]
-    to = image[[idx[0] for idx, _, _ in spec._eig]]
-    if not (np.array_equal(image, to[labels]) and np.array_equal(size[to], size)):
-        return None
-    key, g, ends = spec._entries
-    tol = _sectors._SYMMETRY_TOL * max(float(np.max(np.abs(g), initial=0.0)),
-                                       float(np.max(np.abs(spec._diagonal), initial=0.0)))
-    if np.max(np.abs(spec._diagonal[O.perm] - spec._diagonal), initial=0.0) > tol:
-        return None
-    for c in np.flatnonzero((np.diff(ends) > 0) & (to >= np.arange(len(to)))):
-        idx = spec._eig[c][0]
-        s, t = slice(ends[c], ends[c + 1]), slice(ends[to[c]], ends[to[c] + 1])
-        if s.stop - s.start != t.stop - t.start:
-            return None
-        (k, l), at, sign = _entry_positions(spec, c), position[O.perm[idx]], O.sign[idx]
-        moved = at[k] * len(idx) + at[l]
-        order = np.argsort(moved)
-        # each component's keys ascend: its entries run row by row
-        if not (np.array_equal(moved[order], key[t])
-                and np.max(np.abs((sign[k] * sign[l] * g[s])[order] - g[t])) <= tol):
-            return None
-    return to
+    stream = spec._stream
+    O = _sectors._gauged_symmetry(stream.labels, stream.phase, symmetry, antiunitary=False)
+    to, dev = _sectors._invariance(stream, O)
+    return to if to is not None and dev <= _sectors._SYMMETRY_TOL * stream.top else None
 
 
 def _pair_flips(basis, instances):

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 
 from hhlab import model, sectors, thermo
 
@@ -264,7 +264,7 @@ def quadratic_forms(spec, basis):
                                  - gram[:-1, :-1])
         B += weight * (coef @ gram @ coef.T)
         s = slice(ends[c], ends[c + 1])
-        (k, l), h_kl = np.divmod(keys[s], len(idx)), h_all[s]
+        (k, l), h_kl = np.divmod(keys[s] - spec._stream.offset[c], len(idx)), h_all[s]
         r = gibbs[c].take(k * len(idx) + l)
         nested = -(r.conj() * h_kl).real if np.iscomplexobj(r) else r * -h_kl.real
         cb = centred[:, idx]
@@ -295,3 +295,27 @@ def _charge_products(q, qb, stag):
         for v in np.unique(dj[dj != 0]):
             update(v, q[dj == v].T, beta=1.0, c=p[j].T, overwrite_c=1)
     return p, coef
+
+
+# -- a symmetry of H in the gauge, by whole sparse matrices -------------------------------
+
+
+def symmetry_change(H, labels, phase, O):
+    """(to, dev), the reference of ``sectors._invariance``: G = conj(d) H d on
+    H's nonzero entries (its real part where no component carries flux), as a
+    CSR array, and dev the largest entry of the sparse O G O^T - G; ``to`` the
+    component O maps each component onto, None unless every component maps
+    onto one of its size."""
+    h = coo_array(H)
+    g = phase[h.row].conj() * h.data
+    g *= phase[h.col]
+    if np.all(np.abs(g.imag) <= 1e-12 * np.max(np.abs(h.data))):
+        g = g.real
+    G = csr_array((g, (h.row, h.col)), shape=H.shape)
+    dev = float(np.max(np.abs((O.conjugate(G) - G).data), initial=0.0))
+    sizes = np.bincount(labels)
+    to = np.array([labels[O.perm[np.flatnonzero(labels == c)]] for c in range(len(sizes))],
+                  dtype=object)
+    if not all(len(set(t)) == 1 and sizes[t[0]] == sizes[c] for c, t in enumerate(to)):
+        return None, dev
+    return np.array([t[0] for t in to]), dev

@@ -78,9 +78,16 @@ def test_spectral_refuses_a_beta_of_no_gibbs_state_before_any_block(monkeypatch,
     def refuse(*args):
         raise AssertionError("a block was scattered")
 
-    monkeypatch.setattr(sectors, "_block_stacks", refuse)
+    monkeypatch.setattr(thermo, "_stream_stacks", refuse)
     with pytest.raises(ValueError, match="beta must be finite and >= 0"):
         thermo.spectral(np.diag([0.5, 1.0, 2.0]), beta)
+
+
+@pytest.mark.parametrize("H", [np.zeros((0, 0)), sparse.csr_array((0, 0))], ids=["dense", "csr"])
+def test_spectral_refuses_an_empty_matrix(H):
+    # a dense one raised ZeroDivisionError, a CSR one a ValueError from numpy's max
+    with pytest.raises(ValueError, match="H must be square and not empty"):
+        thermo.spectral(H, 1.0)
 
 
 def non_finite(case):
@@ -99,7 +106,7 @@ def test_spectral_refuses_a_non_finite_entry_before_any_block(monkeypatch, case,
         raise AssertionError("a block was scattered")
 
     H = non_finite(case)
-    monkeypatch.setattr(sectors, "_block_stacks", refuse)
+    monkeypatch.setattr(thermo, "_stream_stacks", refuse)
     with pytest.raises(ValueError, match="H has an entry that is not finite"):
         thermo.spectral(H if form == "dense" else sparse.csr_array(H), 1.0)
 
@@ -665,11 +672,11 @@ def test_tiled_form_build_memory_follows_the_budget(monkeypatch, state_2x2):
 def test_spectral_build_memory_is_bounded(state_2x2):
     # a build holding a whole stack of every block size, a gauged copy of it and
     # five stack-sized residual temporaries peaked at 47.1 MiB here; one stack
-    # per size, gauged in place, at 29.9 MiB.  In stacks of at most
-    # _STACK_BYTES, largest first, it peaks at 22.8 MiB, of which it keeps
-    # 15 MiB (the eigenvectors and the entries kept for the forms)
+    # per size, gauged in place, at 29.9 MiB; in stacks of at most
+    # _STACK_BYTES, largest first, at 21.6 MiB.  Scattered as float64 from the
+    # one gauged stream, it peaks at 14.0 MiB
     params, basis, H2, _ = state_2x2
-    assert traced_peak(lambda: thermo.spectral(H2, params.beta)) < 26 * 2 ** 20
+    assert traced_peak(lambda: thermo.spectral(H2, params.beta)) < 17.5 * 2 ** 20
 
 
 def test_bond_expectations_memory_is_bounded(state_2x2):
@@ -694,6 +701,31 @@ def test_bonds_and_forms_have_the_bits_of_whole_gibbs_blocks(nu, n_max):
     for got, want in zip(thermo._build_quadratic_forms(spec, basis),
                          oracles.quadratic_forms(spec, basis)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 2), (2, 1)])
+def test_rho_read_in_row_slabs_matches_whole_gibbs_blocks(monkeypatch, nu, n_max):
+    # at the default _RHO_SLAB_BYTES each block here is one slab, with the bits
+    # of the whole block (above); one row per slab moves rho by rounding only
+    monkeypatch.setattr(thermo, "_RHO_SLAB_BYTES", 1)
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    spec = thermo.spectral(model.build_doubleprime_csr(params, basis), params.beta)
+    key, _, ends = spec._entries
+    want = np.concatenate([r.take(key[ends[c]:ends[c + 1]] - spec._stream.offset[c])
+                           for c, r in enumerate(oracles.gibbs_blocks(spec))])
+    assert np.max(np.abs(spec._rho_entries() - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_rho_read_forms_no_whole_gibbs_block(monkeypatch, state_2x2):
+    # a component's Gibbs block and the scaled copy of q it was formed from
+    # took two blocks of the largest size at once
+    params, basis, H2, _ = state_2x2
+    spec = thermo.spectral(H2, params.beta)
+    monkeypatch.setattr(thermo, "_RHO_SLAB_BYTES", 1 << 16)
+    largest = max(len(w) for _, w, _ in spec._eig)
+    kept = len(spec._entries[1]) * 8
+    assert traced_peak(spec._rho_entries) < kept + largest ** 2 * 8
 
 
 # -- reads on one component per orbit of Pi_0 and the spin swap ---------------------------
@@ -1175,10 +1207,10 @@ def test_split_of_sparse_input_equals_split_of_dense(nu, n_max, which):
     S = sparse.csr_array(H)
     for got, want in zip(sectors._phase_gauge(S), sectors._phase_gauge(H)):
         assert np.array_equal(got, want)
-    (labels, phase, entries, flux), want = sectors._gauged_sparse(S), sectors._gauged_sparse(H)
-    assert np.array_equal(labels, want[0]) and np.array_equal(phase, want[1])
-    assert all(np.array_equal(a, b) for a, b in zip(entries, want[2]))
-    assert np.array_equal(flux, want[3]) and not flux.any()
+    got, want = sectors._gauged_sparse(S), sectors._gauged_sparse(H)
+    for name in ("labels", "phase", "key", "vals", "ends", "diagonal", "imag", "flux"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert not got.flux.any() and got.vals.dtype == got.diagonal.dtype == np.float64
 
 
 def gauged_real_matrix(rng, n):
@@ -1254,31 +1286,36 @@ def test_reconstruction_residual_charges_the_discarded_imaginary_part():
     actual = np.max(np.abs((Q * w) @ Q.conj().T - H))
     assert actual > 1e-13
     (_, _, q), = spec._eig
-    assert thermo._block_residual(w, q, sectors._gauged(H, spec._phase, spec._phase)) >= actual
+    g = gauged_matrix(H, spec._phase)
+    assert spec._stream.imag[0] == np.max(np.abs(g.imag)) > 0.0
+    assert thermo._block_residual(w, q, g.real, spec._stream.imag[0]) >= actual
+
+
+def gauged_matrix(H, phase):
+    """conj(d_k) H_kl d_l over a whole matrix, in the order of sectors._gauged."""
+    return phase.conj()[:, None] * H * phase[None, :]
 
 
 # -- the bounded build against one stack per size -----------------------------------------
 
 
 def per_size_stack_oracle(H, beta):
-    """(eig, logZ) as built with one stack per component size, gauged out of
-    place and solved whole: eig[c] = (w, q) of component c."""
-    labels, phase, (rows, cols, vals), flux = sectors._gauged_sparse(H)
+    """(eig, logZ) as built with one stack per component size, cut out of the
+    whole H, gauged out of place and solved whole: eig[c] = (w, q) of
+    component c.  Each block holds +0.0 off H's nonzero entries, so the
+    gauge leaves there the signed zeros that LAPACK reads."""
+    stream = sectors._gauged_sparse(H)
+    labels, phase, flux = stream.labels, stream.phase, stream.flux
+    D = H.toarray() if sparse.issparse(H) else H
     sizes = np.bincount(labels)
-    position = np.empty(len(labels), dtype=np.intp)
-    for lab in range(len(sizes)):
-        position[labels == lab] = np.arange(sizes[lab])
     eig = [None] * len(sizes)
     for n in np.unique(sizes):
         labs = np.flatnonzero(sizes == n)
         idx = np.array([np.flatnonzero(labels == lab) for lab in labs])
-        slot = np.full(len(sizes), -1)
-        slot[labs] = np.arange(len(labs))
-        k = slot[labels[rows]]
-        sel = k >= 0
-        blk = np.zeros((len(labs), n, n), dtype=vals.dtype)
-        blk[k[sel], position[rows[sel]], position[cols[sel]]] = vals[sel]
-        g = sectors._gauged(blk, phase[idx], phase[idx])
+        blk = D[idx[:, :, None], idx[:, None, :]]
+        blk[blk == 0] = 0.0
+        blk[:, np.arange(n), np.arange(n)] = D.diagonal()[idx]
+        g = phase[idx].conj()[..., :, None] * blk * phase[idx][..., None, :]
         real = flux[labs] == 0.0
         for which, a in ((real, g.real), (~real, blk)):
             if which.any():
