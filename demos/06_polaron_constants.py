@@ -1,8 +1,10 @@
 """Measured versus displayed polaron-transformation constants.
 
 The polaron (displacement) unitary U = exp(-i pi N_p / 2) exp(L) with
-L = -i omega^(-3/2) g sum_x q_x pi_x is exactly unitary at any truncation,
-and its conjugation action can be measured directly:
+L = -i omega^(-3/2) g sum_x q_x pi_x is exactly unitary at any truncation.
+It is block-diagonal over the fermion states, with a Kronecker product of
+one-site factors in each block, so its conjugation action is measured on
+one-site matrices, in about a millisecond at n_max = 10:
 
   * U c U^-1 = exp(i alpha_hat phi) c with alpha_hat = g / sqrt(omega)
     (exact at truncation);

@@ -26,19 +26,20 @@ hhlab.model sums each bond term's fermion factor, read off the same tables,
 with the entries of its small dense boson factor into a CSR array, and
 hhlab.rpverify compares the reflection split as sparse Kronecker products
 and diagonal vectors.  The boson-factor operators are small dense matrices,
-and the dense full-space embeddings are for small-size diagnostics only.  A
+each a one-site block of :func:`site_boson` embedded in the boson factor.  A
 hard dimension cap keeps sizes at desk scale.  The exact unitaries of
 hhlab.model are signed permutations, held as a :class:`Monomial` and
 applied by re-indexing, to a CSR array or to a diagonal given as a 1-d
 vector (a dense matrix is refused).  The reflection theta of hhlab.rpverify
 is one too, read off the mode tables of the half spaces, and densified only
 for its antiunitary map, whose checks also take dense random unitaries;
-the truly dense Lang-Firsov unitary stays a dense matrix.
+the Lang-Firsov unitary of hhlab.model is a block-diagonal CSR array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "Monomial",
     "HilbertBasis",
     "build_basis",
+    "site_boson",
     "adjoint",
     "hermiticity_residual",
 ]
@@ -193,66 +195,23 @@ class HilbertBasis:
 
     # -- boson operators (on the boson factor) ---------------------------------
 
-    def _ladder(self):
-        d = self.n_max + 1
-        b = np.zeros((d, d), dtype=complex)
-        for n in range(1, d):
-            b[n - 1, n] = np.sqrt(n)
-        return b
-
     def _boson_kron(self, site_slot, block):
-        d = self.n_max + 1
-        eye = np.eye(d, dtype=complex)
-        mats = [eye] * self.n_sites
+        mats = [np.eye(self.n_max + 1, dtype=complex)] * self.n_sites
         mats[site_slot] = block
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
+        return reduce(np.kron, mats)
 
     def boson(self, x, kind, omega=None):
-        """Truncated ladder operators at site x, on the boson factor.
-
-        kind: 'annihilate', 'create', 'number', 'position', 'momentum'.
-        position = (b* + b)/sqrt(2 omega), momentum = i sqrt(omega/2)(b* - b);
-        both Hermitian, require ``omega``.
-        """
+        """The one-site operator :func:`site_boson` at site x, on the boson factor."""
         s = self._site_slot(x)
         key = (kind, s, omega)
-        if key in self._boson_cache:
-            return self._boson_cache[key]
-        b = self._ladder()
-        if kind == "annihilate":
-            block = b
-        elif kind == "create":
-            block = b.conj().T
-        elif kind == "number":
-            block = b.conj().T @ b
-        elif kind in ("position", "momentum"):
-            if omega is None or omega <= 0:
-                raise ValueError("position/momentum need omega > 0")
-            if kind == "position":
-                block = (b.conj().T + b) / np.sqrt(2.0 * omega)
-            else:
-                block = 1j * np.sqrt(omega / 2.0) * (b.conj().T - b)
-        else:
-            raise ValueError(f"unknown boson operator kind {kind!r}")
-        out = self._boson_kron(s, block)
-        self._boson_cache[key] = out
-        return out
+        if key not in self._boson_cache:
+            self._boson_cache[key] = self._boson_kron(s, site_boson(self.n_max, kind, omega))
+        return self._boson_cache[key]
 
     def boson_vacuum(self):
         v = np.zeros(self.boson_dim, dtype=complex)
         v[0] = 1.0
         return v
-
-    # -- embeddings into the full space ----------------------------------------
-
-    def embed_fermion(self, F):
-        return np.kron(F, np.eye(self.boson_dim, dtype=complex))
-
-    def embed_boson(self, B):
-        return np.kron(np.eye(self.fermion_dim, dtype=complex), B)
 
     def vacuum(self):
         return np.kron(self.fermion_vacuum(), self.boson_vacuum())
@@ -260,6 +219,29 @@ class HilbertBasis:
     def __repr__(self):
         return (f"HilbertBasis(n_sites={self.n_sites}, n_max={self.n_max}, "
                 f"total_dim={self.total_dim})")
+
+
+def site_boson(n_max, kind, omega=None):
+    """A truncated ladder operator of one site, a dense complex (n_max + 1)-square matrix.
+
+    kind: 'annihilate', 'create', 'number', 'position', 'momentum'.
+    position = (b* + b)/sqrt(2 omega), momentum = i sqrt(omega/2)(b* - b);
+    both Hermitian, require ``omega``.
+    """
+    b = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    if kind == "annihilate":
+        return b
+    if kind == "create":
+        return b.conj().T
+    if kind == "number":
+        return b.conj().T @ b
+    if kind not in ("position", "momentum"):
+        raise ValueError(f"unknown boson operator kind {kind!r}")
+    if omega is None or omega <= 0:
+        raise ValueError("position/momentum need omega > 0")
+    if kind == "position":
+        return (b.conj().T + b) / np.sqrt(2.0 * omega)
+    return 1j * np.sqrt(omega / 2.0) * (b.conj().T - b)
 
 
 def build_basis(lattice, n_max, cap=DEFAULT_DIM_CAP):

@@ -31,7 +31,8 @@ exact finite-dimensional identity (see hhlab.thermo.charge_correlation).
 These unitaries (zigzag, hole-particle, spin flip, spin swap, mode
 permutations) are signed permutations: their builders return a
 :class:`hhlab.hilbert.Monomial` made by bit arithmetic, applied by
-re-indexing (``V.conjugate(H)``).  exp(L) of ``lang_firsov`` is truly dense.
+re-indexing (``V.conjugate(H)``).  ``lang_firsov`` is a CSR array holding
+one Kronecker product of one-site factors per fermion state.
 
 The displayed Lang-Firsov constants are treated as data to be measured, not
 assumed: ``lang_firsov_diagnostic`` extracts the displacement and phase
@@ -48,7 +49,7 @@ from itertools import product
 import numpy as np
 
 from ._lazy import LazyModule
-from .hilbert import Monomial, adjoint, hermiticity_residual
+from .hilbert import Monomial, adjoint, hermiticity_residual, site_boson
 
 __all__ = [
     "ModelParams",
@@ -225,21 +226,20 @@ def _bond_entries(basis, coeff, fermions, boson):
     return out
 
 
+def _block_entries(basis, f, scale, boson):
+    """The nonzero entries of sum_i scale[i] |f[i]><f[i]| (x) boson as one flat
+    (rows, cols, values): one boson block on each fermion state f[i]."""
+    nb = basis.boson_dim
+    br, bc = np.nonzero(boson)
+    return ((f[:, None] * nb + br).ravel(), (f[:, None] * nb + bc).ravel(),
+            (scale[:, None] * boson[br, bc]).ravel())
+
+
 def _charge_boson_entries(basis, charges, bosons, coeff=1.0):
     """The nonzero entries of coeff sum_x diag(charges[x]) (x) bosons[x], one
-    flat (rows, cols, values) per x.
-
-    Each term is fermion-diagonal: one boson block per fermion state where
-    charges[x] is nonzero.
-    """
-    nb = basis.boson_dim
-    out = []
-    for q, boson in zip(charges, bosons):
-        f = np.flatnonzero(q)
-        br, bc = np.nonzero(boson)
-        out.append(((f[:, None] * nb + br).ravel(), (f[:, None] * nb + bc).ravel(),
-                    (coeff * (q[f][:, None] * boson[br, bc])).ravel()))
-    return out
+    flat (rows, cols, values) per x."""
+    return [_block_entries(basis, f, coeff * q[f], boson)
+            for q, boson in zip(charges, bosons) for f in [np.flatnonzero(q)]]
 
 
 _NO_ENTRIES = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
@@ -444,20 +444,33 @@ def hamiltonian_set(params, basis):
 # -- unitary transformations -------------------------------------------------------
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _lang_firsov_factors(params, n_max):
+    """u(q) = conj(i^n) exp(-i c q pi) for q = -1, 0, 1, stacked in that order:
+    the factor of the Lang-Firsov unitary on a site of charge q, with
+    c = omega^(-3/2) g and pi the one-site momentum."""
+    pi = site_boson(n_max, "momentum", omega=params.omega)
+    c = params.omega ** (-1.5) * params.g
+    rot = np.conj(_I_POWERS[np.arange(n_max + 1) % 4])
+    return np.stack([rot[:, None] * expm_i_hermitian(-c * q * pi) for q in (-1, 0, 1)])
+
+
 def lang_firsov(params, basis):
-    """The Lang-Firsov unitary exp(-i pi N_p / 2) exp(L) on the full space,
+    """The Lang-Firsov unitary exp(-i pi N_p / 2) exp(L) on the full space, as
+    a CSR array,
 
     with L = -i omega^(-3/2) g sum_x q_x pi_x (anti-Hermitian, so exp(L) is
-    exactly unitary at any truncation).  Meant for small bases; the
-    generator is exponentiated by dense eigendecomposition.
+    exactly unitary at any truncation).  L is diagonal in the fermion state f,
+    so the block of f is (x)_x u(q_x(f)) (:func:`_lang_firsov_factors`).
     """
-    rot = np.conj(phonon_gauge(basis))
-    gen = _sparse_sum(basis, _charge_boson_entries(basis, charge_diagonals(basis),
-                                                   [basis.boson(x, "momentum", omega=params.omega)
-                                                    for x in basis.sites])).toarray()
-    # L = -i c * gen  =>  exp(L) = exp(i * (-c * gen)) with gen Hermitian
-    c = params.omega ** (-1.5) * params.g
-    return rot[:, None] * expm_i_hermitian(-c * gen)
+    u = _lang_firsov_factors(params, basis.n_max)
+    patterns, pattern_of = np.unique(charge_diagonals(basis).astype(int) + 1, axis=1,
+                                     return_inverse=True)
+    return _sparse_sum(basis, [
+        _block_entries(basis, f, np.ones(len(f)), reduce(np.kron, u[pattern]))
+        for k, pattern in enumerate(patterns.T) for f in [np.flatnonzero(pattern_of == k)]])
 
 
 def _phonon_digits(basis):
@@ -474,7 +487,7 @@ def phonon_gauge(basis):
     real symmetric.  Its entries are exactly 1, i, -1 or -i.
     """
     n_p = _phonon_digits(basis).sum(axis=1)
-    return np.tile(np.array([1, 1j, -1, -1j])[n_p % 4], basis.fermion_dim)
+    return np.tile(_I_POWERS[n_p % 4], basis.fermion_dim)
 
 
 def _parity_sign(counts):
@@ -693,47 +706,52 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     the fitted alpha_hat minimizing || {U c U^-1, c*} - exp(i a phi_x) ||_F,
     the single-site polaron-shifted charge gap as a measured u_eff, and
     boolean mismatch flags against the displayed (1, g/omega, alpha, u_eff).
-    Small bases only (dense exponentials).
+    On fermion state f, with q = q_x(f), U b_x U^-1 is u(q) b u(q)^H on site x
+    and {U c_x U^-1, c*_x} is u(q) u(q + 1)^H if mode (x, up) is empty and
+    u(q - 1) u(q)^H if filled (:func:`_lang_firsov_factors`), so each trace
+    and norm is a sum over the charges of site x of one-site terms.  Refused
+    with ValueError unless params.n_max = basis.n_max >= 2, so that the fit
+    window stays below the top rung.
     """
+    if not params.n_max == basis.n_max >= 2:
+        raise ValueError(f"the Lang-Firsov diagnostic needs params.n_max = basis.n_max >= 2, "
+                         f"got {params.n_max} and {basis.n_max}")
     from scipy.optimize import minimize_scalar
 
-    U = lang_firsov(params, basis)
-    Ui = U.conj().T
-    x = basis.sites[0]
-
-    b_full = basis.embed_boson(basis.boson(x, "annihilate"))
-    q_full = basis.embed_fermion(np.diag(charge_diagonals(basis)[0]))
-    target = U @ b_full @ Ui
+    u = _lang_firsov_factors(params, basis.n_max)
+    uh = u.conj().transpose(0, 2, 1)
 
     # fit away from the truncation boundary: the top phonon rungs carry O(1)
     # Frobenius-weight artifacts (and by trace cyclicity a global fit cannot
-    # see the q term at all), so restrict to low occupations on every site
-    low = max(1, basis.n_max // 2)
-    mask = np.tile(np.all(_phonon_digits(basis) <= low, axis=1), basis.fermion_dim)
-    window = np.ix_(mask, mask)
+    # see the q term at all), so restrict to low occupations on every site.
+    # q_x = -1, 0, 1 on 1, 2 and 1 of the four occupations of site x; each
+    # class is weighted by the root of its count, and factors common to every
+    # class (the other sites and modes) cancel
+    k = basis.n_max // 2 + 1
+    root_count = np.sqrt([1.0, 2.0, 1.0])[:, None, None]
+    b = site_boson(basis.n_max, "annihilate")
+    b_cls = root_count * b[:k, :k]
+    q_cls = root_count * np.array([-1.0, 0.0, 1.0])[:, None, None] * np.eye(k)
+    target = root_count * (u @ b @ uh)[:, :k, :k]
 
-    def tr(a, b):
-        return complex(np.vdot(a[window], b[window]))
+    def tr(a, c):
+        return complex(np.vdot(a, c))
 
-    gram = np.array([[tr(b_full, b_full), tr(b_full, q_full)],
-                     [tr(q_full, b_full), tr(q_full, q_full)]])
-    rhs = np.array([tr(b_full, target), tr(q_full, target)])
+    gram = np.array([[tr(b_cls, b_cls), tr(b_cls, q_cls)],
+                     [tr(q_cls, b_cls), tr(q_cls, q_cls)]])
+    rhs = np.array([tr(b_cls, target), tr(q_cls, target)])
     zeta, minus_d = np.linalg.solve(gram, rhs)
     d = -minus_d
-    resid = (target - zeta * b_full + d * q_full)[window]
-    disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target[window]), 1e-300))
+    resid = target - zeta * b_cls + d * q_cls
+    disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target), 1e-300))
 
-    c_full = basis.embed_fermion(basis.c(x, "up").toarray())
-    cd_full = basis.embed_fermion(basis.cdag(x, "up").toarray())
-    conj_c = U @ c_full @ Ui
-    phase_op = conj_c @ cd_full + cd_full @ conj_c
-    # phi_x acts on the boson factor only: eigendecompose it there once, so
-    # each trial a costs one small product instead of a full-space eigh
-    w, q = np.linalg.eigh(basis.boson(x, "position", omega=params.omega))
+    # u(q) u(q + 1)^H for q = -1 and 0, each on half of the fermion states;
+    # phi_x is eigendecomposed once, so each trial a costs one small product
+    phase_op = u[:-1] @ uh[1:]
+    w, v = np.linalg.eigh(site_boson(basis.n_max, "position", omega=params.omega))
 
     def mismatch_norm(a):
-        phase = (q * np.exp(1j * a * w)) @ q.conj().T
-        return float(np.linalg.norm(phase_op - basis.embed_boson(phase)))
+        return float(np.linalg.norm(phase_op - (v * np.exp(1j * a * w)) @ v.conj().T))
 
     scale = max(abs(params.alpha), abs(params.g) / np.sqrt(params.omega), 1e-3)
     res = minimize_scalar(mismatch_norm, bounds=(-8 * scale, 8 * scale), method="bounded",
@@ -766,12 +784,9 @@ def _single_site_charge_gap(params):
     sector of the one-site problem U q^2 + g q (b + b*) + omega b* b,
     relative to the q = 0 sector.  Converges to U - g^2/omega as n_max grows.
     """
-    d = params.n_max + 1
-    b = np.zeros((d, d))
-    for n in range(1, d):
-        b[n - 1, n] = np.sqrt(n)
+    b = site_boson(params.n_max, "annihilate").real
     k = params.omega * b.T @ b
     coup = params.g * (b + b.T)
-    e_charged = np.linalg.eigvalsh(params.U * np.eye(d) + coup + k)[0]
+    e_charged = np.linalg.eigvalsh(params.U * np.eye(params.n_max + 1) + coup + k)[0]
     e_neutral = np.linalg.eigvalsh(k)[0]
     return float(e_charged - e_neutral)

@@ -6,7 +6,8 @@ array.  The oracles here are the textbook constructions they are checked
 against: each annihilator as a dense Kronecker chain, the occupation
 diagonals as products of those, the Hamiltonians H' and H'' as sums of dense
 Kronecker products, H, H' and H''(h) as the library's CSR sums
-densified, theta's W built state by state from a*- and c*-strings, the
+densified, the Lang-Firsov unitary as one dense exponential of its whole
+generator, with its diagnostic on dense full-space products, theta's W built state by state from a*- and c*-strings, the
 bond expectations and infrared forms read off whole Gibbs blocks, and each
 bond term set against H'' on the entries of its site pair.
 """
@@ -55,6 +56,19 @@ def spin_z(basis, x):
     return n_spin(basis, x, "up") - n_spin(basis, x, "down")
 
 
+# -- embeddings into the full space ----------------------------------------------------
+
+
+def embed_fermion(basis, F):
+    """F (x) 1 on the full space, for a dense F on the fermion factor."""
+    return np.kron(F, np.eye(basis.boson_dim, dtype=complex))
+
+
+def embed_boson(basis, B):
+    """1 (x) B on the full space, for a dense B on the boson factor."""
+    return np.kron(np.eye(basis.fermion_dim, dtype=complex), B)
+
+
 # -- Hamiltonians as dense Kronecker sums ----------------------------------------------
 
 
@@ -90,7 +104,7 @@ def dense_charge_and_phonon(params, basis, v_coeff):
     K_b = np.zeros((basis.boson_dim, basis.boson_dim), dtype=complex)
     for x in lat.sites:
         K_b += params.omega * basis.boson(x, "number")
-    return basis.embed_fermion(P_f) + basis.embed_boson(K_b)
+    return embed_fermion(basis, P_f) + embed_boson(basis, K_b)
 
 
 def dense_doubleprime(params, basis):
@@ -319,3 +333,79 @@ def symmetry_change(H, labels, phase, O):
     if not all(len(set(t)) == 1 and sizes[t[0]] == sizes[c] for c, t in enumerate(to)):
         return None, dev
     return np.array([t[0] for t in to]), dev
+
+
+# -- the Lang-Firsov unitary and its diagnostic, on the full space ------------------------
+
+
+def lang_firsov(params, basis):
+    """exp(-i pi N_p / 2) exp(L) as a dense matrix, L = -i omega^(-3/2) g sum_x q_x pi_x,
+    with the whole generator exponentiated by dense eigendecomposition."""
+    gen = sum(embed_fermion(basis, charge(basis, x))
+              @ embed_boson(basis, basis.boson(x, "momentum", omega=params.omega))
+              for x in basis.sites)
+    c = params.omega ** (-1.5) * params.g
+    return np.conj(model.phonon_gauge(basis))[:, None] * model.expm_i_hermitian(-c * gen)
+
+
+def lang_firsov_diagnostic(params, basis, rtol=1e-6):
+    """The dict of ``model.lang_firsov_diagnostic``, with U of :func:`lang_firsov`
+    and every operator, fit window and phase trial a dense full-space matrix."""
+    from scipy.optimize import minimize_scalar
+
+    U = lang_firsov(params, basis)
+    Ui = U.conj().T
+    x = basis.sites[0]
+
+    b_full = embed_boson(basis, basis.boson(x, "annihilate"))
+    q_full = embed_fermion(basis, charge(basis, x))
+    target = U @ b_full @ Ui
+
+    low = max(1, basis.n_max // 2)
+    mask = np.tile(np.all(model._phonon_digits(basis) <= low, axis=1), basis.fermion_dim)
+    window = np.ix_(mask, mask)
+
+    def tr(a, b):
+        return complex(np.vdot(a[window], b[window]))
+
+    gram = np.array([[tr(b_full, b_full), tr(b_full, q_full)],
+                     [tr(q_full, b_full), tr(q_full, q_full)]])
+    rhs = np.array([tr(b_full, target), tr(q_full, target)])
+    zeta, minus_d = np.linalg.solve(gram, rhs)
+    d = -minus_d
+    resid = (target - zeta * b_full + d * q_full)[window]
+    disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target[window]), 1e-300))
+
+    c_full = embed_fermion(basis, c(basis, x, "up"))
+    cd_full = embed_fermion(basis, cdag(basis, x, "up"))
+    conj_c = U @ c_full @ Ui
+    phase_op = conj_c @ cd_full + cd_full @ conj_c
+    w, q = np.linalg.eigh(basis.boson(x, "position", omega=params.omega))
+
+    def mismatch_norm(a):
+        phase = (q * np.exp(1j * a * w)) @ q.conj().T
+        return float(np.linalg.norm(phase_op - embed_boson(basis, phase)))
+
+    scale = max(abs(params.alpha), abs(params.g) / np.sqrt(params.omega), 1e-3)
+    res = minimize_scalar(mismatch_norm, bounds=(-8 * scale, 8 * scale), method="bounded",
+                          options={"xatol": 1e-12})
+    alpha_hat = float(res.x)
+    phase_residual = float(res.fun) / max(float(np.linalg.norm(phase_op)), 1e-300)
+
+    u_eff_measured = model._single_site_charge_gap(params)
+    displayed_d = params.g / params.omega
+    return {
+        "zeta": complex(zeta),
+        "displacement": complex(d),
+        "displacement_residual": disp_residual,
+        "displayed_displacement": displayed_d,
+        "alpha_hat": alpha_hat,
+        "phase_residual": phase_residual,
+        "displayed_alpha": float(params.alpha),
+        "u_eff_measured": u_eff_measured,
+        "displayed_u_eff": float(params.u_eff),
+        "mismatch_displacement": not (abs(zeta - 1.0) <= rtol and
+                                      abs(d - displayed_d) <= rtol * max(1.0, abs(displayed_d))),
+        "mismatch_alpha": not abs(alpha_hat - params.alpha) <= rtol * max(1.0, abs(params.alpha)),
+        "mismatch_u_eff": not abs(u_eff_measured - params.u_eff) <= 1e-3 * max(1.0, abs(params.u_eff)),
+    }

@@ -1,7 +1,4 @@
-"""Smoke tests: the demo scripts and the README's library quick start run to completion.
-
-demos/06_polaron_constants.py is left out: it takes about 14 s.
-"""
+"""Smoke tests: the demo scripts and the README's library quick start run to completion."""
 
 import os
 import re
@@ -25,7 +22,7 @@ def _run_python(args):
 
 @pytest.mark.parametrize("demo", ["01_model_tour", "02_reflection_structure",
                                   "03_gaussian_domination", "04_infrared_chain",
-                                  "05_charge_order_bound"])
+                                  "05_charge_order_bound", "06_polaron_constants"])
 def test_demo_runs(demo):
     out = _run_python([str(ROOT / "demos" / f"{demo}.py")])
     assert not [ln for ln in out.splitlines() if "[FAIL]" in ln], out

@@ -226,8 +226,8 @@ def test_sparse_hermiticity_residual_matches_the_dense_one(pattern):
 
 def test_embeddings_commute_between_factors():
     basis = build_basis(build_lattice(1, 1), 1)
-    f = basis.embed_fermion(oracles.charge(basis, (0,)))
-    b = basis.embed_boson(basis.boson((0,), "annihilate"))
+    f = oracles.embed_fermion(basis, oracles.charge(basis, (0,)))
+    b = oracles.embed_boson(basis, basis.boson((0,), "annihilate"))
     assert np.allclose(commutator(f, b), 0.0)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,7 +166,7 @@ def test_lang_firsov_unitary():
     lat = build_lattice(1, 1)
     params = small_params()
     basis = build_basis(lat, params.n_max)
-    U = model.lang_firsov(params, basis)
+    U = model.lang_firsov(params, basis).toarray()
     assert np.max(np.abs(U @ U.conj().T - np.eye(basis.total_dim))) < 1e-10
 
 
@@ -172,11 +174,11 @@ def test_lang_firsov_g0_is_number_phase():
     lat = build_lattice(1, 1)
     params = small_params(g=0.0)
     basis = build_basis(lat, params.n_max)
-    U = model.lang_firsov(params, basis)
+    U = model.lang_firsov(params, basis).toarray()
     n_tot = np.zeros(basis.boson_dim)
     for x in basis.sites:
         n_tot += np.real(np.diag(basis.boson(x, "number")))
-    expected = basis.embed_boson(np.diag(np.exp(-0.5j * np.pi * n_tot)))
+    expected = oracles.embed_boson(basis, np.diag(np.exp(-0.5j * np.pi * n_tot)))
     assert np.max(np.abs(U - expected)) < 1e-12
 
 
@@ -185,10 +187,19 @@ def test_conjugation_preserves_spectrum():
     params = small_params(n_max=1)
     basis = build_basis(lat, params.n_max)
     H = oracles.build_original(params, basis)
-    U = model.lang_firsov(params, basis)
+    U = model.lang_firsov(params, basis).toarray()
     w1 = np.linalg.eigvalsh(H)
     w2 = np.linalg.eigvalsh(U @ H @ U.conj().T)
     assert np.max(np.abs(w1 - w2)) < 1e-9 * max(1.0, np.max(np.abs(w1)))
+
+
+@pytest.mark.parametrize("nu,n_max", [(1, 0), (1, 2), (1, 6), (2, 0)])
+def test_lang_firsov_is_csr_matching_dense_oracle(nu, n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(nu, 1), n_max)
+    U = model.lang_firsov(params, basis)
+    assert isinstance(U, sparse.csr_array)
+    assert np.max(np.abs(U.toarray() - oracles.lang_firsov(params, basis))) <= 1e-14
 
 
 def test_transformed_equals_original_at_g0():
@@ -217,6 +228,50 @@ def test_lang_firsov_diagnostic_measures_and_flags():
     assert np.isclose(diag["u_eff_measured"], params.U - params.g ** 2 / params.omega,
                       atol=1e-4)
     assert diag["mismatch_alpha"] and diag["mismatch_displacement"] and diag["mismatch_u_eff"]
+
+
+@pytest.mark.parametrize("n_max", [2, 6])
+def test_lang_firsov_diagnostic_matches_dense_oracle(n_max):
+    params = small_params(n_max=n_max)
+    basis = build_basis(build_lattice(1, 1), n_max)
+    got = model.lang_firsov_diagnostic(params, basis)
+    want = oracles.lang_firsov_diagnostic(params, basis)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, bool):
+            assert got[key] is value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12, key
+
+
+def test_lang_firsov_diagnostic_forms_no_full_space_matrix():
+    # at dim 1936 one dense complex full-space matrix is 57 MiB; the dense
+    # products of the oracle peak at about 635 MiB here
+    import scipy.optimize  # noqa: F401  (its import is not part of the bound)
+
+    params = small_params(n_max=10)
+    basis = build_basis(build_lattice(1, 1), params.n_max)
+    tracemalloc.start()
+    try:
+        model.lang_firsov_diagnostic(params, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_lang_firsov_diagnostic_refuses_n_max_below_two(n_max):
+    # at n_max = 1 the fit window reaches the top rung, where the fit cannot
+    # see the q term
+    with pytest.raises(ValueError, match=f"got {n_max} and {n_max}"):
+        model.lang_firsov_diagnostic(small_params(n_max=n_max),
+                                     build_basis(build_lattice(1, 1), n_max))
+
+
+def test_lang_firsov_diagnostic_refuses_params_n_max_other_than_basis():
+    with pytest.raises(ValueError, match="needs params.n_max = basis.n_max"):
+        model.lang_firsov_diagnostic(small_params(n_max=2), build_basis(build_lattice(1, 1), 3))
 
 
 def test_u_eff_measured_converges_in_n_max():
@@ -442,10 +497,10 @@ def test_spin_flip_action():
     D = model.build_spin_flip(basis).to_dense()
     assert np.max(np.abs(D @ D.conj().T - np.eye(basis.total_dim))) < 1e-12
     for x in lat.sites:
-        cu = basis.embed_fermion(oracles.c(basis, x, "up"))
-        cd = basis.embed_fermion(oracles.c(basis, x, "down"))
+        cu = oracles.embed_fermion(basis, oracles.c(basis, x, "up"))
+        cd = oracles.embed_fermion(basis, oracles.c(basis, x, "down"))
         assert np.max(np.abs(D @ cu @ D.conj().T - cd)) < 1e-12
-        b = basis.embed_boson(basis.boson(x, "annihilate"))
+        b = oracles.embed_boson(basis, basis.boson(x, "annihilate"))
         assert np.max(np.abs(D @ b @ D.conj().T + b)) < 1e-12
 
 

@@ -161,7 +161,7 @@ def dense_lr_split(params, basis, h, tol=1e-10):
     pairs = []
     x_l, x_r = lat.left_sites[0], lat.right_sites[0]
     for x, side in ((x_l, "L"), (x_r, "R")):
-        c_full = to_lr(basis.embed_fermion(oracles.c(basis, x, "up")))
+        c_full = to_lr(oracles.embed_fermion(basis, oracles.c(basis, x, "up")))
         if side == "L":
             expected = kron_l(np.kron(oracles.c(bl, x, "up"), np.eye(bl.boson_dim)))
         else:
@@ -169,7 +169,7 @@ def dense_lr_split(params, basis, h, tol=1e-10):
             expected = np.kron(par, np.kron(oracles.c(br, x, "up"), np.eye(br.boson_dim)))
         pairs.append(("lr_fermion_embed", c_full, expected))
     pi = basis.boson(x_l, "momentum", omega=params.omega)
-    pairs.append(("lr_boson_embed", to_lr(basis.embed_boson(pi)),
+    pairs.append(("lr_boson_embed", to_lr(oracles.embed_boson(basis, pi)),
                   kron_l(np.kron(np.eye(bl.fermion_dim),
                                  bl.boson(x_l, "momentum", omega=params.omega)))))
 
