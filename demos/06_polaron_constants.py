@@ -22,14 +22,12 @@ formula-built H'' regardless of how it is reached from H.
 
 import numpy as np
 
-from hhlab import ModelParams, build_basis, build_lattice
+from hhlab import ModelParams
 from hhlab import model
 
-lat = build_lattice(nu=1, ell=1)
 params = ModelParams(t=1.0, U=2.0, V=1.0, g=0.8, omega=1.3, beta=1.0, n_max=10)
-basis = build_basis(lat, params.n_max)
 
-d = model.lang_firsov_diagnostic(params, basis)
+d = model.lang_firsov_diagnostic(params)
 print(f"phase constant:       measured {d['alpha_hat']:.6f}   "
       f"displayed {d['displayed_alpha']:.6f}   "
       f"(g/sqrt(omega) = {params.g / np.sqrt(params.omega):.6f}; "

@@ -5,13 +5,14 @@ formula (conjugation by the explicit unitaries is a cross-check, never the
 definition).  All three go through the same few term helpers: a bond term
 -t (fermion (x) boson + h.c.) gives the entries of its Kronecker factors, the
 fermion factor a partial signed permutation read off the basis by bit
-arithmetic and the boson factor a small dense matrix; the e-ph coupling gives
-one boson block per fermion state, and the charge and phonon terms are
-diagonal vectors.  One assembly, ``_sparse_sum``, sums the entries into a
-CSR array, so no full-space Kronecker product, no dense fermion_dim x
-fermion_dim product and no dense full-space matrix is formed.
-``build_original_csr``, ``build_doubleprime_csr`` and ``hamiltonian_set``
-return CSR arrays (``build_doubleprime`` densifies H''):
+arithmetic and the boson factor a small dense matrix, the phase a Kronecker
+product of one-site factors exp(-i alpha phi); the e-ph coupling gives one
+boson block per fermion state, and the charge and phonon terms are diagonal
+vectors.  One assembly, ``_sparse_sum``, sums the entries into a CSR array,
+so no full-space Kronecker product, no dense fermion_dim x fermion_dim
+product and no dense full-space matrix is formed.  ``build_original_csr``,
+``build_doubleprime_csr`` and ``hamiltonian_set`` return CSR arrays
+(``build_doubleprime`` densifies H''):
 
 * H  = T + P + I + K: hopping, on-site U and nearest-neighbor V charge
   repulsion, linear electron-phonon coupling g, dispersionless phonons omega.
@@ -60,7 +61,6 @@ __all__ = [
     "field_diagonal_correction",
     "hamiltonian_set",
     "lang_firsov",
-    "phonon_gauge",
     "build_zigzag",
     "zigzag_fermion",
     "zigzag_spin_operators",
@@ -71,7 +71,6 @@ __all__ = [
     "particle_hole_translation",
     "particle_hole_symmetry",
     "build_a_operators",
-    "expm_i_hermitian",
     "fermion_mode_permutation",
     "lang_firsov_diagnostic",
 ]
@@ -141,17 +140,28 @@ def _require_lattice(basis):
     return basis.lattice
 
 
-def expm_i_hermitian(h):
-    """exp(i h) for Hermitian h, via eigendecomposition (exactly unitary)."""
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * w)) @ q.conj().T
+def _position_modes(params, n_max):
+    """The eigendecomposition (w, v) of the one-site position operator phi."""
+    return np.linalg.eigh(site_boson(n_max, "position", omega=params.omega))
 
 
-def _hop_phase(basis, params, x, y):
-    """exp(-i alpha (phi_x - phi_y)) on the boson factor."""
-    phi_x = basis.boson(x, "position", omega=params.omega)
-    phi_y = basis.boson(y, "position", omega=params.omega)
-    return expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+def _site_phase(params, n_max):
+    """u = exp(-i alpha phi) on one site, set exactly symmetric, real on entries of
+    even m + n and imaginary on odd m + n, as phi is real, symmetric and parity-odd."""
+    w, v = _position_modes(params, n_max)
+    u = (v * np.exp(-1j * params.alpha * w)) @ v.conj().T
+    u = (u + u.T) / 2
+    return np.where(np.add.outer(*[np.arange(n_max + 1)] * 2) % 2, 1j * u.imag, u.real)
+
+
+def _hop_phase(basis, params, x, y=None):
+    """exp(-i alpha (phi_x - phi_y)) on the boson factor (exp(-i alpha phi_x) without
+    y): u (:func:`_site_phase`) on x (x) its conjugate on y (x) the identity elsewhere."""
+    mats = [np.eye(basis.n_max + 1)] * basis.n_sites
+    mats[basis.site_index[x]] = u = _site_phase(params, basis.n_max)
+    if y is not None:
+        mats[basis.site_index[y]] = u.conj()
+    return reduce(np.kron, mats)
 
 
 # -- term helpers: every Hamiltonian is a composition of these ----------------------
@@ -195,11 +205,11 @@ def _bond_factors(basis, instances, pairing, params=None):
     Yields (instance, fermions, boson): ``fermions`` holds the fermion factor
     for s = up, down, c*_{x s} c*_{y s} if ``pairing`` and c*_{x s} c_{y s}
     otherwise, each as the (rows, cols, signs) of :func:`_fermion_pair`, so
-    no fermion_dim x fermion_dim matrix is formed; ``boson`` is the dense
-    phase exp(-i alpha (phi_x - phi_y)) with the alpha of ``params``, or the
-    identity when no params are given (the bare hopping of H).  The term is
-    -t sum_s (fermion (x) boson + h.c.).  Works on any basis holding both
-    sites, half-space bases included.
+    no fermion_dim x fermion_dim matrix is formed; ``boson`` is the phase of
+    :func:`_hop_phase` with the alpha of ``params``, a Kronecker product of
+    one-site factors, or the identity when no params are given (the bare
+    hopping of H).  The term is -t sum_s (fermion (x) boson + h.c.).  Works
+    on any basis holding both sites, half-space bases included.
     """
     eye = np.eye(basis.boson_dim)
     for inst in instances:
@@ -454,7 +464,8 @@ def _lang_firsov_factors(params, n_max):
     pi = site_boson(n_max, "momentum", omega=params.omega)
     c = params.omega ** (-1.5) * params.g
     rot = np.conj(_I_POWERS[np.arange(n_max + 1) % 4])
-    return np.stack([rot[:, None] * expm_i_hermitian(-c * q * pi) for q in (-1, 0, 1)])
+    modes = [np.linalg.eigh(-c * q * pi) for q in (-1, 0, 1)]
+    return np.stack([rot[:, None] * ((v * np.exp(1j * w)) @ v.conj().T) for w, v in modes])
 
 
 def lang_firsov(params, basis):
@@ -477,17 +488,6 @@ def _phonon_digits(basis):
     """Per-site phonon occupations (base-(n_max + 1) digits, last site first), per boson index."""
     d = basis.n_max + 1
     return np.arange(basis.boson_dim)[:, None] // d ** np.arange(basis.n_sites) % d
-
-
-def phonon_gauge(basis):
-    """The diagonal of the phonon gauge i^{N_p}, N_p = sum_x n_x, on the full space.
-
-    Conjugation by it maps each phi_x to i times a real antisymmetric matrix,
-    so exp(-i alpha (phi_x - phi_y)) becomes real and H'' and H''(h) become
-    real symmetric.  Its entries are exactly 1, i, -1 or -i.
-    """
-    n_p = _phonon_digits(basis).sum(axis=1)
-    return np.tile(_I_POWERS[n_p % 4], basis.fermion_dim)
 
 
 def _parity_sign(counts):
@@ -697,7 +697,7 @@ def build_a_operators(basis):
 # -- Lang-Firsov constant diagnostics ----------------------------------------------
 
 
-def lang_firsov_diagnostic(params, basis, rtol=1e-6):
+def lang_firsov_diagnostic(params, rtol=1e-6):
     """Measure the conjugation constants that the Lang-Firsov unitary
     actually generates, and compare with the displayed values.
 
@@ -709,16 +709,15 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     On fermion state f, with q = q_x(f), U b_x U^-1 is u(q) b u(q)^H on site x
     and {U c_x U^-1, c*_x} is u(q) u(q + 1)^H if mode (x, up) is empty and
     u(q - 1) u(q)^H if filled (:func:`_lang_firsov_factors`), so each trace
-    and norm is a sum over the charges of site x of one-site terms.  Refused
-    with ValueError unless params.n_max = basis.n_max >= 2, so that the fit
-    window stays below the top rung.
+    and norm is a sum over the charges of site x of one-site terms, the same
+    on every site.  Refused with ValueError unless params.n_max >= 2, so that
+    the fit window stays below the top rung.
     """
-    if not params.n_max == basis.n_max >= 2:
-        raise ValueError(f"the Lang-Firsov diagnostic needs params.n_max = basis.n_max >= 2, "
-                         f"got {params.n_max} and {basis.n_max}")
+    if params.n_max < 2:
+        raise ValueError(f"the Lang-Firsov diagnostic needs n_max >= 2, got {params.n_max}")
     from scipy.optimize import minimize_scalar
 
-    u = _lang_firsov_factors(params, basis.n_max)
+    u = _lang_firsov_factors(params, params.n_max)
     uh = u.conj().transpose(0, 2, 1)
 
     # fit away from the truncation boundary: the top phonon rungs carry O(1)
@@ -727,9 +726,9 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     # q_x = -1, 0, 1 on 1, 2 and 1 of the four occupations of site x; each
     # class is weighted by the root of its count, and factors common to every
     # class (the other sites and modes) cancel
-    k = basis.n_max // 2 + 1
+    k = params.n_max // 2 + 1
     root_count = np.sqrt([1.0, 2.0, 1.0])[:, None, None]
-    b = site_boson(basis.n_max, "annihilate")
+    b = site_boson(params.n_max, "annihilate")
     b_cls = root_count * b[:k, :k]
     q_cls = root_count * np.array([-1.0, 0.0, 1.0])[:, None, None] * np.eye(k)
     target = root_count * (u @ b @ uh)[:, :k, :k]
@@ -746,9 +745,9 @@ def lang_firsov_diagnostic(params, basis, rtol=1e-6):
     disp_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(target), 1e-300))
 
     # u(q) u(q + 1)^H for q = -1 and 0, each on half of the fermion states;
-    # phi_x is eigendecomposed once, so each trial a costs one small product
+    # phi is eigendecomposed as for the bond phase, so a trial a costs one product
     phase_op = u[:-1] @ uh[1:]
-    w, v = np.linalg.eigh(site_boson(basis.n_max, "position", omega=params.omega))
+    w, v = _position_modes(params, params.n_max)
 
     def mismatch_norm(a):
         return float(np.linalg.norm(phase_op - (v * np.exp(1j * a * w)) @ v.conj().T))

@@ -397,11 +397,10 @@ def verify_lr_split(params, basis, h=None, tol=1e-10):
                                         else (y, x, -1.0, +params.t))
         if lat.reflect(right) != ell:
             raise AssertionError("crossing bond does not pair reflection partners")
-        phi_l = bl.boson(ell, "position", omega=params.omega)
-        phase = _model.expm_i_hermitian(sgn_alpha * params.alpha * phi_l)
+        phase = _model._hop_phase(bl, params, ell)                   # exp(-i alpha phi_l)
+        phase = phase.conj() if sgn_alpha > 0 else phase             # exp(i sgn alpha phi_l)
         for spin in ("up", "down"):
-            C = np.kron(a_ops[(ell, spin)].T.toarray(), np.eye(bl.boson_dim))
-            C = C @ np.kron(np.eye(bl.fermion_dim), phase)
+            C = np.kron(a_ops[(ell, spin)].T.toarray(), phase)
             block = _sparse_kron(C, theta.conjugate(C))
             crossing = crossing + coeff * (block + block.conj().T)
     out.append(_matrix_eq(

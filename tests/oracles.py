@@ -6,8 +6,10 @@ array.  The oracles here are the textbook constructions they are checked
 against: each annihilator as a dense Kronecker chain, the occupation
 diagonals as products of those, the Hamiltonians H' and H'' as sums of dense
 Kronecker products, H, H' and H''(h) as the library's CSR sums
-densified, the Lang-Firsov unitary as one dense exponential of its whole
-generator, with its diagnostic on dense full-space products, theta's W built state by state from a*- and c*-strings, the
+densified, the bond phase exp(-i alpha (phi_x - phi_y)) as one dense
+exponential on the whole boson factor, the Lang-Firsov unitary as one dense
+exponential of its whole generator, with its diagnostic on dense full-space
+products, theta's W built state by state from a*- and c*-strings, the
 bond expectations and infrared forms read off whole Gibbs blocks, and each
 bond term set against H'' on the entries of its site pair.
 """
@@ -69,22 +71,51 @@ def embed_boson(basis, B):
     return np.kron(np.eye(basis.fermion_dim, dtype=complex), B)
 
 
+# -- phonon exponentials on the whole boson factor --------------------------------------
+
+
+def expm_i_hermitian(h):
+    """exp(i h) for Hermitian h, via eigendecomposition (exactly unitary)."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(1j * w)) @ q.conj().T
+
+
+def hop_phase(params, basis, x, y):
+    """exp(-i alpha (phi_x - phi_y)) by one eigh of its generator on the whole
+    boson factor: the reference for ``model._hop_phase``, which multiplies
+    one-site factors."""
+    phi_x = basis.boson(x, "position", omega=params.omega)
+    phi_y = basis.boson(y, "position", omega=params.omega)
+    return expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+
+
+def phonon_gauge(basis):
+    """The diagonal of the phonon gauge i^{N_p}, N_p = sum_x n_x, on the full space.
+
+    Conjugation by it maps each phi_x to i times a real antisymmetric matrix,
+    so exp(-i alpha (phi_x - phi_y)) becomes real and H'' and H''(h) become
+    real symmetric.  Its entries are exactly 1, i, -1 or -i.
+    """
+    n_p = model._phonon_digits(basis).sum(axis=1)
+    return np.tile(model._I_POWERS[n_p % 4], basis.fermion_dim)
+
+
 # -- Hamiltonians as dense Kronecker sums ----------------------------------------------
 
 
 def dense_pairing_terms(params, basis):
     """The pairing terms of T'' as dense full-space Kronecker products,
     -t sum_s (c*_{x s} c*_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.),
-    one per (x, y, j, eps) in the library's order."""
+    one per (x, y, j, eps) in the library's order, with the library's phase
+    (checked against :func:`hop_phase` on its own), so the Kronecker assembly
+    is compared bit for bit."""
     lat = basis.lattice
     out = []
     for x in lat.even_sites:
         for j in range(1, lat.nu + 1):
             for eps in (+1, -1):
                 y = lat.shift(x, j, eps)
-                phi_x = basis.boson(x, "position", omega=params.omega)
-                phi_y = basis.boson(y, "position", omega=params.omega)
-                phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+                phase = model._hop_phase(basis, params, x, y)
                 term = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
                 for spin in ("up", "down"):
                     pair = np.kron(cdag(basis, x, spin) @ cdag(basis, y, spin), phase)
@@ -118,14 +149,13 @@ def dense_doubleprime(params, basis):
 def dense_transformed(params, basis):
     """H' = T' + P' + K with every part a dense full-space matrix: each
     phase-dressed hopping term as a Kronecker product,
-    -t (c*_{x s} c_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.)."""
+    -t (c*_{x s} c_{y s} (x) exp(-i alpha (phi_x - phi_y)) + h.c.), with the
+    library's phase as in :func:`dense_pairing_terms`."""
     lat = basis.lattice
     T1 = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
     for b in lat.bonds():
         x, y = lat.sites[b.i], lat.sites[b.j]
-        phi_x = basis.boson(x, "position", omega=params.omega)
-        phi_y = basis.boson(y, "position", omega=params.omega)
-        phase = model.expm_i_hermitian(-params.alpha * (phi_x - phi_y))
+        phase = model._hop_phase(basis, params, x, y)
         for spin in ("up", "down"):
             term = np.kron(cdag(basis, x, spin) @ c(basis, y, spin), phase)
             T1 += -params.t * (term + term.conj().T)
@@ -345,7 +375,7 @@ def lang_firsov(params, basis):
               @ embed_boson(basis, basis.boson(x, "momentum", omega=params.omega))
               for x in basis.sites)
     c = params.omega ** (-1.5) * params.g
-    return np.conj(model.phonon_gauge(basis))[:, None] * model.expm_i_hermitian(-c * gen)
+    return np.conj(phonon_gauge(basis))[:, None] * expm_i_hermitian(-c * gen)
 
 
 def lang_firsov_diagnostic(params, basis, rtol=1e-6):

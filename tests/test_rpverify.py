@@ -141,7 +141,10 @@ def test_lr_split_identities(nu):
 def dense_lr_split(params, basis, h, tol=1e-10):
     """The checks of verify_lr_split with every side a dense full-space
     matrix: the operators re-indexed by split.perm and the Kronecker
-    products with the identity formed densely.  [(name, CheckResult)]."""
+    products with the identity formed densely.  The bond phases are the
+    library's (``model._hop_phase``, checked against the whole-space
+    exponential in test_model), so the splits are compared as assembled.
+    [(name, CheckResult)]."""
     lat = basis.lattice
     theta, split = rpverify.build_theta(basis)
     bl, br = split.basis_L, split.basis_R
@@ -185,8 +188,7 @@ def dense_lr_split(params, basis, h, tol=1e-10):
         """The internal pairing terms on a half basis as dense Kronecker products."""
         out = np.zeros((b.total_dim,) * 2, dtype=complex)
         for x, y, *_ in instances:
-            phase = model.expm_i_hermitian(-params.alpha * (b.boson(x, "position", omega=params.omega)
-                                                            - b.boson(y, "position", omega=params.omega)))
+            phase = model._hop_phase(b, params, x, y)
             for spin in ("up", "down"):
                 pair = np.kron(oracles.cdag(b, x, spin) @ oracles.cdag(b, y, spin), phase)
                 out += -params.t * (pair + pair.conj().T)
@@ -201,8 +203,8 @@ def dense_lr_split(params, basis, h, tol=1e-10):
     cross = np.zeros((basis.total_dim,) * 2, dtype=complex)
     for x, y, even_side in rpverify._crossing_instances(params, lat):
         ell, sgn_alpha, coeff = (y, 1.0, -params.t) if even_side == "R" else (x, -1.0, params.t)
-        phase = model.expm_i_hermitian(
-            sgn_alpha * params.alpha * bl.boson(ell, "position", omega=params.omega))
+        phase = model._hop_phase(bl, params, ell)
+        phase = phase.conj() if sgn_alpha > 0 else phase        # exp(i sgn_alpha alpha phi_l)
         for spin in ("up", "down"):
             C = np.kron(a_ops[(ell, spin)].toarray().conj().T, np.eye(bl.boson_dim))
             C = C @ np.kron(np.eye(bl.fermion_dim), phase)
